@@ -7,7 +7,7 @@ GO ?= go
 # mutator beyond the seed corpus, short enough for a pre-merge gate.
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race check bench bench-smoke bench-gate trace-smoke fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke clean
+.PHONY: all build vet test race check bench bench-smoke bench-gate bench-selftest trace-smoke fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke clean
 
 # Scratch dir for gate artifacts that must not clobber committed baselines.
 SCRATCH ?= .scratch
@@ -81,13 +81,12 @@ cluster-smoke:
 	$(GO) test -count=1 ./internal/cluster/ ./internal/retry/
 
 # par-smoke is the dependency-aware scheduling gate: the work-stealing
-# scheduler's unit suite under the race detector, the DAG-vs-chunk-vs-
-# sequential differential and resume-determinism matrices, and the CLI
-# round trip (dpv/lratcheck -sched dag against -sched chunk and a
-# sequential run, byte-compared).
+# scheduler's unit suite and the LRAT checker's DAG-vs-chunk-vs-sequential
+# differential under the race detector, and the CLI round trip (dpv -sched
+# dag, the sequential check plus a hinted DAG recheck, byte-compared with a
+# sequential run; lratcheck under both schedules).
 par-smoke:
 	$(GO) test -race -count=1 ./internal/sched/
-	$(GO) test -race -run '^TestVerifyDAG|^TestDAGCheckpoint|^TestResolveWorkersDAG$$' -count=1 ./internal/core/
 	$(GO) test -race -run '^TestCheckDAG|^TestReplayer|^TestBuildDAG' -count=1 ./internal/lrat/
 	$(GO) test -run '^TestParSmoke$$' -count=1 -v .
 
@@ -115,6 +114,12 @@ bench-gate:
 	$(GO) run ./cmd/parbench -quick -iters 3 -o $(SCRATCH)/BENCH_par_fresh.json
 	$(GO) run ./cmd/benchdiff -par -tol 0.15 BENCH_par.json $(SCRATCH)/BENCH_par_fresh.json
 
+# bench-selftest builds and self-tests the benchmark (perfbench/, its own
+# module): `go test ./...` at the root skips nested modules, so without it
+# an API change that breaks the benchmark's build would pass the gate.
+bench-selftest:
+	cd perfbench && $(GO) test -count=1 ./...
+
 # trace-smoke emits a flight recording from a real verification, parses it
 # back and validates the span tree (see trace_roundtrip_test.go), then
 # measures recorder overhead over the bench suite. The design budget is <3%
@@ -132,10 +137,10 @@ trace-smoke:
 # admission gates (daemon and router), the kill-and-recover crash loops
 # (CLI, daemon, and cluster kill-a-shard), the hinted-proof (LRAT) gate,
 # the dependency-aware scheduling gate, the trace roundtrip + overhead
-# smoke, and the benchmark perf-regression gate (BCP engines, hinted
-# re-check throughput, and the chunk-vs-DAG schedule). Run it before every
-# merge; CI and reviewers assume it is green.
-check: vet build race fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke trace-smoke bench-gate
+# smoke, the benchmark perf-regression gate (BCP engines, hinted re-check
+# throughput, and the chunk-vs-DAG schedule), and the benchmark's
+# self-test. Run it before every merge; CI and reviewers assume it is green.
+check: vet build race fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke trace-smoke bench-gate bench-selftest
 
 # bench compiles and smoke-runs every benchmark once (not a measurement run).
 bench:

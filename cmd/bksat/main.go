@@ -54,6 +54,9 @@ func main() {
 }
 
 func run() int {
+	// ContinueOnError: a bad flag must exit Usage, not the flag package's 2,
+	// which the exit-code contract reserves for a rejected proof.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	proofPath := flag.String("proof", "", "write the conflict-clause proof to this file")
 	dratPath := flag.String("drat", "", "write a deletion-aware DRUP proof to this file")
 	learn := flag.String("learn", "hybrid", "learning scheme: 1uip | decision | hybrid")
@@ -69,7 +72,12 @@ func run() int {
 	pprofFlag := flag.Bool("pprof", false, "with -metrics: also serve net/http/pprof under /debug/pprof/")
 	simp := flag.Bool("simp", false, "preprocess before solving (NOTE: any proof then refers to the simplified formula)")
 	portfolio := flag.Int("portfolio", 0, "race N diversified solver configurations; the winner's proof is written at the end (streaming and -drat are unavailable in this mode)")
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return exitcode.OK
+		}
+		return exitcode.Usage
+	}
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: bksat [flags] formula.cnf")

@@ -16,10 +16,11 @@
 //	-sched NAME     parallel schedule with -par: "chunk" slices the trace
 //	                into fixed per-worker ranges (always checks every
 //	                clause, extracts no core); "dag" runs the sequential
-//	                checker once to record LRAT hints, then revalidates
-//	                every recorded step in parallel over the hint
-//	                dependency DAG — honoring the default marked mode and
-//	                supporting -core/-trim/-emit-lrat (default chunk)
+//	                checker (honoring -all, supporting -core/-trim/
+//	                -emit-lrat) and then rechecks its recorded LRAT hints
+//	                on N workers over the hint dependency DAG, as
+//	                lratcheck -sched dag does (default chunk; "dag"
+//	                requires -par)
 //	-core FILE      write the unsatisfiable core as DIMACS
 //	-trim FILE      write the trimmed proof (used clauses only)
 //	-emit-lrat FILE write an LRAT hinted proof of the verification
@@ -54,13 +55,15 @@
 //	3  malformed or oversized formula/proof input
 //	4  -timeout expired
 //	5  resource budget (-max-props, -max-memory) exhausted
-//	6  internal error (worker panic, failed output write)
+//	6  internal error (worker panic, failed output write, -sched dag
+//	   recheck rejecting the recorded hints)
 //	130  interrupted (SIGINT/SIGTERM); partial progress is reported first
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -89,10 +92,13 @@ func main() {
 }
 
 func run() int {
+	// ContinueOnError: a bad flag must exit Usage, not the flag package's 2,
+	// which the exit-code contract reserves for a rejected proof.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	all := flag.Bool("all", false, "check every clause (Proof_verification1)")
 	engine := flag.String("engine", "watched", "BCP engine: watched | counting | watched-scratch")
 	par := flag.Int("par", 0, "parallel workers (0 = sequential)")
-	schedName := flag.String("sched", "chunk", "parallel schedule with -par: chunk | dag")
+	schedName := flag.String("sched", "chunk", "parallel schedule with -par: chunk | dag (sequential check, then a parallel recheck of its LRAT hints)")
 	corePath := flag.String("core", "", "write the unsatisfiable core (DIMACS) to this file")
 	trimPath := flag.String("trim", "", "write the trimmed proof to this file")
 	lratPath := flag.String("emit-lrat", "", "write an LRAT hinted proof to this file")
@@ -113,7 +119,12 @@ func run() int {
 	traceJSONL := flag.String("trace-jsonl", "", "write the flight recording as JSONL events to this file")
 	traceBuf := flag.Int("trace-buf", 0, "flight recorder ring capacity in events per track (0 = default 65536)")
 	quiet := flag.Bool("q", false, "quiet")
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return exitcode.OK
+		}
+		return exitcode.Usage
+	}
 
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: dpv [flags] formula.cnf proof.trace")
@@ -124,7 +135,11 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "dpv:", serr)
 		return exitcode.Usage
 	}
-	dagSched := *par != 0 && strategy == sched.StrategyDAG
+	dagSched := strategy == sched.StrategyDAG
+	if dagSched && *par == 0 {
+		fmt.Fprintln(os.Stderr, "dpv: -sched dag requires -par")
+		return exitcode.Usage
+	}
 	if *par != 0 && !dagSched && (*corePath != "" || *trimPath != "") {
 		fmt.Fprintln(os.Stderr, "dpv: chunked -par checks every clause without marking; -core/-trim need the sequential checker or -sched dag")
 		return exitcode.Usage
@@ -225,7 +240,6 @@ func run() int {
 	if *all {
 		opt.Mode = core.ModeCheckAll
 	}
-	opt.Sched = strategy
 	switch *engine {
 	case "watched":
 		opt.Engine = core.EngineWatched
@@ -237,8 +251,10 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "dpv: unknown engine %q\n", *engine)
 		return exitcode.Usage
 	}
+	// The DAG schedule rechecks the sequential run's hints, so it records
+	// them whether or not -emit-lrat asked for the file.
 	var hints *lrat.Recorder
-	if *lratPath != "" {
+	if *lratPath != "" || dagSched {
 		hints = new(lrat.Recorder)
 		opt.Hints = hints
 	}
@@ -258,12 +274,10 @@ func run() int {
 			FormulaFP: journal.FingerprintFormula(f),
 			ProofFP:   journal.FingerprintTrace(tr),
 		}
-		if dagSched {
-			// DAG parallelism does not shape durable state (the watermark is
-			// worker-independent), so Workers stays 0 and any -par resumes
-			// the journal; the actual mode is honored and recorded.
-			meta.Kind = journal.KindVerifyDAG
-		} else if *par != 0 {
+		// A -sched dag run checkpoints only its sequential pass, so it
+		// shares the sequential journal kind with zero workers: either
+		// schedule resumes the other's journal.
+		if *par != 0 && !dagSched {
 			meta.Kind = journal.KindVerifyParallel
 			meta.Mode = uint8(core.ModeCheckAll)
 			meta.Workers = uint32(core.ResolveWorkers(tr.Len(), *par))
@@ -275,21 +289,13 @@ func run() int {
 			if jerr == nil {
 				cp, derr := core.DecodeCheckpoint(payload)
 				if derr == nil {
-					if cp.DAG {
-						// A phase-2 record of a DAG run (journal kinds already
-						// matched, so this run is DAG-scheduled too).
-						derr = cp.ValidateForDAG(f.NumClauses(), tr.Len())
-					} else if dagSched {
-						// A DAG run killed during its sequential emit phase.
-						derr = cp.ValidateFor(f.NumClauses(), tr.Len(), 0)
-					} else {
-						derr = cp.ValidateFor(f.NumClauses(), tr.Len(), int(meta.Workers))
-					}
+					derr = cp.ValidateFor(f.NumClauses(), tr.Len(), int(meta.Workers))
 				}
 				if derr == nil && hints != nil && cp.Hints == nil {
 					// The steps recorded before the crash live only in the
-					// checkpoint; a hint-free journal cannot seed -emit-lrat.
-					derr = fmt.Errorf("journal predates -emit-lrat, hints unrecoverable")
+					// checkpoint; a hint-free journal cannot seed the
+					// recorder.
+					derr = fmt.Errorf("journal was written without hint recording, hints unrecoverable")
 				}
 				if derr == nil {
 					resumeCp = cp
@@ -343,10 +349,15 @@ func run() int {
 	}
 
 	var res *core.Result
-	if *par != 0 {
+	if *par != 0 && !dagSched {
 		res, err = core.VerifyParallelOpts(f, tr, opt, *par)
 	} else {
 		res, err = core.Verify(f, tr, opt)
+		if err == nil && res.OK && dagSched {
+			if err = recheck(ctx, f, hints, *par, reg); err != nil {
+				res.Incomplete = true
+			}
+		}
 	}
 	opt.Progress.Finish()
 	if *statsJSON != "" {
@@ -377,6 +388,14 @@ func run() int {
 			if res.StoppedAt >= 0 {
 				fmt.Printf("c stopped at proof clause %d\n", res.StoppedAt)
 			}
+		}
+		// Only the -sched dag recheck stops with a bare context error (core
+		// returns its own sentinels); map it the way lratcheck does.
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			return exitcode.Timeout
+		case errors.Is(err, context.Canceled):
+			return exitcode.Interrupted
 		}
 		return exitcode.FromVerifyError(err)
 	}
@@ -436,13 +455,33 @@ func run() int {
 			return exitcode.Internal
 		}
 	}
-	if hints != nil && res.OK {
+	if *lratPath != "" && res.OK {
 		if err := writeLRAT(*lratPath, hints, *lratBinary); err != nil {
 			fmt.Fprintln(os.Stderr, "dpv:", err)
 			return exitcode.Internal
 		}
 	}
 	return exitcode.OK
+}
+
+// recheck replays the sequential run's recorded hints with lrat.Check over
+// the hint dependency DAG on the given number of workers. The hints come
+// from a proof the sequential checker has just accepted, so a rejection
+// means a defect, not a verdict: it surfaces as an error that maps to the
+// internal exit code. A context stop comes back as the bare context error.
+func recheck(ctx context.Context, f *cnf.Formula, hints *lrat.Recorder, workers int, reg *obs.Registry) error {
+	lp, err := hints.Proof()
+	if err != nil {
+		return fmt.Errorf("recorded hint proof: %w", err)
+	}
+	res, err := lrat.Check(f, lp, lrat.Options{Workers: workers, Strategy: sched.StrategyDAG, Ctx: ctx, Obs: reg})
+	if err != nil {
+		return err
+	}
+	if !res.OK {
+		return fmt.Errorf("recheck rejected recorded step %d: %s", res.FailedStep, res.Reason)
+	}
+	return nil
 }
 
 // writeLRAT renders a recorder's proof to path (text or binary) atomically.

@@ -48,6 +48,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -69,6 +70,9 @@ func main() {
 }
 
 func run() int {
+	// ContinueOnError: a bad flag must exit Usage, not the flag package's 2,
+	// which the exit-code contract reserves for a rejected proof.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	addr := flag.String("addr", ":8100", "listen address")
 	storeDir := flag.String("store", "", "disk-backed job store root (empty = in-memory)")
 	workers := flag.Int("workers", 2, "concurrent verification workers")
@@ -86,7 +90,12 @@ func run() int {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs on shutdown")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	quiet := flag.Bool("q", false, "quiet")
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return exitcode.OK
+		}
+		return exitcode.Usage
+	}
 
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: dpvd [flags]")

@@ -46,6 +46,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -67,6 +68,9 @@ func main() {
 }
 
 func run() int {
+	// ContinueOnError: a bad flag must exit Usage, not the flag package's 2,
+	// which the exit-code contract reserves for a rejected proof.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	addr := flag.String("addr", ":8200", "listen address")
 	shards := flag.String("shards", "", "comma-separated backend base URLs (required)")
 	replication := flag.Int("replication", 2, "copies per verdict, primary included")
@@ -82,7 +86,12 @@ func run() int {
 	forwardTimeout := flag.Duration("forward-timeout", 5*time.Second, "per-backend-request timeout")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	quiet := flag.Bool("q", false, "quiet")
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return exitcode.OK
+		}
+		return exitcode.Usage
+	}
 
 	if flag.NArg() != 0 || *shards == "" {
 		fmt.Fprintln(os.Stderr, "usage: dpvrouter -shards URL[,URL...] [flags]")

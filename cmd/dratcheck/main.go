@@ -30,6 +30,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,6 +55,9 @@ func main() {
 }
 
 func run() int {
+	// ContinueOnError: a bad flag must exit Usage, not the flag package's 2,
+	// which the exit-code contract reserves for a rejected proof.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	quiet := flag.Bool("q", false, "quiet")
 	backward := flag.Bool("backward", false, "backward checking with marking (drat-trim style; checks only used clauses)")
 	trimPath := flag.String("trim", "", "with -backward: write the trimmed proof to this file")
@@ -68,7 +72,12 @@ func run() int {
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON flight recording to this file")
 	traceJSONL := flag.String("trace-jsonl", "", "write the flight recording as JSONL to this file")
 	traceBuf := flag.Int("trace-buf", trace.DefaultTrackEvents, "flight recorder ring capacity per track")
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return exitcode.OK
+		}
+		return exitcode.Usage
+	}
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: dratcheck [-q] [-backward [-trim out.drat] [-core out.cnf] [-checkpoint j [-resume]]] [-stats-json f] [-trace-out f] [-trace-jsonl f] formula.cnf proof.drat")
 		return exitcode.Usage

@@ -44,12 +44,20 @@ func main() {
 }
 
 func run() int {
+	// ContinueOnError: a bad flag must exit Usage, not the flag package's 2,
+	// which the exit-code contract reserves for a rejected proof.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	quiet := flag.Bool("q", false, "quiet")
 	par := flag.Int("par", 0, "check steps over this many workers (0 or 1 = sequential)")
 	schedName := flag.String("sched", "dag", "parallel schedule with -par: chunk (fixed step ranges) | dag (work-stealing over the hint dependency DAG)")
 	timeout := flag.Duration("timeout", 0, "give up after this long (0 = unlimited)")
 	statsJSON := flag.String("stats-json", "", "write a JSON metrics snapshot to this file")
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return exitcode.OK
+		}
+		return exitcode.Usage
+	}
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: lratcheck [-q] [-par N] [-sched chunk|dag] [-timeout D] [-stats-json f] formula.cnf proof.lrat")
 		return exitcode.Usage

@@ -146,6 +146,9 @@ func TestExitCodes(t *testing.T) {
 	bksat := filepath.Join(bins, "bksat")
 	dratcheck := filepath.Join(bins, "dratcheck")
 	lratcheck := filepath.Join(bins, "lratcheck")
+	svc := buildClusterCmds(t)
+	dpvd := filepath.Join(svc, "dpvd")
+	dpvrouter := filepath.Join(svc, "dpvrouter")
 
 	cases := []struct {
 		name string
@@ -164,6 +167,18 @@ func TestExitCodes(t *testing.T) {
 		{"dpv prop budget", dpv, []string{"-max-props", "1", unsatCNF, trace}, 5},
 		{"dpv memory budget", dpv, []string{"-max-memory", "16", unsatCNF, trace}, 5},
 		{"dpv usage", dpv, []string{unsatCNF}, 1},
+		{"dpv verified dag", dpv, []string{"-q", "-par", "4", "-sched", "dag", unsatCNF, trace}, 0},
+		{"dpv sched dag without par", dpv, []string{"-sched", "dag", unsatCNF, trace}, 1},
+		// The flag package's own exit status for a bad flag is 2, which the
+		// contract reserves for a rejected proof; every binary maps it to 1.
+		{"dpv unknown flag", dpv, []string{"-bogus", unsatCNF, trace}, 1},
+		{"dpv help", dpv, []string{"-h"}, 0},
+		{"bksat unknown flag", bksat, []string{"-bogus", unsatCNF}, 1},
+		{"dratcheck unknown flag", dratcheck, []string{"-bogus", unsatCNF, trace}, 1},
+		{"lratcheck unknown flag", lratcheck, []string{"-bogus", unsatCNF, lratProof}, 1},
+		{"lratcheck help", lratcheck, []string{"-h"}, 0},
+		{"dpvd unknown flag", dpvd, []string{"-bogus"}, 1},
+		{"dpvrouter unknown flag", dpvrouter, []string{"-bogus", "-shards", "http://127.0.0.1:1"}, 1},
 		{"bksat sat", bksat, []string{satCNF}, 10},
 		{"bksat unsat", bksat, []string{unsatCNF}, 20},
 		{"bksat malformed", bksat, []string{garbage}, 3},

@@ -6,10 +6,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/cnf"
+	"repro/internal/core"
 	"repro/internal/drat"
+	"repro/internal/journal"
 	"repro/internal/proof"
 )
 
@@ -20,7 +23,8 @@ import (
 // verdict, exit code, stdout report, and every artifact written are
 // byte-identical to an uninterrupted checkpointed run, for every verifier
 // configuration: pv1/pv2 × watched/counting × sequential/chunked/DAG-
-// scheduled parallel, plus the DRAT backward checker.
+// scheduled parallel, resumes that switch between the sequential and DAG
+// schedules, plus the DRAT backward checker.
 
 // mkcl builds a clause from DIMACS literals.
 func mkcl(lits ...int) cnf.Clause {
@@ -129,23 +133,30 @@ func TestCrashRecoverMatrix(t *testing.T) {
 	lratcheck := filepath.Join(bins, "lratcheck")
 
 	type config struct {
-		name string
-		args []string // verifier configuration flags
-		core bool     // sequential configs also compare the core and LRAT artifacts
+		name   string
+		args   []string // verifier configuration flags
+		resume []string // flags of the resumed runs; nil reuses args
+		core   bool     // sequential configs also compare the core and LRAT artifacts
 	}
 	var cfgs []config
 	for _, eng := range []string{"watched", "counting"} {
 		cfgs = append(cfgs,
-			config{"pv2-" + eng, []string{"-engine", eng}, true},
-			config{"pv1-" + eng, []string{"-all", "-engine", eng}, true},
-			config{"par-" + eng, []string{"-par", "3", "-engine", eng}, false},
-			// The DAG schedule honors marking and records hints, so unlike
-			// the chunked config it compares core and LRAT artifacts too. A
-			// crash can land in either phase: sequential-emit records and
-			// watermark records both occur at n/8.
-			config{"dag-" + eng, []string{"-par", "3", "-sched", "dag", "-engine", eng}, true},
+			config{"pv2-" + eng, []string{"-engine", eng}, nil, true},
+			config{"pv1-" + eng, []string{"-all", "-engine", eng}, nil, true},
+			config{"par-" + eng, []string{"-par", "3", "-engine", eng}, nil, false},
+			// The DAG schedule is the sequential checker plus a hinted
+			// recheck, so unlike the chunked config it compares core and
+			// LRAT artifacts too.
+			config{"dag-" + eng, []string{"-par", "3", "-sched", "dag", "-engine", eng}, nil, true},
 		)
 	}
+	// A -sched dag run journals only its sequential pass, under the
+	// sequential journal kind, so each schedule resumes the other's journal.
+	dag := []string{"-par", "3", "-sched", "dag"}
+	cfgs = append(cfgs,
+		config{"dag-then-seq", dag, []string{}, true},
+		config{"seq-then-dag", []string{}, dag, true},
+	)
 
 	for _, tc := range cfgs {
 		tc := tc
@@ -154,6 +165,9 @@ func TestCrashRecoverMatrix(t *testing.T) {
 			dir := t.TempDir()
 			mkArgs := func(tag string, resume bool) []string {
 				args := append([]string{}, tc.args...)
+				if resume && tc.resume != nil {
+					args = append([]string{}, tc.resume...)
+				}
 				args = append(args, "-checkpoint", filepath.Join(dir, tag+".dpvj"), "-checkpoint-every", every)
 				if resume {
 					args = append(args, "-resume")
@@ -250,6 +264,78 @@ func TestCrashRecoverMatrix(t *testing.T) {
 		}
 		t.Logf("recovered across %d crashes", crashes)
 	})
+}
+
+// TestResumeIgnoresRetiredDAGJournal offers dpv -resume a journal whose
+// header carries kind 4, which older binaries wrote for a retired two-phase
+// DAG-scheduled pipeline (its payloads were checkpoint version 3). Every
+// other header field matches the run, so only the kind can refuse it: dpv
+// must warn, run from scratch, and reach the uninterrupted run's verdict.
+func TestResumeIgnoresRetiredDAGJournal(t *testing.T) {
+	bins := buildCmds(t)
+	dir := t.TempDir()
+	cnfPath, tracePath, _ := writeChainFixtures(t, dir, 500)
+	dpv := filepath.Join(bins, "dpv")
+	// Checkpointing rebuilds the engine at every interval boundary, which
+	// shows in the propagation count: the baseline checkpoints too.
+	code, baseOut := runWithEnv(t, nil, dpv,
+		"-checkpoint", filepath.Join(dir, "base.dpvj"), "-checkpoint-every", "100", cnfPath, tracePath)
+	if code != 0 {
+		t.Fatalf("baseline exit %d:\n%s", code, baseOut)
+	}
+
+	fin, err := os.Open(cnfPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := cnf.ParseDimacs(fin)
+	fin.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := proof.Read(pin)
+	pin.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := filepath.Join(dir, "old.dpvj")
+	jw, err := journal.Create(j, journal.Meta{
+		Kind:      journal.Kind(4),
+		Mode:      uint8(core.ModeCheckMarked),
+		Engine:    uint8(core.EngineWatched),
+		Interval:  100,
+		FormulaFP: journal.FingerprintFormula(f),
+		ProofFP:   journal.FingerprintTrace(tr),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A version-3 record: version byte 3, flag byte 2, then the state.
+	if err := jw.Append(append([]byte{3, 2}, make([]byte, 96)...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd := exec.Command(dpv, "-par", "3", "-sched", "dag",
+		"-checkpoint", j, "-checkpoint-every", "100", "-resume", cnfPath, tracePath)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("resume over a kind-4 journal: %v\nstderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "not resuming") || !strings.Contains(stderr.String(), "running from scratch") {
+		t.Errorf("no fallback warning on stderr:\n%s", stderr.String())
+	}
+	if stdout.String() != baseOut {
+		t.Errorf("stdout diverged from an uninterrupted run:\n got %q\nwant %q", stdout.String(), baseOut)
+	}
 }
 
 // TestCrashHookFiresAfterDurableAppend pins the crash point itself: a killed

@@ -21,9 +21,10 @@ import (
 //   - chunk — VerifyParallelOpts with the fixed-chunk schedule: every
 //     worker builds a private clause database and every step is checked by
 //     unit propagation, marked or not (chunking cannot honor check-marked).
-//   - dag   — the emit-then-schedule pipeline: one sequential check-marked
-//     pass records LRAT hints, then the work-stealing scheduler revalidates
-//     the recorded steps by propagation-free replay over the hint DAG.
+//   - dag   — what dpv -sched dag runs: one sequential check-marked pass
+//     (core.Verify) records LRAT hints, then lrat.Check rechecks them with
+//     the work-stealing scheduler over the hint DAG, by propagation-free
+//     replay.
 //
 // The headline Speedup is suite-total chunk wall time over suite-total DAG
 // wall time at the same worker count; the acceptance floor is 1.3x. The
@@ -264,8 +265,8 @@ func parBenchOne(inst ParInstance, workers, iters int) (*ParInstanceReport, erro
 	d := rep.DAG()
 	ir.DAGStats = d.Stats()
 
-	// End-to-end: fixed-chunk check-all vs DAG emit-then-schedule, both at
-	// the same requested worker count.
+	// End-to-end: fixed-chunk check-all vs the sequential check plus a
+	// DAG-scheduled hinted recheck, both at the same requested worker count.
 	ir.ChunkMillis, err = parMeasure(iters, func() error {
 		r, err := core.VerifyParallelOpts(inst.F, inst.T,
 			core.Options{Mode: core.ModeCheckAll}, workers)
@@ -281,13 +282,24 @@ func parBenchOne(inst ParInstance, workers, iters int) (*ParInstanceReport, erro
 		return nil, err
 	}
 	ir.DAGMillis, err = parMeasure(iters, func() error {
-		r, err := core.VerifyParallelOpts(inst.F, inst.T,
-			core.Options{Mode: core.ModeCheckMarked, Sched: sched.StrategyDAG}, workers)
+		rec := new(lrat.Recorder)
+		r, err := core.Verify(inst.F, inst.T, core.Options{Mode: core.ModeCheckMarked, Hints: rec})
 		if err != nil {
 			return fmt.Errorf("bench: %s: dag: %w", inst.Name, err)
 		}
 		if !r.OK {
 			return fmt.Errorf("bench: %s: dag rejected at %d", inst.Name, r.FailedIndex)
+		}
+		lp, err := rec.Proof()
+		if err != nil {
+			return fmt.Errorf("bench: %s: dag: recorded proof: %w", inst.Name, err)
+		}
+		lr, err := lrat.Check(inst.F, lp, lrat.Options{Workers: workers, Strategy: sched.StrategyDAG})
+		if err != nil {
+			return fmt.Errorf("bench: %s: dag recheck: %w", inst.Name, err)
+		}
+		if !lr.OK {
+			return fmt.Errorf("bench: %s: dag recheck rejected step %d: %s", inst.Name, lr.FailedStep, lr.Reason)
 		}
 		return nil
 	})
@@ -311,7 +323,8 @@ func parBenchOne(inst ParInstance, workers, iters int) (*ParInstanceReport, erro
 	}
 
 	// TW drives sched.Run directly, which also surfaces the steal count.
-	w := core.ResolveWorkersDAG(ir.DAGStats.MaxWidth, workers)
+	// More workers than the widest antilevel can never run at once.
+	w := min(workers, max(ir.DAGStats.MaxWidth, 1))
 	var steals int64
 	ir.TWMillis, err = parMeasure(iters, func() error {
 		rws := make([]*lrat.ReplayWorker, w)

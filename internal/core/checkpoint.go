@@ -99,28 +99,18 @@ type Checkpoint struct {
 	Workers []WorkerState
 
 	// Hints is the serialized lrat.Recorder state at the boundary (nil when
-	// the run is not recording hints). Sequential and DAG checkpoints only.
+	// the run is not recording hints). Sequential checkpoints only.
 	Hints []byte
-
-	// DAG state: set on a phase-2 record of a DAG-scheduled parallel run
-	// (internal/core/dag.go). The sequential fields above then hold the
-	// finished phase-1 outcome, Hints is always present, and Watermark is
-	// the scheduler's drained-task watermark — every recorded step below it
-	// revalidated, so the resumed schedule starts there.
-	DAG       bool
-	Watermark int
 }
 
+// Payload versions. Version 3 (the phase-2 record of a retired two-phase
+// DAG-scheduled pipeline) is no longer written or accepted.
 const (
 	checkpointVersion = 1
 	// checkpointVersionHints appends the hint-recorder blob after the marked
 	// bitmap. Emitted only when a recorder is attached, so non-recording runs
 	// keep producing byte-identical version-1 payloads.
 	checkpointVersionHints = 2
-	// checkpointVersionDAG is the phase-2 record of a DAG-scheduled run: the
-	// hinted-sequential layout with the scheduler watermark in the NextIndex
-	// slot and flag byte 2 instead of the parallel flag.
-	checkpointVersionDAG = 3
 )
 
 func appendStats(b []byte, s bcp.Stats) []byte {
@@ -162,22 +152,6 @@ func subStats(a, b bcp.Stats) bcp.Stats {
 // Encode serializes the checkpoint (version byte, fixed-width
 // little-endian integers, packed bitmap).
 func (cp *Checkpoint) Encode() []byte {
-	if cp.DAG {
-		b := []byte{checkpointVersionDAG, 2}
-		for _, v := range []int64{int64(cp.Watermark), int64(cp.Tested), int64(cp.Skipped), int64(cp.Tautologies)} {
-			b = binary.LittleEndian.AppendUint64(b, uint64(v))
-		}
-		b = appendStats(b, cp.Stats)
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(cp.Marked)))
-		bm := make([]byte, (len(cp.Marked)+7)/8)
-		for i, m := range cp.Marked {
-			if m {
-				bm[i/8] |= 1 << (i % 8)
-			}
-		}
-		b = append(b, bm...)
-		return append(b, cp.Hints...)
-	}
 	ver := byte(checkpointVersion)
 	if cp.Hints != nil && !cp.Par {
 		ver = checkpointVersionHints
@@ -224,19 +198,15 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 		return fail("payload too short")
 	}
 	ver := b[0]
-	if ver != checkpointVersion && ver != checkpointVersionHints && ver != checkpointVersionDAG {
-		return fail(fmt.Sprintf("payload version %d, want %d..%d", ver, checkpointVersion, checkpointVersionDAG))
+	if ver != checkpointVersion && ver != checkpointVersionHints {
+		return fail(fmt.Sprintf("payload version %d, want %d..%d", ver, checkpointVersion, checkpointVersionHints))
 	}
 	par := b[1] == 1
 	if par && ver != checkpointVersion {
 		return fail("hint-recorder payload with parallel flag")
 	}
-	dag := ver == checkpointVersionDAG
-	if dag != (b[1] == 2) {
-		return fail("DAG flag does not match payload version")
-	}
 	b = b[2:]
-	cp := &Checkpoint{Par: par, DAG: dag}
+	cp := &Checkpoint{Par: par}
 	need := func(n int) bool { return len(b) >= n }
 	if par {
 		if !need(8) {
@@ -259,12 +229,7 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if !need(4*8 + 5*8 + 8) {
 		return fail("truncated sequential state")
 	}
-	first := int(int64(binary.LittleEndian.Uint64(b)))
-	if dag {
-		cp.Watermark = first
-	} else {
-		cp.NextIndex = first
-	}
+	cp.NextIndex = int(int64(binary.LittleEndian.Uint64(b)))
 	cp.Tested = int(binary.LittleEndian.Uint64(b[8:]))
 	cp.Skipped = int(binary.LittleEndian.Uint64(b[16:]))
 	cp.Tautologies = int(binary.LittleEndian.Uint64(b[24:]))
@@ -275,7 +240,7 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if nBits < 0 || nBits > 1<<34 {
 		return fail("bitmap length mismatch")
 	}
-	hinted := ver == checkpointVersionHints || dag
+	hinted := ver == checkpointVersionHints
 	if hinted {
 		if len(b) < nbm {
 			return fail("bitmap length mismatch")
@@ -301,9 +266,6 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 func (cp *Checkpoint) ValidateFor(nf, m, workers int) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: "+format, append([]any{ErrBadCheckpoint}, args...)...)
-	}
-	if cp.DAG {
-		return fail("DAG-scheduled record offered to a chunked or sequential run")
 	}
 	if cp.Par != (workers > 0) {
 		return fail("parallel flag %v does not match workers=%d", cp.Par, workers)
@@ -334,31 +296,6 @@ func (cp *Checkpoint) ValidateFor(nf, m, workers int) error {
 	}
 	if len(cp.Marked) != nf+m {
 		return fail("marked bitmap of %d bits for %d clause slots", len(cp.Marked), nf+m)
-	}
-	return nil
-}
-
-// ValidateForDAG checks a phase-2 DAG record against a run over nf formula
-// clauses and m proof clauses. There is deliberately no worker count: DAG
-// parallelism does not shape the durable state (any worker count drains the
-// same watermarked prefix), so a record is resumable under any -par. The
-// watermark's upper bound is checked by verifyDAG once the hint blob is
-// decoded, because only the recorder knows the step count.
-func (cp *Checkpoint) ValidateForDAG(nf, m int) error {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("%w: "+format, append([]any{ErrBadCheckpoint}, args...)...)
-	}
-	if !cp.DAG {
-		return fail("non-DAG record offered to a DAG-scheduled resume")
-	}
-	if cp.Watermark < 0 {
-		return fail("negative watermark %d", cp.Watermark)
-	}
-	if len(cp.Marked) != nf+m {
-		return fail("marked bitmap of %d bits for %d clause slots", len(cp.Marked), nf+m)
-	}
-	if len(cp.Hints) == 0 {
-		return fail("DAG record carries no hint recorder")
 	}
 	return nil
 }

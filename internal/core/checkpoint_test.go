@@ -64,6 +64,24 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 	}
 }
 
+// Version 3 was the phase-2 record of the retired two-phase DAG pipeline.
+// A journal written by an older binary can still hold one; it must decode
+// to ErrBadCheckpoint so resume falls back to a full run.
+func TestDecodeCheckpointRejectsRetiredV3(t *testing.T) {
+	hinted := (&Checkpoint{NextIndex: 3, Marked: make([]bool, 10), Hints: []byte{1, 2, 3}}).Encode()
+	if hinted[0] != checkpointVersionHints {
+		t.Fatalf("hinted payload has version %d, want %d", hinted[0], checkpointVersionHints)
+	}
+	// The old v3 layout was the hinted layout under version byte 3 and
+	// flag byte 2.
+	v3 := append([]byte{3, 2}, hinted[2:]...)
+	for _, b := range [][]byte{v3, append([]byte{3}, hinted[1:]...)} {
+		if _, err := DecodeCheckpoint(b); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("version-3 payload: err = %v, want ErrBadCheckpoint", err)
+		}
+	}
+}
+
 func TestCheckpointValidateFor(t *testing.T) {
 	ok := &Checkpoint{NextIndex: 5, Marked: make([]bool, 10+20)}
 	if err := ok.ValidateFor(10, 20, 0); err != nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/lrat"
 	"repro/internal/proof"
+	"repro/internal/sched"
 )
 
 // Emission round-trip: every (instance, mode, engine) combination must record
@@ -34,14 +35,19 @@ func TestVerifyEmitsCheckableLRAT(t *testing.T) {
 				if len(lp.Steps[len(lp.Steps)-1].C) != 0 {
 					t.Fatalf("%s: emitted proof does not end in the empty clause", name)
 				}
-				for _, workers := range []int{1, 4} {
-					cres, err := lrat.Check(inst.F, lp, lrat.Options{Workers: workers})
+				// The DAG-scheduled check is the recheck dpv -sched dag runs.
+				for _, o := range []lrat.Options{
+					{Workers: 1},
+					{Workers: 4, Strategy: sched.StrategyChunk},
+					{Workers: 4, Strategy: sched.StrategyDAG},
+				} {
+					cres, err := lrat.Check(inst.F, lp, o)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					if !cres.OK {
-						t.Errorf("%s workers=%d: emitted LRAT rejected at step %d: %s",
-							name, workers, cres.FailedStep, cres.Reason)
+						t.Errorf("%s workers=%d strategy=%v: emitted LRAT rejected at step %d: %s",
+							name, o.Workers, o.Strategy, cres.FailedStep, cres.Reason)
 					}
 				}
 			}

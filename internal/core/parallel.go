@@ -11,7 +11,6 @@ import (
 	"repro/internal/bcp"
 	"repro/internal/cnf"
 	"repro/internal/proof"
-	"repro/internal/sched"
 )
 
 // VerifyParallel is Proof_verification1 fanned out over worker goroutines:
@@ -34,9 +33,6 @@ func VerifyParallel(f *cnf.Formula, t *proof.Trace, engine EngineKind, workers i
 // checkpoint journal's metadata before VerifyParallelOpts applies the same
 // resolution — the chunk geometry (and hence the durable per-worker state)
 // depends on it, so a chunked journal is only resumable at the same count.
-// DAG-scheduled runs use ResolveWorkersDAG instead: their durable state is
-// a single watermark, independent of parallelism, so their journals record
-// zero workers and resume under any -par.
 func ResolveWorkers(m, workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -75,14 +71,10 @@ type chunkTally struct {
 // (per-worker child spans record each chunk's bounds and wall time;
 // counters aggregate across workers) and opt.Ctx/opt.Budget bound it.
 //
-// opt.Sched selects the schedule. The fixed-chunk default slices the trace
-// into contiguous per-worker ranges; it cannot honor opt.Mode — marking is
-// inherently sequential, so chunked workers check every clause regardless
-// and extract no core — and it rejects opt.Hints. StrategyDAG runs the
-// two-phase emit-then-schedule pipeline of internal/core/dag.go instead:
-// the sequential checker (which DOES honor opt.Mode, records hints and
-// extracts the core) emits the proof's hint DAG, and the work-stealing
-// scheduler revalidates every recorded step in parallel.
+// The trace is sliced into contiguous per-worker ranges. The run cannot
+// honor opt.Mode — marking is inherently sequential, so chunked workers
+// check every clause regardless and extract no core — and it rejects
+// opt.Hints.
 //
 // Failure isolation: a panic inside a worker is recovered and attributed
 // (worker id + chunk bounds); the chunk is retried once on the fallback
@@ -95,9 +87,6 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 	if term == proof.TermNone {
 		return nil, errTermination()
 	}
-	if opt.Sched == sched.StrategyDAG {
-		return verifyDAG(f, t, opt, workers)
-	}
 	m := len(t.Clauses)
 	workers = ResolveWorkers(m, workers)
 	if workers <= 1 {
@@ -107,10 +96,8 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 	}
 	if opt.Hints != nil {
 		// Hint order follows one engine's propagation; chunked workers each
-		// have their own, so there is no canonical recording to merge. The
-		// DAG schedule (opt.Sched = sched.StrategyDAG) records and verifies
-		// hints in one run.
-		return nil, errors.New("core: LRAT hint recording requires sequential or DAG-scheduled verification")
+		// have their own, so there is no canonical recording to merge.
+		return nil, errors.New("core: LRAT hint recording requires sequential verification")
 	}
 	if err := checkBudgetUpfront(f, t, opt.Budget, workers); err != nil {
 		countStopErr(opt.Obs, err)

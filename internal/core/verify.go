@@ -33,7 +33,6 @@ import (
 	"repro/internal/lrat"
 	"repro/internal/obs"
 	"repro/internal/proof"
-	"repro/internal/sched"
 )
 
 // Mode selects the verification procedure.
@@ -83,21 +82,12 @@ func (k EngineKind) String() string {
 
 // Options configures Verify.
 //
-// Mode is honored by sequential Verify and by DAG-scheduled parallel runs
-// (Sched == sched.StrategyDAG), whose replay schedule is seeded from the
-// marking walk itself; fixed-chunk parallel runs (the Sched zero value)
-// cannot honor it — marking is inherently sequential, so VerifyParallelOpts
-// then checks every clause regardless of Mode. See VerifyParallelOpts.
+// Mode is honored by sequential Verify only; parallel runs cannot honor it
+// — marking is inherently sequential, so VerifyParallelOpts checks every
+// clause regardless of Mode. See VerifyParallelOpts.
 type Options struct {
 	Mode   Mode
 	Engine EngineKind
-
-	// Sched selects how VerifyParallelOpts distributes work across workers:
-	// StrategyChunk (the zero value) slices the trace into contiguous
-	// fixed-size chunks, StrategyDAG schedules over the recorded LRAT hint
-	// DAG (emit-then-schedule; see internal/core/dag.go). Sequential Verify
-	// ignores it.
-	Sched sched.Strategy
 
 	// Ctx, when non-nil, bounds the run: cancellation or an expired
 	// deadline stops the check loop (and propagation inside a single BCP
@@ -129,13 +119,12 @@ type Options struct {
 	// Hints, when non-nil, records an LRAT hint step for every successfully
 	// checked clause — plus a synthetic final empty-clause step when the
 	// trace terminates in a conflicting pair — using engine clause ID + 1 as
-	// the LRAT ID. Sequential Verify and DAG-scheduled parallel runs only;
-	// fixed-chunk VerifyParallelOpts rejects it (hints follow one engine's
-	// propagation order, and chunked workers each have their own). When
-	// checkpointing, the
-	// recorder state rides in every checkpoint so a resumed run emits
-	// byte-identical LRAT; resuming with Hints set from a checkpoint
-	// recorded without them fails with ErrBadCheckpoint.
+	// the LRAT ID. Sequential Verify only; VerifyParallelOpts rejects it
+	// (hints follow one engine's propagation order, and chunked workers
+	// each have their own). When checkpointing, the recorder state rides in
+	// every checkpoint so a resumed run emits byte-identical LRAT; resuming
+	// with Hints set from a checkpoint recorded without them fails with
+	// ErrBadCheckpoint.
 	Hints *lrat.Recorder
 }
 
@@ -168,12 +157,7 @@ type Result struct {
 	Core        []int
 
 	// Propagations is the total number of BCP-implied assignments.
-	// EngineStats is the engine's full cumulative statistics for sequential
-	// runs (DAG-scheduled checkpoints persist it so a resumed run re-seeds
-	// the observability counters exactly); chunked parallel runs leave it
-	// zero and report only Propagations.
 	Propagations int64
-	EngineStats  bcp.Stats
 
 	// Incomplete is true when the run stopped before reaching a verdict
 	// (cancellation, deadline, budget, or a worker failure); the counters
@@ -270,9 +254,6 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 			st = addStats(st, eng.Stats())
 		}
 		publishStats(opt.Obs, st)
-		if res != nil {
-			res.EngineStats = st
-		}
 	}()
 
 	nVars := f.NumVars

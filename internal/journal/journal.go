@@ -71,10 +71,9 @@ const (
 	KindVerifyParallel Kind = 2
 	// KindDRATBackward is drat.VerifyBackward.
 	KindDRATBackward Kind = 3
-	// KindVerifyDAG is core.VerifyParallelOpts with the DAG schedule. Its
-	// header records zero workers: DAG parallelism does not shape the
-	// durable state, so any -par may resume the journal.
-	KindVerifyDAG Kind = 4
+	// Kind 4 is reserved: older binaries wrote it for a retired two-phase
+	// DAG-scheduled pipeline. No current writer uses it, so such a journal
+	// never matches and resume falls back to a full run.
 )
 
 func (k Kind) String() string {
@@ -85,8 +84,6 @@ func (k Kind) String() string {
 		return "verify-parallel"
 	case KindDRATBackward:
 		return "drat-backward"
-	case KindVerifyDAG:
-		return "verify-dag"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

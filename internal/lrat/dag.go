@@ -21,9 +21,9 @@ import (
 // 1 + len(hints): replay cost is linear in the hint list.
 
 // Replayer exposes step-at-a-time hinted replay for external schedulers
-// (core's DAG-scheduled verification). It is the structural pass of Check
-// (id resolution, liveness intervals, hint arena) frozen into an immutable
-// table that any number of ReplayWorkers can share.
+// (the scheduler benchmark in internal/bench). It is the structural pass of
+// Check (id resolution, liveness intervals, hint arena) frozen into an
+// immutable table that any number of ReplayWorkers can share.
 type Replayer struct {
 	p  *Proof
 	ck *checker

@@ -24,26 +24,14 @@ import (
 // deque, or onto a shared overflow list when the deque is full — overflow
 // keeps the bounded deques an optimization, never a correctness limit.
 //
-// # Watermark checkpoints
-//
-// When Options.Every > 0 and OnEpoch is set, Run maintains the drained-task
-// watermark: the largest W such that every task with index < W has
-// completed. Whenever the watermark crosses a multiple of Every, OnEpoch
-// fires with the new watermark under the watermark lock, serializing epochs
-// the way the chunk verifier serializes its journal appends. A resumed run
-// passes the recorded watermark as StartWatermark: tasks below it are
-// treated as already complete (their out-edges are released before
-// seeding), tasks at or above it run again — callers' tasks must therefore
-// be idempotent, which pure validation tasks are.
-//
 // # Failure isolation
 //
 // A panic inside the TaskFunc is recovered and the task retried once on the
 // same worker with attempt=1 (the caller rebuilds whatever per-worker state
 // it suspects, e.g. a fresh replay scratchpad or a fallback engine). A
 // second panic stops the run with a *TaskPanicError attributing worker,
-// task and attempts. The first stop cause wins — later failures, context
-// cancellation and OnEpoch errors all funnel through the same slot.
+// task and attempts. The first stop cause wins — later failures and context
+// cancellation funnel through the same slot.
 
 // TaskFunc executes one task. worker identifies the executing worker's
 // dense index (stable across the run, usable to index caller-side per-worker
@@ -65,21 +53,11 @@ type Options struct {
 	// TrackPrefix names the flight-recorder lanes ("<prefix>-w<N>");
 	// empty selects "sched".
 	TrackPrefix string
-
-	// Every is the watermark-epoch interval in drained tasks; 0 disables
-	// epochs. OnEpoch fires with the new watermark whenever it crosses a
-	// multiple of Every; an error from OnEpoch stops the run.
-	Every   int
-	OnEpoch func(watermark int) error
-	// StartWatermark resumes the run: tasks below it are treated as
-	// complete and never re-executed.
-	StartWatermark int
 }
 
 // RunStats reports what the scheduler did.
 type RunStats struct {
-	// Executed counts tasks that ran to completion in this run (excludes
-	// tasks below StartWatermark).
+	// Executed counts tasks that ran to completion.
 	Executed int64
 	// Steals counts tasks acquired from another worker's deque.
 	Steals int64
@@ -171,14 +149,6 @@ type runState struct {
 	parkMu  sync.Mutex
 	park    *sync.Cond
 
-	// Watermark state (only maintained when onEpoch is set).
-	onEpoch   func(int) error
-	every     int
-	wmMu      sync.Mutex
-	done      []bool
-	wm        int
-	nextEpoch int
-
 	executed, steals, overflowN, retries atomic.Int64
 }
 
@@ -250,7 +220,7 @@ func (rs *runState) attempt(w, t, attempt int) (err error, panicked bool) {
 	return rs.fn(w, t, attempt), false
 }
 
-// complete releases task t's successors and advances the watermark.
+// complete releases task t's successors.
 func (rs *runState) complete(w, t int, wtrack *trace.Track) {
 	released := false
 	for _, s := range rs.d.Successors(t) {
@@ -261,23 +231,6 @@ func (rs *runState) complete(w, t int, wtrack *trace.Track) {
 		}
 	}
 	rs.executed.Add(1)
-	if rs.onEpoch != nil {
-		rs.wmMu.Lock()
-		rs.done[t] = true
-		for rs.wm < rs.d.n && rs.done[rs.wm] {
-			rs.wm++
-		}
-		if rs.wm >= rs.nextEpoch {
-			wm := rs.wm
-			rs.nextEpoch = (wm/rs.every + 1) * rs.every
-			if err := rs.onEpoch(wm); err != nil {
-				rs.wmMu.Unlock()
-				rs.stop(err)
-				return
-			}
-		}
-		rs.wmMu.Unlock()
-	}
 	if rs.remaining.Add(-1) == 0 {
 		rs.wake()
 		return
@@ -338,9 +291,9 @@ func (rs *runState) worker(w int, wtrack *trace.Track, wspan *obs.Span) {
 }
 
 // Run executes fn over every task of d in dependency order, work-stealing
-// style. It returns when all tasks at or above StartWatermark completed, or
-// when the run stopped (context, task error, double panic, OnEpoch error) —
-// the first stop cause is returned alongside the partial stats.
+// style. It returns when all tasks completed, or when the run stopped
+// (context, task error, double panic) — the first stop cause is returned
+// alongside the partial stats.
 func Run(d *DAG, opt Options, fn TaskFunc) (*RunStats, error) {
 	workers := opt.Workers
 	if workers <= 0 {
@@ -349,16 +302,6 @@ func Run(d *DAG, opt Options, fn TaskFunc) (*RunStats, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	start := opt.StartWatermark
-	if start < 0 {
-		start = 0
-	}
-	if start > d.n {
-		return nil, fmt.Errorf("sched: start watermark %d beyond %d tasks", start, d.n)
-	}
-	if opt.OnEpoch != nil && opt.Every <= 0 {
-		return nil, fmt.Errorf("sched: OnEpoch requires a positive Every")
-	}
 
 	span := opt.Obs.StartSpan("sched-run")
 	defer span.End()
@@ -366,25 +309,8 @@ func Run(d *DAG, opt Options, fn TaskFunc) (*RunStats, error) {
 	rs := &runState{d: d, fn: fn, ctx: opt.Ctx}
 	rs.park = sync.NewCond(&rs.parkMu)
 	rs.indeg = append([]int32(nil), d.indeg...)
-	rs.remaining.Store(int64(d.n - start))
-	if opt.OnEpoch != nil {
-		rs.onEpoch = opt.OnEpoch
-		rs.every = opt.Every
-		rs.done = make([]bool, d.n)
-		rs.wm = start
-		rs.nextEpoch = (start/opt.Every + 1) * opt.Every
-		for t := 0; t < start; t++ {
-			rs.done[t] = true
-		}
-	}
-	// Resume: tasks below the watermark are complete; release their edges
-	// before computing the ready set.
-	for t := 0; t < start; t++ {
-		for _, s := range d.Successors(t) {
-			atomic.AddInt32(&rs.indeg[s], -1)
-		}
-	}
-	if rs.remaining.Load() == 0 {
+	rs.remaining.Store(int64(d.n))
+	if d.n == 0 {
 		return &RunStats{}, nil
 	}
 
@@ -395,7 +321,7 @@ func Run(d *DAG, opt Options, fn TaskFunc) (*RunStats, error) {
 	// Seed the ready set round-robin so the initial work is spread before
 	// the first steal is ever needed.
 	next := 0
-	for t := start; t < d.n; t++ {
+	for t := 0; t < d.n; t++ {
 		if rs.indeg[t] == 0 {
 			rs.release(next%workers, int32(t))
 			next++

@@ -200,94 +200,6 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
-// Watermark epochs: OnEpoch must observe strictly increasing watermarks at
-// multiples-or-beyond of Every, and the watermark only advances over a
-// fully-drained prefix.
-func TestRunWatermarkEpochs(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 20; round++ {
-		d := randomDAG(rng)
-		every := 1 + rng.Intn(10)
-		var mu sync.Mutex
-		completed := map[int]bool{}
-		var marks []int
-		_, err := Run(d, Options{
-			Workers: 1 + rng.Intn(4),
-			Every:   every,
-			OnEpoch: func(wm int) error {
-				// Called under the watermark lock; every task below wm must
-				// have completed already.
-				mu.Lock()
-				defer mu.Unlock()
-				for t := 0; t < wm; t++ {
-					if !completed[t] {
-						return fmt.Errorf("watermark %d but task %d incomplete", wm, t)
-					}
-				}
-				marks = append(marks, wm)
-				return nil
-			},
-		}, func(w, task, attempt int) error {
-			mu.Lock()
-			completed[task] = true
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		last := 0
-		for _, wm := range marks {
-			if wm <= last {
-				t.Fatalf("round %d: non-increasing watermark %v", round, marks)
-			}
-			last = wm
-		}
-	}
-}
-
-func TestRunOnEpochErrorStops(t *testing.T) {
-	d := NewBuilder(100).Build()
-	sentinel := errors.New("sink full")
-	_, err := Run(d, Options{Workers: 2, Every: 10, OnEpoch: func(wm int) error {
-		return sentinel
-	}}, func(w, task, attempt int) error { return nil })
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sink error", err)
-	}
-}
-
-// Resume: tasks below StartWatermark never run, everything at or above it
-// does, and dependency order still holds for the re-run suffix.
-func TestRunResumeFromWatermark(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for round := 0; round < 20; round++ {
-		d := randomDAG(rng)
-		start := rng.Intn(d.Tasks() + 1)
-		order := runCollect(t, d, Options{Workers: 1 + rng.Intn(4), StartWatermark: start})
-		if len(order) != d.Tasks()-start {
-			t.Fatalf("round %d: resumed run executed %d, want %d", round, len(order), d.Tasks()-start)
-		}
-		for _, task := range order {
-			if task < start {
-				t.Fatalf("round %d: task %d below watermark %d re-ran", round, task, start)
-			}
-		}
-		checkTopological(t, d, order)
-	}
-}
-
-func TestRunStartWatermarkBeyondTasks(t *testing.T) {
-	if _, err := Run(NewBuilder(5).Build(), Options{StartWatermark: 6}, nil); err == nil {
-		t.Fatal("watermark beyond task count did not error")
-	}
-	st, err := Run(NewBuilder(5).Build(), Options{StartWatermark: 5},
-		func(w, task, attempt int) error { t.Error("task ran"); return nil })
-	if err != nil || st.Executed != 0 {
-		t.Fatalf("fully-resumed run: %+v, %v", st, err)
-	}
-}
-
 // Overflow: with a one-slot deque and many roots, the shared overflow list
 // must absorb the rest and every task must still run exactly once.
 func TestRunDequeOverflow(t *testing.T) {

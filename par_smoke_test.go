@@ -9,11 +9,11 @@ import (
 )
 
 // Parallel-schedule smoke: the same proof driven through dpv sequentially,
-// with the fixed-chunk split, and with the work-stealing DAG schedule. The
-// verdict line must agree everywhere, and because the DAG schedule honors
-// the marking walk and records hints, its core and LRAT artifacts must be
-// byte-identical to the sequential run's — the chunked mode cannot produce
-// them at all.
+// with the fixed-chunk split, and with the DAG schedule. The verdict line
+// must agree everywhere, and because the DAG schedule is the sequential
+// checker followed by a hinted recheck, its stdout and its core, trim and
+// LRAT artifacts must be byte-identical to the sequential run's — the
+// chunked mode cannot produce them at all.
 func TestParSmoke(t *testing.T) {
 	bins := buildCmds(t)
 	fixtures := t.TempDir()
@@ -26,6 +26,7 @@ func TestParSmoke(t *testing.T) {
 	artifacts := func(tag string, extra ...string) []string {
 		args := append([]string{}, extra...)
 		args = append(args, "-core", filepath.Join(dir, tag+".core"),
+			"-trim", filepath.Join(dir, tag+".trim"),
 			"-emit-lrat", filepath.Join(dir, tag+".lrat"))
 		return append(args, cnfPath, tracePath)
 	}
@@ -41,7 +42,7 @@ func TestParSmoke(t *testing.T) {
 	if dagOut != seqOut {
 		t.Errorf("dag stdout diverged from sequential:\n got %q\nwant %q", dagOut, seqOut)
 	}
-	for _, ext := range []string{".core", ".lrat"} {
+	for _, ext := range []string{".core", ".trim", ".lrat"} {
 		seq, err := os.ReadFile(filepath.Join(dir, "seq"+ext))
 		if err != nil {
 			t.Fatal(err)
