@@ -36,17 +36,20 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCNF$$' -fuzztime $(FUZZTIME) ./internal/cnf/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLRAT$$' -fuzztime $(FUZZTIME) ./internal/lrat/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLRATBinary$$' -fuzztime $(FUZZTIME) ./internal/lrat/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadDRUP$$' -fuzztime $(FUZZTIME) ./internal/drat/
 	$(GO) test -run '^$$' -fuzz '^FuzzUpload$$' -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzRouterAdmission$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 
 # crash-smoke is the seeded kill-and-recover loop: the built CLIs are
 # SIGKILLed at durable checkpoint appends and resumed until they finish, and
 # the recovered artifacts must be byte-identical to an uninterrupted run.
-# The journal-corruption matrix (truncated tail, bit flips, stale
-# fingerprints, version skew) rides along from internal/faults.
+# Journals of retired kinds must be refused. The journal-corruption matrix
+# (truncated tail, bit flips, stale fingerprints, version skew) and drat's
+# resume-from-every-record and pinned-output goldens ride along.
 crash-smoke:
-	$(GO) test -run '^TestCrashRecoverMatrix$$|^TestCrashHookFiresAfterDurableAppend$$|^TestExitCodeInterruptedResume$$' -count=1 -v .
+	$(GO) test -run '^TestCrashRecoverMatrix$$|^TestCrashHookFiresAfterDurableAppend$$|^TestExitCodeInterruptedResume$$|^TestResumeIgnoresRetired' -count=1 -v .
 	$(GO) test -run '^TestJournalFault' -count=1 ./internal/faults/
+	$(GO) test -run '^TestBackwardResume|^TestDratcheckGolden$$' -count=1 ./internal/drat/
 
 # daemon-smoke is the service arm of the crash gate: dpvd SIGKILLs itself
 # (same DPV_FAULT_CRASH_AFTER_APPENDS hook) with five jobs in flight, is
@@ -59,8 +62,9 @@ daemon-smoke:
 	$(GO) test -count=1 ./internal/service/
 
 # lrat-smoke is the hinted-proof gate: the LRAT parser/checker unit suite,
-# hint emission from both backward checkers (including byte-identical
-# emission across checkpoint resume), and the adversarial hint-corruption +
+# hint emission from the backward checker, for traces and through drat's
+# front end (including byte-identical emission across checkpoint resume),
+# and the adversarial hint-corruption +
 # RUP-differential matrices. The emit -> lratcheck CLI round trip rides in
 # crash-smoke; the service surface (proof.lrat persistence, GET /lrat,
 # POST /recheck) rides in daemon-smoke.

@@ -352,7 +352,7 @@ func BenchmarkDRUPChecking(b *testing.B) {
 	})
 	b.Run("backward-marked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, trimmed, _, err := drat.VerifyBackward(inst.F, p)
+			res, trimmed, _, err := drat.VerifyBackward(inst.F, p, core.Options{})
 			if err != nil || !res.OK {
 				b.Fatalf("%v %+v", err, res)
 			}

@@ -6,10 +6,11 @@
 //
 //	dratcheck formula.cnf proof.drat
 //
-// With -backward -checkpoint FILE the backward pass writes resumable
-// checkpoints every -checkpoint-every steps; -resume restarts from the
-// journal's last durable record, falling back to a full run on any
-// mismatch or corruption.
+// With -backward the proof runs through the same backward marking loop as
+// dpv (core.Verify), with deletion lines undone on the way back. With
+// -backward -checkpoint FILE that pass writes resumable checkpoints every
+// -checkpoint-every additions; -resume restarts from the journal's last
+// durable record, falling back to a full run on any mismatch or corruption.
 //
 // With -backward -emit-lrat FILE a verified proof is also written out in
 // LRAT form — each kept step annotated with the resolution hints that make
@@ -42,6 +43,7 @@ import (
 	"repro/cmd/internal/tracedump"
 	"repro/internal/atomicio"
 	"repro/internal/cnf"
+	"repro/internal/core"
 	"repro/internal/drat"
 	"repro/internal/exitcode"
 	"repro/internal/journal"
@@ -63,7 +65,7 @@ func run() int {
 	trimPath := flag.String("trim", "", "with -backward: write the trimmed proof to this file")
 	corePath := flag.String("core", "", "with -backward: write the unsat core (DIMACS) to this file")
 	checkpointPath := flag.String("checkpoint", "", "with -backward: write resumable checkpoints to this journal file")
-	checkpointEvery := flag.Int("checkpoint-every", 1000, "checkpoint interval in proof steps")
+	checkpointEvery := flag.Int("checkpoint-every", 1000, "checkpoint interval in proof additions")
 	resume := flag.Bool("resume", false, "resume from the -checkpoint journal when it matches")
 	timeout := flag.Duration("timeout", 0, "with -backward: give up after this long (0 = unlimited)")
 	lratPath := flag.String("emit-lrat", "", "with -backward: write an LRAT proof with resolution hints to this file")
@@ -158,16 +160,21 @@ func run() int {
 
 	var res *drat.Result
 	if *backward {
-		bopt := drat.BackwardOptions{Obs: reg, Ctx: ctx}
+		opt := core.Options{Obs: reg, Ctx: ctx}
 		var hints *lrat.Recorder
 		if *lratPath != "" {
 			hints = new(lrat.Recorder)
-			bopt.Hints = hints
+			opt.Hints = hints
 		}
 		var jw *journal.Writer
 		if *checkpointPath != "" {
+			// The backward pass is core.Verify's, so it journals under the
+			// sequential kind with core's payloads; the proof fingerprint
+			// keeps a dpv journal for the same formula from matching.
 			meta := journal.Meta{
-				Kind:      journal.KindDRATBackward,
+				Kind:      journal.KindVerifySeq,
+				Mode:      uint8(opt.Mode),
+				Engine:    uint8(opt.Engine),
 				Interval:  uint32(*checkpointEvery),
 				FormulaFP: journal.FingerprintFormula(f),
 				ProofFP:   p.Fingerprint(),
@@ -176,14 +183,14 @@ func run() int {
 			if *resume {
 				payload, jerr := journal.Open(*checkpointPath, meta, reg)
 				if jerr == nil {
-					cp, derr := drat.DecodeBackwardCheckpoint(payload)
+					cp, derr := core.DecodeCheckpoint(payload)
 					if derr == nil && hints != nil && cp.Hints == nil {
 						// The journal was written without -emit-lrat, so the
 						// already-verified steps' hints are unrecoverable.
 						derr = fmt.Errorf("journal predates -emit-lrat, hints unrecoverable")
 					}
 					if derr == nil {
-						bopt.Resume = cp
+						opt.Checkpoint.Resume = cp
 						resumePayload = payload
 					} else {
 						jerr = derr
@@ -206,12 +213,12 @@ func run() int {
 					return exitcode.Internal
 				}
 			}
-			bopt.Every = *checkpointEvery
-			bopt.Sink = ckpt.CrashSink(jw.Append)
+			opt.Checkpoint.Every = *checkpointEvery
+			opt.Checkpoint.Sink = ckpt.CrashSink(jw.Append)
 		}
 		var trimmed *drat.Proof
 		var coreIdx []int
-		res, trimmed, coreIdx, err = drat.VerifyBackwardOpts(f, p, bopt)
+		res, trimmed, coreIdx, err = drat.VerifyBackward(f, p, opt)
 		if err != nil && res != nil && res.Incomplete {
 			// The run was cut short (signal or deadline), not broken: dump
 			// the partial progress, flush a final record so the journal

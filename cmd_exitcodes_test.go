@@ -149,6 +149,10 @@ func TestExitCodes(t *testing.T) {
 	svc := buildClusterCmds(t)
 	dpvd := filepath.Join(svc, "dpvd")
 	dpvrouter := filepath.Join(svc, "dpvrouter")
+	hugeLit := filepath.Join(t.TempDir(), "huge.drat")
+	if err := os.WriteFile(hugeLit, []byte("9223372036854775807 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name string
@@ -186,6 +190,10 @@ func TestExitCodes(t *testing.T) {
 		{"bksat usage", bksat, []string{}, 1},
 		{"dratcheck malformed", dratcheck, []string{garbage, trace}, 3},
 		{"dratcheck usage", dratcheck, []string{unsatCNF}, 1},
+		// An int64-sized literal must trip the reader's variable limit, not
+		// wrap into the int32 literal encoding and panic.
+		{"dratcheck oversized literal", dratcheck, []string{unsatCNF, hugeLit}, 3},
+		{"dratcheck backward oversized literal", dratcheck, []string{"-backward", unsatCNF, hugeLit}, 3},
 		{"lratcheck verified", lratcheck, []string{"-q", unsatCNF, lratProof}, 0},
 		{"lratcheck verified parallel", lratcheck, []string{"-q", "-par", "4", unsatCNF, lratProof}, 0},
 		// The hints were recorded against the full formula; dropping a clause

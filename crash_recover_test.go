@@ -12,8 +12,10 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/drat"
+	"repro/internal/gen"
 	"repro/internal/journal"
 	"repro/internal/proof"
+	"repro/internal/solver"
 )
 
 // Kill-and-recover: the built binaries are SIGKILLed at seeded checkpoint
@@ -24,7 +26,7 @@ import (
 // byte-identical to an uninterrupted checkpointed run, for every verifier
 // configuration: pv1/pv2 × watched/counting × sequential/chunked/DAG-
 // scheduled parallel, resumes that switch between the sequential and DAG
-// schedules, plus the DRAT backward checker.
+// schedules, plus dratcheck -backward with and without deletion lines.
 
 // mkcl builds a clause from DIMACS literals.
 func mkcl(lits ...int) cnf.Clause {
@@ -219,51 +221,93 @@ func TestCrashRecoverMatrix(t *testing.T) {
 		})
 	}
 
-	t.Run("dratcheck/backward", func(t *testing.T) {
-		t.Parallel()
-		dir := t.TempDir()
-		mkArgs := func(tag string, resume bool) []string {
-			args := []string{"-backward",
-				"-checkpoint", filepath.Join(dir, tag+".dpvj"), "-checkpoint-every", every,
-				"-trim", filepath.Join(dir, tag+".drat"), "-core", filepath.Join(dir, tag+".core"),
-				"-emit-lrat", filepath.Join(dir, tag+".lrat")}
-			if resume {
-				args = append(args, "-resume")
+	delCNF, delDRAT := writeDeletionFixtures(t, fixtures)
+	for _, tc := range []struct{ name, cnf, proof, every string }{
+		{"backward", cnfPath, dratPath, every},
+		// A solver-recorded proof with deletion lines: resumed runs must
+		// undo the same deletions as the uninterrupted one.
+		{"backward-deletions", delCNF, delDRAT, "64"},
+	} {
+		tc := tc
+		t.Run("dratcheck/"+tc.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			mkArgs := func(tag string, resume bool) []string {
+				args := []string{"-backward",
+					"-checkpoint", filepath.Join(dir, tag+".dpvj"), "-checkpoint-every", tc.every,
+					"-trim", filepath.Join(dir, tag+".drat"), "-core", filepath.Join(dir, tag+".core"),
+					"-emit-lrat", filepath.Join(dir, tag+".lrat")}
+				if resume {
+					args = append(args, "-resume")
+				}
+				return append(args, tc.cnf, tc.proof)
 			}
-			return append(args, cnfPath, dratPath)
-		}
-		code, baseOut := runWithEnv(t, nil, dratcheck, mkArgs("base", false)...)
-		if code != 0 {
-			t.Fatalf("baseline exit %d:\n%s", code, baseOut)
-		}
-		out, crashes := crashUntilDone(t, dratcheck, mkArgs("crash", false), mkArgs("crash", true))
-		if crashes == 0 {
-			t.Fatal("run completed without a single injected crash — hook not biting")
-		}
-		if out != baseOut {
-			t.Errorf("recovered stdout diverged after %d crashes:\n got %q\nwant %q", crashes, out, baseOut)
-		}
-		for _, ext := range []string{".drat", ".core", ".lrat"} {
-			base, err := os.ReadFile(filepath.Join(dir, "base"+ext))
-			if err != nil {
-				t.Fatal(err)
+			code, baseOut := runWithEnv(t, nil, dratcheck, mkArgs("base", false)...)
+			if code != 0 {
+				t.Fatalf("baseline exit %d:\n%s", code, baseOut)
 			}
-			rec, err := os.ReadFile(filepath.Join(dir, "crash"+ext))
-			if err != nil {
-				t.Fatal(err)
+			out, crashes := crashUntilDone(t, dratcheck, mkArgs("crash", false), mkArgs("crash", true))
+			if crashes == 0 {
+				t.Fatal("run completed without a single injected crash — hook not biting")
 			}
-			if !bytes.Equal(base, rec) {
-				t.Errorf("recovered %s artifact is not byte-identical to the baseline", ext)
+			if out != baseOut {
+				t.Errorf("recovered stdout diverged after %d crashes:\n got %q\nwant %q", crashes, out, baseOut)
 			}
+			for _, ext := range []string{".drat", ".core", ".lrat"} {
+				base, err := os.ReadFile(filepath.Join(dir, "base"+ext))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec, err := os.ReadFile(filepath.Join(dir, "crash"+ext))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(base, rec) {
+					t.Errorf("recovered %s artifact is not byte-identical to the baseline", ext)
+				}
+			}
+			if _, err := os.Stat(filepath.Join(dir, "crash.dpvj")); !os.IsNotExist(err) {
+				t.Errorf("journal still present after a verdict (err=%v)", err)
+			}
+			if code, lout := runWithEnv(t, nil, lratcheck, "-q", tc.cnf, filepath.Join(dir, "base.lrat")); code != 0 {
+				t.Errorf("lratcheck rejected the emitted proof (exit %d):\n%s", code, lout)
+			}
+			t.Logf("recovered across %d crashes", crashes)
+		})
+	}
+}
+
+// writeDeletionFixtures records a DRUP proof with deletion lines for php_6
+// (the solver settings of drat's resume tests) and writes it with its
+// formula.
+func writeDeletionFixtures(t *testing.T, dir string) (cnfPath, dratPath string) {
+	t.Helper()
+	inst := gen.PHP(6)
+	rec := drat.NewRecorder()
+	opts := solver.Options{MaxLearnedFactor: 0.1, RestartInterval: 30, OnLearn: rec.Learn, OnDelete: rec.Delete}
+	if st, _, _, _, err := solver.Solve(inst.F, opts); err != nil || st != solver.Unsat {
+		t.Fatalf("solving php_6: %v %v", st, err)
+	}
+	if rec.Proof().Deletions() == 0 {
+		t.Fatal("want a proof with deletion lines")
+	}
+	write := func(name string, emit func(*os.File) error) string {
+		path := filepath.Join(dir, name)
+		out, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := os.Stat(filepath.Join(dir, "crash.dpvj")); !os.IsNotExist(err) {
-			t.Errorf("journal still present after a verdict (err=%v)", err)
+		if err := emit(out); err != nil {
+			t.Fatal(err)
 		}
-		if code, lout := runWithEnv(t, nil, lratcheck, "-q", cnfPath, filepath.Join(dir, "base.lrat")); code != 0 {
-			t.Errorf("lratcheck rejected the emitted proof (exit %d):\n%s", code, lout)
+		if err := out.Close(); err != nil {
+			t.Fatal(err)
 		}
-		t.Logf("recovered across %d crashes", crashes)
-	})
+		return path
+	}
+	cnfPath = write("php6.cnf", func(o *os.File) error { return cnf.WriteDimacs(o, inst.F) })
+	dratPath = write("php6.drat", func(o *os.File) error { return drat.Write(o, rec.Proof()) })
+	return
 }
 
 // TestResumeIgnoresRetiredDAGJournal offers dpv -resume a journal whose
@@ -329,6 +373,80 @@ func TestResumeIgnoresRetiredDAGJournal(t *testing.T) {
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("resume over a kind-4 journal: %v\nstderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "not resuming") || !strings.Contains(stderr.String(), "running from scratch") {
+		t.Errorf("no fallback warning on stderr:\n%s", stderr.String())
+	}
+	if stdout.String() != baseOut {
+		t.Errorf("stdout diverged from an uninterrupted run:\n got %q\nwant %q", stdout.String(), baseOut)
+	}
+}
+
+// TestResumeIgnoresRetiredDRATJournal offers dratcheck -resume a journal
+// whose header carries kind 3, which older binaries wrote for drat's own
+// backward checker and its own payload format. Every other header field
+// matches the run, so only the kind can refuse it: dratcheck must warn, run
+// from scratch, and reach the uninterrupted run's verdict — never decode
+// the old record as a core checkpoint.
+func TestResumeIgnoresRetiredDRATJournal(t *testing.T) {
+	bins := buildCmds(t)
+	dir := t.TempDir()
+	cnfPath, _, dratPath := writeChainFixtures(t, dir, 500)
+	dratcheck := filepath.Join(bins, "dratcheck")
+	code, baseOut := runWithEnv(t, nil, dratcheck, "-backward",
+		"-checkpoint", filepath.Join(dir, "base.dpvj"), "-checkpoint-every", "100", cnfPath, dratPath)
+	if code != 0 {
+		t.Fatalf("baseline exit %d:\n%s", code, baseOut)
+	}
+
+	fin, err := os.Open(cnfPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := cnf.ParseDimacs(fin)
+	fin.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin, err := os.Open(dratPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := drat.Read(pin)
+	pin.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := filepath.Join(dir, "old.dpvj")
+	jw, err := journal.Create(j, journal.Meta{
+		Kind:      journal.Kind(3),
+		Interval:  100,
+		FormulaFP: journal.FingerprintFormula(f),
+		ProofFP:   p.Fingerprint(),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An old-format record: version byte 1 (which core's payloads use too),
+	// next step, tautologies, propagations, bitmap length, bitmap.
+	nIDs := f.NumClauses() + p.Additions() - 1
+	rec := append([]byte{1}, make([]byte, 24)...)
+	rec = append(rec, byte(nIDs), byte(nIDs>>8), 0, 0, 0, 0, 0, 0)
+	rec = append(rec, make([]byte, (nIDs+7)/8)...)
+	if err := jw.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd := exec.Command(dratcheck, "-backward",
+		"-checkpoint", j, "-checkpoint-every", "100", "-resume", cnfPath, dratPath)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("resume over a kind-3 journal: %v\nstderr:\n%s", err, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "not resuming") || !strings.Contains(stderr.String(), "running from scratch") {
 		t.Errorf("no fallback warning on stderr:\n%s", stderr.String())

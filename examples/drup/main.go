@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
 	"repro/internal/drat"
 	"repro/internal/gen"
 	"repro/internal/solver"
@@ -42,7 +43,7 @@ func main() {
 	fmt.Printf("forward check:  OK (%d propagations, %d RAT fallbacks)\n",
 		fres.Propagations, fres.RATChecks)
 
-	bres, trimmed, core, err := drat.VerifyBackward(inst.F, p)
+	bres, trimmed, coreIdx, err := drat.VerifyBackward(inst.F, p, core.Options{})
 	if err != nil || !bres.OK {
 		log.Fatalf("backward check failed: %v %+v", err, bres)
 	}
@@ -51,8 +52,8 @@ func main() {
 		trimmed.Additions(), p.Additions(),
 		100*float64(trimmed.Additions())/float64(p.Additions()))
 	fmt.Printf("  unsat core:    %d of %d original clauses (%.1f%%)\n",
-		len(core), inst.F.NumClauses(),
-		100*float64(len(core))/float64(inst.F.NumClauses()))
+		len(coreIdx), inst.F.NumClauses(),
+		100*float64(len(coreIdx))/float64(inst.F.NumClauses()))
 
 	// The trimmed proof still verifies.
 	tres, err := drat.Verify(inst.F, trimmed)

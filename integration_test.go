@@ -127,7 +127,7 @@ func TestFullPipeline(t *testing.T) {
 	if err != nil || !dres.OK {
 		t.Fatalf("drup forward: %v %+v", err, dres)
 	}
-	bres, dtrimmed, dcore, err := drat.VerifyBackward(f, rec.Proof())
+	bres, dtrimmed, dcore, err := drat.VerifyBackward(f, rec.Proof(), core.Options{})
 	if err != nil || !bres.OK {
 		t.Fatalf("drup backward: %v %+v", err, bres)
 	}

@@ -167,7 +167,7 @@ func ParseDimacsLimited(r io.Reader, lim ParseLimits) (*Formula, error) {
 			}
 			// Bound the magnitude before FromDimacs narrows it into the
 			// int32 Var encoding.
-			if d > lim.MaxVars || -d > lim.MaxVars {
+			if d > lim.MaxVars || d < -lim.MaxVars {
 				return nil, &LimitError{What: "variables", Limit: int64(lim.MaxVars)}
 			}
 			if len(cur) >= lim.MaxClauseLen {

@@ -15,6 +15,7 @@ func FuzzParseCNF(f *testing.F) {
 	f.Add([]byte("c comment\n%\n1 2 0\n"))
 	f.Add([]byte("p cnf 0 0\n"))
 	f.Add([]byte("1 -9999999999999 0\n"))
+	f.Add([]byte("1 -9223372036854775808 0\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parsed, err := ParseDimacsLimited(bytes.NewReader(data),
 			ParseLimits{MaxClauses: 1 << 12, MaxClauseLen: 1 << 10, MaxVars: 1 << 16, MaxBytes: 1 << 20})

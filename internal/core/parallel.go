@@ -99,6 +99,11 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 		// have their own, so there is no canonical recording to merge.
 		return nil, errors.New("core: LRAT hint recording requires sequential verification")
 	}
+	if t.Deletions != nil {
+		// A chunk's engine starts from its prefix; undoing deletions needs
+		// the one backward walk of the sequential loop.
+		return nil, fmt.Errorf("%w: a deletion schedule requires sequential verification", ErrBadTrace)
+	}
 	if err := checkBudgetUpfront(f, t, opt.Budget, workers); err != nil {
 		countStopErr(opt.Obs, err)
 		return &Result{FailedIndex: -1, StoppedAt: -1, Termination: term,

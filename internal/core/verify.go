@@ -21,6 +21,11 @@
 // In either mode every BCP conflict is analyzed and the clauses involved are
 // marked; the marked clauses of the original formula F form an
 // unsatisfiable core of F.
+//
+// A trace with a deletion schedule (proof.Trace.Deletions) is a DRUP proof:
+// the sequential loop then undoes each deletion on its way back, so every
+// check sees the clauses that were live when the producer derived the
+// clause, as in drat-trim. internal/drat reaches this loop that way.
 package core
 
 import (
@@ -196,6 +201,10 @@ var ErrBadTrace = errors.New("core: malformed proof trace")
 // incorrect proof yields Result.OK == false with the offending clause
 // identified, matching the paper's promise that "one can point to a clause
 // of the proof whose deduction is questionable".
+//
+// A trace with a deletion schedule always runs on the watched engine in
+// its reactivable form; asking for EngineCounting or EngineWatchedScratch
+// with one is an ErrBadTrace error, as neither can undo a deletion.
 func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 	term := t.Terminates()
 	if term == proof.TermNone {
@@ -204,6 +213,10 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 	if t.Resolutions != nil && len(t.Resolutions) != len(t.Clauses) {
 		return nil, fmt.Errorf("%w: %d clauses but %d resolution annotations",
 			ErrBadTrace, len(t.Clauses), len(t.Resolutions))
+	}
+	dels := t.Deletions
+	if err := checkDeletions(f, t, opt.Engine); err != nil {
+		return nil, err
 	}
 	if err := checkBudgetUpfront(f, t, opt.Budget, 1); err != nil {
 		countStopErr(opt.Obs, err)
@@ -291,15 +304,20 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 	// into statsBase. Called once at the start and — when checkpointing is
 	// enabled — at every epoch boundary, so that an uninterrupted run and
 	// a killed-and-resumed run pass through identical engine states (see
-	// checkpoint.go).
+	// checkpoint.go). A deletion schedule is replayed up to clause upto-1;
+	// the deletions after it are the ones the loop undoes first.
 	buildEngine := func(upto int) {
 		if eng != nil {
 			statsBase = addStats(statsBase, eng.Stats())
 		}
-		switch opt.Engine {
-		case EngineCounting:
+		switch {
+		case dels != nil:
+			// Walking a deletion backwards re-adds the clause, which only
+			// an engine that keeps inactive clauses watched can do.
+			eng = bcp.NewEngineReactivable(nVars)
+		case opt.Engine == EngineCounting:
 			eng = bcp.NewCounting(nVars)
-		case EngineWatchedScratch:
+		case opt.Engine == EngineWatchedScratch:
 			eng = bcp.NewEngineNonIncremental(nVars)
 		default:
 			eng = bcp.NewEngine(nVars)
@@ -310,6 +328,11 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 			eng.Add(c)
 		}
 		for i := 0; i < upto; i++ {
+			if dels != nil {
+				for _, s := range dels[i] {
+					eng.Deactivate(bcp.ID(s))
+				}
+			}
 			eng.Add(t.Clauses[i])
 		}
 	}
@@ -401,6 +424,16 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 			countStopErr(opt.Obs, err)
 			return res, err
 		}
+		if dels != nil && i+1 < m {
+			// Undo, newest first, the deletions made after clause i was
+			// added: clause i's check ran with them in the database.
+			d := dels[i+1]
+			for k := len(d) - 1; k >= 0; k-- {
+				if err := eng.Reactivate(bcp.ID(d[k])); err != nil {
+					return nil, fmt.Errorf("core: undoing a deletion before trace clause %d: %w", i+1, err)
+				}
+			}
+		}
 		// Pop the clause off the proof stack: its own check and all later
 		// checks must not use it.
 		eng.Deactivate(id)
@@ -478,6 +511,35 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 	}
 	res.Propagations = totalProps()
 	return res, nil
+}
+
+// checkDeletions validates a trace's deletion schedule, if any: one entry
+// per clause, every slot naming a formula clause or an earlier trace clause.
+// Slots are not checked for liveness: deleting a clause twice, or using one
+// the producer deleted, can only keep more clauses in the database, which a
+// RUP check may use soundly. A schedule needs an engine that can undo a
+// deletion, so the counting and scratch engines refuse it.
+func checkDeletions(f *cnf.Formula, t *proof.Trace, engine EngineKind) error {
+	if t.Deletions == nil {
+		return nil
+	}
+	if engine == EngineCounting || engine == EngineWatchedScratch {
+		return fmt.Errorf("%w: the %v engine cannot undo clause deletions", ErrBadTrace, engine)
+	}
+	if len(t.Deletions) != len(t.Clauses) {
+		return fmt.Errorf("%w: %d clauses but %d deletion schedule entries",
+			ErrBadTrace, len(t.Clauses), len(t.Deletions))
+	}
+	nf := len(f.Clauses)
+	for i, d := range t.Deletions {
+		for _, s := range d {
+			if s < 0 || s >= nf+i {
+				return fmt.Errorf("%w: deletion before trace clause %d names slot %d, not yet added",
+					ErrBadTrace, i, s)
+			}
+		}
+	}
+	return nil
 }
 
 // publishEngine copies a propagator's cumulative counters into the

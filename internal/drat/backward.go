@@ -1,146 +1,15 @@
 package drat
 
 import (
-	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 
 	"repro/internal/bcp"
 	"repro/internal/cnf"
 	"repro/internal/core"
-	"repro/internal/lrat"
-	"repro/internal/obs"
+	"repro/internal/proof"
 )
-
-// BackwardOptions configures checkpointing for VerifyBackwardOpts. The zero
-// value disables it and leaves the scan byte-for-byte unchanged.
-//
-// The determinism contract matches internal/core's checkpointing (see
-// core/checkpoint.go): when Every > 0 the checker rebuilds its BCP engine
-// into a canonical state — formula plus the forward replay of the step
-// prefix — at every epoch boundary, so an interrupted-then-resumed run
-// passes through the same engine states as an uninterrupted checkpointed
-// run and produces an identical trimmed proof and core.
-type BackwardOptions struct {
-	// Ctx, when non-nil, bounds the run: cancellation or an expired
-	// deadline stops the backward scan (and propagation inside a single
-	// RUP check) promptly, returning a partial Result together with
-	// core.ErrCancelled or core.ErrDeadline — the same sentinels the
-	// sequential verifier uses, so exit-code mapping is shared. A nil Ctx
-	// never stops.
-	Ctx context.Context
-	// Every is the checkpoint interval in backward steps. Zero disables
-	// checkpointing.
-	Every int
-	// Sink receives each encoded BackwardCheckpoint and must make it
-	// durable before returning.
-	Sink func(payload []byte) error
-	// Resume restarts the backward pass from a decoded checkpoint.
-	Resume *BackwardCheckpoint
-	// Obs instruments the run: phase spans (structural-scan, forward-replay,
-	// backward-pass), per-step counters and — when a flight recorder is
-	// attached via Registry.SetTracer — checkpoint/rejection instants plus
-	// the engine's per-Refute work deltas. Nil disables all of it.
-	Obs *obs.Registry
-	// Hints, when non-nil, records an LRAT hint step for every successfully
-	// checked marked clause (plus the final refutation), using engine clause
-	// ID + 1 as the LRAT ID. When checkpointing, the recorder state rides in
-	// every checkpoint so a resumed run emits byte-identical LRAT; resuming
-	// with Hints set from a checkpoint recorded without them fails with
-	// ErrBadCheckpoint (the pre-checkpoint hints are unrecoverable).
-	Hints *lrat.Recorder
-}
-
-// ErrBadCheckpoint wraps resume states that do not fit the proof they are
-// offered to; callers fall back to a full run.
-var ErrBadCheckpoint = errors.New("drat: checkpoint does not match this verification")
-
-// BackwardCheckpoint is the durable state of a backward pass: the step
-// index the loop will process next, the marked bitmap over the clause-ID
-// space (formula clauses then additions, in forward order — IDs are assigned
-// deterministically, so the bitmap is stable across processes), and the
-// counters accumulated so far.
-type BackwardCheckpoint struct {
-	NextStep     int
-	Marked       []bool
-	Tautologies  int
-	Propagations int64
-	// Hints is the encoded lrat.Recorder state at the boundary (nil when the
-	// run records no hints). Only version-2 payloads carry it, so journals
-	// from hint-free runs stay byte-identical to version 1.
-	Hints []byte
-}
-
-const (
-	backwardCheckpointVersion      = 1
-	backwardCheckpointVersionHints = 2
-)
-
-// Encode serializes the checkpoint (version byte, little-endian integers,
-// packed bitmap, and — version 2, only when hints are recorded — the
-// recorder blob).
-func (cp *BackwardCheckpoint) Encode() []byte {
-	version := byte(backwardCheckpointVersion)
-	if cp.Hints != nil {
-		version = backwardCheckpointVersionHints
-	}
-	b := []byte{version}
-	for _, v := range []int64{int64(cp.NextStep), int64(cp.Tautologies), cp.Propagations} {
-		b = binary.LittleEndian.AppendUint64(b, uint64(v))
-	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(cp.Marked)))
-	bm := make([]byte, (len(cp.Marked)+7)/8)
-	for i, m := range cp.Marked {
-		if m {
-			bm[i/8] |= 1 << (i % 8)
-		}
-	}
-	b = append(b, bm...)
-	if cp.Hints != nil {
-		b = append(b, cp.Hints...)
-	}
-	return b
-}
-
-// DecodeBackwardCheckpoint parses an encoded checkpoint payload.
-func DecodeBackwardCheckpoint(b []byte) (*BackwardCheckpoint, error) {
-	fail := func(what string) (*BackwardCheckpoint, error) {
-		return nil, fmt.Errorf("%w: %s", ErrBadCheckpoint, what)
-	}
-	if len(b) < 1+4*8 {
-		return fail("payload too short")
-	}
-	version := b[0]
-	if version != backwardCheckpointVersion && version != backwardCheckpointVersionHints {
-		return fail(fmt.Sprintf("payload version %d, want %d or %d",
-			version, backwardCheckpointVersion, backwardCheckpointVersionHints))
-	}
-	b = b[1:]
-	cp := &BackwardCheckpoint{
-		NextStep:     int(int64(binary.LittleEndian.Uint64(b))),
-		Tautologies:  int(binary.LittleEndian.Uint64(b[8:])),
-		Propagations: int64(binary.LittleEndian.Uint64(b[16:])),
-	}
-	nBits := int(binary.LittleEndian.Uint64(b[24:]))
-	b = b[32:]
-	nBytes := (nBits + 7) / 8
-	if nBits < 0 || nBits > 1<<34 || len(b) < nBytes {
-		return fail("bitmap length mismatch")
-	}
-	if version == backwardCheckpointVersion && len(b) != nBytes {
-		return fail("bitmap length mismatch")
-	}
-	cp.Marked = make([]bool, nBits)
-	for i := range cp.Marked {
-		cp.Marked[i] = b[i/8]&(1<<(i%8)) != 0
-	}
-	if version == backwardCheckpointVersionHints {
-		cp.Hints = append([]byte(nil), b[nBytes:]...)
-	}
-	return cp, nil
-}
 
 // Fingerprint hashes the proof's logical content — step kinds and literals
 // in order — with FNV-64a, for binding a checkpoint journal to its inputs.
@@ -166,80 +35,46 @@ func (p *Proof) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// ctxStop adapts a context into the engines' cooperative stop hook, mapped
-// onto core's sentinel errors so callers (and the shared exit-code contract)
-// classify a stopped backward pass exactly like a stopped forward one. A nil
-// ctx yields a nil hook — the zero-cost path.
-func ctxStop(ctx context.Context) func() error {
-	if ctx == nil {
-		return nil
-	}
-	return func() error {
-		switch err := ctx.Err(); err {
-		case nil:
-			return nil
-		case context.DeadlineExceeded:
-			return core.ErrDeadline
-		default:
-			return core.ErrCancelled
-		}
-	}
-}
-
 // VerifyBackward checks a DRUP proof the way drat-trim does — which is
-// exactly the paper's Proof_verification2 generalized to deletion lines:
+// exactly the paper's Proof_verification2 generalized to deletion lines.
+// It is a format front end over core.Verify:
 //
-//  1. replay the whole proof forward (activating additions, deactivating
-//     deleted clauses) and confirm the final database is refuted by unit
-//     propagation alone;
-//  2. walk the steps backward: an addition is popped (deactivated) and
-//     checked by the RUP test only if a later conflict marked it as used;
-//     a deletion is undone (the clause is reactivated);
-//  3. every conflict's analysis marks the clauses it used.
+//  1. A structural scan gives each addition its clause slot (formula
+//     clauses first, then additions in order), resolves every deletion
+//     line by content to the live clause it removes — rejecting deletions
+//     of clauses that are not live — and stops at the first empty clause.
+//  2. The additions, closed by that empty clause (or by an appended one
+//     when the proof has none, which makes the check "the final database
+//     is refuted by unit propagation alone"), become a proof.Trace whose
+//     deletion schedule holds the resolved deletions.
+//  3. core.Verify walks the trace backward: it undoes deletions on the way
+//     and checks an addition by the RUP test only if a later conflict
+//     marked it as used.
+//
+// opt passes through unchanged, so checkpoint intervals and resume points
+// count additions (the closing empty clause included), and a resumable
+// record is a core.Checkpoint. The trace always carries a schedule, even an
+// empty one, so the engine is always the reactivable watched engine and
+// opt.Engine must be left at its default.
 //
 // Unmarked additions are skipped — the same redundancy argument as the
 // paper's §4 — and the marked additions form the trimmed proof, returned
-// as a deletion-free DRUP proof in chronological order. The marked
-// original clauses form an unsatisfiable core, also as in §4.
-//
-// Note the backward pass uses only the RUP check; RAT additions (which the
-// forward Verify accepts) are rejected here, matching the paper's scope.
-func VerifyBackward(f *cnf.Formula, p *Proof) (*Result, *Proof, []int, error) {
-	return VerifyBackwardOpts(f, p, BackwardOptions{})
-}
-
-// VerifyBackwardOpts is VerifyBackward with checkpoint support.
-func VerifyBackwardOpts(f *cnf.Formula, p *Proof, opt BackwardOptions) (*Result, *Proof, []int, error) {
-	nVars := f.NumVars
-	for _, s := range p.Steps {
-		if mv := s.C.MaxVar(); int(mv)+1 > nVars {
-			nVars = int(mv) + 1
-		}
-	}
+// as a deletion-free DRUP proof in chronological order closed by the empty
+// clause. The marked original clauses form an unsatisfiable core, also as
+// in §4. Only the RUP check is used: RAT additions, which the forward
+// Verify accepts, are rejected here, matching the paper's scope.
+func VerifyBackward(f *cnf.Formula, p *Proof, opt core.Options) (*Result, *Proof, []int, error) {
 	res := &Result{OK: true, FailedStep: -1, StoppedAt: -1}
 	nf := len(f.Clauses)
-
-	span := opt.Obs.StartSpan("drat-backward")
-	defer span.End()
-	track := opt.Obs.TraceTrack()
-	cChecked := opt.Obs.Counter("drat.checked")
-	cTaut := opt.Obs.Counter("drat.tautologies")
-	cReact := opt.Obs.Counter("drat.reactivations")
-	cCkpt := opt.Obs.Counter("drat.checkpoints")
-
-	scan := span.Child("structural-scan")
-	// Structural scan: assign each step its clause ID and validate
-	// deletions, without touching an engine. IDs are predictable — the
-	// engine hands out sequential IDs, formula clauses first, then each
-	// addition in forward order — which is what makes a checkpoint's
-	// ID-space bitmap stable across processes.
 	store := newClauseStore()
 	for i, c := range f.Clauses {
 		store.add(bcp.ID(i), c)
 	}
-	stepID := make([]bcp.ID, len(p.Steps))
-	nextID := bcp.ID(nf)
-	refutedAt := -1
+	// Deletions[i] collects the deletions seen since trace clause i-1, so
+	// the schedule always has one entry more than the additions so far.
+	t := &proof.Trace{Deletions: [][]int{nil}}
+	var stepOf []int // stepOf[i] is the proof step of trace clause i
+	lastStep := len(p.Steps) - 1
 	for i, s := range p.Steps {
 		if s.Del {
 			res.Deletions++
@@ -248,240 +83,62 @@ func VerifyBackwardOpts(f *cnf.Formula, p *Proof, opt BackwardOptions) (*Result,
 				res.OK = false
 				res.FailedStep = i
 				res.Reason = fmt.Sprintf("deletion of a clause that is not live: %v", s.C)
-				scan.End()
-				track.Instant("drat.reject", int64(i))
+				opt.Obs.TraceTrack().Instant("verify.reject", int64(i))
 				return res, nil, nil, nil
 			}
-			stepID[i] = id
+			k := len(t.Deletions) - 1
+			t.Deletions[k] = append(t.Deletions[k], int(id))
 			continue
 		}
 		res.Additions++
 		if len(s.C) == 0 {
-			refutedAt = i
-			stepID[i] = -1
+			lastStep = i
 			break
 		}
-		stepID[i] = nextID
-		store.add(nextID, s.C)
-		nextID++
+		store.add(bcp.ID(nf+len(t.Clauses)), s.C)
+		t.Clauses = append(t.Clauses, s.C)
+		t.Deletions = append(t.Deletions, nil)
+		stepOf = append(stepOf, i)
 	}
-	lastStep := len(p.Steps) - 1
-	if refutedAt >= 0 {
-		lastStep = refutedAt
+	t.Clauses = append(t.Clauses, nil)
+	stepOf = append(stepOf, lastStep)
+	final := len(t.Clauses) - 1
+
+	cres, err := core.Verify(f, t, opt)
+	if cres == nil {
+		return nil, nil, nil, err
 	}
-	nIDs := int(nextID)
-	scan.End()
-
-	if opt.Resume != nil {
-		if opt.Every <= 0 {
-			return nil, nil, nil, fmt.Errorf("%w: resume requires a checkpoint interval", ErrBadCheckpoint)
+	res.Tautologies = cres.Tautologies
+	res.Propagations = cres.Propagations
+	if err != nil {
+		res.Incomplete = cres.Incomplete
+		if cres.StoppedAt >= 0 {
+			res.StoppedAt = stepOf[cres.StoppedAt]
 		}
-		if rcp := opt.Resume; rcp.NextStep < 0 || rcp.NextStep > lastStep || len(rcp.Marked) != nIDs {
-			return nil, nil, nil, fmt.Errorf("%w: next step %d / bitmap %d bits against %d steps / %d ids",
-				ErrBadCheckpoint, opt.Resume.NextStep, len(opt.Resume.Marked), lastStep+1, nIDs)
-		}
-		if opt.Hints != nil {
-			// The steps recorded before the boundary exist only inside the
-			// checkpoint; without them the emitted LRAT would be incomplete.
-			if opt.Resume.Hints == nil {
-				return nil, nil, nil, fmt.Errorf("%w: checkpoint carries no hint recorder", ErrBadCheckpoint)
-			}
-			restored, err := lrat.DecodeRecorder(opt.Resume.Hints)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("%w: hint recorder: %v", ErrBadCheckpoint, err)
-			}
-			*opt.Hints = *restored
-		}
+		return res, nil, nil, err
 	}
-
-	// buildEngine (re)creates the engine in the canonical state holding the
-	// formula and the forward replay of steps [0, upto], folding the
-	// previous engine's propagation count into statsProps. The backward
-	// loop is about to process step upto, whose own effect is still in
-	// place; everything later has been undone.
-	// The stop hook is polled by the engine inside propagation and by the
-	// backward loop once per step, so both a single pathological RUP check
-	// and a long proof stop promptly when the context fires.
-	stop := ctxStop(opt.Ctx)
-
-	var eng *bcp.Engine
-	var statsProps int64
-	buildEngine := func(upto int) {
-		if eng != nil {
-			statsProps += eng.Propagations()
-		}
-		eng = bcp.NewEngineReactivable(nVars)
-		eng.SetStop(stop)
-		eng.SetTrace(track)
-		for _, c := range f.Clauses {
-			eng.Add(c)
-		}
-		for j := 0; j <= upto; j++ {
-			s := p.Steps[j]
-			switch {
-			case s.Del:
-				eng.Deactivate(stepID[j])
-			case len(s.C) == 0:
-				// the refutation point; no clause
-			default:
-				eng.Add(s.C)
-			}
-		}
-	}
-	totalProps := func() int64 { return statsProps + eng.Propagations() }
-
-	// Hint recording: ConflictHints re-walks the cone the marking walk just
-	// visited, in replay order (see bcp/hints.go), so the hints reference
-	// only marked clauses. LRAT IDs are engine IDs shifted to 1-based; the
-	// refutation step gets the first ID past every clause the engine knows.
-	var hintIDs []bcp.ID
-	var hints64 []int64
-	record := func(id int64, c cnf.Clause, conflict bcp.ID, refuted cnf.Clause) {
-		hintIDs = eng.ConflictHints(conflict, refuted, hintIDs[:0])
-		hints64 = hints64[:0]
-		for _, h := range hintIDs {
-			hints64 = append(hints64, int64(h)+1)
-		}
-		opt.Hints.Record(id, c, hints64)
-	}
-
-	marked := make([]bool, nIDs)
-	start := lastStep
-	resumedAt := -2 // sentinel: no boundary suppressed
-	replay := span.Child("forward-replay")
-	if rcp := opt.Resume; rcp != nil {
-		start = rcp.NextStep
-		resumedAt = start
-		copy(marked, rcp.Marked)
-		res.Tautologies = rcp.Tautologies
-		statsProps = rcp.Propagations
-		buildEngine(start)
-	} else {
-		buildEngine(lastStep)
-		// The final database must be refuted by unit propagation alone.
-		conflict, _ := eng.Refute(nil)
-		if err := eng.StopErr(); err != nil {
-			res.Incomplete = true
-			res.StoppedAt = lastStep
-			res.Propagations = totalProps()
-			replay.End()
-			return res, nil, nil, err
-		}
-		if conflict == bcp.NoConflict {
-			res.OK = false
+	if !cres.OK {
+		res.OK = false
+		if i := cres.FailedIndex; i == final {
 			res.FailedStep = lastStep + 1
 			res.Reason = "proof ends without deriving a refutation"
-			res.Propagations = totalProps()
-			replay.End()
-			track.Instant("drat.reject", int64(lastStep+1))
-			return res, nil, nil, nil
+		} else {
+			res.FailedStep = stepOf[i]
+			res.Reason = fmt.Sprintf("marked clause is not RUP: %v", t.Clauses[i])
 		}
-		eng.WalkConflict(conflict, func(id bcp.ID) { marked[id] = true })
-		if opt.Hints != nil {
-			record(int64(nIDs)+1, nil, conflict, nil)
-		}
-	}
-	replay.End()
-
-	// Backward pass.
-	bw := span.Child("backward-pass")
-	defer bw.End()
-	for i := start; i >= 0; i-- {
-		if opt.Every > 0 && i != lastStep && i != resumedAt && (lastStep-i)%opt.Every == 0 {
-			buildEngine(i)
-			cCkpt.Inc()
-			track.Instant("checkpoint.epoch", int64(i))
-			if opt.Sink != nil {
-				cp := &BackwardCheckpoint{NextStep: i, Marked: marked,
-					Tautologies: res.Tautologies, Propagations: statsProps}
-				if opt.Hints != nil {
-					cp.Hints = opt.Hints.Encode()
-				}
-				if err := opt.Sink(cp.Encode()); err != nil {
-					return nil, nil, nil, fmt.Errorf("drat: checkpoint append: %w", err)
-				}
-			}
-		}
-		if stop != nil {
-			if err := stop(); err != nil {
-				res.Incomplete = true
-				res.StoppedAt = i
-				res.Propagations = totalProps()
-				return res, nil, nil, err
-			}
-		}
-		s := p.Steps[i]
-		if s.Del {
-			// Walking a deletion backwards re-adds the clause. The engine's
-			// persistent root trail handles the flip: Reactivate re-queues
-			// root propagation only when the clause can actually extend the
-			// current fixpoint (see DESIGN.md §6b), so cheap undos stay cheap.
-			if err := eng.Reactivate(stepID[i]); err != nil {
-				// Cannot happen — eng came from NewEngineReactivable above —
-				// but an internal error beats silently skipping the undo.
-				return nil, nil, nil, fmt.Errorf("drat: undoing deletion step %d: %w", i, err)
-			}
-			cReact.Inc()
-			continue
-		}
-		if len(s.C) == 0 {
-			continue // the refutation point itself
-		}
-		id := stepID[i]
-		eng.Deactivate(id)
-		if !marked[id] {
-			continue
-		}
-		c, selfContra := eng.Refute(s.C)
-		if err := eng.StopErr(); err != nil {
-			res.Incomplete = true
-			res.StoppedAt = i
-			res.Propagations = totalProps()
-			return res, nil, nil, err
-		}
-		if selfContra {
-			res.Tautologies++
-			cTaut.Inc()
-			continue
-		}
-		cChecked.Inc()
-		if c == bcp.NoConflict {
-			res.OK = false
-			res.FailedStep = i
-			res.Reason = fmt.Sprintf("marked clause is not RUP: %v", s.C)
-			res.Propagations = totalProps()
-			track.Instant("drat.reject", int64(i))
-			return res, nil, nil, nil
-		}
-		eng.WalkConflict(c, func(used bcp.ID) { marked[used] = true })
-		if opt.Hints != nil {
-			record(int64(id)+1, s.C, c, s.C)
-		}
+		return res, nil, nil, nil
 	}
 	res.Refuted = true
-	res.Propagations = totalProps()
 
 	// Trimmed proof: marked additions in chronological order (no deletion
 	// lines — the trimmed set is small enough not to need them), plus the
 	// final empty clause so the result is a complete refutation.
 	trimmed := &Proof{}
-	for i := 0; i <= lastStep; i++ {
-		s := p.Steps[i]
-		if s.Del || len(s.C) == 0 {
-			continue
-		}
-		if marked[stepID[i]] {
-			trimmed.Add(s.C.Clone())
+	for i, used := range cres.UsedProof[:final] {
+		if used {
+			trimmed.Add(t.Clauses[i].Clone())
 		}
 	}
 	trimmed.Add(nil)
-
-	// Unsatisfiable core: marked original clauses.
-	var core []int
-	for i := 0; i < nf; i++ {
-		if marked[bcp.ID(i)] {
-			core = append(core, i)
-		}
-	}
-	return res, trimmed, core, nil
+	return res, trimmed, cres.Core, nil
 }

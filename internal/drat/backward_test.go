@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cnf"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/solver"
 )
@@ -14,7 +15,7 @@ func TestVerifyBackwardHandProof(t *testing.T) {
 	p.Delete(cl(1, 2))
 	p.Add(cl(-1))
 	p.Add(nil)
-	res, trimmed, core, err := VerifyBackward(chainFormula(), p)
+	res, trimmed, coreIdx, err := VerifyBackward(chainFormula(), p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestVerifyBackwardHandProof(t *testing.T) {
 	if trimmed.Len() == 0 || trimmed.Deletions() != 0 {
 		t.Fatalf("trimmed = %+v", trimmed)
 	}
-	if len(core) == 0 {
+	if len(coreIdx) == 0 {
 		t.Fatal("empty core")
 	}
 }
@@ -37,7 +38,7 @@ func TestVerifyBackwardSkipsUnmarked(t *testing.T) {
 	p.Add(cl(1))
 	p.Add(cl(-1))
 	p.Add(nil)
-	res, trimmed, _, err := VerifyBackward(f, p)
+	res, trimmed, _, err := VerifyBackward(f, p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestVerifyBackwardRejectsBadProof(t *testing.T) {
 	p := &Proof{}
 	p.Add(cl(1))
 	p.Add(nil)
-	res, _, _, err := VerifyBackward(f, p)
+	res, _, _, err := VerifyBackward(f, p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestVerifyBackwardRejectsBogusDeletion(t *testing.T) {
 	p := &Proof{}
 	p.Delete(cl(7, 8))
 	p.Add(nil)
-	res, _, _, err := VerifyBackward(chainFormula(), p)
+	res, _, _, err := VerifyBackward(chainFormula(), p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestVerifyBackwardNoRefutation(t *testing.T) {
 	f.Add(5, 6)
 	p := &Proof{}
 	p.Add(cl(1, 5))
-	res, _, _, err := VerifyBackward(f, p)
+	res, _, _, err := VerifyBackward(f, p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestVerifyBackwardSolverEndToEnd(t *testing.T) {
 		if err != nil || st != solver.Unsat {
 			t.Fatalf("%s: %v %v", inst.Name, st, err)
 		}
-		res, trimmed, core, err := VerifyBackward(inst.F, rec.Proof())
+		res, trimmed, coreIdx, err := VerifyBackward(inst.F, rec.Proof(), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestVerifyBackwardSolverEndToEnd(t *testing.T) {
 			t.Fatalf("%s: trimmed proof rejected forward: %v %+v", inst.Name, err, fres)
 		}
 		// The core is unsatisfiable.
-		cst, _, _, _, err := solver.Solve(inst.F.Restrict(core), solver.Options{})
+		cst, _, _, _, err := solver.Solve(inst.F.Restrict(coreIdx), solver.Options{})
 		if err != nil || cst != solver.Unsat {
 			t.Fatalf("%s: core not UNSAT: %v %v", inst.Name, cst, err)
 		}
@@ -146,7 +147,7 @@ func TestVerifyBackwardAgreesWithForward(t *testing.T) {
 	if err != nil || !fres.OK {
 		t.Fatalf("forward: %v %+v", err, fres)
 	}
-	bres, _, _, err := VerifyBackward(inst.F, rec.Proof())
+	bres, _, _, err := VerifyBackward(inst.F, rec.Proof(), core.Options{})
 	if err != nil || !bres.OK {
 		t.Fatalf("backward: %v %+v", err, bres)
 	}
@@ -161,7 +162,7 @@ func TestVerifyBackwardExplicitEmptyClause(t *testing.T) {
 	p.Add(cl(-1))
 	p.Add(nil)
 	p.Add(cl(3)) // garbage after the refutation point is ignored
-	res, trimmed, _, err := VerifyBackward(chainFormula(), p)
+	res, trimmed, _, err := VerifyBackward(chainFormula(), p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,16 @@
 //
 // The paper's plain trace is the special case with no deletion lines; the
 // forward checker below degenerates to Proof_verification1 run forwards.
+//
+// VerifyBackward is a format front end, not a second checker: it resolves
+// deletion lines to clause slots and hands the additions, with that
+// deletion schedule, to core.Verify — the same backward marking loop that
+// checks conflict-clause traces.
 package drat
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -91,10 +97,18 @@ func Write(w io.Writer, p *Proof) error {
 	return bw.Flush()
 }
 
-// Read parses DRUP text. Comment lines ('c') are ignored; a "d" token
-// starts a deletion clause.
-func Read(r io.Reader) (*Proof, error) {
-	sc := bufio.NewScanner(r)
+// Read parses DRUP text under proof.DefaultLimits. Comment lines ('c') are
+// ignored; a "d" token starts a deletion clause. Syntax errors wrap
+// proof.ErrMalformed and exceeded limits proof.ErrLimit, the same classes
+// the trace readers report.
+func Read(r io.Reader) (*Proof, error) { return readLimited(r, proof.DefaultLimits()) }
+
+// readLimited is Read under explicit limits, every field of which must be
+// set. The variable bound also keeps literals inside the int32 encoding.
+func readLimited(r io.Reader, lim proof.Limits) (*Proof, error) {
+	// One byte past the limit tells "exactly at the limit" from "over it".
+	lr := &io.LimitedReader{R: r, N: lim.MaxBytes + 1}
+	sc := bufio.NewScanner(lr)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
 	p := &Proof{}
 	lineNo := 0
@@ -114,20 +128,35 @@ func Read(r io.Reader) (*Proof, error) {
 		for _, tok := range strings.Fields(line) {
 			d, err := strconv.Atoi(tok)
 			if err != nil {
-				return nil, fmt.Errorf("drat: line %d: bad token %q", lineNo, tok)
+				return nil, fmt.Errorf("%w: drat line %d: bad token %q", proof.ErrMalformed, lineNo, tok)
 			}
 			if d == 0 {
 				terminated = true
 				break
 			}
+			if d > lim.MaxVar || d < -lim.MaxVar {
+				return nil, &proof.LimitError{What: "variable", Limit: int64(lim.MaxVar)}
+			}
+			if len(c) >= lim.MaxClauseLen {
+				return nil, &proof.LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
+			}
 			c = append(c, cnf.FromDimacs(d))
 		}
 		if !terminated {
-			return nil, fmt.Errorf("drat: line %d: clause not terminated by 0", lineNo)
+			return nil, fmt.Errorf("%w: drat line %d: clause not terminated by 0", proof.ErrMalformed, lineNo)
+		}
+		if len(p.Steps) >= lim.MaxClauses {
+			return nil, &proof.LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
 		}
 		p.Steps = append(p.Steps, Step{Del: del, C: c})
 	}
+	if lr.N == 0 {
+		return nil, &proof.LimitError{What: "bytes", Limit: lim.MaxBytes}
+	}
 	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			err = fmt.Errorf("%w: drat line %d: %v", proof.ErrMalformed, lineNo+1, err)
+		}
 		return nil, err
 	}
 	return p, nil
@@ -162,9 +191,10 @@ type Result struct {
 	Propagations int64
 
 	// Incomplete is true when a backward run stopped before reaching a
-	// verdict (BackwardOptions.Ctx cancelled or expired); the counters
-	// above then describe the work done so far and OK is meaningless.
-	// StoppedAt is the backward step index the scan had reached, or -1.
+	// verdict (core.Options Ctx or Budget, or a failed checkpoint write);
+	// the counters above then describe the work done so far and OK is
+	// meaningless. StoppedAt is the proof step of the addition the backward
+	// loop had reached, or -1.
 	Incomplete bool
 	StoppedAt  int
 }

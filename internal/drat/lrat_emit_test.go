@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/lrat"
 	"repro/internal/solver"
@@ -31,7 +32,7 @@ func TestBackwardEmitsCheckableLRAT(t *testing.T) {
 	for _, inst := range []gen.Instance{gen.PHP(5), gen.RandUnsat(7, 16)} {
 		p := solveDRUP(t, inst)
 		var rec lrat.Recorder
-		res, trimmed, _, err := VerifyBackwardOpts(inst.F, p, BackwardOptions{Hints: &rec})
+		res, trimmed, _, err := VerifyBackward(inst.F, p, core.Options{Hints: &rec})
 		if err != nil || !res.OK {
 			t.Fatalf("%s: err=%v res=%+v", inst.Name, err, res)
 		}
@@ -82,12 +83,14 @@ func TestBackwardResumeEmitsIdenticalLRAT(t *testing.T) {
 	const every = 16
 	var records [][]byte
 	var rec lrat.Recorder
-	res, _, _, err := VerifyBackwardOpts(inst.F, p, BackwardOptions{
-		Every: every,
+	res, _, _, err := VerifyBackward(inst.F, p, core.Options{
 		Hints: &rec,
-		Sink: func(b []byte) error {
-			records = append(records, append([]byte(nil), b...))
-			return nil
+		Checkpoint: core.CheckpointConfig{
+			Every: every,
+			Sink: func(b []byte) error {
+				records = append(records, append([]byte(nil), b...))
+				return nil
+			},
 		},
 	})
 	if err != nil || !res.OK {
@@ -104,13 +107,14 @@ func TestBackwardResumeEmitsIdenticalLRAT(t *testing.T) {
 	}
 
 	for k, r := range records {
-		cp, err := DecodeBackwardCheckpoint(r)
+		cp, err := core.DecodeCheckpoint(r)
 		if err != nil {
 			t.Fatalf("record %d: %v", k, err)
 		}
 		var recC lrat.Recorder
-		resC, _, _, err := VerifyBackwardOpts(inst.F, p, BackwardOptions{
-			Every: every, Resume: cp, Hints: &recC,
+		resC, _, _, err := VerifyBackward(inst.F, p, core.Options{
+			Hints:      &recC,
+			Checkpoint: core.CheckpointConfig{Every: every, Resume: cp},
 		})
 		if err != nil || !resC.OK {
 			t.Fatalf("resume from record %d: err=%v res=%+v", k, err, resC)
@@ -136,25 +140,26 @@ func TestBackwardResumeWithoutRecordedHints(t *testing.T) {
 
 	const every = 8
 	var records [][]byte
-	res, _, _, err := VerifyBackwardOpts(inst.F, p, BackwardOptions{
+	res, _, _, err := VerifyBackward(inst.F, p, core.Options{Checkpoint: core.CheckpointConfig{
 		Every: every,
 		Sink: func(b []byte) error {
 			records = append(records, append([]byte(nil), b...))
 			return nil
 		},
-	})
+	}})
 	if err != nil || !res.OK || len(records) == 0 {
 		t.Fatalf("err=%v res=%+v records=%d", err, res, len(records))
 	}
-	cp, err := DecodeBackwardCheckpoint(records[0])
+	cp, err := core.DecodeCheckpoint(records[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rec lrat.Recorder
-	_, _, _, err = VerifyBackwardOpts(inst.F, p, BackwardOptions{
-		Every: every, Resume: cp, Hints: &rec,
+	_, _, _, err = VerifyBackward(inst.F, p, core.Options{
+		Hints:      &rec,
+		Checkpoint: core.CheckpointConfig{Every: every, Resume: cp},
 	})
-	if !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("err=%v, want ErrBadCheckpoint", err)
+	if !errors.Is(err, core.ErrBadCheckpoint) {
+		t.Fatalf("err=%v, want core.ErrBadCheckpoint", err)
 	}
 }

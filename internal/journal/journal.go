@@ -16,9 +16,8 @@
 // what a crash mid-append leaves — and is handled by resuming from the last
 // record that checks out.
 //
-// The journal stores record payloads opaquely; the verifiers
-// (internal/core, internal/drat) define their own payload encodings, so the
-// journal has no dependency on either.
+// The journal stores record payloads opaquely; the verifier (internal/core)
+// defines the payload encoding, so the journal has no dependency on it.
 //
 // File layout (all integers little-endian):
 //
@@ -69,11 +68,12 @@ const (
 	KindVerifySeq Kind = 1
 	// KindVerifyParallel is core.VerifyParallelOpts.
 	KindVerifyParallel Kind = 2
-	// KindDRATBackward is drat.VerifyBackward.
-	KindDRATBackward Kind = 3
-	// Kind 4 is reserved: older binaries wrote it for a retired two-phase
-	// DAG-scheduled pipeline. No current writer uses it, so such a journal
-	// never matches and resume falls back to a full run.
+	// Kinds 3 and 4 are reserved: older binaries wrote kind 3 for drat's
+	// own backward checker (dratcheck -backward now journals core payloads
+	// under KindVerifySeq) and kind 4 for a retired two-phase DAG-scheduled
+	// pipeline. No current writer uses either, so such a journal never
+	// matches, its payloads are never decoded, and resume falls back to a
+	// full run.
 )
 
 func (k Kind) String() string {
@@ -82,8 +82,6 @@ func (k Kind) String() string {
 		return "verify"
 	case KindVerifyParallel:
 		return "verify-parallel"
-	case KindDRATBackward:
-		return "drat-backward"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -101,8 +99,8 @@ type Meta struct {
 	Workers  uint32
 	Interval uint32
 	// FormulaFP and ProofFP fingerprint the CNF formula and the proof
-	// trace (FingerprintFormula/FingerprintTrace, or the DRAT proof's own
-	// fingerprint for KindDRATBackward).
+	// (FingerprintFormula, and FingerprintTrace or a DRUP proof's own
+	// fingerprint).
 	FormulaFP uint64
 	ProofFP   uint64
 }

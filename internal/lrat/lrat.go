@@ -9,8 +9,9 @@
 //
 // ID space: original formula clauses are implicitly numbered 1..n in file
 // order; every addition step introduces a strictly larger ID. The recorder
-// woven into the verifiers (drat.VerifyBackwardOpts, core.Verify) emits
-// engine clause ID + 1, which satisfies this by construction.
+// woven into the backward checker (core.Verify, which drat.VerifyBackward
+// also runs) emits engine clause ID + 1, which satisfies this by
+// construction.
 //
 // Hint-order invariant: for an addition of clause C with hints h1..hk, after
 // assigning every literal of C false, each hi in order must be *unit* under

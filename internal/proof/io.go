@@ -92,7 +92,7 @@ func ReadLimited(r io.Reader, lim Limits) (*Trace, error) {
 				pendingRes = 0
 				continue
 			}
-			if d > lim.MaxVar || -d > lim.MaxVar {
+			if d > lim.MaxVar || d < -lim.MaxVar {
 				return nil, &LimitError{What: "variable", Limit: int64(lim.MaxVar)}
 			}
 			if len(cur) >= lim.MaxClauseLen {

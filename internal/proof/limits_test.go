@@ -12,7 +12,8 @@ func TestReadLimitedMaxVar(t *testing.T) {
 	// A literal whose magnitude parses as int but would overflow the int32
 	// Var encoding (or just drive a huge allocation) must be refused, not
 	// narrowed into garbage.
-	for _, in := range []string{"9000000000 0\n", "-9000000000 0\n", "70000 0\n"} {
+	// The most negative int is its own negation, so it needs its own row.
+	for _, in := range []string{"9000000000 0\n", "-9000000000 0\n", "70000 0\n", "-9223372036854775808 0\n"} {
 		_, err := ReadLimited(strings.NewReader(in), Limits{MaxVar: 65536})
 		var le *LimitError
 		if !errors.As(err, &le) || !errors.Is(err, ErrLimit) {

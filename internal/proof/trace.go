@@ -24,9 +24,17 @@ import (
 // order. Resolutions, when non-nil, has one entry per clause giving the
 // number of resolution steps the producing solver used to derive it — the
 // paper's per-clause lower bound on resolution-graph size.
+//
+// Deletions, when non-nil, turns the trace into a DRUP proof: it has one
+// entry per clause, and Deletions[i] lists the clause slots the producer
+// deleted after clause i-1 was added and before clause i was (formula
+// clauses are slots 0..nf-1, trace clause j is slot nf+j). It lives in
+// memory only — the readers and writers never carry it — and is nil for
+// every conflict-clause trace.
 type Trace struct {
 	Clauses     []cnf.Clause
 	Resolutions []int64
+	Deletions   [][]int
 }
 
 // New returns an empty trace.
@@ -124,6 +132,12 @@ func (t *Trace) Clone() *Trace {
 	}
 	if t.Resolutions != nil {
 		out.Resolutions = append([]int64(nil), t.Resolutions...)
+	}
+	if t.Deletions != nil {
+		out.Deletions = make([][]int, len(t.Deletions))
+		for i, d := range t.Deletions {
+			out.Deletions[i] = append([]int(nil), d...)
+		}
 	}
 	return out
 }
