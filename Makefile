@@ -45,11 +45,13 @@ fuzz-smoke:
 # the recovered artifacts must be byte-identical to an uninterrupted run.
 # Journals of retired kinds must be refused. The journal-corruption matrix
 # (truncated tail, bit flips, stale fingerprints, version skew) and drat's
-# resume-from-every-record and pinned-output goldens ride along.
+# resume-from-every-record and pinned-output goldens ride along, as do dpv's
+# pinned outputs (stdout, core, trim and LRAT in both modes).
 crash-smoke:
 	$(GO) test -run '^TestCrashRecoverMatrix$$|^TestCrashHookFiresAfterDurableAppend$$|^TestExitCodeInterruptedResume$$|^TestResumeIgnoresRetired' -count=1 -v .
 	$(GO) test -run '^TestJournalFault' -count=1 ./internal/faults/
 	$(GO) test -run '^TestBackwardResume|^TestDratcheckGolden$$' -count=1 ./internal/drat/
+	$(GO) test -run '^TestDpvGolden$$' -count=1 ./cmd/dpv/
 
 # daemon-smoke is the service arm of the crash gate: dpvd SIGKILLs itself
 # (same DPV_FAULT_CRASH_AFTER_APPENDS hook) with five jobs in flight, is
