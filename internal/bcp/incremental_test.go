@@ -222,7 +222,7 @@ func TestIncrementalMatchesFreshEngines(t *testing.T) {
 						if cnt != 1 {
 							t.Fatalf("round %d: clause %d visited %d times", round, id, cnt)
 						}
-						if !inc.hdrs[id].active {
+						if !inc.isActive(id) {
 							t.Fatalf("round %d: conflict analysis visited inactive clause %d", round, id)
 						}
 					}

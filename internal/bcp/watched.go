@@ -1,6 +1,10 @@
 package bcp
 
-import "repro/internal/cnf"
+import (
+	"slices"
+
+	"repro/internal/cnf"
+)
 
 // Engine is the two-watched-literal propagator. Three design choices make it
 // fast on the verifier's access pattern (one Refute per checked clause, over
@@ -18,9 +22,13 @@ import "repro/internal/cnf"
 //     re-propagation; mutations that can only extend the fixpoint merely
 //     clear the fixed flag.
 //
-//   - Flat clause arena. All literals live in one contiguous []cnf.Lit and a
-//     clause is an {offset, length} header, so the propagation loop walks
-//     cache-local memory instead of chasing a pointer per clause.
+//   - Flat clause arena. Every clause lives in one contiguous []cnf.Lit as
+//     [id, meta, lits...], where meta packs the literal count with the
+//     inactive and tautology flags. A watch-list entry carries the clause's
+//     arena offset, so visiting a clause touches one cache line for its
+//     header and first literals instead of a separate header table and then
+//     the arena. Truth values are kept per literal, so testing a literal is
+//     one load with no sign arithmetic.
 //
 //   - Blocking literals. A watch-list entry carries a copy of some literal
 //     of its clause (initially the other watched literal); if the blocker is
@@ -34,8 +42,11 @@ import "repro/internal/cnf"
 // common no-empty-clause case costs one integer compare per Refute.
 type Engine struct {
 	nVars int
-	arena []cnf.Lit   // all clause literals, contiguous in Add order
-	hdrs  []clauseHdr // indexed by clause ID
+	// arena holds every clause as [id, meta, lits...] in Add order (the two
+	// header words are stored as Lit-typed integers; see metaInactive).
+	// offs maps a clause ID to the arena offset of its id word.
+	arena []cnf.Lit
+	offs  []uint32
 	// watches is indexed by literal: entries for clauses currently watching
 	// it, each with a blocking literal checked before the clause is loaded.
 	watches [][]watcher
@@ -56,7 +67,7 @@ type Engine struct {
 	nUnits int  // active unit count (maintained on Add/Deactivate/Reactivate)
 	nEmpty int  // active empty count (maintained on Add/Deactivate/Reactivate)
 
-	assign []int8
+	val    []int8 // indexed by literal: +1 true, -1 false, 0 unassigned
 	reason []ID
 	varPos []int32 // trail index of each assigned variable
 	trail  []cnf.Lit
@@ -97,19 +108,19 @@ type Engine struct {
 	watcherVisits int64
 }
 
-// clauseHdr locates a clause's literals inside the arena.
-type clauseHdr struct {
-	off    uint32
-	n      uint32
-	active bool
-	taut   bool // tautologies can never be activated
-}
+// A clause's meta word: the literal count shifted above two flag bits.
+const (
+	metaInactive = 1 << 0 // deactivated, or a tautology
+	metaTaut     = 1 << 1 // tautologies can never be activated
+	metaShift    = 2
+	hdrWords     = 2 // arena words before a clause's literals: id, meta
+)
 
-// watcher is a watch-list entry: the watching clause plus a blocking
-// literal. The blocker is always some literal of the clause, so blocker-true
-// implies clause-satisfied even when the entry is stale.
+// watcher is a watch-list entry: the arena offset of the watching clause
+// plus a blocking literal. The blocker is always some literal of the clause,
+// so blocker-true implies clause-satisfied even when the entry is stale.
 type watcher struct {
-	id      ID
+	off     uint32
 	blocker cnf.Lit
 }
 
@@ -146,8 +157,21 @@ func NewEngineNonIncremental(n int) *Engine {
 
 // lits returns the arena slice of a clause.
 func (e *Engine) lits(id ID) []cnf.Lit {
-	h := &e.hdrs[id]
-	return e.arena[h.off : h.off+h.n]
+	off := e.offs[id]
+	n := uint32(e.arena[off+1] >> metaShift)
+	return e.arena[off+hdrWords : off+hdrWords+n]
+}
+
+// isActive reports whether a clause currently takes part in propagation.
+func (e *Engine) isActive(id ID) bool {
+	return e.arena[e.offs[id]+1]&metaInactive == 0
+}
+
+// Reserve sizes the clause store so that adding nClauses more clauses with
+// nLits literals in total does not reallocate it.
+func (e *Engine) Reserve(nClauses, nLits int) {
+	e.arena = slices.Grow(e.arena, nLits+hdrWords*nClauses)
+	e.offs = slices.Grow(e.offs, nClauses)
 }
 
 // Reactivate undoes a Deactivate. It returns ErrNotReactivable on engines
@@ -157,13 +181,13 @@ func (e *Engine) Reactivate(id ID) error {
 	if !e.retainInactive {
 		return ErrNotReactivable
 	}
-	h := &e.hdrs[id]
-	if h.active || h.taut {
-		return nil
+	meta := &e.arena[e.offs[id]+1]
+	if *meta&(metaInactive|metaTaut) != metaInactive {
+		return nil // active, or a tautology
 	}
 	e.backtrackToRoot()
-	h.active = true
-	switch h.n {
+	*meta &^= metaInactive
+	switch *meta >> metaShift {
 	case 0:
 		e.nEmpty++
 	case 1:
@@ -178,7 +202,7 @@ func (e *Engine) Reactivate(id ID) error {
 		// truncation that could unassign the true watch forces a replay
 		// itself.
 		ls := e.lits(id)
-		v0, v1 := litValue(e.assign, ls[0]), litValue(e.assign, ls[1])
+		v0, v1 := e.val[ls[0]], e.val[ls[1]]
 		if (v0 == -1 || v1 == -1) && v0 != 1 && v1 != 1 {
 			e.rootFixed = false
 			e.rootQhead = 0
@@ -188,25 +212,25 @@ func (e *Engine) Reactivate(id ID) error {
 }
 
 func (e *Engine) growTo(n int) {
-	if n <= e.nVars && len(e.assign) >= n {
-		return
-	}
 	if n < e.nVars {
 		n = e.nVars
 	}
-	for len(e.assign) < n {
-		e.assign = append(e.assign, 0)
-		e.reason = append(e.reason, reasonAssumption)
-		e.varPos = append(e.varPos, 0)
-		e.seen = append(e.seen, false)
-		e.watches = append(e.watches, nil, nil)
-		e.litMark = append(e.litMark, false, false)
+	if k := n - len(e.reason); k > 0 {
+		e.val = append(e.val, make([]int8, 2*k)...)
+		e.reason = append(e.reason, make([]ID, k)...)
+		for i := n - k; i < n; i++ {
+			e.reason[i] = reasonAssumption
+		}
+		e.varPos = append(e.varPos, make([]int32, k)...)
+		e.seen = append(e.seen, make([]bool, k)...)
+		e.watches = append(e.watches, make([][]watcher, 2*k)...)
+		e.litMark = append(e.litMark, make([]bool, 2*k)...)
 	}
 	e.nVars = n
 }
 
 // NumClauses returns how many clauses were added.
-func (e *Engine) NumClauses() int { return len(e.hdrs) }
+func (e *Engine) NumClauses() int { return len(e.offs) }
 
 // Propagations returns the cumulative number of implied assignments.
 func (e *Engine) Propagations() int64 { return e.propagations }
@@ -225,22 +249,47 @@ func (e *Engine) Stats() Stats {
 // holds. Exposed for tests and diagnostics.
 func (e *Engine) RootTrailLen() int { return e.rootLen }
 
-// Add inserts a clause and returns its ID.
+// Add inserts a clause and returns its ID. The clause is copied into the
+// arena and normalized there as cnf.Clause.Normalize would: sorted, with
+// duplicate literals dropped and complementary pairs marking a tautology.
 func (e *Engine) Add(c cnf.Clause) ID {
-	norm, taut := c.Normalize()
-	if mv := norm.MaxVar(); int(mv) >= e.nVars {
-		e.growTo(int(mv) + 1)
-	}
 	e.backtrackToRoot()
-	id := ID(len(e.hdrs))
+	id := ID(len(e.offs))
 	off := uint32(len(e.arena))
-	e.arena = append(e.arena, norm...)
-	e.hdrs = append(e.hdrs, clauseHdr{off: off, n: uint32(len(norm)), active: !taut, taut: taut})
+	e.arena = append(e.arena, cnf.Lit(id), 0)
+	e.arena = append(e.arena, c...)
+	ls := e.arena[off+hdrWords:]
+	slices.Sort(ls)
+	n, taut := 0, false
+	for i, l := range ls {
+		if i > 0 && l == ls[n-1] {
+			continue
+		}
+		if n > 0 && l == ls[n-1].Neg() {
+			taut = true
+		}
+		ls[n] = l
+		n++
+	}
+	ls = ls[:n]
+	e.arena = e.arena[:off+hdrWords+uint32(n)]
+	meta := cnf.Lit(n << metaShift)
+	if taut {
+		meta |= metaInactive | metaTaut
+	}
+	e.arena[off+1] = meta
+	e.offs = append(e.offs, off)
+	if n > 0 {
+		// Sorted, so the last literal has the largest variable.
+		if mv := ls[n-1].Var(); int(mv) >= e.nVars {
+			e.growTo(int(mv) + 1)
+		}
+	}
 	if taut {
 		e.taut++
 		return id
 	}
-	switch len(norm) {
+	switch n {
 	case 0:
 		e.empty = append(e.empty, id)
 		e.nEmpty++
@@ -256,16 +305,15 @@ func (e *Engine) Add(c cnf.Clause) ID {
 		// holds without replaying the trail. Fewer than two exist only when
 		// the clause is already unit or falsified at root — then force a
 		// full replay, which revisits every falsification event.
-		ls := e.arena[off : off+uint32(len(norm))]
 		nw := 0
 		for k := 0; k < len(ls) && nw < 2; k++ {
-			if litValue(e.assign, ls[k]) != -1 {
+			if e.val[ls[k]] != -1 {
 				ls[nw], ls[k] = ls[k], ls[nw]
 				nw++
 			}
 		}
-		e.watches[ls[0]] = append(e.watches[ls[0]], watcher{id, ls[1]})
-		e.watches[ls[1]] = append(e.watches[ls[1]], watcher{id, ls[0]})
+		e.watches[ls[0]] = append(e.watches[ls[0]], watcher{off, ls[1]})
+		e.watches[ls[1]] = append(e.watches[ls[1]], watcher{off, ls[0]})
 		if nw < 2 {
 			e.rootFixed = false
 			e.rootQhead = 0
@@ -279,13 +327,14 @@ func (e *Engine) Add(c cnf.Clause) ID {
 // literal — every later entry is dropped and re-derived lazily, since its
 // own justification may depend on the invalidated one.
 func (e *Engine) Deactivate(id ID) {
-	h := &e.hdrs[id]
-	if !h.active {
+	off := e.offs[id]
+	meta := &e.arena[off+1]
+	if *meta&metaInactive != 0 {
 		return
 	}
 	e.backtrackToRoot()
-	h.active = false
-	switch h.n {
+	*meta |= metaInactive
+	switch *meta >> metaShift {
 	case 0:
 		e.nEmpty--
 		return
@@ -294,8 +343,8 @@ func (e *Engine) Deactivate(id ID) {
 	}
 	// Root propagation keeps each implied literal at position 0 of its
 	// reason clause, so one load decides whether id justifies a trail entry.
-	l0 := e.arena[h.off]
-	if litValue(e.assign, l0) == 1 && e.reason[l0.Var()] == id {
+	l0 := e.arena[off+hdrWords]
+	if e.val[l0] == 1 && e.reason[l0.Var()] == id {
 		pos := int(e.varPos[l0.Var()])
 		e.shrinkTrail(pos)
 		e.rootLen = pos
@@ -318,9 +367,10 @@ func (e *Engine) Deactivate(id ID) {
 // shrinkTrail unassigns every trail literal at index >= to.
 func (e *Engine) shrinkTrail(to int) {
 	for i := len(e.trail) - 1; i >= to; i-- {
-		v := e.trail[i].Var()
-		e.assign[v] = 0
-		e.reason[v] = reasonAssumption
+		l := e.trail[i]
+		e.val[l] = 0
+		e.val[l.Neg()] = 0
+		e.reason[l.Var()] = reasonAssumption
 	}
 	e.trail = e.trail[:to]
 	if e.qhead > to {
@@ -354,13 +404,14 @@ func (e *Engine) dropRoot() {
 // enqueue makes l true with the given reason. It returns false when l is
 // already false (a conflict the caller must handle).
 func (e *Engine) enqueue(l cnf.Lit, why ID) bool {
-	switch litValue(e.assign, l) {
+	switch e.val[l] {
 	case 1:
 		return true // already true
 	case -1:
 		return false // conflict
 	}
-	assignLit(e.assign, l)
+	e.val[l] = 1
+	e.val[l.Neg()] = -1
 	v := l.Var()
 	e.reason[v] = why
 	e.varPos[v] = int32(len(e.trail))
@@ -386,8 +437,8 @@ func (e *Engine) rootFix() ID {
 	w := 0
 	conflict := NoConflict
 	for i, id := range e.units {
-		h := &e.hdrs[id]
-		if !h.active {
+		off := e.offs[id]
+		if e.arena[off+1]&metaInactive != 0 {
 			if e.retainInactive {
 				e.units[w] = id
 				w++
@@ -396,7 +447,7 @@ func (e *Engine) rootFix() ID {
 		}
 		e.units[w] = id
 		w++
-		if !e.enqueue(e.arena[h.off], id) {
+		if !e.enqueue(e.arena[off+hdrWords], id) {
 			// Preserve the not-yet-scanned suffix before bailing out.
 			for _, rest := range e.units[i+1:] {
 				e.units[w] = rest
@@ -455,14 +506,14 @@ func (e *Engine) refute(c cnf.Clause) (ID, bool) {
 	if e.nEmpty > 0 {
 		if e.retainInactive {
 			for _, id := range e.empty {
-				if e.hdrs[id].active {
+				if e.isActive(id) {
 					return id, false
 				}
 			}
 		} else {
 			w := 0
 			for _, id := range e.empty {
-				if e.hdrs[id].active {
+				if e.isActive(id) {
 					e.empty[w] = id
 					w++
 				}
@@ -520,7 +571,16 @@ func (e *Engine) refute(c cnf.Clause) (ID, bool) {
 }
 
 // propagate runs watched-literal propagation until fixpoint or conflict.
+//
+// The visiting order is part of the verifier's output contract: which
+// conflict is found decides the marked clauses, hence the core, the trimmed
+// proof and the LRAT hints. So watch lists are scanned front to back, the
+// replacement watch is the first non-false literal from position 2 on, and
+// an implied literal always sits at lits[0] of its reason clause.
 func (e *Engine) propagate() ID {
+	// The slice headers do not change while propagating (only Add and
+	// Refute grow them), so they are read once.
+	arena, val, watches := e.arena, e.val, e.watches
 	for e.qhead < len(e.trail) {
 		if e.poll() {
 			return NoConflict
@@ -528,40 +588,46 @@ func (e *Engine) propagate() ID {
 		p := e.trail[e.qhead] // p just became true; p.Neg() is false
 		e.qhead++
 		falseLit := p.Neg()
-		ws := e.watches[falseLit]
-		out := ws[:0]
+		ws := watches[falseLit]
+		// Kept entries are compacted to the front of ws in place: j never
+		// passes i.
+		j := 0
 		e.watcherVisits += int64(len(ws))
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
 			// Blocker true => clause satisfied: skip without loading it.
-			if litValue(e.assign, w.blocker) == 1 {
-				out = append(out, w)
+			if val[w.blocker] == 1 {
+				ws[j] = w
+				j++
 				continue
 			}
-			h := &e.hdrs[w.id]
-			if !h.active {
+			meta := arena[w.off+1]
+			if meta&metaInactive != 0 {
 				if e.retainInactive {
-					out = append(out, w) // keep: may be reactivated later
+					ws[j] = w // keep: may be reactivated later
+					j++
 				}
 				continue
 			}
-			lits := e.arena[h.off : h.off+h.n]
+			start := w.off + hdrWords
+			lits := arena[start : start+uint32(meta>>metaShift)]
 			// Ensure the false watch is lits[1].
 			if lits[0] == falseLit {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
 			first := lits[0]
 			// If the other watch is true, the clause is satisfied.
-			if first != w.blocker && litValue(e.assign, first) == 1 {
-				out = append(out, watcher{w.id, first})
+			if first != w.blocker && val[first] == 1 {
+				ws[j] = watcher{w.off, first}
+				j++
 				continue
 			}
 			// Look for a new literal to watch.
 			found := false
 			for k := 2; k < len(lits); k++ {
-				if litValue(e.assign, lits[k]) != -1 {
-					lits[1], lits[k] = lits[k], lits[1]
-					e.watches[lits[1]] = append(e.watches[lits[1]], watcher{w.id, first})
+				if l := lits[k]; val[l] != -1 {
+					lits[1], lits[k] = l, lits[1]
+					watches[l] = append(watches[l], watcher{w.off, first})
 					found = true
 					break
 				}
@@ -570,15 +636,17 @@ func (e *Engine) propagate() ID {
 				continue // clause moved to another watch list
 			}
 			// Clause is unit on first (or falsified).
-			out = append(out, watcher{w.id, first})
-			if !e.enqueue(first, w.id) {
+			ws[j] = watcher{w.off, first}
+			j++
+			id := ID(arena[w.off])
+			if !e.enqueue(first, id) {
 				// Conflict: keep the remaining watchers in place.
-				out = append(out, ws[i+1:]...)
-				e.watches[falseLit] = out
-				return w.id
+				j += copy(ws[j:], ws[i+1:])
+				watches[falseLit] = ws[:j]
+				return id
 			}
 		}
-		e.watches[falseLit] = out
+		watches[falseLit] = ws[:j]
 	}
 	return NoConflict
 }
@@ -630,10 +698,10 @@ func (e *Engine) WalkConflict(conflict ID, visit func(ID)) {
 // Assignment returns the current value of a variable after the last Refute:
 // +1 true, -1 false, 0 unassigned. Exposed for tests and diagnostics.
 func (e *Engine) Assignment(v cnf.Var) int8 {
-	if int(v) >= len(e.assign) {
+	if int(v) >= e.nVars {
 		return 0
 	}
-	return e.assign[v]
+	return e.val[cnf.PosLit(v)]
 }
 
 // ActiveUnits reports how many unit clauses are currently active.

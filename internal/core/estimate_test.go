@@ -1,0 +1,77 @@
+package core
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/bcp"
+	"repro/internal/cnf"
+	"repro/internal/gen"
+	"repro/internal/proof"
+)
+
+// syntheticTrace returns m random clauses of 2..2*avg-2 literals over the
+// formula's variables: the size and shape of a solver's proof, without
+// running the solver.
+func syntheticTrace(f *cnf.Formula, m, avg int, seed int64) *proof.Trace {
+	rng := rand.New(rand.NewSource(seed))
+	tr := proof.New()
+	for i := 0; i < m; i++ {
+		c := make(cnf.Clause, 2+rng.Intn(2*avg-3))
+		for k := range c {
+			c[k] = cnf.NewLit(cnf.Var(rng.Intn(f.NumVars)), rng.Intn(2) == 0)
+		}
+		tr.Append(c, 0)
+	}
+	return tr
+}
+
+// builtEngineHeap measures the live heap of a watched engine holding f and
+// tr, built the way Verify builds it.
+func builtEngineHeap(f *cnf.Formula, tr *proof.Trace) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	eng := bcp.NewEngine(f.NumVars)
+	eng.Reserve(len(f.Clauses)+tr.Len(), numLits(f.Clauses)+numLits(tr.Clauses))
+	for _, c := range f.Clauses {
+		eng.Add(c)
+	}
+	for _, c := range tr.Clauses {
+		eng.Add(c)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(eng)
+	runtime.KeepAlive(f) // the inputs stay live, so only the engine is counted
+	runtime.KeepAlive(tr)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// TestEstimateVerifyBytesBoundsBuiltEngine: the budget estimate must not
+// undercount a built engine, or a memory budget would admit runs that
+// exceed it, and must stay within a factor of 2 so it does not refuse runs
+// that fit. The inputs are the benchmark's php_8 and php_8_pin40 formulas
+// with synthetic traces of their proofs' clause counts and mean lengths.
+func TestEstimateVerifyBytesBoundsBuiltEngine(t *testing.T) {
+	const maxFactor = 2.0
+	for _, tc := range []struct {
+		inst   gen.Instance
+		m, avg int
+	}{
+		{gen.PHP(8), 18555, 17},
+		{gen.PHPPinned(8, 40), 19593, 18},
+	} {
+		tr := syntheticTrace(tc.inst.F, tc.m, tc.avg, 1)
+		est := EstimateVerifyBytes(tc.inst.F, tr)
+		heap := builtEngineHeap(tc.inst.F, tr)
+		t.Logf("%s: estimate %d B, built engine %d B (%.2fx)", tc.inst.Name, est, heap, float64(est)/float64(heap))
+		if est < heap {
+			t.Errorf("%s: estimate %d B is below the built engine's %d B", tc.inst.Name, est, heap)
+		}
+		if float64(est) > maxFactor*float64(heap) {
+			t.Errorf("%s: estimate %d B exceeds %.0fx the built engine's %d B", tc.inst.Name, est, maxFactor, heap)
+		}
+	}
+}

@@ -306,21 +306,29 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 	// a killed-and-resumed run pass through identical engine states (see
 	// checkpoint.go). A deletion schedule is replayed up to clause upto-1;
 	// the deletions after it are the ones the loop undoes first.
+	formulaLits := numLits(f.Clauses)
 	buildEngine := func(upto int) {
 		if eng != nil {
 			statsBase = addStats(statsBase, eng.Stats())
 		}
+		var watched *bcp.Engine
 		switch {
 		case dels != nil:
 			// Walking a deletion backwards re-adds the clause, which only
 			// an engine that keeps inactive clauses watched can do.
-			eng = bcp.NewEngineReactivable(nVars)
+			watched = bcp.NewEngineReactivable(nVars)
 		case opt.Engine == EngineCounting:
 			eng = bcp.NewCounting(nVars)
 		case opt.Engine == EngineWatchedScratch:
-			eng = bcp.NewEngineNonIncremental(nVars)
+			watched = bcp.NewEngineNonIncremental(nVars)
 		default:
-			eng = bcp.NewEngine(nVars)
+			watched = bcp.NewEngine(nVars)
+		}
+		if watched != nil {
+			// Size the clause store once: growing it by appends would
+			// allocate several times its final size on every (re)build.
+			watched.Reserve(nf+upto, formulaLits+numLits(t.Clauses[:upto]))
+			eng = watched
 		}
 		eng.SetStop(stop)
 		eng.SetTrace(track)
@@ -540,6 +548,15 @@ func checkDeletions(f *cnf.Formula, t *proof.Trace, engine EngineKind) error {
 		}
 	}
 	return nil
+}
+
+// numLits returns the total number of literals in cs.
+func numLits(cs []cnf.Clause) int {
+	n := 0
+	for _, c := range cs {
+		n += len(c)
+	}
+	return n
 }
 
 // publishEngine copies a propagator's cumulative counters into the

@@ -15,6 +15,11 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add([]byte("c comment\nc res 3\n1 -2 3 0\n"))
 	f.Add([]byte("1 2\n"))
 	f.Add([]byte("-9999999999999 0\n"))
+	f.Add([]byte("1 2 0 -3 0 4 0\n5\n-6\n0\n"))    // several clauses on a line; one spanning lines
+	f.Add([]byte("1\t-2 0\r\n\t3 0\r\n"))          // tabs and CRLF
+	f.Add([]byte("+3 -0 -1 0\n"))                  // signed tokens
+	f.Add([]byte("c res 4x\n1 0\n"))               // bad res count
+	f.Add([]byte("c res 2\n1 0\nc res 3\n-1 2 3")) // unterminated last clause
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadLimited(bytes.NewReader(data),
 			Limits{MaxClauses: 1 << 12, MaxClauseLen: 1 << 10, MaxVar: 1 << 16, MaxBytes: 1 << 20})

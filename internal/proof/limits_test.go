@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/cnf"
 )
 
 func TestReadLimitedMaxVar(t *testing.T) {
@@ -121,5 +124,105 @@ func TestCappedReaderDistinguishesEOF(t *testing.T) {
 	cr = newCappedReader(strings.NewReader("abcdef"), 3)
 	if _, err := io.ReadAll(cr); !errors.Is(err, ErrLimit) {
 		t.Fatalf("over limit: err = %v", err)
+	}
+}
+
+// repeatReader yields n copies of b, so a test can feed a huge input
+// without holding it in memory.
+type repeatReader struct {
+	b byte
+	n int64
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > r.n {
+		p = p[:r.n]
+	}
+	for i := range p {
+		p[i] = r.b
+	}
+	r.n -= int64(len(p))
+	return len(p), nil
+}
+
+// TestReadLineLongerThan64MiB: the text reader has no line-length cap. A
+// valid trace whose lines exceed 64 MiB (here a comment line and a clause
+// line padded with blanks) must parse, not fail with an untyped
+// bufio.ErrTooLong as a line scanner capped at 1<<26 bytes did.
+func TestReadLineLongerThan64MiB(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads 130 MiB")
+	}
+	const pad = 65 << 20
+	in := io.MultiReader(
+		strings.NewReader("1 2 0\nc"),
+		&repeatReader{b: ' ', n: pad},
+		strings.NewReader("a long comment\n-1"),
+		&repeatReader{b: ' ', n: pad},
+		strings.NewReader("0\n2 0\n"),
+	)
+	got, err := Read(in)
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	want := []cnf.Clause{cl(1, 2), cl(-1), cl(2)}
+	if !reflect.DeepEqual(got.Clauses, want) {
+		t.Fatalf("clauses = %v, want %v", got.Clauses, want)
+	}
+}
+
+// TestReadTokenizer pins the text syntax: white space (tabs, CR, Unicode
+// blanks) separates fields, clauses may share or span lines, literals take
+// an optional sign, and only a comment of exactly "c res <n>" annotates.
+func TestReadTokenizer(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []cnf.Clause
+		res  []int64
+	}{
+		{"1 2 0 -3 0\n", []cnf.Clause{cl(1, 2), cl(-3)}, nil},
+		{"1 2\n3\n0\n", []cnf.Clause{cl(1, 2, 3)}, nil},
+		{"1\t-2 0\r\n3 0\r\n", []cnf.Clause{cl(1, -2), cl(3)}, nil},
+		{"+3 -0 1 0\n", []cnf.Clause{cl(3), cl(1)}, nil},
+		{"0\n", []cnf.Clause{nil}, nil},
+		{"1 2 0\n", []cnf.Clause{cl(1, 2)}, nil},
+		{"c res 4\n1 0\nc res 2 extra\n2 0\n", []cnf.Clause{cl(1), cl(2)}, []int64{4, 0}},
+		{"1 0\n  c res +5\n2 0\n", []cnf.Clause{cl(1), cl(2)}, []int64{0, 5}},
+		{"c res 3\n", nil, nil},
+	} {
+		got, err := ReadString(tc.in)
+		if err != nil {
+			t.Fatalf("ReadString(%q): %v", tc.in, err)
+		}
+		if !reflect.DeepEqual(got.Clauses, tc.want) || !reflect.DeepEqual(got.Resolutions, tc.res) {
+			t.Errorf("ReadString(%q) = %v res %v, want %v res %v", tc.in, got.Clauses, got.Resolutions, tc.want, tc.res)
+		}
+	}
+	for in, msg := range map[string]string{
+		"1 0\n2 x 0\n":               "line 2: unexpected token \"x\"",
+		"1 0\nc res 9z\n":            "line 2: bad res count \"9z\"",
+		"1 0\n2 3\n":                 "last clause not terminated by 0",
+		"1 99999999999999999999 0\n": "line 1: unexpected token \"99999999999999999999\"",
+	} {
+		_, err := ReadString(in)
+		if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), msg) {
+			t.Errorf("ReadString(%q) err = %v, want ErrMalformed with %q", in, err, msg)
+		}
+	}
+}
+
+// TestReadClausesDoNotAlias: clauses share a literal slab, but appending to
+// one must not overwrite the next.
+func TestReadClausesDoNotAlias(t *testing.T) {
+	got, err := ReadString("1 2 0\n3 4 0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(got.Clauses[0], cnf.FromDimacs(9))
+	if !got.Clauses[1].Equal(cl(3, 4)) {
+		t.Fatalf("appending to clause 0 changed clause 1 to %v", got.Clauses[1])
 	}
 }
