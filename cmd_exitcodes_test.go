@@ -149,10 +149,20 @@ func TestExitCodes(t *testing.T) {
 	svc := buildClusterCmds(t)
 	dpvd := filepath.Join(svc, "dpvd")
 	dpvrouter := filepath.Join(svc, "dpvrouter")
-	hugeLit := filepath.Join(t.TempDir(), "huge.drat")
-	if err := os.WriteFile(hugeLit, []byte("9223372036854775807 0\n"), 0o644); err != nil {
-		t.Fatal(err)
+	tmp := t.TempDir()
+	writeTmp := func(name, content string) string {
+		path := filepath.Join(tmp, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
+	hugeLit := writeTmp("huge.drat", "9223372036854775807 0\n")
+	// A satisfiable formula with and without the SATLIB trailer "%\n0\n",
+	// and a proof that claims the empty clause outright.
+	satTrailer := writeTmp("trailer.cnf", "p cnf 2 1\n1 2 0\n%\n0\n")
+	satNoTrailer := writeTmp("notrailer.cnf", "p cnf 2 1\n1 2 0\n")
+	emptyProof := writeTmp("empty.trace", "0\n")
 
 	cases := []struct {
 		name string
@@ -171,6 +181,9 @@ func TestExitCodes(t *testing.T) {
 		{"dpv prop budget", dpv, []string{"-max-props", "1", unsatCNF, trace}, 5},
 		{"dpv memory budget", dpv, []string{"-max-memory", "16", unsatCNF, trace}, 5},
 		{"dpv usage", dpv, []string{unsatCNF}, 1},
+		// The trailer ends the formula: its "0" is not an empty clause.
+		{"dpv sat formula", dpv, []string{"-q", satNoTrailer, emptyProof}, 2},
+		{"dpv sat formula with trailer", dpv, []string{"-q", satTrailer, emptyProof}, 2},
 		{"dpv verified dag", dpv, []string{"-q", "-par", "4", "-sched", "dag", unsatCNF, trace}, 0},
 		{"dpv sched dag without par", dpv, []string{"-sched", "dag", unsatCNF, trace}, 1},
 		// The flag package's own exit status for a bad flag is 2, which the

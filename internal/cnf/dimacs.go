@@ -2,6 +2,7 @@ package cnf
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -72,38 +73,6 @@ func (e *LimitError) Error() string {
 
 func (e *LimitError) Unwrap() error { return ErrLimit }
 
-// cappedReader hard-errors once more than limit bytes have been consumed,
-// instead of io.LimitReader's silent EOF (which would make an oversized file
-// parse as a truncated-but-plausible formula).
-type cappedReader struct {
-	r     io.Reader
-	left  int64
-	limit int64
-}
-
-func (c *cappedReader) Read(p []byte) (int, error) {
-	if c.left == 0 {
-		// Exactly at the limit: an input that ends here is legal, one with
-		// more bytes is not — probe a single byte to tell them apart.
-		var b [1]byte
-		n, err := c.r.Read(b[:])
-		if n > 0 {
-			c.left = -1
-			return 0, &LimitError{What: "bytes", Limit: c.limit}
-		}
-		return 0, err
-	}
-	if c.left < 0 {
-		return 0, &LimitError{What: "bytes", Limit: c.limit}
-	}
-	if int64(len(p)) > c.left {
-		p = p[:c.left]
-	}
-	n, err := c.r.Read(p)
-	c.left -= int64(n)
-	return n, err
-}
-
 // ParseDimacs reads a CNF formula in DIMACS format under DefaultParseLimits.
 // It tolerates comment lines anywhere, a missing header (the formula is then
 // sized from its content), literals above the declared variable count (the
@@ -115,75 +84,78 @@ func ParseDimacs(r io.Reader) (*Formula, error) {
 
 // ParseDimacsLimited is ParseDimacs with explicit limits — the entry point
 // for genuinely untrusted input. Syntax problems wrap ErrMalformed and limit
-// violations wrap ErrLimit.
+// violations wrap ErrLimit. A line whose first field starts with 'c' is a
+// comment, one starting with 'p' the header, and one starting with '%' (the
+// SATLIB trailer) ends the formula. Lines may be of any length.
 func ParseDimacsLimited(r io.Reader, lim ParseLimits) (*Formula, error) {
 	lim = lim.withDefaults()
-	sc := bufio.NewScanner(&cappedReader{r: r, left: lim.MaxBytes, limit: lim.MaxBytes})
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
-
+	t := NewTokenizer(r, lim.MaxBytes, &LimitError{What: "bytes", Limit: lim.MaxBytes})
 	f := &Formula{}
 	declaredClauses := -1
-	var cur Clause
-
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == 'c' || line[0] == '%' {
-			continue
-		}
-		if line[0] == 'p' {
-			fields := strings.Fields(line)
-			if len(fields) != 4 || fields[1] != "cnf" {
-				return nil, fmt.Errorf("%w: line %d: bad header %q", ErrMalformed, lineNo, line)
-			}
-			nv, err1 := strconv.Atoi(fields[2])
-			nc, err2 := strconv.Atoi(fields[3])
-			if err1 != nil || err2 != nil || nv < 0 || nc < 0 {
-				return nil, fmt.Errorf("%w: line %d: bad header %q", ErrMalformed, lineNo, line)
-			}
-			if nv > lim.MaxVars {
-				return nil, &LimitError{What: "variables", Limit: int64(lim.MaxVars)}
-			}
-			if nc > lim.MaxClauses {
-				return nil, &LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
-			}
-			f.NumVars = nv
-			declaredClauses = nc
-			continue
-		}
-		for _, tok := range strings.Fields(line) {
-			d, err := strconv.Atoi(tok)
-			if err != nil {
-				return nil, fmt.Errorf("%w: line %d: unexpected token %q", ErrMalformed, lineNo, tok)
-			}
-			if d == 0 {
-				if len(f.Clauses) >= lim.MaxClauses {
+	var lits Slab[Lit]
+	trailer := false // the input past a '%' line goes unread
+scan:
+	for tok := t.Next(); tok != nil; tok = t.Next() {
+		if t.FirstOnLine() {
+			switch tok[0] {
+			case 'c':
+				t.SkipLine()
+				continue
+			case '%':
+				trailer = true
+				break scan
+			case 'p':
+				lineNo := t.Line()
+				line := string(bytes.TrimSpace(append(bytes.Clone(tok), t.RestOfLine()...)))
+				fields := strings.Fields(line)
+				if len(fields) != 4 || fields[1] != "cnf" {
+					return nil, fmt.Errorf("%w: line %d: bad header %q", ErrMalformed, lineNo, line)
+				}
+				nv, err1 := strconv.Atoi(fields[2])
+				nc, err2 := strconv.Atoi(fields[3])
+				if err1 != nil || err2 != nil || nv < 0 || nc < 0 {
+					return nil, fmt.Errorf("%w: line %d: bad header %q", ErrMalformed, lineNo, line)
+				}
+				if nv > lim.MaxVars {
+					return nil, &LimitError{What: "variables", Limit: int64(lim.MaxVars)}
+				}
+				if nc > lim.MaxClauses {
 					return nil, &LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
 				}
-				f.Clauses = append(f.Clauses, cur)
-				cur = nil
+				f.NumVars = nv
+				declaredClauses = nc
 				continue
 			}
-			// Bound the magnitude before FromDimacs narrows it into the
-			// int32 Var encoding.
-			if d > lim.MaxVars || d < -lim.MaxVars {
-				return nil, &LimitError{What: "variables", Limit: int64(lim.MaxVars)}
-			}
-			if len(cur) >= lim.MaxClauseLen {
-				return nil, &LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
-			}
-			l := FromDimacs(d)
-			if int(l.Var()) >= f.NumVars {
-				f.NumVars = int(l.Var()) + 1
-			}
-			cur = append(cur, l)
 		}
+		d, ok := ParseInt(tok)
+		if !ok {
+			return nil, fmt.Errorf("%w: line %d: unexpected token %q", ErrMalformed, t.Line(), tok)
+		}
+		if d == 0 {
+			if len(f.Clauses) >= lim.MaxClauses {
+				return nil, &LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
+			}
+			f.Clauses = append(f.Clauses, lits.Cut())
+			continue
+		}
+		// Bound the magnitude before FromDimacs narrows it into the int32
+		// Var encoding.
+		if d > int64(lim.MaxVars) || d < -int64(lim.MaxVars) {
+			return nil, &LimitError{What: "variables", Limit: int64(lim.MaxVars)}
+		}
+		if lits.Len() >= lim.MaxClauseLen {
+			return nil, &LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
+		}
+		l := FromDimacs(int(d))
+		if int(l.Var()) >= f.NumVars {
+			f.NumVars = int(l.Var()) + 1
+		}
+		lits.Append(l)
 	}
-	if err := sc.Err(); err != nil {
+	if err := t.Err(); err != nil && !trailer {
 		return nil, err
 	}
-	if len(cur) > 0 {
+	if lits.Len() > 0 {
 		return nil, fmt.Errorf("%w: last clause not terminated by 0", ErrMalformed)
 	}
 	if declaredClauses >= 0 && len(f.Clauses) < declaredClauses {

@@ -3,19 +3,30 @@ package cnf
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
 // FuzzParseCNF pins the DIMACS parser's hardening contract on arbitrary
 // bytes: never panic, fail only with the typed error classes, and produce
 // formulas whose literals all fit the declared variable range — the
-// invariant the BCP engines index on without re-checking.
+// invariant the BCP engines index on without re-checking — and that read
+// back unchanged from their own DIMACS output.
 func FuzzParseCNF(f *testing.F) {
 	f.Add([]byte("p cnf 3 2\n1 -2 3 0\n-1 2 0\n"))
 	f.Add([]byte("c comment\n%\n1 2 0\n"))
 	f.Add([]byte("p cnf 0 0\n"))
 	f.Add([]byte("1 -9999999999999 0\n"))
 	f.Add([]byte("1 -9223372036854775808 0\n"))
+	// The tokenizer's corner cases: a field across the first refill of its
+	// 64 KiB buffer, a last field with no newline, CRLF, \v and U+00A0 as
+	// separators, a comment at EOF, signed literals.
+	f.Add(append(bytes.Repeat([]byte(" "), 1<<16-2), "123 -45 0\n"...))
+	f.Add([]byte("p cnf 2 1\n1 -2 0"))
+	f.Add([]byte("p cnf 2 1\r\n1 -2 0\r\n"))
+	f.Add([]byte("1\v-2\u00a03 0\n"))
+	f.Add([]byte("1 2 0\nc comment at EOF"))
+	f.Add([]byte("+3 -0 1 0\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parsed, err := ParseDimacsLimited(bytes.NewReader(data),
 			ParseLimits{MaxClauses: 1 << 12, MaxClauseLen: 1 << 10, MaxVars: 1 << 16, MaxBytes: 1 << 20})
@@ -40,9 +51,8 @@ func FuzzParseCNF(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-reading own output: %v", err)
 		}
-		if back.NumClauses() != parsed.NumClauses() || back.NumVars != parsed.NumVars {
-			t.Fatalf("round trip changed shape: %d/%d clauses, %d/%d vars",
-				back.NumClauses(), parsed.NumClauses(), back.NumVars, parsed.NumVars)
+		if !reflect.DeepEqual(back, parsed) {
+			t.Fatalf("round trip changed the formula:\n%v\nread back as\n%v", parsed, back)
 		}
 	})
 }

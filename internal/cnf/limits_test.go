@@ -2,6 +2,9 @@ package cnf
 
 import (
 	"errors"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -62,6 +65,86 @@ func TestParseDimacsMalformedTyped(t *testing.T) {
 	for _, in := range cases {
 		if _, err := ParseDimacsString(in); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("ParseDimacsString(%q) err = %v, want ErrMalformed", in, err)
+		}
+	}
+}
+
+// TestParseDimacsPercentEndsFormula: a '%' line (the SATLIB trailer) ends
+// the formula. Reading on would take the trailer's "0" for an empty clause
+// and make a satisfiable formula trivially refutable.
+func TestParseDimacsPercentEndsFormula(t *testing.T) {
+	for _, in := range []string{
+		"p cnf 2 1\n1 2 0\n%\n0\n",
+		"p cnf 2 1\n1 2 0\n  %\n0\n\ngarbage\n",
+		"p cnf 2 1\n1 2 0\n%garbage\n",
+		"p cnf 2 1\n1 2 0\n",
+	} {
+		f, err := ParseDimacsString(in)
+		if err != nil || f.NumClauses() != 1 || len(f.Clauses[0]) != 2 {
+			t.Errorf("ParseDimacsString(%q) = %v, %v; want the one clause 1 2", in, f, err)
+		}
+	}
+	// The trailer does not terminate a clause in progress.
+	if _, err := ParseDimacsString("1 2\n%\n0\n"); !errors.Is(err, ErrMalformed) {
+		t.Errorf("clause cut off by '%%': err = %v, want ErrMalformed", err)
+	}
+	// Nor is '%' anything but a syntax error inside a line.
+	if _, err := ParseDimacsString("1 2 %\n0\n"); !errors.Is(err, ErrMalformed) {
+		t.Errorf("'%%' inside a line: err = %v, want ErrMalformed", err)
+	}
+}
+
+// blanks is an endless run of spaces.
+type blanks struct{}
+
+func (blanks) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestParseDimacsLineLongerThan64MiB: the parser has no line-length cap. A
+// valid formula whose lines exceed 64 MiB must parse, not fail with an
+// untyped bufio.ErrTooLong as a line scanner capped at 1<<26 bytes did.
+func TestParseDimacsLineLongerThan64MiB(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads 130 MiB")
+	}
+	const pad = 65 << 20
+	in := io.MultiReader(
+		strings.NewReader("p cnf 2 3\n1 2 0\nc"),
+		io.LimitReader(blanks{}, pad),
+		strings.NewReader("a long comment\n-1"),
+		io.LimitReader(blanks{}, pad),
+		strings.NewReader("0\n2 0\n"),
+	)
+	got, err := ParseDimacs(in)
+	if err != nil {
+		t.Fatalf("ParseDimacs: %v", err)
+	}
+	if want := NewFormula(2).Add(1, 2).Add(-1).Add(2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("formula = %v, want %v", got, want)
+	}
+}
+
+// TestParseDimacsAllocsBounded: clauses are carved from shared slabs, so
+// allocations grow with the slab count, not with the number of literals.
+func TestParseDimacsAllocsBounded(t *testing.T) {
+	for _, n := range []int{10_000, 40_000} {
+		var b strings.Builder
+		fmt.Fprintf(&b, "p cnf 1000 %d\n", n)
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "%d -%d %d 0\n", i%1000+1, (i*7)%1000+1, (i*13)%1000+1)
+		}
+		in := b.String()
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := ParseDimacsString(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if tokens := 4 * n; allocs > float64(tokens)/1000 {
+			t.Errorf("%d clauses: %.0f allocations for %d tokens", n, allocs, tokens)
 		}
 	}
 }

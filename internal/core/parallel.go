@@ -134,6 +134,7 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 		nVars = int(mv) + 1
 	}
 	nf := len(f.Clauses)
+	formulaLits := numLits(f.Clauses)
 
 	outs := make([]chunkTally, workers)
 	for w := range outs {
@@ -304,13 +305,20 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 					if eng != nil {
 						statsBase = addStats(statsBase, eng.Stats())
 					}
+					var watched *bcp.Engine
 					switch kind {
 					case EngineCounting:
 						eng = bcp.NewCounting(nVars)
 					case EngineWatchedScratch:
-						eng = bcp.NewEngineNonIncremental(nVars)
+						watched = bcp.NewEngineNonIncremental(nVars)
 					default:
-						eng = bcp.NewEngine(nVars)
+						watched = bcp.NewEngine(nVars)
+					}
+					if watched != nil {
+						// Size the clause store once, as the sequential
+						// buildEngine does.
+						watched.Reserve(nf+upto, formulaLits+numLits(t.Clauses[:upto]))
+						eng = watched
 					}
 					eng.SetStop(stop)
 					eng.SetTrace(wtrack)

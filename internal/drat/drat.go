@@ -16,7 +16,6 @@ package drat
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -97,66 +96,59 @@ func Write(w io.Writer, p *Proof) error {
 	return bw.Flush()
 }
 
-// Read parses DRUP text under proof.DefaultLimits. Comment lines ('c') are
-// ignored; a "d" token starts a deletion clause. Syntax errors wrap
-// proof.ErrMalformed and exceeded limits proof.ErrLimit, the same classes
-// the trace readers report.
+// Read parses DRUP text under proof.DefaultLimits. Each line is one step:
+// a line whose first field starts with 'c' is a comment, a first field "d"
+// starts a deletion, and the step's clause runs to the first 0 on its line;
+// whatever follows that 0 is ignored. Lines may be of any length. Syntax
+// errors wrap proof.ErrMalformed and exceeded limits proof.ErrLimit, the
+// same classes the trace readers report.
 func Read(r io.Reader) (*Proof, error) { return readLimited(r, proof.DefaultLimits()) }
 
 // readLimited is Read under explicit limits, every field of which must be
 // set. The variable bound also keeps literals inside the int32 encoding.
 func readLimited(r io.Reader, lim proof.Limits) (*Proof, error) {
-	// One byte past the limit tells "exactly at the limit" from "over it".
-	lr := &io.LimitedReader{R: r, N: lim.MaxBytes + 1}
-	sc := bufio.NewScanner(lr)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
+	t := cnf.NewTokenizer(r, lim.MaxBytes, &proof.LimitError{What: "bytes", Limit: lim.MaxBytes})
 	p := &Proof{}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == 'c' {
+	var lits cnf.Slab[cnf.Lit]
+	// Every step ends its line, so each field read here begins one.
+	for tok := t.Next(); tok != nil; tok = t.Next() {
+		if tok[0] == 'c' {
+			t.SkipLine()
 			continue
 		}
-		del := false
-		if line == "d" || strings.HasPrefix(line, "d ") {
-			del = true
-			line = strings.TrimSpace(line[1:])
+		lineNo := t.Line()
+		del := string(tok) == "d"
+		if del {
+			tok = t.NextInLine()
 		}
-		var c cnf.Clause
 		terminated := false
-		for _, tok := range strings.Fields(line) {
-			d, err := strconv.Atoi(tok)
-			if err != nil {
+		for ; tok != nil; tok = t.NextInLine() {
+			d, ok := cnf.ParseInt(tok)
+			if !ok {
 				return nil, fmt.Errorf("%w: drat line %d: bad token %q", proof.ErrMalformed, lineNo, tok)
 			}
 			if d == 0 {
 				terminated = true
 				break
 			}
-			if d > lim.MaxVar || d < -lim.MaxVar {
+			if d > int64(lim.MaxVar) || d < -int64(lim.MaxVar) {
 				return nil, &proof.LimitError{What: "variable", Limit: int64(lim.MaxVar)}
 			}
-			if len(c) >= lim.MaxClauseLen {
+			if lits.Len() >= lim.MaxClauseLen {
 				return nil, &proof.LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
 			}
-			c = append(c, cnf.FromDimacs(d))
+			lits.Append(cnf.FromDimacs(int(d)))
 		}
 		if !terminated {
 			return nil, fmt.Errorf("%w: drat line %d: clause not terminated by 0", proof.ErrMalformed, lineNo)
 		}
+		t.SkipLine()
 		if len(p.Steps) >= lim.MaxClauses {
 			return nil, &proof.LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
 		}
-		p.Steps = append(p.Steps, Step{Del: del, C: c})
+		p.Steps = append(p.Steps, Step{Del: del, C: lits.Cut()})
 	}
-	if lr.N == 0 {
-		return nil, &proof.LimitError{What: "bytes", Limit: lim.MaxBytes}
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			err = fmt.Errorf("%w: drat line %d: %v", proof.ErrMalformed, lineNo+1, err)
-		}
+	if err := t.Err(); err != nil {
 		return nil, err
 	}
 	return p, nil

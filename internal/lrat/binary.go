@@ -149,7 +149,7 @@ func ReadBinary(r io.Reader) (*Proof, error) {
 // encoding garbage wrap ErrMalformed; limit violations wrap ErrLimit.
 func ReadBinaryLimited(r io.Reader, lim Limits) (*Proof, error) {
 	lim = lim.withDefaults()
-	br := bufio.NewReader(newCappedReader(r, lim.MaxBytes))
+	br := cnf.NewTokenizer(r, lim.MaxBytes, &LimitError{What: "bytes", Limit: lim.MaxBytes})
 	head := make([]byte, len(binaryMagic)+2)
 	if _, err := io.ReadFull(br, head); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -168,16 +168,10 @@ func ReadBinaryLimited(r io.Reader, lim Limits) (*Proof, error) {
 	}
 
 	p := &Proof{}
-	readUvarint := func(what string) (uint64, error) {
-		u, err := binary.ReadUvarint(br)
-		if err != nil {
-			if err == io.EOF {
-				return 0, fmt.Errorf("%w: truncated %s", ErrMalformed, what)
-			}
-			return 0, limitOr(err, fmt.Errorf("%w: %s: %v", ErrMalformed, what, err))
-		}
-		return u, nil
-	}
+	var (
+		lits cnf.Slab[cnf.Lit]
+		ids  cnf.Slab[int64] // hints and deleted IDs
+	)
 	for {
 		tag, err := br.ReadByte()
 		if err == io.EOF {
@@ -192,9 +186,9 @@ func ReadBinaryLimited(r io.Reader, lim Limits) (*Proof, error) {
 		if len(p.Steps) >= lim.MaxSteps {
 			return nil, &LimitError{What: "steps", Limit: int64(lim.MaxSteps)}
 		}
-		id, err := readUvarint("step id")
+		id, err := br.Uvarint()
 		if err != nil {
-			return nil, err
+			return nil, uvarintErr(err, "step id")
 		}
 		if id == 0 || id > uint64(lim.MaxID) {
 			if id == 0 {
@@ -205,9 +199,9 @@ func ReadBinaryLimited(r io.Reader, lim Limits) (*Proof, error) {
 		s := Step{ID: int64(id), Del: tag == 'd'}
 		if s.Del {
 			for {
-				u, err := readUvarint("deletion")
+				u, err := br.Uvarint()
 				if err != nil {
-					return nil, err
+					return nil, uvarintErr(err, "deletion")
 				}
 				if u == 0 {
 					break
@@ -215,54 +209,65 @@ func ReadBinaryLimited(r io.Reader, lim Limits) (*Proof, error) {
 				if u > uint64(lim.MaxID) {
 					return nil, &LimitError{What: "id", Limit: lim.MaxID}
 				}
-				if len(s.Deleted) >= lim.MaxHints {
+				if ids.Len() >= lim.MaxHints {
 					return nil, &LimitError{What: "hints", Limit: int64(lim.MaxHints)}
 				}
-				s.Deleted = append(s.Deleted, int64(u))
+				ids.Append(int64(u))
 			}
-			p.Steps = append(p.Steps, s)
+			s.Deleted = ids.Cut()
+			p.addStep(s)
 			continue
 		}
 		for {
-			u, err := readUvarint("clause")
+			u, err := br.Uvarint()
 			if err != nil {
-				return nil, err
+				return nil, uvarintErr(err, "clause")
 			}
 			if u == 0 {
 				break
 			}
-			if len(s.C) >= lim.MaxClauseLen {
+			if lits.Len() >= lim.MaxClauseLen {
 				return nil, &LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
 			}
 			l, err := unmapLit(u, lim.MaxVar)
 			if err != nil {
 				return nil, err
 			}
-			s.C = append(s.C, l)
+			lits.Append(l)
 		}
+		s.C = lits.Cut()
 		for {
-			u, err := readUvarint("hints")
+			u, err := br.Uvarint()
 			if err != nil {
-				return nil, err
+				return nil, uvarintErr(err, "hints")
 			}
 			if u == 0 {
 				break
 			}
-			if len(s.Hints) >= lim.MaxHints {
+			if ids.Len() >= lim.MaxHints {
 				return nil, &LimitError{What: "hints", Limit: int64(lim.MaxHints)}
 			}
 			h, err := unmapHint(u, lim.MaxID)
 			if err != nil {
 				return nil, err
 			}
-			s.Hints = append(s.Hints, h)
+			ids.Append(h)
 		}
-		p.Steps = append(p.Steps, s)
+		s.Hints = ids.Cut()
+		p.addStep(s)
 	}
 }
 
-// limitOr unwraps a *LimitError riding inside err (the capped reader's
-// byte-budget violation surfaces through bufio), else returns alt.
+// uvarintErr reports a failed read of the varint named what.
+func uvarintErr(err error, what string) error {
+	if err == io.EOF {
+		return fmt.Errorf("%w: truncated %s", ErrMalformed, what)
+	}
+	return limitOr(err, fmt.Errorf("%w: %s: %v", ErrMalformed, what, err))
+}
+
+// limitOr unwraps a *LimitError riding inside err (the tokenizer's
+// byte-budget violation), else returns alt.
 func limitOr(err, alt error) error {
 	var le *LimitError
 	if errors.As(err, &le) {

@@ -24,7 +24,7 @@ package lrat
 import (
 	"errors"
 	"fmt"
-	"io"
+	"slices"
 
 	"repro/internal/cnf"
 )
@@ -49,6 +49,16 @@ type Step struct {
 // Proof is a parsed or recorded LRAT proof.
 type Proof struct {
 	Steps []Step
+}
+
+// addStep appends a parsed step, doubling the slice when it is full: a Step
+// is large, and append's gentler growth for big slices would copy each one
+// several times over.
+func (p *Proof) addStep(s Step) {
+	if len(p.Steps) == cap(p.Steps) {
+		p.Steps = slices.Grow(p.Steps, len(p.Steps)+1)
+	}
+	p.Steps = append(p.Steps, s)
 }
 
 // Additions counts addition steps.
@@ -136,50 +146,3 @@ func (e *LimitError) Error() string {
 }
 
 func (e *LimitError) Unwrap() error { return ErrLimit }
-
-// cappedReader hard-errors (rather than io.LimitReader's silent EOF, which
-// would make an oversized proof look like a well-formed prefix) once more
-// than limit bytes have been consumed.
-type cappedReader struct {
-	r     io.Reader
-	left  int64
-	limit int64
-}
-
-func newCappedReader(r io.Reader, limit int64) *cappedReader {
-	return &cappedReader{r: r, left: limit, limit: limit}
-}
-
-func (c *cappedReader) Read(p []byte) (int, error) {
-	if c.left == 0 {
-		// Exactly at the limit: an input that ends here is legal, one with
-		// more bytes is not — probe a single byte to tell them apart.
-		var b [1]byte
-		n, err := c.r.Read(b[:])
-		if n > 0 {
-			c.left = -1
-			return 0, &LimitError{What: "bytes", Limit: c.limit}
-		}
-		return 0, err
-	}
-	if c.left < 0 {
-		return 0, &LimitError{What: "bytes", Limit: c.limit}
-	}
-	if int64(len(p)) > c.left {
-		p = p[:c.left]
-	}
-	n, err := c.r.Read(p)
-	c.left -= int64(n)
-	return n, err
-}
-
-func (c *cappedReader) ReadByte() (byte, error) {
-	var b [1]byte
-	if _, err := io.ReadFull(c, b[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
-		}
-		return 0, err
-	}
-	return b[0], nil
-}

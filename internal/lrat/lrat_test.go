@@ -3,7 +3,9 @@ package lrat
 import (
 	"bytes"
 	"errors"
+	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -255,5 +257,139 @@ func TestRecorderIsolatesCallerBuffers(t *testing.T) {
 	}
 	if p.Steps[0].C[0] != cnf.FromDimacs(1) || p.Steps[0].Hints[0] != 1 {
 		t.Fatal("recorder aliased caller buffers")
+	}
+}
+
+// TestTextSeparators: fields are separated by any white space — \v, \f and
+// Unicode blanks as well as spaces, tabs and line ends — and a field
+// starting with 'c' comments out the rest of its line wherever it stands.
+func TestTextSeparators(t *testing.T) {
+	p, err := Read(strings.NewReader("4\v2 0 1\f2 0 c tail\r\n5 d\t4 0\n6 0 4 3 0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Proof{Steps: []Step{
+		{ID: 4, C: mkClause(2), Hints: []int64{1, 2}},
+		{ID: 5, Del: true, Deleted: []int64{4}},
+		{ID: 6, Hints: []int64{4, 3}},
+	}}
+	if !reflect.DeepEqual(p, want) {
+		t.Fatalf("got %+v, want %+v", p.Steps, want.Steps)
+	}
+}
+
+// TestTextMinInt64Literal: -2^63 is out of every variable bound. Negating it
+// overflows, so a bound checked as -d > MaxVar let it through, to become
+// the undefined literal.
+func TestTextMinInt64Literal(t *testing.T) {
+	_, err := Read(strings.NewReader("4 -9223372036854775808 0 1 0\n"))
+	var le *LimitError
+	if !errors.As(err, &le) || le.What != "variable" {
+		t.Fatalf("err = %v, want the variable limit", err)
+	}
+}
+
+// TestReadStepsDoNotAlias: clauses, hints and deleted IDs share slabs, but
+// appending to one step's slice must not overwrite the next step's.
+func TestReadStepsDoNotAlias(t *testing.T) {
+	text := "4 1 2 0 1 2 0\n5 d 1 2 0\n6 3 0 4 5 0\n"
+	var bin bytes.Buffer
+	p, err := Read(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBinary(&bin, p); err != nil {
+		t.Fatal(err)
+	}
+	pb, err := ReadBinary(&bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]*Proof{"text": p, "binary": pb} {
+		want := normalize(p)
+		for i := range want {
+			s := &want[i]
+			s.C, s.Hints, s.Deleted = slices.Clone(s.C), slices.Clone(s.Hints), slices.Clone(s.Deleted)
+		}
+		for _, s := range p.Steps {
+			_ = append(s.C, cnf.FromDimacs(9))
+			_ = append(s.Hints, 99)
+			_ = append(s.Deleted, 99)
+		}
+		if got := normalize(p); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: appending to a step changed its neighbours:\n%+v\nwant\n%+v", name, got, want)
+		}
+	}
+}
+
+// blanks is an endless run of one byte.
+type blanks struct{ b byte }
+
+func (r blanks) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = r.b
+	}
+	return len(p), nil
+}
+
+// TestReadLineLongerThan64MiB: the text reader has no line-length cap. A
+// valid proof with a comment line and a step line longer than 64 MiB must
+// parse, not fail as a scanner capped at 1<<26 bytes per token did.
+func TestReadLineLongerThan64MiB(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads 130 MiB")
+	}
+	const pad = 65 << 20
+	in := io.MultiReader(
+		strings.NewReader("4 2 0 1 2 0\nc"),
+		io.LimitReader(blanks{'x'}, pad),
+		strings.NewReader("\n5 0"),
+		io.LimitReader(blanks{' '}, pad),
+		strings.NewReader("4 3 0\n"),
+	)
+	got, err := Read(in)
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	want := &Proof{Steps: []Step{{ID: 4, C: mkClause(2), Hints: []int64{1, 2}}, {ID: 5, Hints: []int64{4, 3}}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v, want %+v", got.Steps, want.Steps)
+	}
+}
+
+// TestReadAllocsBounded: steps are carved from shared slabs, so allocations
+// grow with the slab count, not with the number of tokens.
+func TestReadAllocsBounded(t *testing.T) {
+	for _, n := range []int{10_000, 40_000} {
+		p := &Proof{}
+		for i := 0; i < n; i++ {
+			id := int64(1000 + i)
+			if i%4 == 3 {
+				p.Steps = append(p.Steps, Step{ID: id, Del: true, Deleted: []int64{id - 1, id - 2}})
+				continue
+			}
+			p.Steps = append(p.Steps, Step{ID: id, C: mkClause(i%900+1, -(i%700 + 1)), Hints: []int64{id - 1, id - 2, id - 3}})
+		}
+		var text, bin bytes.Buffer
+		if err := Write(&text, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteBinary(&bin, p); err != nil {
+			t.Fatal(err)
+		}
+		tokens := 6 * n
+		for name, read := range map[string]func() (*Proof, error){
+			"text":   func() (*Proof, error) { return Read(bytes.NewReader(text.Bytes())) },
+			"binary": func() (*Proof, error) { return ReadBinary(bytes.NewReader(bin.Bytes())) },
+		} {
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := read(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > float64(tokens)/1000 {
+				t.Errorf("%s, %d steps: %.0f allocations for %d tokens", name, n, allocs, tokens)
+			}
+		}
 	}
 }

@@ -15,7 +15,8 @@ import (
 //	<id> <lits...> 0 <hints...> 0      addition
 //	<id> d <ids...> 0                  deletion
 //
-// Lines starting with 'c' are comments and skipped.
+// Fields are separated by any white space. A field starting with 'c' begins
+// a comment that runs to the end of its line. Lines may be of any length.
 
 // Write streams the proof in the text format.
 func Write(w io.Writer, p *Proof) error {
@@ -57,35 +58,25 @@ func Read(r io.Reader) (*Proof, error) { return ReadLimited(r, DefaultLimits()) 
 // and limit violations wrap ErrLimit.
 func ReadLimited(r io.Reader, lim Limits) (*Proof, error) {
 	lim = lim.withDefaults()
-	sc := bufio.NewScanner(newCappedReader(r, lim.MaxBytes))
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
-	sc.Split(scanTokenSkipComments)
-
+	t := cnf.NewTokenizer(r, lim.MaxBytes, &LimitError{What: "bytes", Limit: lim.MaxBytes})
 	p := &Proof{}
-	next := func() (string, bool, error) {
-		if sc.Scan() {
-			return sc.Text(), true, nil
-		}
-		if err := sc.Err(); err != nil {
-			// A byte-budget violation surfaces typed through the scanner;
-			// anything else (oversized token, IO garbage) is malformed input.
-			return "", false, limitOr(err, fmt.Errorf("%w: %v", ErrMalformed, err))
-		}
-		return "", false, nil
-	}
+	var (
+		lits cnf.Slab[cnf.Lit]
+		ids  cnf.Slab[int64] // hints and deleted IDs
+	)
 	for {
-		tok, ok, err := next()
+		tok, err := nextToken(t)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if tok == nil {
 			return p, nil
 		}
 		if len(p.Steps) >= lim.MaxSteps {
 			return nil, &LimitError{What: "steps", Limit: int64(lim.MaxSteps)}
 		}
-		id, err := strconv.ParseInt(tok, 10, 64)
-		if err != nil || id <= 0 {
+		id, ok := cnf.ParseInt(tok)
+		if !ok || id <= 0 {
 			return nil, fmt.Errorf("%w: step %d: bad id %q", ErrMalformed, len(p.Steps), tok)
 		}
 		if id > lim.MaxID {
@@ -93,25 +84,23 @@ func ReadLimited(r io.Reader, lim Limits) (*Proof, error) {
 		}
 		s := Step{ID: id}
 
-		tok, ok, err = next()
-		if err != nil {
+		if tok, err = nextToken(t); err != nil {
 			return nil, err
 		}
-		if !ok {
+		if tok == nil {
 			return nil, fmt.Errorf("%w: step %d: truncated after id", ErrMalformed, len(p.Steps))
 		}
-		if tok == "d" {
+		if string(tok) == "d" {
 			s.Del = true
 			for {
-				tok, ok, err = next()
-				if err != nil {
+				if tok, err = nextToken(t); err != nil {
 					return nil, err
 				}
-				if !ok {
+				if tok == nil {
 					return nil, fmt.Errorf("%w: step %d: unterminated deletion", ErrMalformed, len(p.Steps))
 				}
-				d, err := strconv.ParseInt(tok, 10, 64)
-				if err != nil || d < 0 {
+				d, ok := cnf.ParseInt(tok)
+				if !ok || d < 0 {
 					return nil, fmt.Errorf("%w: step %d: bad deleted id %q", ErrMalformed, len(p.Steps), tok)
 				}
 				if d == 0 {
@@ -120,50 +109,50 @@ func ReadLimited(r io.Reader, lim Limits) (*Proof, error) {
 				if d > lim.MaxID {
 					return nil, &LimitError{What: "id", Limit: lim.MaxID}
 				}
-				if len(s.Deleted) >= lim.MaxHints {
+				if ids.Len() >= lim.MaxHints {
 					return nil, &LimitError{What: "hints", Limit: int64(lim.MaxHints)}
 				}
-				s.Deleted = append(s.Deleted, d)
+				ids.Append(d)
 			}
-			p.Steps = append(p.Steps, s)
+			s.Deleted = ids.Cut()
+			p.addStep(s)
 			continue
 		}
 
 		// Addition: literals until 0, then hints until 0. The current token
 		// is the first literal (or the clause terminator).
 		for {
-			d, err := strconv.Atoi(tok)
-			if err != nil {
+			d, ok := cnf.ParseInt(tok)
+			if !ok {
 				return nil, fmt.Errorf("%w: step %d: bad literal %q", ErrMalformed, len(p.Steps), tok)
 			}
 			if d == 0 {
 				break
 			}
-			if d > lim.MaxVar || -d > lim.MaxVar {
+			if d > int64(lim.MaxVar) || d < -int64(lim.MaxVar) {
 				return nil, &LimitError{What: "variable", Limit: int64(lim.MaxVar)}
 			}
-			if len(s.C) >= lim.MaxClauseLen {
+			if lits.Len() >= lim.MaxClauseLen {
 				return nil, &LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
 			}
-			s.C = append(s.C, cnf.FromDimacs(d))
-			tok, ok, err = next()
-			if err != nil {
+			lits.Append(cnf.FromDimacs(int(d)))
+			if tok, err = nextToken(t); err != nil {
 				return nil, err
 			}
-			if !ok {
+			if tok == nil {
 				return nil, fmt.Errorf("%w: step %d: unterminated clause", ErrMalformed, len(p.Steps))
 			}
 		}
+		s.C = lits.Cut()
 		for {
-			tok, ok, err = next()
-			if err != nil {
+			if tok, err = nextToken(t); err != nil {
 				return nil, err
 			}
-			if !ok {
+			if tok == nil {
 				return nil, fmt.Errorf("%w: step %d: unterminated hints", ErrMalformed, len(p.Steps))
 			}
-			h, err := strconv.ParseInt(tok, 10, 64)
-			if err != nil {
+			h, ok := cnf.ParseInt(tok)
+			if !ok {
 				return nil, fmt.Errorf("%w: step %d: bad hint %q", ErrMalformed, len(p.Steps), tok)
 			}
 			if h == 0 {
@@ -172,53 +161,33 @@ func ReadLimited(r io.Reader, lim Limits) (*Proof, error) {
 			if h > lim.MaxID || -h > lim.MaxID {
 				return nil, &LimitError{What: "id", Limit: lim.MaxID}
 			}
-			if len(s.Hints) >= lim.MaxHints {
+			if ids.Len() >= lim.MaxHints {
 				return nil, &LimitError{What: "hints", Limit: int64(lim.MaxHints)}
 			}
-			s.Hints = append(s.Hints, h)
+			ids.Append(h)
 		}
-		p.Steps = append(p.Steps, s)
+		s.Hints = ids.Cut()
+		p.addStep(s)
 	}
 }
 
-// scanTokenSkipComments is a bufio.SplitFunc yielding whitespace-separated
-// tokens while dropping comments ('c' through end of line). No valid LRAT
-// token starts with 'c', so the check needs no line-start tracking — which
-// a stateless split function could not do across chunk boundaries anyway.
-func scanTokenSkipComments(data []byte, atEOF bool) (advance int, token []byte, err error) {
-	i := 0
+// nextToken returns the next field of a text proof that is not part of a
+// comment, or nil at the end of input, with the reason the input ended if
+// it was not clean. A field starting with 'c' begins a comment running to
+// the end of its line, wherever on the line it stands: no valid LRAT field
+// starts with 'c'.
+func nextToken(t *cnf.Tokenizer) ([]byte, error) {
 	for {
-		for i < len(data) && isSpace(data[i]) {
-			i++
-		}
-		if i >= len(data) {
-			if atEOF {
-				return len(data), nil, nil
+		tok := t.Next()
+		if tok == nil {
+			if err := t.Err(); err != nil {
+				return nil, limitOr(err, fmt.Errorf("%w: %v", ErrMalformed, err))
 			}
-			return i, nil, nil // need more data
+			return nil, nil
 		}
-		if data[i] == 'c' {
-			// Comment: consume through end of line.
-			j := i
-			for j < len(data) && data[j] != '\n' {
-				j++
-			}
-			if j >= len(data) && !atEOF {
-				return i, nil, nil // need more data to find the newline
-			}
-			i = j
-			continue
+		if tok[0] != 'c' {
+			return tok, nil
 		}
-		// Token: up to the next whitespace.
-		j := i
-		for j < len(data) && !isSpace(data[j]) {
-			j++
-		}
-		if j >= len(data) && !atEOF {
-			return i, nil, nil
-		}
-		return j, data[i:j], nil
+		t.SkipLine()
 	}
 }
-
-func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\r' || b == '\n' }

@@ -104,7 +104,7 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 // encoding garbage wrap ErrMalformed; limit violations wrap ErrLimit.
 func ReadBinaryLimited(r io.Reader, lim Limits) (*Trace, error) {
 	lim = lim.withDefaults()
-	br := bufio.NewReader(newCappedReader(r, lim.MaxBytes))
+	br := cnf.NewTokenizer(r, lim.MaxBytes, &LimitError{What: "bytes", Limit: lim.MaxBytes})
 	head := make([]byte, len(binaryMagic)+2)
 	if _, err := io.ReadFull(br, head); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -125,9 +125,10 @@ func ReadBinaryLimited(r io.Reader, lim Limits) (*Trace, error) {
 	if !hasRes {
 		t.Resolutions = nil
 	}
+	var lits cnf.Slab[cnf.Lit]
 	for {
 		if hasRes {
-			res, err := binary.ReadUvarint(br)
+			res, err := br.Uvarint()
 			if err == io.EOF {
 				return t, nil
 			}
@@ -136,10 +137,9 @@ func ReadBinaryLimited(r io.Reader, lim Limits) (*Trace, error) {
 			}
 			t.Resolutions = append(t.Resolutions, int64(res))
 		}
-		var c cnf.Clause
 		first := true
 		for {
-			u, err := binary.ReadUvarint(br)
+			u, err := br.Uvarint()
 			if err == io.EOF {
 				if first && !hasRes {
 					return t, nil
@@ -157,18 +157,18 @@ func ReadBinaryLimited(r io.Reader, lim Limits) (*Trace, error) {
 			if u == 0 {
 				break
 			}
-			if len(c) >= lim.MaxClauseLen {
+			if lits.Len() >= lim.MaxClauseLen {
 				return nil, &LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
 			}
 			l, err := unmapLit(u, lim.MaxVar)
 			if err != nil {
 				return nil, err
 			}
-			c = append(c, l)
+			lits.Append(l)
 		}
 		if len(t.Clauses) >= lim.MaxClauses {
 			return nil, &LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
 		}
-		t.Clauses = append(t.Clauses, c)
+		t.Clauses = append(t.Clauses, lits.Cut())
 	}
 }

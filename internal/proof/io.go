@@ -7,8 +7,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"unicode"
-	"unicode/utf8"
 
 	"repro/internal/cnf"
 )
@@ -48,214 +46,100 @@ func Read(r io.Reader) (*Trace, error) { return ReadLimited(r, DefaultLimits()) 
 // ReadLimited is Read with explicit Limits — the entry point for genuinely
 // untrusted input. Syntax problems (including truncation) wrap ErrMalformed
 // and limit violations wrap ErrLimit, so callers can map the two failure
-// classes to distinct outcomes. Lines may be of any length.
+// classes to distinct outcomes. A line whose first field starts with 'c' is
+// a comment; every other field is a DIMACS literal or the 0 that ends a
+// clause. Lines may be of any length.
 func ReadLimited(r io.Reader, lim Limits) (*Trace, error) {
-	p := textReader{lim: lim.withDefaults(), t: New(), line: 1}
-	p.t.Resolutions = nil
-	br := bufio.NewReaderSize(newCappedReader(r, p.lim.MaxBytes), 1<<16)
-	for {
-		chunk, err := br.ReadSlice('\n')
-		if perr := p.scan(chunk); perr != nil {
-			return nil, perr
-		}
-		if err == nil || err == bufio.ErrBufferFull {
+	lim = lim.withDefaults()
+	tz := cnf.NewTokenizer(r, lim.MaxBytes, &LimitError{What: "bytes", Limit: lim.MaxBytes})
+	t := New()
+	t.Resolutions = nil
+	var (
+		lits       cnf.Slab[cnf.Lit]
+		pendingRes int64
+		sawRes     bool
+		res        []int64 // per-clause counts, kept once a "c res" was seen
+	)
+	for f := tz.Next(); f != nil; f = tz.Next() {
+		if tz.FirstOnLine() && f[0] == 'c' {
+			n, ok, err := resComment(tz)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				if !sawRes {
+					// Earlier clauses get 0, as the package comment promises.
+					sawRes = true
+					if n := len(t.Clauses); n > 0 {
+						res = make([]int64, n, n+1)
+					}
+				}
+				pendingRes = n
+			}
 			continue
 		}
-		// The input ends here, cleanly or not: finish its last line first,
-		// so a syntax error in it is reported ahead of a read error.
-		if perr := p.endLine(); perr != nil {
-			return nil, perr
+		d, ok := cnf.ParseInt(f)
+		if !ok {
+			return nil, fmt.Errorf("%w: line %d: unexpected token %q", ErrMalformed, tz.Line(), f)
 		}
-		if err != io.EOF {
-			return nil, err
+		if d == 0 {
+			if len(t.Clauses) >= lim.MaxClauses {
+				return nil, &LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
+			}
+			t.Clauses = append(t.Clauses, lits.Cut())
+			if sawRes {
+				res = append(res, pendingRes)
+			}
+			pendingRes = 0
+			continue
 		}
-		break
+		if d > int64(lim.MaxVar) || d < -int64(lim.MaxVar) {
+			return nil, &LimitError{What: "variable", Limit: int64(lim.MaxVar)}
+		}
+		if lits.Len() >= lim.MaxClauseLen {
+			return nil, &LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
+		}
+		lits.Append(cnf.FromDimacs(int(d)))
 	}
-	if len(p.lits) > p.start {
+	if err := tz.Err(); err != nil {
+		return nil, err
+	}
+	if lits.Len() > 0 {
 		return nil, fmt.Errorf("%w: last clause not terminated by 0", ErrMalformed)
 	}
-	if p.sawRes {
-		p.t.Resolutions = p.res
+	if sawRes {
+		t.Resolutions = res
 	}
-	return p.t, nil
+	return t, nil
 }
 
-// Literal slabs start small, so a short trace allocates little, and double
-// up to slabMax literals.
-const (
-	slabMin = 1 << 10
-	slabMax = 1 << 16
-)
-
-// spaceByte marks the ASCII bytes unicode.IsSpace accepts; a token holding
-// any other white-space rune is split by textReader.token.
-var spaceByte = [256]bool{' ': true, '\t': true, '\n': true, '\v': true, '\f': true, '\r': true}
-
-// textReader is ReadLimited's tokenizer state. A line is a sequence of
-// fields separated by white space; a line whose first field starts with
-// 'c' is a comment, every other field is a DIMACS literal or the 0 that
-// ends a clause. Clauses are carved out of a shared literal slab.
-type textReader struct {
-	lim  Limits
-	t    *Trace
-	line int    // 1-based number of the line being scanned
-	tok  []byte // a token split across ReadSlice chunks
-
-	nField  int    // fields seen on the current line
-	comment bool   // the current line is a comment
-	resWord bool   // the comment's second field is "res"
-	resTok  []byte // the comment's third field: a "c res" count
-
-	lits  []cnf.Lit // slab; lits[start:] is the clause being read
-	start int
-
-	pendingRes int64
-	sawRes     bool
-	res        []int64 // per-clause counts, kept once a "c res" was seen
-}
-
-// scan tokenizes one ReadSlice chunk. A chunk may end inside a token (when
-// the line is longer than the buffer, or at the end of input); the partial
-// token waits in tok for the next chunk or for endLine.
-func (p *textReader) scan(b []byte) error {
-	for i := 0; i < len(b); {
-		c := b[i]
-		if spaceByte[c] {
-			if err := p.flushTok(); err != nil {
-				return err
-			}
-			if c == '\n' {
-				if err := p.endLine(); err != nil {
-					return err
-				}
-			}
-			i++
-			continue
+// resComment reads the rest of a comment line. A comment of exactly three
+// fields, the second "res", annotates the next clause with the third.
+func resComment(tz *cnf.Tokenizer) (n int64, ok bool, err error) {
+	line := tz.Line()
+	if w := tz.NextInLine(); w == nil || string(w) != "res" {
+		if w != nil {
+			tz.SkipLine()
 		}
-		j := i + 1
-		for j < len(b) && !spaceByte[b[j]] {
-			j++
-		}
-		if j == len(b) || len(p.tok) > 0 {
-			p.tok = append(p.tok, b[i:j]...)
-			if j == len(b) {
-				return nil
-			}
-			i = j
-			continue
-		}
-		if err := p.token(b[i:j]); err != nil {
-			return err
-		}
-		i = j
+		return 0, false, nil
 	}
-	return nil
-}
-
-// flushTok handles the token pending in tok, if any.
-func (p *textReader) flushTok() error {
-	if len(p.tok) == 0 {
-		return nil
+	count := tz.NextInLine()
+	if count == nil {
+		return 0, false, nil
 	}
-	err := p.token(p.tok)
-	p.tok = p.tok[:0]
-	return err
-}
-
-// token handles a run of non-ASCII-space bytes. Runs holding non-ASCII
-// bytes are split at Unicode white space, as strings.Fields would.
-func (p *textReader) token(tok []byte) error {
-	for _, c := range tok {
-		if c >= utf8.RuneSelf {
-			for _, f := range bytes.FieldsFunc(tok, unicode.IsSpace) {
-				if err := p.field(f); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+	n, ok = cnf.ParseInt(count)
+	var bad []byte
+	if !ok {
+		bad = bytes.Clone(count) // count is only valid until the next field
 	}
-	return p.field(tok)
-}
-
-// field handles one white-space separated field of the current line.
-func (p *textReader) field(f []byte) error {
-	idx := p.nField
-	p.nField++
-	if idx == 0 && f[0] == 'c' {
-		p.comment = true
+	if tz.NextInLine() != nil {
+		tz.SkipLine()
+		return 0, false, nil
 	}
-	if p.comment {
-		switch idx {
-		case 1:
-			p.resWord = string(f) == "res"
-		case 2:
-			p.resTok = append(p.resTok[:0], f...)
-		}
-		return nil
+	if !ok {
+		return 0, false, fmt.Errorf("%w: line %d: bad res count %q", ErrMalformed, line, bad)
 	}
-	d, err := strconv.Atoi(string(f))
-	if err != nil {
-		return fmt.Errorf("%w: line %d: unexpected token %q", ErrMalformed, p.line, f)
-	}
-	if d == 0 {
-		if len(p.t.Clauses) >= p.lim.MaxClauses {
-			return &LimitError{What: "clauses", Limit: int64(p.lim.MaxClauses)}
-		}
-		var c cnf.Clause
-		if n := len(p.lits); n > p.start {
-			c = p.lits[p.start:n:n]
-		}
-		p.t.Clauses = append(p.t.Clauses, c)
-		if p.sawRes {
-			p.res = append(p.res, p.pendingRes)
-		}
-		p.start = len(p.lits)
-		p.pendingRes = 0
-		return nil
-	}
-	if d > p.lim.MaxVar || d < -p.lim.MaxVar {
-		return &LimitError{What: "variable", Limit: int64(p.lim.MaxVar)}
-	}
-	n := len(p.lits) - p.start
-	if n >= p.lim.MaxClauseLen {
-		return &LimitError{What: "clause length", Limit: int64(p.lim.MaxClauseLen)}
-	}
-	if len(p.lits) == cap(p.lits) {
-		// Start a new slab and move the clause in progress into it; the
-		// clauses already carved keep the old one alive.
-		size := min(max(2*cap(p.lits), slabMin), slabMax)
-		slab := make([]cnf.Lit, n, max(size, 2*n))
-		copy(slab, p.lits[p.start:])
-		p.lits, p.start = slab, 0
-	}
-	p.lits = append(p.lits, cnf.FromDimacs(d))
-	return nil
-}
-
-// endLine finishes the current line: a pending token, then a "c res <n>"
-// annotation if the line was one.
-func (p *textReader) endLine() error {
-	if err := p.flushTok(); err != nil {
-		return err
-	}
-	if p.comment && p.nField == 3 && p.resWord {
-		n, err := strconv.ParseInt(string(p.resTok), 10, 64)
-		if err != nil {
-			return fmt.Errorf("%w: line %d: bad res count %q", ErrMalformed, p.line, p.resTok)
-		}
-		if !p.sawRes {
-			// Earlier clauses get 0, as the package comment promises.
-			p.sawRes = true
-			if n := len(p.t.Clauses); n > 0 {
-				p.res = make([]int64, n, n+1)
-			}
-		}
-		p.pendingRes = n
-	}
-	p.line++
-	p.nField, p.comment, p.resWord = 0, false, false
-	return nil
+	return n, true, nil
 }
 
 // ReadString parses a trace held in a string.

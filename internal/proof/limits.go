@@ -3,7 +3,6 @@ package proof
 import (
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Traces come from the least trusted component of the pipeline — an
@@ -75,50 +74,3 @@ func (e *LimitError) Error() string {
 }
 
 func (e *LimitError) Unwrap() error { return ErrLimit }
-
-// cappedReader hard-errors (rather than io.LimitReader's silent EOF, which
-// would make an oversized trace look like a well-formed prefix) once more
-// than limit bytes have been consumed.
-type cappedReader struct {
-	r     io.Reader
-	left  int64
-	limit int64
-}
-
-func newCappedReader(r io.Reader, limit int64) *cappedReader {
-	return &cappedReader{r: r, left: limit, limit: limit}
-}
-
-func (c *cappedReader) Read(p []byte) (int, error) {
-	if c.left == 0 {
-		// Exactly at the limit: an input that ends here is legal, one with
-		// more bytes is not — probe a single byte to tell them apart.
-		var b [1]byte
-		n, err := c.r.Read(b[:])
-		if n > 0 {
-			c.left = -1
-			return 0, &LimitError{What: "bytes", Limit: c.limit}
-		}
-		return 0, err
-	}
-	if c.left < 0 {
-		return 0, &LimitError{What: "bytes", Limit: c.limit}
-	}
-	if int64(len(p)) > c.left {
-		p = p[:c.left]
-	}
-	n, err := c.r.Read(p)
-	c.left -= int64(n)
-	return n, err
-}
-
-func (c *cappedReader) ReadByte() (byte, error) {
-	var b [1]byte
-	if _, err := io.ReadFull(c, b[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
-		}
-		return 0, err
-	}
-	return b[0], nil
-}

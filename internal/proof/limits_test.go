@@ -3,6 +3,7 @@ package proof
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -113,17 +114,35 @@ func TestReadBinaryLimits(t *testing.T) {
 	}
 }
 
+// TestCappedReaderDistinguishesEOF: the byte budget is hard. Input that
+// ends exactly at the budget parses; one byte more is a typed limit error,
+// never a silent truncation that would parse as a well-formed prefix.
 func TestCappedReaderDistinguishesEOF(t *testing.T) {
-	// Under the limit: plain EOF passes through so well-formed input that
-	// simply ends is fine.
-	cr := newCappedReader(strings.NewReader("ab"), 10)
-	if b, err := io.ReadAll(cr); err != nil || string(b) != "ab" {
-		t.Fatalf("under limit: %q, %v", b, err)
+	const text = "1 2 0\n-1 0\n"
+	var bin bytes.Buffer
+	tr := New()
+	tr.Resolutions = nil
+	tr.Clauses = append(tr.Clauses, cl(1, 2), cl(-1))
+	if err := WriteBinary(&bin, tr); err != nil {
+		t.Fatal(err)
 	}
-	// Over the limit: a typed error, never a silent truncation.
-	cr = newCappedReader(strings.NewReader("abcdef"), 3)
-	if _, err := io.ReadAll(cr); !errors.Is(err, ErrLimit) {
-		t.Fatalf("over limit: err = %v", err)
+	for name, read := range map[string]func([]byte, int64) (*Trace, error){
+		"text": func(b []byte, n int64) (*Trace, error) { return ReadLimited(bytes.NewReader(b), Limits{MaxBytes: n}) },
+		"binary": func(b []byte, n int64) (*Trace, error) {
+			return ReadBinaryLimited(bytes.NewReader(b), Limits{MaxBytes: n})
+		},
+	} {
+		in := []byte(text)
+		if name == "binary" {
+			in = bin.Bytes()
+		}
+		if got, err := read(in, int64(len(in))); err != nil || !reflect.DeepEqual(got.Clauses, tr.Clauses) {
+			t.Errorf("%s at the budget: %v, %v", name, got, err)
+		}
+		var le *LimitError
+		if _, err := read(in, int64(len(in))-1); !errors.As(err, &le) || le.What != "bytes" {
+			t.Errorf("%s one byte over the budget: err = %v, want the bytes limit", name, err)
+		}
 	}
 }
 
@@ -224,5 +243,25 @@ func TestReadClausesDoNotAlias(t *testing.T) {
 	_ = append(got.Clauses[0], cnf.FromDimacs(9))
 	if !got.Clauses[1].Equal(cl(3, 4)) {
 		t.Fatalf("appending to clause 0 changed clause 1 to %v", got.Clauses[1])
+	}
+}
+
+// TestReadAllocsBounded: clauses are carved from shared slabs, so
+// allocations grow with the slab count, not with the number of literals.
+func TestReadAllocsBounded(t *testing.T) {
+	for _, n := range []int{10_000, 40_000} {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "c res %d\n%d -%d %d 0\n", i%5, i%1000+1, (i*7)%1000+1, (i*13)%1000+1)
+		}
+		in := b.String()
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := ReadString(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if tokens := 7 * n; allocs > float64(tokens)/1000 {
+			t.Errorf("%d clauses: %.0f allocations for %d tokens", n, allocs, tokens)
+		}
 	}
 }

@@ -502,3 +502,26 @@ func TestHandlerPanicIsolated(t *testing.T) {
 		t.Fatalf("body %q lacks typed status", rw.Body.String())
 	}
 }
+
+// TestDaemonPercentTrailerRejected: the SATLIB trailer "%\n0\n" ends an
+// uploaded formula, so its "0" is not read as an empty clause; a proof
+// claiming the empty clause of a satisfiable formula is rejected with or
+// without the trailer.
+func TestDaemonPercentTrailerRejected(t *testing.T) {
+	d := newTestDaemon(t, Options{})
+	h := d.Handler(false)
+	for _, formula := range []string{"p cnf 2 1\n1 2 0\n", "p cnf 2 1\n1 2 0\n%\n0\n"} {
+		body, ct := multipartBody(t, map[string]string{"formula": formula, "proof": "0\n"})
+		rw := submitRaw(t, h, body, ct, "")
+		if rw.Code != http.StatusAccepted {
+			t.Fatalf("%q: submit = %d %s, want 202", formula, rw.Code, rw.Body.String())
+		}
+		var resp submitResponse
+		if err := json.Unmarshal(rw.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if jr := waitDone(t, d, resp.ID); jr.Status != StatusRejected || jr.Code != 2 {
+			t.Errorf("%q: result = %+v, want rejected/2", formula, jr)
+		}
+	}
+}
