@@ -260,3 +260,54 @@ var workGoldens = []workGolden{
 		dag: sched.Stats{Tasks: 47, Edges: 75, Roots: 19, Depth: 18, MaxWidth: 19, TotalCost: 521, CritCost: 249},
 	},
 }
+
+// TestBCPBenchSmall checks the shape of the per-engine counters on three
+// small instances: every engine does work, each reports only its own
+// counter, and the persistent root trail never costs the watched engine
+// visits over the scratch variant (and saves at least half on the suite).
+func TestBCPBenchSmall(t *testing.T) {
+	insts := []gen.Instance{
+		gen.PHPPinned(4, 12),
+		gen.RandUnsatChained(3, 30, 500),
+		gen.PHP(4),
+	}
+	var incVisits, scrVisits int64
+	for _, inst := range insts {
+		w := measureWork(t, inst)
+		for i, e := range w.engines {
+			kind := workEngines[i]
+			if e.tested <= 0 || e.props <= 0 {
+				t.Errorf("%s/%v: no work measured: %+v", inst.Name, kind, e)
+			}
+			if kind == core.EngineCounting {
+				if e.visits != 0 || e.occ <= 0 {
+					t.Errorf("%s/%v: visits=%d occ=%d", inst.Name, kind, e.visits, e.occ)
+				}
+			} else if e.visits <= 0 || e.occ != 0 {
+				t.Errorf("%s/%v: visits=%d occ=%d", inst.Name, kind, e.visits, e.occ)
+			}
+		}
+		inc, scr := w.engines[0].visits, w.engines[1].visits
+		if scr < inc {
+			t.Errorf("%s: root-trail reuse increased visits: %d > %d", inst.Name, inc, scr)
+		}
+		incVisits += inc
+		scrVisits += scr
+	}
+	if scrVisits < 2*incVisits {
+		t.Errorf("suite visits: watched %d, scratch %d; want a reduction of at least 2x", incVisits, scrVisits)
+	}
+}
+
+// TestLRATBenchEndToEnd records the LRAT of a check-marked run on php_4 and
+// checks that lrat.Check accepts it (measureWork fails otherwise) and that
+// the recorded proof and its hint DAG are non-empty and agree.
+func TestLRATBenchEndToEnd(t *testing.T) {
+	w := measureWork(t, gen.PHP(4))
+	if w.additions <= 0 || w.hints <= 0 {
+		t.Fatalf("empty recorded proof: %+v", w)
+	}
+	if w.dag.Tasks != w.additions {
+		t.Fatalf("DAG has %d tasks for %d additions", w.dag.Tasks, w.additions)
+	}
+}
