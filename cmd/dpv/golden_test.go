@@ -6,12 +6,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // TestDpvGolden pins dpv's observable output — the -json result on stdout
 // and the -core, -trim and -emit-lrat files, byte for byte — on three
-// recorded cases in testdata/golden, each in check-marked and -all mode:
+// recorded cases in testdata/golden, each in check-marked and -all mode,
+// and each both with -emit-lrat and on the default path without it (the
+// "plain" files, which have no .lrat):
 //
 //   - php6: gencnf -family php -a 6 and bksat -proof's trace of it;
 //   - php5_pin8: PHP over 13 holes with 8 pigeons pinned by unit clauses
@@ -22,17 +25,18 @@ import (
 //
 // The JSON carries the propagation count and the LRAT hints follow the
 // engine's propagation order, so any change to which conflict BCP finds
-// shows up here. Regenerate the expected files only for a deliberate output
-// change.
+// shows up here. A run that records hints and one that does not may
+// propagate in different orders, which is why both are pinned. Regenerate
+// the expected files only for a deliberate output change.
 func TestDpvGolden(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "dpv")
 	if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/dpv").CombinedOutput(); err != nil {
 		t.Fatalf("building dpv: %v\n%s", err, out)
 	}
 	golden := func(name string) string { return filepath.Join("testdata", "golden", name) }
-	artifacts := []struct{ flag, ext string }{
-		{"-core", ".core.cnf"}, {"-trim", ".trim.trace"}, {"-emit-lrat", ".lrat"},
-	}
+	type artifact struct{ flag, ext string }
+	plain := []artifact{{"-core", ".core.cnf"}, {"-trim", ".trim.trace"}}
+	hinted := append(plain[:len(plain):len(plain)], artifact{"-emit-lrat", ".lrat"})
 	for _, tc := range []struct {
 		name, formula, trace string
 		exit                 int
@@ -41,12 +45,16 @@ func TestDpvGolden(t *testing.T) {
 		{"php5_pin8", "php5_pin8.cnf", "php5_pin8.trace", 0},
 		{"reject", "php6.cnf", "reject.trace", 2},
 	} {
-		for _, mode := range []string{"marked", "all"} {
+		for _, mode := range []string{"marked", "all", "plain.marked", "plain.all"} {
 			t.Run(tc.name+"/"+mode, func(t *testing.T) {
 				dir := t.TempDir()
 				base := tc.name + "." + mode
+				artifacts := hinted
+				if strings.HasPrefix(mode, "plain.") {
+					artifacts = plain
+				}
 				args := []string{"-json"}
-				if mode == "all" {
+				if strings.HasSuffix(mode, "all") {
 					args = append(args, "-all")
 				}
 				for _, a := range artifacts {
