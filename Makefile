@@ -40,13 +40,16 @@ fuzz-smoke:
 # crash-smoke is the seeded kill-and-recover loop: the built CLIs are
 # SIGKILLed at durable checkpoint appends and resumed until they finish, and
 # the recovered artifacts must be byte-identical to an uninterrupted run.
-# Journals of retired kinds must be refused. The journal-corruption matrix
-# (truncated tail, bit flips, stale fingerprints, version skew) and drat's
-# resume-from-every-record and pinned-output goldens ride along, as do dpv's
-# pinned outputs (stdout, core, trim and LRAT in both modes).
+# Journals of retired kinds and payloads of retired versions must be refused.
+# The journal-corruption matrix (truncated tail, bit flips, stale
+# fingerprints, version skew), core's resume-from-every-record differential
+# (core-first and input order) and drat's resume-from-every-record and
+# pinned-output goldens ride along, as do dpv's pinned outputs (stdout, core,
+# trim and LRAT in both modes, with and without hint recording).
 crash-smoke:
 	$(GO) test -run '^TestCrashRecoverMatrix$$|^TestCrashHookFiresAfterDurableAppend$$|^TestExitCodeInterruptedResume$$|^TestResumeIgnoresRetired' -count=1 -v .
 	$(GO) test -run '^TestJournalFault' -count=1 ./internal/faults/
+	$(GO) test -run '^TestDifferentialCheckpointResume$$|^TestDecodeCheckpointRejects|^TestResumeRefusesHintedCheckpointWithoutHints$$' -count=1 ./internal/core/
 	$(GO) test -run '^TestBackwardResume|^TestDratcheckGolden$$' -count=1 ./internal/drat/
 	$(GO) test -run '^TestDpvGolden$$' -count=1 ./cmd/dpv/
 

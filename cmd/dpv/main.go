@@ -297,6 +297,11 @@ func run() int {
 					// recorder.
 					derr = fmt.Errorf("journal was written without hint recording, hints unrecoverable")
 				}
+				if derr == nil && hints == nil && cp.Hints != nil {
+					// A hinted run propagates in input order, this one
+					// core-first; the two cannot share a journal.
+					derr = fmt.Errorf("journal was written with hint recording")
+				}
 				if derr == nil {
 					resumeCp = cp
 					resumePayload = payload

@@ -189,6 +189,11 @@ func run() int {
 						// already-verified steps' hints are unrecoverable.
 						derr = fmt.Errorf("journal predates -emit-lrat, hints unrecoverable")
 					}
+					if derr == nil && hints == nil && cp.Hints != nil {
+						// A hinted run propagates in input order, this one
+						// core-first; the two cannot share a journal.
+						derr = fmt.Errorf("journal was written with -emit-lrat")
+					}
 					if derr == nil {
 						opt.Checkpoint.Resume = cp
 						resumePayload = payload

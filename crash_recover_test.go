@@ -382,6 +382,90 @@ func TestResumeIgnoresRetiredDAGJournal(t *testing.T) {
 	}
 }
 
+// TestResumeIgnoresRetiredSeqV1Journal offers dpv -resume a sequential
+// journal whose record carries checkpoint version 1, which older binaries
+// wrote for runs without hints before those runs propagated core-first.
+// The header matches the run and the record is a real one with only its
+// version byte rewritten, so only the version can refuse it: dpv must warn,
+// run from scratch, and reach the uninterrupted run's output.
+func TestResumeIgnoresRetiredSeqV1Journal(t *testing.T) {
+	bins := buildCmds(t)
+	dir := t.TempDir()
+	cnfPath, tracePath, _ := writeChainFixtures(t, dir, 500)
+	dpv := filepath.Join(bins, "dpv")
+	code, baseOut := runWithEnv(t, nil, dpv,
+		"-checkpoint", filepath.Join(dir, "base.dpvj"), "-checkpoint-every", "100", cnfPath, tracePath)
+	if code != 0 {
+		t.Fatalf("baseline exit %d:\n%s", code, baseOut)
+	}
+
+	fin, err := os.Open(cnfPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := cnf.ParseDimacs(fin)
+	fin.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := proof.Read(pin)
+	pin.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := journal.Meta{
+		Kind:      journal.KindVerifySeq,
+		Mode:      uint8(core.ModeCheckMarked),
+		Engine:    uint8(core.EngineWatched),
+		Interval:  100,
+		FormulaFP: journal.FingerprintFormula(f),
+		ProofFP:   journal.FingerprintTrace(tr),
+	}
+	// dpv removes its journal after a clean run, so take a record from the
+	// same run made in-process.
+	var payload []byte
+	_, err = core.Verify(f, tr, core.Options{Checkpoint: core.CheckpointConfig{Every: 100,
+		Sink: func(p []byte) error {
+			if payload == nil {
+				payload = append([]byte(nil), p...)
+			}
+			return nil
+		}}})
+	if err != nil || payload == nil {
+		t.Fatalf("in-process run: err %v, %d-byte record", err, len(payload))
+	}
+	old := append([]byte{1}, payload[1:]...)
+	j := filepath.Join(dir, "old.dpvj")
+	jw, err := journal.Create(j, meta, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Append(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd := exec.Command(dpv, "-checkpoint", j, "-checkpoint-every", "100", "-resume", cnfPath, tracePath)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("resume over a version-1 record: %v\nstderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "not resuming") || !strings.Contains(stderr.String(), "running from scratch") {
+		t.Errorf("no fallback warning on stderr:\n%s", stderr.String())
+	}
+	if stdout.String() != baseOut {
+		t.Errorf("stdout diverged from an uninterrupted run:\n got %q\nwant %q", stdout.String(), baseOut)
+	}
+}
+
 // TestResumeIgnoresRetiredDRATJournal offers dratcheck -resume a journal
 // whose header carries kind 3, which older binaries wrote for drat's own
 // backward checker and its own payload format. Every other header field

@@ -80,7 +80,13 @@ func TestStopHookAbortsRefute(t *testing.T) {
 
 func TestStopHookPollFrequency(t *testing.T) {
 	const n = 8 * stopPollEvery
-	for name, mk := range engineMakers() {
+	makers := engineMakers()
+	// Every clause marked core: the core head dequeues each literal and
+	// the other head follows over empty lists, which must not poll again.
+	makers["watched-core"] = func(n int) Propagator {
+		return &markingEngine{NewEngine(n)}
+	}
+	for name, mk := range makers {
 		t.Run(name, func(t *testing.T) {
 			e := chainEngine(t, mk, n)
 			polls := 0
@@ -96,6 +102,15 @@ func TestStopHookPollFrequency(t *testing.T) {
 			}
 		})
 	}
+}
+
+// markingEngine marks every clause core as it is added.
+type markingEngine struct{ *Engine }
+
+func (m *markingEngine) Add(c cnf.Clause) ID {
+	id := m.Engine.Add(c)
+	m.MarkCore(id)
+	return id
 }
 
 func TestReactivateTypedError(t *testing.T) {

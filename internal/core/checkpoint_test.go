@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/bcp"
+	"repro/internal/gen"
+	"repro/internal/lrat"
 	"repro/internal/obs"
 )
 
@@ -49,7 +51,7 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 		{},
 		{checkpointVersion},
 		{checkpointVersion + 9, 0},
-		{checkpointVersion, 0, 1, 2, 3}, // truncated sequential state
+		{checkpointVersionSeq, 0, 1, 2, 3}, // truncated sequential state
 		{checkpointVersion, 1, 4, 0, 0, 0, 0, 0, 0, 0}, // 4 workers, no states
 	}
 	for i, b := range cases {
@@ -79,6 +81,66 @@ func TestDecodeCheckpointRejectsRetiredV3(t *testing.T) {
 		if _, err := DecodeCheckpoint(b); !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("version-3 payload: err = %v, want ErrBadCheckpoint", err)
 		}
+	}
+}
+
+// Sequential version-1 payloads were written by runs that propagated in
+// input order. They must decode to ErrBadCheckpoint, so that a resume runs
+// from scratch instead of mixing that order with core-first propagation;
+// parallel version-1 and hinted version-2 payloads still decode.
+func TestDecodeCheckpointRejectsSequentialV1(t *testing.T) {
+	seq := (&Checkpoint{NextIndex: 3, Marked: make([]bool, 10), Tested: 2}).Encode()
+	if seq[0] != checkpointVersionSeq {
+		t.Fatalf("unhinted sequential payload has version %d, want %d", seq[0], checkpointVersionSeq)
+	}
+	if _, err := DecodeCheckpoint(seq); err != nil {
+		t.Fatalf("version-%d payload: %v", checkpointVersionSeq, err)
+	}
+	// The version-1 sequential layout is the version-4 one under byte 1.
+	v1 := append([]byte{checkpointVersion}, seq[1:]...)
+	if _, err := DecodeCheckpoint(v1); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("sequential version-1 payload: err = %v, want ErrBadCheckpoint", err)
+	}
+	par := (&Checkpoint{Par: true, Workers: []WorkerState{{Next: 2}}}).Encode()
+	if par[0] != checkpointVersion {
+		t.Fatalf("parallel payload has version %d, want %d", par[0], checkpointVersion)
+	}
+	if _, err := DecodeCheckpoint(par); err != nil {
+		t.Fatalf("parallel version-1 payload: %v", err)
+	}
+	if _, err := DecodeCheckpoint(append([]byte{checkpointVersionSeq}, par[1:]...)); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("version-4 payload with parallel flag: err = %v, want ErrBadCheckpoint", err)
+	}
+	hinted := (&Checkpoint{NextIndex: 3, Marked: make([]bool, 10), Hints: []byte{1, 2, 3}}).Encode()
+	if _, err := DecodeCheckpoint(hinted); err != nil {
+		t.Fatalf("hinted version-2 payload: %v", err)
+	}
+}
+
+// A hinted run's checkpoint follows input order, so a run without hints,
+// which propagates core-first, must refuse to resume from it.
+func TestResumeRefusesHintedCheckpointWithoutHints(t *testing.T) {
+	inst := gen.RandUnsat(3, 14)
+	tr := solveTrace(t, inst)
+	var records [][]byte
+	_, err := Verify(inst.F, tr, Options{Hints: new(lrat.Recorder),
+		Checkpoint: CheckpointConfig{Every: 4, Sink: func(p []byte) error {
+			records = append(records, append([]byte(nil), p...))
+			return nil
+		}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) == 0 {
+		t.Fatal("no checkpoint records emitted")
+	}
+	cp, err := DecodeCheckpoint(records[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Verify(inst.F, tr, Options{Checkpoint: CheckpointConfig{Every: 4, Resume: cp}})
+	if !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("unhinted resume from a hinted checkpoint: err = %v, want ErrBadCheckpoint", err)
 	}
 }
 

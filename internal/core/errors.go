@@ -126,18 +126,21 @@ func verifyStopFunc(ctx context.Context, maxProps int64, props func() int64) fun
 // EstimateVerifyBytes estimates one BCP engine's memory footprint for
 // verifying t against f, from the watched engine's layout: each literal is
 // one arena word; each clause adds its two arena header words, an offset
-// table entry and two watch-list entries (doubled for append slack); each
-// variable adds its two per-literal values and watch-list headers, its
-// reason, trail position and scratch marks. The constants are deliberately
-// round — the estimate guards against order-of-magnitude surprises (a 10 GB
-// trace on a 4 GB box), not byte-exact accounting — and a test holds the
-// estimate between 1x and 2x a built watched engine's heap. The counting
-// engine, an ablation baseline, takes up to about 1.4x the estimate.
+// table entry and two watch-list entries (doubled for append slack) in each
+// of the two list sets, since MarkCore moves them into the core lists and
+// the plain lists keep their capacity; each variable adds its two
+// per-literal values and watch-list headers in both sets, its reason, trail
+// position and scratch marks. The constants are deliberately round — the
+// estimate guards against order-of-magnitude surprises (a 10 GB trace on a
+// 4 GB box), not byte-exact accounting — and a test holds the estimate
+// above a built watched engine's heap with every clause marked core and
+// below 2x an unmarked one's. The counting engine, an ablation baseline,
+// takes up to about 1.4x the estimate.
 func EstimateVerifyBytes(f *cnf.Formula, t *proof.Trace) int64 {
 	const (
-		bytesPerLit    = 4          // one arena word
-		bytesPerClause = 8 + 4 + 32 // id and meta words, offset entry, two 8-byte watchers with 2x append slack
-		bytesPerVar    = 72         // val, reason, varPos, seen, litMark, trail, two watch-list headers
+		bytesPerLit    = 4            // one arena word
+		bytesPerClause = 8 + 4 + 2*32 // id and meta words, offset entry, two 8-byte watchers with 2x append slack per list set
+		bytesPerVar    = 120          // val, reason, varPos, seen, litMark, trail, two watch-list headers per list set
 	)
 	nVars := int64(f.NumVars)
 	if mv := t.MaxVar(); int64(mv)+1 > nVars {

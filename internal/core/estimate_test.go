@@ -28,8 +28,10 @@ func syntheticTrace(f *cnf.Formula, m, avg int, seed int64) *proof.Trace {
 }
 
 // builtEngineHeap measures the live heap of a watched engine holding f and
-// tr, built the way Verify builds it.
-func builtEngineHeap(f *cnf.Formula, tr *proof.Trace) int64 {
+// tr, built the way Verify builds it. With markAll, every clause is then
+// passed to MarkCore, which fills the core watch lists as a run that marks
+// everything would.
+func builtEngineHeap(f *cnf.Formula, tr *proof.Trace, markAll bool) int64 {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -41,6 +43,11 @@ func builtEngineHeap(f *cnf.Formula, tr *proof.Trace) int64 {
 	for _, c := range tr.Clauses {
 		eng.Add(c)
 	}
+	if markAll {
+		for id := 0; id < eng.NumClauses(); id++ {
+			eng.MarkCore(bcp.ID(id))
+		}
+	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(eng)
@@ -50,10 +57,11 @@ func builtEngineHeap(f *cnf.Formula, tr *proof.Trace) int64 {
 }
 
 // TestEstimateVerifyBytesBoundsBuiltEngine: the budget estimate must not
-// undercount a built engine, or a memory budget would admit runs that
-// exceed it, and must stay within a factor of 2 so it does not refuse runs
-// that fit. The inputs are the benchmark's php_8 and php_8_pin40 formulas
-// with synthetic traces of their proofs' clause counts and mean lengths.
+// undercount a built engine, even one whose every clause is marked core, or
+// a memory budget would admit runs that exceed it, and must stay within a
+// factor of 2 of an unmarked one so it does not refuse runs that fit. The
+// inputs are the benchmark's php_8 and php_8_pin40 formulas with synthetic
+// traces of their proofs' clause counts and mean lengths.
 func TestEstimateVerifyBytesBoundsBuiltEngine(t *testing.T) {
 	const maxFactor = 2.0
 	for _, tc := range []struct {
@@ -65,10 +73,12 @@ func TestEstimateVerifyBytesBoundsBuiltEngine(t *testing.T) {
 	} {
 		tr := syntheticTrace(tc.inst.F, tc.m, tc.avg, 1)
 		est := EstimateVerifyBytes(tc.inst.F, tr)
-		heap := builtEngineHeap(tc.inst.F, tr)
-		t.Logf("%s: estimate %d B, built engine %d B (%.2fx)", tc.inst.Name, est, heap, float64(est)/float64(heap))
-		if est < heap {
-			t.Errorf("%s: estimate %d B is below the built engine's %d B", tc.inst.Name, est, heap)
+		heap := builtEngineHeap(tc.inst.F, tr, false)
+		marked := builtEngineHeap(tc.inst.F, tr, true)
+		t.Logf("%s: estimate %d B, built engine %d B (%.2fx), all marked core %d B (%.2fx)", tc.inst.Name,
+			est, heap, float64(est)/float64(heap), marked, float64(est)/float64(marked))
+		if est < marked {
+			t.Errorf("%s: estimate %d B is below the all-core engine's %d B", tc.inst.Name, est, marked)
 		}
 		if float64(est) > maxFactor*float64(heap) {
 			t.Errorf("%s: estimate %d B exceeds %.0fx the built engine's %d B", tc.inst.Name, est, maxFactor, heap)
