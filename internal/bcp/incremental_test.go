@@ -279,3 +279,36 @@ func TestIncrementalDeterministicReplay(t *testing.T) {
 		t.Fatalf("same op sequence diverged:\nconflicts %v vs %v\nstats %+v vs %+v", c1, c2, st1, st2)
 	}
 }
+
+// TestUnitKeepsRootConflict: bringing back a unit clause, by Reactivate or
+// by Add, while the root fixpoint is in conflict must not lose the
+// conflict. The database below is refuted by unit propagation once the
+// unit (3) is back; resuming the root propagation from its saved queue
+// position, past the point where the conflict was found, used to report
+// none. Found by a randomized differential against fresh engines.
+func TestUnitKeepsRootConflict(t *testing.T) {
+	for name, restore := range map[string]func(e *Engine) error{
+		"reactivate": func(e *Engine) error { return e.Reactivate(7) },
+		"add":        func(e *Engine) error { e.Add(cl(3)); return nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngineReactivable(5)
+			for _, c := range [][]int{{1, 3}, {5}, {3}, {-1}, {2}, {-2, -3}, {-3, -1}, {3}, {-2, -4, 1}, {4, 2}} {
+				e.Add(cl(c...))
+			}
+			e.Deactivate(7)
+			e.Deactivate(3)
+			e.Refute(cl(-2))
+			if err := e.Reactivate(3); err != nil {
+				t.Fatal(err)
+			}
+			e.Refute(cl(4, -5))
+			if err := restore(e); err != nil {
+				t.Fatal(err)
+			}
+			if conflict, _ := e.Refute(nil); conflict == NoConflict {
+				t.Fatal("root conflict lost after the unit came back")
+			}
+		})
+	}
+}
