@@ -7,12 +7,16 @@ GO ?= go
 # mutator beyond the seed corpus, short enough for a pre-merge gate.
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race check bench bench-selftest trace-smoke fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke clean
+.PHONY: all build fmt vet test race check bench bench-selftest trace-smoke fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file is not gofmt-formatted, listing the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -40,17 +44,18 @@ fuzz-smoke:
 # crash-smoke is the seeded kill-and-recover loop: the built CLIs are
 # SIGKILLed at durable checkpoint appends and resumed until they finish, and
 # the recovered artifacts must be byte-identical to an uninterrupted run.
-# Journals of retired kinds and payloads of retired versions must be refused.
+# Journals of retired kinds and payloads of retired versions must be refused,
+# as must a record that does not fit the run (dpv and dratcheck alike).
 # The journal-corruption matrix (truncated tail, bit flips, stale
 # fingerprints, version skew), core's resume-from-every-record differential
-# (core-first and input order) and drat's resume-from-every-record and
-# pinned-output goldens ride along, as do dpv's pinned outputs (stdout, core,
+# (core-first and input order) and drat's resume-from-every-record,
+# trace-length and pinned-output goldens ride along, as do dpv's pinned outputs (stdout, core,
 # trim and LRAT in both modes, with and without hint recording).
 crash-smoke:
-	$(GO) test -run '^TestCrashRecoverMatrix$$|^TestCrashHookFiresAfterDurableAppend$$|^TestExitCodeInterruptedResume$$|^TestResumeIgnoresRetired' -count=1 -v .
+	$(GO) test -run '^TestCrashRecoverMatrix$$|^TestCrashHookFiresAfterDurableAppend$$|^TestExitCodeInterruptedResume$$|^TestResumeIgnoresRetired|^TestResumeRefusesUnfitRecord$$' -count=1 -v .
 	$(GO) test -run '^TestJournalFault' -count=1 ./internal/faults/
 	$(GO) test -run '^TestDifferentialCheckpointResume$$|^TestDecodeCheckpointRejects|^TestResumeRefusesHintedCheckpointWithoutHints$$' -count=1 ./internal/core/
-	$(GO) test -run '^TestBackwardResume|^TestDratcheckGolden$$' -count=1 ./internal/drat/
+	$(GO) test -run '^TestBackwardResume|^TestTraceLen$$|^TestDratcheckGolden$$' -count=1 ./internal/drat/
 	$(GO) test -run '^TestDpvGolden$$' -count=1 ./cmd/dpv/
 
 # daemon-smoke is the service arm of the crash gate: dpvd SIGKILLs itself
@@ -58,7 +63,7 @@ crash-smoke:
 # restarted on the same store, and every recovered verdict must be
 # byte-identical to an uninterrupted checkpointed dpv run; SIGTERM must then
 # drain cleanly. The in-process daemon suite (queue/backpressure/tenant
-# quotas/fault matrix) rides along.
+# quotas/fault matrix/resume decision) rides along.
 daemon-smoke:
 	$(GO) test -run '^TestDaemonKillAndRecover$$' -count=1 -v .
 	$(GO) test -count=1 ./internal/service/
@@ -113,9 +118,10 @@ trace-smoke:
 	$(GO) test -run '^TestTraceRoundtrip' -count=1 .
 	$(GO) test -run '^TestWorkGolden$$' -count=1 -v ./internal/bench/
 
-# check is the pre-merge gate: vet, a full build, the test suite under the
-# race detector (which includes TestWorkGolden, the exact goldens for the
-# engines' work counters, hint counts and hint-DAG shape), a short fuzz pass
+# check is the pre-merge gate: gofmt, vet, a full build, the test suite
+# under the race detector (which includes TestWorkGolden, the exact goldens
+# for the engines' work counters, hint counts and hint-DAG shape), a short
+# fuzz pass
 # over the untrusted-input parsers and the admission gates (daemon and
 # router), the kill-and-recover crash loops (CLI, daemon, and cluster
 # kill-a-shard), the hinted-proof (LRAT) gate, the dependency-aware
@@ -123,7 +129,7 @@ trace-smoke:
 # benchmark's self-test. It gates no wall-clock figure; timing is measured
 # by perfbench (perfbench/run.sh). Run it before every merge; CI and
 # reviewers assume it is green.
-check: vet build race fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke trace-smoke bench-selftest
+check: fmt vet build race fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke trace-smoke bench-selftest
 
 # bench compiles and smoke-runs every benchmark once (not a measurement run).
 bench:

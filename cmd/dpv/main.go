@@ -259,78 +259,27 @@ func run() int {
 		opt.Hints = hints
 	}
 
-	// Checkpoint journal: open a matching journal first when resuming, then
-	// start a fresh one for this run. The resumed record is re-appended as
-	// the new journal's first record so no durable progress is ever lost,
-	// and every validation failure degrades to a full run with a warning —
-	// never a wrong verdict.
-	var jw *journal.Writer
+	// Checkpoint journal: resume from the old journal's last record when it
+	// fits this run, else warn and run from scratch — never a wrong verdict.
+	// A -sched dag run checkpoints only its sequential pass, so it journals
+	// like a sequential run: either schedule resumes the other's journal.
+	var jw *core.Journal
 	if *checkpointPath != "" {
-		meta := journal.Meta{
-			Kind:      journal.KindVerifySeq,
-			Mode:      uint8(opt.Mode),
-			Engine:    uint8(opt.Engine),
-			Interval:  uint32(*checkpointEvery),
-			FormulaFP: journal.FingerprintFormula(f),
-			ProofFP:   journal.FingerprintTrace(tr),
-		}
-		// A -sched dag run checkpoints only its sequential pass, so it
-		// shares the sequential journal kind with zero workers: either
-		// schedule resumes the other's journal.
+		workers := 0
 		if *par != 0 && !dagSched {
-			meta.Kind = journal.KindVerifyParallel
-			meta.Mode = uint8(core.ModeCheckAll)
-			meta.Workers = uint32(core.ResolveWorkers(tr.Len(), *par))
+			workers = *par
 		}
-		var resumeCp *core.Checkpoint
-		var resumePayload []byte
-		if *resume {
-			payload, jerr := journal.Open(*checkpointPath, meta, reg)
-			if jerr == nil {
-				cp, derr := core.DecodeCheckpoint(payload)
-				if derr == nil {
-					derr = cp.ValidateFor(f.NumClauses(), tr.Len(), int(meta.Workers))
-				}
-				if derr == nil && hints != nil && cp.Hints == nil {
-					// The steps recorded before the crash live only in the
-					// checkpoint; a hint-free journal cannot seed the
-					// recorder.
-					derr = fmt.Errorf("journal was written without hint recording, hints unrecoverable")
-				}
-				if derr == nil && hints == nil && cp.Hints != nil {
-					// A hinted run propagates in input order, this one
-					// core-first; the two cannot share a journal.
-					derr = fmt.Errorf("journal was written with hint recording")
-				}
-				if derr == nil {
-					resumeCp = cp
-					resumePayload = payload
-				} else {
-					jerr = derr
-				}
-			}
-			if jerr != nil {
-				fmt.Fprintf(os.Stderr, "dpv: warning: not resuming (%v); running from scratch\n", jerr)
-			}
+		var warn error
+		jw, warn, err = core.StartJournal(*checkpointPath, f, tr.Len(), journal.FingerprintTrace(tr),
+			&opt, *checkpointEvery, workers, *resume)
+		if warn != nil {
+			fmt.Fprintf(os.Stderr, "dpv: warning: not resuming (%v); running from scratch\n", warn)
 		}
-		w, jerr := journal.Create(*checkpointPath, meta, reg)
-		if jerr != nil {
-			fmt.Fprintln(os.Stderr, "dpv:", jerr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dpv:", err)
 			return exitcode.Internal
 		}
-		jw = w
-		defer jw.Close()
-		if resumePayload != nil {
-			if jerr := jw.Append(resumePayload); jerr != nil {
-				fmt.Fprintln(os.Stderr, "dpv:", jerr)
-				return exitcode.Internal
-			}
-		}
-		opt.Checkpoint = core.CheckpointConfig{
-			Every:  *checkpointEvery,
-			Sink:   ckpt.CrashSink(jw.Append),
-			Resume: resumeCp,
-		}
+		opt.Checkpoint.Sink = ckpt.CrashSink(opt.Checkpoint.Sink)
 	}
 
 	if *progress {
@@ -365,6 +314,14 @@ func run() int {
 		}
 	}
 	opt.Progress.Finish()
+	if jw != nil {
+		// A verdict removes the journal; a stop (SIGINT, timeout, budget)
+		// flushes a final record, and a later -resume restarts from the
+		// last checkpoint record.
+		if ferr := jw.Finish(res, err); ferr != nil {
+			fmt.Fprintln(os.Stderr, "dpv:", ferr)
+		}
+	}
 	if *statsJSON != "" {
 		if werr := writeStats(*statsJSON, reg); werr != nil {
 			fmt.Fprintln(os.Stderr, "dpv:", werr)
@@ -372,18 +329,6 @@ func run() int {
 		}
 	}
 	if err != nil {
-		if jw != nil {
-			// Flush a final record so the journal visibly ends with a clean
-			// stop (SIGINT, timeout, budget); a later -resume restarts from
-			// the last checkpoint record.
-			note := fmt.Sprintf("incomplete err=%v", err)
-			if res != nil {
-				note = fmt.Sprintf("incomplete stopped_at=%d tested=%d err=%v", res.StoppedAt, res.Tested, err)
-			}
-			if ferr := jw.AppendFinal([]byte(note)); ferr != nil {
-				fmt.Fprintln(os.Stderr, "dpv:", ferr)
-			}
-		}
 		fmt.Fprintln(os.Stderr, "dpv:", err)
 		if res != nil && res.Incomplete {
 			fmt.Printf("s UNKNOWN\n")
@@ -403,13 +348,6 @@ func run() int {
 			return exitcode.Interrupted
 		}
 		return exitcode.FromVerifyError(err)
-	}
-
-	// A verdict was reached; the journal is stale by definition.
-	if jw != nil {
-		if rerr := jw.Remove(); rerr != nil {
-			fmt.Fprintln(os.Stderr, "dpv:", rerr)
-		}
 	}
 
 	if *jsonOut {

@@ -46,7 +46,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/drat"
 	"repro/internal/exitcode"
-	"repro/internal/journal"
 	"repro/internal/lrat"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
@@ -166,86 +165,42 @@ func run() int {
 			hints = new(lrat.Recorder)
 			opt.Hints = hints
 		}
-		var jw *journal.Writer
+		var jw *core.Journal
 		if *checkpointPath != "" {
-			// The backward pass is core.Verify's, so it journals under the
-			// sequential kind with core's payloads; the proof fingerprint
-			// keeps a dpv journal for the same formula from matching.
-			meta := journal.Meta{
-				Kind:      journal.KindVerifySeq,
-				Mode:      uint8(opt.Mode),
-				Engine:    uint8(opt.Engine),
-				Interval:  uint32(*checkpointEvery),
-				FormulaFP: journal.FingerprintFormula(f),
-				ProofFP:   p.Fingerprint(),
+			// The backward pass is core.Verify's, so it journals like a
+			// sequential dpv run; the proof fingerprint keeps a dpv journal
+			// for the same formula from matching.
+			var warn error
+			jw, warn, err = core.StartJournal(*checkpointPath, f, p.TraceLen(), p.Fingerprint(),
+				&opt, *checkpointEvery, 0, *resume)
+			if warn != nil {
+				fmt.Fprintf(os.Stderr, "dratcheck: warning: not resuming (%v); running from scratch\n", warn)
 			}
-			var resumePayload []byte
-			if *resume {
-				payload, jerr := journal.Open(*checkpointPath, meta, reg)
-				if jerr == nil {
-					cp, derr := core.DecodeCheckpoint(payload)
-					if derr == nil && hints != nil && cp.Hints == nil {
-						// The journal was written without -emit-lrat, so the
-						// already-verified steps' hints are unrecoverable.
-						derr = fmt.Errorf("journal predates -emit-lrat, hints unrecoverable")
-					}
-					if derr == nil && hints == nil && cp.Hints != nil {
-						// A hinted run propagates in input order, this one
-						// core-first; the two cannot share a journal.
-						derr = fmt.Errorf("journal was written with -emit-lrat")
-					}
-					if derr == nil {
-						opt.Checkpoint.Resume = cp
-						resumePayload = payload
-					} else {
-						jerr = derr
-					}
-				}
-				if jerr != nil {
-					fmt.Fprintf(os.Stderr, "dratcheck: warning: not resuming (%v); running from scratch\n", jerr)
-				}
-			}
-			w, jerr := journal.Create(*checkpointPath, meta, reg)
-			if jerr != nil {
-				fmt.Fprintln(os.Stderr, "dratcheck:", jerr)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "dratcheck:", err)
 				return exitcode.Internal
 			}
-			jw = w
-			defer jw.Close()
-			if resumePayload != nil {
-				if jerr := jw.Append(resumePayload); jerr != nil {
-					fmt.Fprintln(os.Stderr, "dratcheck:", jerr)
-					return exitcode.Internal
-				}
-			}
-			opt.Checkpoint.Every = *checkpointEvery
-			opt.Checkpoint.Sink = ckpt.CrashSink(jw.Append)
+			opt.Checkpoint.Sink = ckpt.CrashSink(opt.Checkpoint.Sink)
 		}
 		var trimmed *drat.Proof
 		var coreIdx []int
 		res, trimmed, coreIdx, err = drat.VerifyBackward(f, p, opt)
+		if jw != nil {
+			// A verdict removes the journal; a stop flushes a final record
+			// so the journal visibly ends with a clean stop.
+			if ferr := jw.Finish(nil, err); ferr != nil {
+				fmt.Fprintln(os.Stderr, "dratcheck:", ferr)
+			}
+		}
 		if err != nil && res != nil && res.Incomplete {
 			// The run was cut short (signal or deadline), not broken: dump
-			// the partial progress, flush a final record so the journal
-			// visibly ends with a clean stop, and exit per the contract.
-			if jw != nil {
-				note := fmt.Sprintf("incomplete stopped_at=%d err=%v", res.StoppedAt, err)
-				if ferr := jw.AppendFinal([]byte(note)); ferr != nil {
-					fmt.Fprintln(os.Stderr, "dratcheck:", ferr)
-				}
-			}
+			// the partial progress and exit per the contract.
 			fmt.Fprintln(os.Stderr, "dratcheck:", err)
 			fmt.Printf("s UNKNOWN\n")
 			fmt.Printf("c incomplete: stopped before a verdict at step %d\n", res.StoppedAt)
 			fmt.Printf("c additions=%d deletions=%d tautologies=%d propagations=%d\n",
 				res.Additions, res.Deletions, res.Tautologies, res.Propagations)
 			return exitcode.FromVerifyError(err)
-		}
-		if err == nil && jw != nil {
-			// A verdict was reached; the journal is stale by definition.
-			if rerr := jw.Remove(); rerr != nil {
-				fmt.Fprintln(os.Stderr, "dratcheck:", rerr)
-			}
 		}
 		if err == nil && res.OK {
 			if *trimPath != "" {

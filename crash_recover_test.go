@@ -540,6 +540,137 @@ func TestResumeIgnoresRetiredDRATJournal(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesUnfitRecord offers dpv -resume and dratcheck -backward
+// -resume a journal whose header matches the run and whose one record has a
+// valid CRC, but whose next index lies past the trace. Only the record's
+// fit to the run can refuse it: both tools must warn, run from scratch, exit
+// 0 and write the same core and trimmed proof as a fresh run.
+func TestResumeRefusesUnfitRecord(t *testing.T) {
+	bins := buildCmds(t)
+	dir := t.TempDir()
+	inst := gen.PHP(6)
+	st, tr, _, _, err := solver.Solve(inst.F, solver.Options{})
+	if err != nil || st != solver.Unsat {
+		t.Fatalf("solving php_6: %v %v", st, err)
+	}
+	dp := drat.FromTrace(tr)
+	write := func(name string, emit func(*os.File) error) string {
+		path := filepath.Join(dir, name)
+		out, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := emit(out); err != nil {
+			t.Fatal(err)
+		}
+		if err := out.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	cnfPath := write("php6.cnf", func(o *os.File) error { return cnf.WriteDimacs(o, inst.F) })
+	tracePath := write("php6.trace", func(o *os.File) error { return proof.Write(o, tr) })
+	dratPath := write("php6.drat", func(o *os.File) error { return drat.Write(o, dp) })
+
+	const every = 50
+	// forge takes the first record of an in-process run, moves its next
+	// index past the trace and writes it as the journal's only record.
+	forge := func(path string, proofFP uint64, run func(core.Options) error) {
+		var payload []byte
+		err := run(core.Options{Checkpoint: core.CheckpointConfig{Every: every,
+			Sink: func(p []byte) error {
+				if payload == nil {
+					payload = append([]byte(nil), p...)
+				}
+				return nil
+			}}})
+		if err != nil || payload == nil {
+			t.Fatalf("in-process run: err %v, %d-byte record", err, len(payload))
+		}
+		cp, err := core.DecodeCheckpoint(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp.NextIndex = len(cp.Marked) + 5
+		jw, err := journal.Create(path, journal.Meta{
+			Kind:      journal.KindVerifySeq,
+			Mode:      uint8(core.ModeCheckMarked),
+			Engine:    uint8(core.EngineWatched),
+			Interval:  every,
+			FormulaFP: journal.FingerprintFormula(inst.F),
+			ProofFP:   proofFP,
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jw.Append(cp.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		if err := jw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name, bin string
+		flags     []string
+		proofPath string
+		proofFP   uint64
+		run       func(core.Options) error
+	}{
+		{"dpv", "dpv", nil, tracePath, journal.FingerprintTrace(tr),
+			func(opt core.Options) error { _, err := core.Verify(inst.F, tr, opt); return err }},
+		{"dratcheck", "dratcheck", []string{"-backward"}, dratPath, dp.Fingerprint(),
+			func(opt core.Options) error { _, _, _, err := drat.VerifyBackward(inst.F, dp, opt); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bin := filepath.Join(bins, tc.bin)
+			args := func(tag string, resume bool) []string {
+				a := append([]string{}, tc.flags...)
+				a = append(a, "-checkpoint", filepath.Join(dir, tag+".dpvj"), "-checkpoint-every", strconv.Itoa(every),
+					"-core", filepath.Join(dir, tag+".core"), "-trim", filepath.Join(dir, tag+".trim"))
+				if resume {
+					a = append(a, "-resume")
+				}
+				return append(a, cnfPath, tc.proofPath)
+			}
+			base, forged := tc.name+"-base", tc.name+"-forged"
+			code, baseOut := runWithEnv(t, nil, bin, args(base, false)...)
+			if code != 0 {
+				t.Fatalf("fresh run exit %d:\n%s", code, baseOut)
+			}
+			forge(filepath.Join(dir, forged+".dpvj"), tc.proofFP, tc.run)
+
+			cmd := exec.Command(bin, args(forged, true)...)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout = &stdout
+			cmd.Stderr = &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("resume over an unfit record: %v\nstderr:\n%s", err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "not resuming") || !strings.Contains(stderr.String(), "running from scratch") {
+				t.Errorf("no fallback warning on stderr:\n%s", stderr.String())
+			}
+			if stdout.String() != baseOut {
+				t.Errorf("stdout diverged from a fresh run:\n got %q\nwant %q", stdout.String(), baseOut)
+			}
+			for _, ext := range []string{".core", ".trim"} {
+				want, err := os.ReadFile(filepath.Join(dir, base+ext))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(filepath.Join(dir, forged+ext))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s output differs from a fresh run's", ext)
+				}
+			}
+		})
+	}
+}
+
 // TestCrashHookFiresAfterDurableAppend pins the crash point itself: a killed
 // run must leave a journal whose records are readable up to (at least) the
 // append the hook fired on — the record is durable before the SIGKILL.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/bcp"
+	"repro/internal/lrat"
 )
 
 // Checkpoint support for Verify and VerifyParallelOpts: every
@@ -59,17 +60,18 @@ type CheckpointConfig struct {
 	// deterministic.
 	Sink func(payload []byte) error
 	// Resume, when non-nil, restarts verification from a decoded
-	// checkpoint instead of the beginning. The caller is responsible for
-	// validating it against this run (ValidateFor) and for only passing
-	// checkpoints recovered from a journal whose metadata matched.
+	// checkpoint instead of the beginning. StartJournal sets it only to a
+	// record from a journal whose metadata matched and that fits the run;
+	// a Resume that does not fit fails the run with ErrBadCheckpoint.
 	Resume *Checkpoint
 }
 
 func (c *CheckpointConfig) enabled() bool { return c != nil && c.Every > 0 }
 
 // ErrBadCheckpoint wraps resume states that do not fit the run they are
-// offered to. CLI callers validate upfront and fall back to a full run;
-// seeing this error out of Verify means a caller skipped validation.
+// offered to. StartJournal refuses such a record with a warning and starts
+// the run from scratch; seeing this error out of Verify means a caller set
+// CheckpointConfig.Resume without StartJournal.
 var ErrBadCheckpoint = errors.New("core: checkpoint does not match this verification")
 
 // WorkerState is one parallel worker's durable progress: the next trace
@@ -202,8 +204,8 @@ func (cp *Checkpoint) Encode() []byte {
 }
 
 // DecodeCheckpoint parses an encoded checkpoint payload. It validates only
-// internal consistency; use ValidateFor to check the state against a
-// concrete run.
+// internal consistency; whether the state fits a concrete run is decided
+// when the run starts (see StartJournal).
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	fail := func(what string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: %s", ErrBadCheckpoint, what)
@@ -278,15 +280,28 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// ValidateFor checks that the checkpoint could have been produced by a run
-// over nf formula clauses and m proof clauses with the given parallelism
-// (workers == 0 means sequential).
-func (cp *Checkpoint) ValidateFor(nf, m, workers int) error {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("%w: "+format, append([]any{ErrBadCheckpoint}, args...)...)
+// fit is the one resume decision, made by Verify and VerifyParallelOpts on
+// CheckpointConfig.Resume and by StartJournal on a journal's last record. It
+// reports why cp could not have been written by a run over nf formula and m
+// proof clauses on the given workers (0 = sequential) that records hints or
+// not, and returns the hint recorder a hinted checkpoint restores.
+func (cp *Checkpoint) fit(nf, m, workers int, hinted bool) (*lrat.Recorder, error) {
+	fail := func(format string, args ...any) (*lrat.Recorder, error) {
+		return nil, fmt.Errorf("%w: "+format, append([]any{ErrBadCheckpoint}, args...)...)
 	}
 	if cp.Par != (workers > 0) {
 		return fail("parallel flag %v does not match workers=%d", cp.Par, workers)
+	}
+	switch {
+	case cp.Hints != nil && !hinted:
+		// A hinted run propagates in input order, this one core-first:
+		// resuming would mix the two orders.
+		return fail("checkpoint was recorded with hints")
+	case cp.Hints == nil && hinted:
+		// Byte-identical emission needs the steps recorded before the
+		// crash; a checkpoint written without a recorder cannot provide
+		// them, so refuse rather than emit a silently truncated proof.
+		return fail("checkpoint carries no hint recorder")
 	}
 	if cp.Par {
 		if len(cp.Workers) != workers {
@@ -307,7 +322,7 @@ func (cp *Checkpoint) ValidateFor(nf, m, workers int) error {
 				return fail("worker %d next index %d outside chunk [%d,%d)", w, st.Next, lo, hi)
 			}
 		}
-		return nil
+		return nil, nil
 	}
 	if cp.NextIndex < 0 || cp.NextIndex >= m {
 		return fail("next index %d outside trace of %d clauses", cp.NextIndex, m)
@@ -315,7 +330,14 @@ func (cp *Checkpoint) ValidateFor(nf, m, workers int) error {
 	if len(cp.Marked) != nf+m {
 		return fail("marked bitmap of %d bits for %d clause slots", len(cp.Marked), nf+m)
 	}
-	return nil
+	if !hinted {
+		return nil, nil
+	}
+	rec, err := lrat.DecodeRecorder(cp.Hints)
+	if err != nil {
+		return fail("hint recorder: %v", err)
+	}
+	return rec, nil
 }
 
 // markedCounts splits a marked bitmap's popcount into original-formula and

@@ -144,21 +144,29 @@ func TestResumeRefusesHintedCheckpointWithoutHints(t *testing.T) {
 	}
 }
 
-func TestCheckpointValidateFor(t *testing.T) {
+func TestCheckpointFit(t *testing.T) {
 	ok := &Checkpoint{NextIndex: 5, Marked: make([]bool, 10+20)}
-	if err := ok.ValidateFor(10, 20, 0); err != nil {
+	if _, err := ok.fit(10, 20, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	bad := []*Checkpoint{
-		{NextIndex: 20, Marked: make([]bool, 30)},    // index out of range
-		{NextIndex: -1, Marked: make([]bool, 30)},    // index out of range
-		{NextIndex: 5, Marked: make([]bool, 29)},     // bitmap size
-		{Par: true, Workers: make([]WorkerState, 2)}, // parallel vs sequential
+		{NextIndex: 20, Marked: make([]bool, 30)},                 // index out of range
+		{NextIndex: -1, Marked: make([]bool, 30)},                 // index out of range
+		{NextIndex: 5, Marked: make([]bool, 29)},                  // bitmap size
+		{Par: true, Workers: make([]WorkerState, 2)},              // parallel vs sequential
+		{NextIndex: 5, Marked: make([]bool, 30), Hints: []byte{}}, // hinted record, unhinted run
 	}
 	for i, cp := range bad {
-		if err := cp.ValidateFor(10, 20, 0); !errors.Is(err, ErrBadCheckpoint) {
+		if _, err := cp.fit(10, 20, 0, false); !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("case %d: err = %v, want ErrBadCheckpoint", i, err)
 		}
+	}
+	if _, err := ok.fit(10, 20, 0, true); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("unhinted record, hinted run: err = %v, want ErrBadCheckpoint", err)
+	}
+	garbled := &Checkpoint{NextIndex: 5, Marked: make([]bool, 30), Hints: []byte{0xff}}
+	if _, err := garbled.fit(10, 20, 0, true); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("undecodable hint recorder: err = %v, want ErrBadCheckpoint", err)
 	}
 
 	// Parallel: m=5, workers=4 → chunk=2, chunks [0,2) [2,4) [4,5) and one
@@ -166,16 +174,16 @@ func TestCheckpointValidateFor(t *testing.T) {
 	pok := &Checkpoint{Par: true, Workers: []WorkerState{
 		{Next: 1}, {Next: 3}, {Next: 4}, {Next: 5},
 	}}
-	if err := pok.ValidateFor(10, 5, 4); err != nil {
+	if _, err := pok.fit(10, 5, 4, false); err != nil {
 		t.Fatal(err)
 	}
 	pbad := &Checkpoint{Par: true, Workers: []WorkerState{
 		{Next: 1}, {Next: 3}, {Next: 4}, {Next: 0}, // empty chunk without sentinel
 	}}
-	if err := pbad.ValidateFor(10, 5, 4); !errors.Is(err, ErrBadCheckpoint) {
+	if _, err := pbad.fit(10, 5, 4, false); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("err = %v, want ErrBadCheckpoint", err)
 	}
-	if err := pok.ValidateFor(10, 5, 3); !errors.Is(err, ErrBadCheckpoint) {
+	if _, err := pok.fit(10, 5, 3, false); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("worker count mismatch: err = %v, want ErrBadCheckpoint", err)
 	}
 }

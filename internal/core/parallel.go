@@ -114,7 +114,7 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 		if !ck.enabled() {
 			return nil, fmt.Errorf("%w: resume requires a checkpoint interval", ErrBadCheckpoint)
 		}
-		if err := ck.Resume.ValidateFor(len(f.Clauses), m, workers); err != nil {
+		if _, err := ck.Resume.fit(len(f.Clauses), m, workers, false); err != nil {
 			return nil, err
 		}
 	}
@@ -188,7 +188,7 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 	for w := range slots {
 		lo, hi := w*chunk, min((w+1)*chunk, m)
 		if lo >= hi {
-			slots[w].Next = m // empty chunk sentinel, see ValidateFor
+			slots[w].Next = m // empty chunk sentinel, see Checkpoint.fit
 		} else {
 			slots[w].Next = hi - 1
 		}

@@ -237,25 +237,11 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 		if !ck.enabled() {
 			return nil, fmt.Errorf("%w: resume requires a checkpoint interval", ErrBadCheckpoint)
 		}
-		if err := ck.Resume.ValidateFor(nf, m, 0); err != nil {
+		restored, err := ck.Resume.fit(nf, m, 0, opt.Hints != nil)
+		if err != nil {
 			return nil, err
 		}
-		if opt.Hints == nil && ck.Resume.Hints != nil {
-			// A hinted run propagates in input order, this one core-first:
-			// resuming would mix the two orders.
-			return nil, fmt.Errorf("%w: checkpoint was recorded with hints", ErrBadCheckpoint)
-		}
-		if opt.Hints != nil {
-			// Byte-identical emission needs the steps recorded before the
-			// crash; a checkpoint written without a recorder cannot provide
-			// them, so refuse rather than emit a silently truncated proof.
-			if ck.Resume.Hints == nil {
-				return nil, fmt.Errorf("%w: checkpoint carries no hint recorder", ErrBadCheckpoint)
-			}
-			restored, err := lrat.DecodeRecorder(ck.Resume.Hints)
-			if err != nil {
-				return nil, fmt.Errorf("%w: hint recorder: %v", ErrBadCheckpoint, err)
-			}
+		if restored != nil {
 			*opt.Hints = *restored
 		}
 	}

@@ -35,6 +35,23 @@ func (p *Proof) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
+// TraceLen is the length of the trace VerifyBackward checks — the count its
+// checkpoints are made against: the additions before the first empty
+// clause, closed by that clause or by an appended one.
+func (p *Proof) TraceLen() int {
+	n := 1
+	for _, s := range p.Steps {
+		if s.Del {
+			continue
+		}
+		if len(s.C) == 0 {
+			break
+		}
+		n++
+	}
+	return n
+}
+
 // VerifyBackward checks a DRUP proof the way drat-trim does — which is
 // exactly the paper's Proof_verification2 generalized to deletion lines.
 // It is a format front end over core.Verify:

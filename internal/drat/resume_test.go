@@ -96,6 +96,9 @@ func TestBackwardResumeMatchesUninterrupted(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: %v", k, err)
 		}
+		if got, want := len(cp.Marked), len(inst.F.Clauses)+p.TraceLen(); got != want {
+			t.Fatalf("record %d: %d marked slots, want formula plus TraceLen = %d", k, got, want)
+		}
 		resC, trimC, coreC, err := VerifyBackward(inst.F, p,
 			core.Options{Checkpoint: core.CheckpointConfig{Every: every, Resume: cp}})
 		if err != nil {
@@ -104,6 +107,21 @@ func TestBackwardResumeMatchesUninterrupted(t *testing.T) {
 		if got := backwardFingerprint(t, resC, trimC, coreC); got != want {
 			t.Fatalf("resume from record %d diverged:\n got %s\nwant %s", k, got, want)
 		}
+	}
+}
+
+func TestTraceLen(t *testing.T) {
+	p := &Proof{}
+	p.Add(cl(1))
+	p.Delete(cl(1))
+	p.Add(cl(-1))
+	if got := p.TraceLen(); got != 3 {
+		t.Errorf("proof without an empty clause: TraceLen = %d, want 3 (two additions, appended empty clause)", got)
+	}
+	p.Add(nil)
+	p.Add(cl(2))
+	if got := p.TraceLen(); got != 3 {
+		t.Errorf("proof closed by an empty clause: TraceLen = %d, want 3 (steps after it are ignored)", got)
 	}
 }
 

@@ -16,44 +16,34 @@ import (
 )
 
 // TestJournalFaultMatrix corrupts a real checkpoint journal in every
-// JournalKind and then replays the CLI resume protocol: Open + decode +
-// validate, falling back to a full run on any failure. The contract under
-// test is the degradation ladder — a damaged journal may cost work (resume
-// from an earlier record, or a full re-verification) but may never change
-// the verdict, crash, or hang. Open must also never invent a payload: any
-// record it returns must be byte-identical to one the baseline run appended.
+// JournalKind and then resumes from it through core.StartJournal, the
+// journal lifecycle every caller runs, falling back to a full run on any
+// failure. The contract under test is the degradation ladder — a damaged
+// journal may cost work (resume from an earlier record, or a full
+// re-verification) but may never change the verdict, crash, or hang.
+// Resume must also never invent a record: any record it resumes from must
+// be byte-identical to one the baseline run appended.
 func TestJournalFaultMatrix(t *testing.T) {
 	f, tr := goodInstance(t, 5)
 	const every = 40
-	meta := journal.Meta{
-		Kind:      journal.KindVerifySeq,
-		Mode:      uint8(core.ModeCheckMarked),
-		Engine:    uint8(core.EngineWatched),
-		Interval:  every,
-		FormulaFP: journal.FingerprintFormula(f),
-		ProofFP:   journal.FingerprintTrace(tr),
-	}
+	proofFP := journal.FingerprintTrace(tr)
 
 	// Baseline: a checkpointed run writing a genuine journal, keeping a copy
 	// of every payload it appended.
 	dir := t.TempDir()
 	cleanPath := filepath.Join(dir, "ckpt.dpvj")
-	jw, err := journal.Create(cleanPath, meta, nil)
+	opt := core.Options{Mode: core.ModeCheckMarked}
+	jw, _, err := core.StartJournal(cleanPath, f, tr.Len(), proofFP, &opt, every, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var payloads [][]byte
-	base, err := core.Verify(f, tr, core.Options{
-		Mode: core.ModeCheckMarked,
-		Checkpoint: core.CheckpointConfig{
-			Every: every,
-			Sink: func(b []byte) error {
-				payloads = append(payloads, append([]byte(nil), b...))
-				return jw.Append(b)
-			},
-		},
-	})
-	jw.Close()
+	sink := opt.Checkpoint.Sink
+	opt.Checkpoint.Sink = func(b []byte) error {
+		payloads = append(payloads, append([]byte(nil), b...))
+		return sink(b)
+	}
+	base, err := core.Verify(f, tr, opt)
 	if err != nil || !base.OK {
 		t.Fatalf("baseline checkpointed run: err=%v res=%+v", err, base)
 	}
@@ -62,6 +52,9 @@ func TestJournalFaultMatrix(t *testing.T) {
 	}
 	clean, err := os.ReadFile(cleanPath)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Finish(base, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,61 +86,58 @@ func TestJournalFaultMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				payload, jerr := journal.Open(path, meta, nil)
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				opt := core.Options{Mode: core.ModeCheckMarked, Ctx: ctx}
+				j, warn, err := core.StartJournal(path, f, tr.Len(), proofFP, &opt, every, 0, true)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				resume := opt.Checkpoint.Resume
 				switch kind {
 				case JournalStaleFingerprint:
-					if !errors.Is(jerr, journal.ErrMismatch) {
-						t.Fatalf("seed %d: err = %v, want ErrMismatch", seed, jerr)
+					if !errors.Is(warn, journal.ErrMismatch) {
+						t.Fatalf("seed %d: warning = %v, want ErrMismatch", seed, warn)
 					}
 				case JournalVersionSkew:
-					if !errors.Is(jerr, journal.ErrVersionSkew) {
-						t.Fatalf("seed %d: err = %v, want ErrVersionSkew", seed, jerr)
+					if !errors.Is(warn, journal.ErrVersionSkew) {
+						t.Fatalf("seed %d: warning = %v, want ErrVersionSkew", seed, warn)
 					}
 				case JournalTruncatedTail:
 					// A torn tail is tolerated: resume from an earlier record,
 					// or an empty journal when the cut swallowed them all. The
-					// final record is torn by construction, so Open must have
-					// degraded to an earlier one.
-					if jerr != nil && !errors.Is(jerr, journal.ErrEmpty) {
-						t.Fatalf("seed %d: err = %v, want nil or ErrEmpty", seed, jerr)
+					// final record is torn by construction, so resume must
+					// have degraded to an earlier one.
+					if warn != nil && !errors.Is(warn, journal.ErrEmpty) {
+						t.Fatalf("seed %d: warning = %v, want nil or ErrEmpty", seed, warn)
 					}
-					if jerr == nil {
-						if i, ok := isAppended(payload); !ok || i == len(payloads)-1 {
-							t.Fatalf("seed %d: truncated journal returned record %d ok=%v", seed, i, ok)
+					if resume != nil {
+						if i, ok := isAppended(resume.Encode()); !ok || i == len(payloads)-1 {
+							t.Fatalf("seed %d: truncated journal resumed record %d ok=%v", seed, i, ok)
 						}
 					}
 				case JournalBitFlip:
 					// CRC32 catches every single-bit error inside a framed
 					// record; a flip in a length field can also tear the tail.
-					if jerr != nil && !errors.Is(jerr, journal.ErrCorrupt) && !errors.Is(jerr, journal.ErrEmpty) {
-						t.Fatalf("seed %d: err = %v, want ErrCorrupt or ErrEmpty", seed, jerr)
+					if warn != nil && !errors.Is(warn, journal.ErrCorrupt) && !errors.Is(warn, journal.ErrEmpty) {
+						t.Fatalf("seed %d: warning = %v, want ErrCorrupt or ErrEmpty", seed, warn)
 					}
 				}
-				if jerr == nil {
-					if _, ok := isAppended(payload); !ok {
-						t.Fatalf("seed %d: Open returned a payload that was never appended", seed)
-					}
-				}
-
-				// The CLI protocol: decode + validate, else run from scratch.
-				var resume *core.Checkpoint
-				if jerr == nil {
-					cp, derr := core.DecodeCheckpoint(payload)
-					if derr == nil && cp.ValidateFor(len(f.Clauses), tr.Len(), 0) == nil {
-						resume = cp
-					}
+				if (warn == nil) != (resume != nil) {
+					t.Fatalf("seed %d: warning %v with resume %v", seed, warn, resume != nil)
 				}
 				if resume != nil {
+					if _, ok := isAppended(resume.Encode()); !ok {
+						t.Fatalf("seed %d: resumed from a record that was never appended", seed)
+					}
 					resumes++
 				} else {
 					fullRuns++
 				}
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				res, verr := core.Verify(f, tr, core.Options{
-					Mode: core.ModeCheckMarked, Ctx: ctx,
-					Checkpoint: core.CheckpointConfig{Every: every, Resume: resume},
-				})
+				res, verr := core.Verify(f, tr, opt)
 				cancel()
+				if err := j.Finish(res, verr); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
 				if errors.Is(verr, core.ErrDeadline) || errors.Is(verr, core.ErrCancelled) {
 					t.Fatalf("seed %d: verification after %v hit the 10s deadline", seed, kind)
 				}

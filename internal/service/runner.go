@@ -180,66 +180,31 @@ func (d *Daemon) verifyOnce(w int, job *Job, f *cnf.Formula, tr *proof.Trace, bu
 		Hints:  rec,
 	}
 
-	var jw *journal.Writer
+	// Resume from a previous incarnation's journal when it fits; every
+	// failure mode degrades to a full re-run, never a wrong verdict. (After
+	// a fallback-engine retry the meta differs, so a stale primary-engine
+	// journal is refused here by design.)
+	var jw *core.Journal
 	if jpath := d.opt.Store.JournalPath(job.ID); jpath != "" && d.opt.CheckpointEvery > 0 {
-		meta := journal.Meta{
-			Kind:      journal.KindVerifySeq,
-			Mode:      uint8(opt.Mode),
-			Engine:    uint8(engine),
-			Interval:  uint32(d.opt.CheckpointEvery),
-			FormulaFP: journal.FingerprintFormula(f),
-			ProofFP:   journal.FingerprintTrace(tr),
+		var warn, jerr error
+		jw, warn, jerr = core.StartJournal(jpath, f, tr.Len(), journal.FingerprintTrace(tr),
+			&opt, d.opt.CheckpointEvery, 0, true)
+		if warn != nil && !errors.Is(warn, journal.ErrNoJournal) {
+			d.opt.Logf("service: job %s: not resuming (%v); running from scratch", job.ID, warn)
 		}
-		// Resume from a previous incarnation's journal when it validates;
-		// every failure mode degrades to a full re-run, never a wrong
-		// verdict. (After a fallback-engine retry the meta differs, so a
-		// stale primary-engine journal is rejected here by design.)
-		var resumeCp *core.Checkpoint
-		var resumePayload []byte
-		if payload, jerr := journal.Open(jpath, meta, d.opt.Obs); jerr == nil {
-			cp, derr := core.DecodeCheckpoint(payload)
-			if derr == nil {
-				derr = cp.ValidateFor(f.NumClauses(), tr.Len(), 0)
-			}
-			if derr == nil && cp.Hints == nil {
-				// A journal from before hint recording: resuming would leave
-				// the verified prefix without hints, so re-run instead.
-				derr = fmt.Errorf("checkpoint carries no hint recorder")
-			}
-			if derr == nil {
-				resumeCp, resumePayload = cp, payload
-				d.opt.Obs.Counter("service.jobs_resumed").Inc()
-				d.opt.Logf("service: job %s: resuming from checkpoint at clause %d", job.ID, cp.NextIndex)
-			} else {
-				d.opt.Logf("service: job %s: not resuming (%v); running from scratch", job.ID, derr)
-			}
-		} else if !errors.Is(jerr, journal.ErrNoJournal) {
-			d.opt.Logf("service: job %s: not resuming (%v); running from scratch", job.ID, jerr)
-		}
-		if wr, jerr := journal.Create(jpath, meta, d.opt.Obs); jerr != nil {
+		if jerr != nil {
 			d.opt.Obs.Counter("service.journal_degraded").Inc()
 			d.opt.Logf("service: job %s: checkpointing disabled (%v)", job.ID, jerr)
 		} else {
-			jw = wr
-			defer jw.Close()
-			if resumePayload != nil {
-				// Re-append the resumed record so no durable progress is
-				// lost; on failure the resume state is still held in memory
-				// and a crash before the next checkpoint merely re-runs.
-				if aerr := jw.Append(resumePayload); aerr != nil {
-					d.opt.Obs.Counter("service.journal_degraded").Inc()
-					d.opt.Logf("service: job %s: journal append failed (%v); durability degraded", job.ID, aerr)
-				}
+			if cp := opt.Checkpoint.Resume; cp != nil {
+				d.opt.Obs.Counter("service.jobs_resumed").Inc()
+				d.opt.Logf("service: job %s: resuming from checkpoint at clause %d", job.ID, cp.NextIndex)
 			}
-			sink := jw.Append
+			sink := opt.Checkpoint.Sink
 			if d.opt.SinkWrap != nil {
 				sink = d.opt.SinkWrap(sink)
 			}
-			opt.Checkpoint = core.CheckpointConfig{
-				Every:  d.opt.CheckpointEvery,
-				Sink:   d.degradingSink(job.ID, sink),
-				Resume: resumeCp,
-			}
+			opt.Checkpoint.Sink = d.degradingSink(job.ID, sink)
 		}
 	}
 
@@ -261,16 +226,8 @@ func (d *Daemon) verifyOnce(w int, job *Job, f *cnf.Formula, tr *proof.Trace, bu
 	}()
 
 	if jw != nil {
-		if verr == nil {
-			// A verdict was reached; the journal is stale by definition.
-			if rerr := jw.Remove(); rerr != nil {
-				d.opt.Logf("service: job %s: journal remove: %v", job.ID, rerr)
-			}
-		} else if res != nil && res.Incomplete {
-			note := fmt.Sprintf("incomplete stopped_at=%d tested=%d err=%v", res.StoppedAt, res.Tested, verr)
-			if ferr := jw.AppendFinal([]byte(note)); ferr != nil {
-				d.opt.Logf("service: job %s: journal final record: %v", job.ID, ferr)
-			}
+		if ferr := jw.Finish(res, verr); ferr != nil {
+			d.opt.Logf("service: job %s: %v", job.ID, ferr)
 		}
 	}
 	return res, verr
