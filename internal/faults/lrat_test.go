@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lrat"
 	"repro/internal/proof"
+	"repro/internal/sched"
 )
 
 // recordedProof verifies PHP(n) with the hint recorder attached and
@@ -34,53 +35,103 @@ func recordedProof(t *testing.T, n int) (*cnf.Formula, *proof.Trace, *lrat.Proof
 	return f, tr, p
 }
 
+// hintVerdict is a hinted check's rejection contract: the first failing
+// step and its reason, or (-1, "") for an accepted proof.
+type hintVerdict struct {
+	step   int
+	reason string
+}
+
+// pinnedHintVerdicts records, per hint-corruption kind and injector seed
+// 0..7, the verdict the hinted checker gives on PHP(5)'s recorded proof.
+// Any change to replay order, rejection attribution or reason text shows
+// here.
+var pinnedHintVerdicts = map[HintKind][8]hintVerdict{
+	WrongAntecedent: {
+		{18, "hint 2 (clause [-14 1 3 5 16 18 20]) satisfied, not unit"},
+		{81, "hint 2 (clause [-30 1 3 5 6 8 11 13 14]) satisfied, not unit"},
+		{42, "hint 6 (clause [-18 1 5 10 15 26 30]) satisfied, not unit"},
+		{16, "hint 2 has 5 unassigned literals, not unit"},
+		{29, "hint 1 (clause [-10 1 2 5 11 12 14 16 17 18]) satisfied, not unit"},
+		{146, "hint 4 (clause [-4 6 10 13 14 15 24 25 26 30]) satisfied, not unit"},
+		{4, "hint 3 has 4 unassigned literals, not unit"},
+		{86, "hint 0 has 3 unassigned literals, not unit"},
+	},
+	ReorderHints: {
+		{85, "hint 2 has 2 unassigned literals, not unit"},
+		{-1, ""},
+		{-1, ""},
+		{98, "hint 1 has 2 unassigned literals, not unit"},
+		{8, "hint 1 has 2 unassigned literals, not unit"},
+		{-1, ""},
+		{-1, ""},
+		{136, "hint 6 has 2 unassigned literals, not unit"},
+	},
+	DropHint: {
+		{18, "hint 2 has 2 unassigned literals, not unit"},
+		{81, "hint 3 has 2 unassigned literals, not unit"},
+		{42, "final hint unit on 27, not conflicting"},
+		{16, "final hint unit on -7, not conflicting"},
+		{29, "hint 6 has 2 unassigned literals, not unit"},
+		{146, "hint 8 has 2 unassigned literals, not unit"},
+		{4, "final hint unit on -19, not conflicting"},
+		{86, "hint 0 has 2 unassigned literals, not unit"},
+	},
+	DanglingHintID: {
+		{18, "dangling hint id 244"},
+		{81, "dangling hint id 244"},
+		{42, "dangling hint id 244"},
+		{16, "dangling hint id 244"},
+		{29, "dangling hint id 244"},
+		{146, "dangling hint id 244"},
+		{4, "dangling hint id 244"},
+		{86, "dangling hint id 244"},
+	},
+}
+
 // TestLRATHintFaultMatrix attacks the hinted checker with syntactically
 // well-formed proofs whose hint lists lie: wrong antecedents, reordered
-// units, dropped hints, dangling IDs. Sequential and parallel checks must
-// agree on every mutant, never panic, and each kind must bite (produce at
-// least one rejection) across the seeds.
+// units, dropped hints, dangling IDs. The sequential, chunked and
+// DAG-scheduled checks must give every mutant the same pinned verdict —
+// OK, failing step and reason — and never panic.
 func TestLRATHintFaultMatrix(t *testing.T) {
 	f, _, p := recordedProof(t, 5)
 
-	rejectionSeen := make(map[HintKind]bool)
+	modes := []struct {
+		name string
+		opt  lrat.Options
+	}{
+		{"sequential", lrat.Options{}},
+		{"chunk", lrat.Options{Workers: 4}},
+		{"dag", lrat.Options{Workers: 4, Strategy: sched.StrategyDAG}},
+	}
 	for _, kind := range HintKinds {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			applied := 0
+			pins, ok := pinnedHintVerdicts[kind]
+			if !ok {
+				t.Fatalf("%v has no pinned verdicts", kind)
+			}
 			for seed := int64(0); seed < 8; seed++ {
 				inj := New(seed)
 				mp, ok := inj.ApplyHints(kind, p)
 				if !ok {
-					continue
+					t.Fatalf("seed %d: %v inapplicable", seed, kind)
 				}
-				applied++
-				seq, err := lrat.Check(f, mp, lrat.Options{})
-				if err != nil {
-					t.Fatalf("seed %d: sequential check errored: %v", seed, err)
-				}
-				par, err := lrat.Check(f, mp, lrat.Options{Workers: 4})
-				if err != nil {
-					t.Fatalf("seed %d: parallel check errored: %v", seed, err)
-				}
-				if seq.OK != par.OK {
-					t.Errorf("seed %d: verdict split: seq=%v par=%v", seed, seq.OK, par.OK)
-				}
-				if !seq.OK {
-					rejectionSeen[kind] = true
-					if seq.Reason == "" {
-						t.Errorf("seed %d: rejection without a reason", seed)
+				want := pins[seed]
+				for _, m := range modes {
+					res, err := lrat.Check(f, mp, m.opt)
+					if err != nil {
+						t.Fatalf("seed %d: %s check errored: %v", seed, m.name, err)
+					}
+					got := hintVerdict{res.FailedStep, res.Reason}
+					if got != want || res.OK != (want.step < 0) {
+						t.Errorf("seed %d: %s verdict ok=%v %+v, want %+v",
+							seed, m.name, res.OK, got, want)
 					}
 				}
 			}
-			if applied == 0 {
-				t.Fatalf("%v never applied across seeds", kind)
-			}
 		})
-	}
-	for _, kind := range HintKinds {
-		if !rejectionSeen[kind] {
-			t.Errorf("%v: no seed produced a rejection — mutation is not biting", kind)
-		}
 	}
 }
 
