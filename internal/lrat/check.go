@@ -93,7 +93,9 @@ type checker struct {
 	// hints live at hintSlots[hintOff[k]:hintOff[k+1]] (deletions: empty).
 	hintSlots []int32
 	hintOff   []int32
-	nVars     int
+	// nVars is one past the largest variable any formula or proof clause
+	// mentions.
+	nVars int
 }
 
 const ctxPollEvery = 1024
@@ -246,19 +248,29 @@ type rejection struct {
 // buildChecker runs the sequential structural pass: id→slot resolution,
 // liveness intervals, per-step hint resolution into a flat arena. It does no
 // replay work, so it is cheap relative to the per-step checks it unlocks.
+//
+// The replay arrays are sized by the largest variable the formula and proof
+// clauses mention, never by the formula header: a header may undercount its
+// variables, and an overcounting one (a 37-byte upload can claim 10^8) would
+// otherwise make every worker allocate for variables no clause names.
 func buildChecker(f *cnf.Formula, p *Proof) (*checker, *rejection) {
 	nf := f.NumClauses()
+	adds, hints := 0, 0
+	for k := range p.Steps {
+		if !p.Steps[k].Del {
+			adds++
+			hints += len(p.Steps[k].Hints)
+		}
+	}
 	ck := &checker{
-		clauses: make([][]cnf.Lit, nf, nf+p.Additions()),
-		refs:    make([]slotRef, nf, nf+p.Additions()),
-		hintOff: make([]int32, 1, len(p.Steps)+1),
-		nVars:   f.NumVars,
+		clauses:   make([][]cnf.Lit, nf, nf+adds),
+		refs:      make([]slotRef, nf, nf+adds),
+		hintSlots: make([]int32, 0, hints),
+		hintOff:   make([]int32, 1, len(p.Steps)+1),
 	}
 	for i, c := range f.Clauses {
 		ck.clauses[i] = c
 		ck.refs[i] = slotRef{addAt: -1, delAt: math.MaxInt32}
-		// Defend the replay arrays against a formula whose header undercounts
-		// its variables; the BCP engines grow the same way.
 		if mv := c.MaxVar(); int(mv) >= ck.nVars {
 			ck.nVars = int(mv) + 1
 		}
@@ -267,7 +279,7 @@ func buildChecker(f *cnf.Formula, p *Proof) (*checker, *rejection) {
 	// practice (engine ID + 1) that a sorted lookup is wasted work — but
 	// foreign proofs may skip IDs, so additions resolve through a map built
 	// exactly once here.
-	idSlot := make(map[int64]int32, p.Additions())
+	idSlot := make(map[int64]int32, adds)
 	resolve := func(id int64) (int32, bool) {
 		if id >= 1 && id <= int64(nf) {
 			return int32(id - 1), true
@@ -325,51 +337,50 @@ func buildChecker(f *cnf.Formula, p *Proof) (*checker, *rejection) {
 	return ck, nil
 }
 
-// stepChecker is one worker's mutable replay state: an assignment array and
-// its undo list. Values: 0 unassigned, +1 true, -1 false.
+// stepChecker is one worker's mutable replay state: a value per literal and
+// the undo list of assumed or forced literals. val[l] is 0 while l's variable
+// is unassigned, +1 when l is true and -1 when l is false; set keeps the two
+// literals of a variable complementary, so a read is one load with no sign
+// arithmetic.
 type stepChecker struct {
-	ck     *checker
-	assign []int8
-	undo   []cnf.Var
+	ck   *checker
+	val  []int8
+	undo []cnf.Lit
 }
 
 func newStepChecker(ck *checker) *stepChecker {
-	return &stepChecker{ck: ck, assign: make([]int8, ck.nVars)}
+	return &stepChecker{ck: ck, val: make([]int8, 2*ck.nVars)}
 }
 
 func (st *stepChecker) set(l cnf.Lit) {
-	v := l.Var()
-	if l.IsNeg() {
-		st.assign[v] = -1
-	} else {
-		st.assign[v] = 1
-	}
-	st.undo = append(st.undo, v)
-}
-
-func (st *stepChecker) val(l cnf.Lit) int8 {
-	v := st.assign[l.Var()]
-	if l.IsNeg() {
-		return -v
-	}
-	return v
+	st.val[l] = 1
+	st.val[l^1] = -1
+	st.undo = append(st.undo, l)
 }
 
 func (st *stepChecker) reset() {
-	for _, v := range st.undo {
-		st.assign[v] = 0
+	for _, l := range st.undo {
+		st.val[l] = 0
+		st.val[l^1] = 0
 	}
 	st.undo = st.undo[:0]
 }
 
-// check replays one addition step. It returns the number of hint clauses
-// scanned and a non-empty reason on failure.
+// check replays one addition step and clears the assignment it made. It
+// returns the number of hint clauses scanned and a non-empty reason on
+// failure.
 func (st *stepChecker) check(s *Step, hints []int32) (int64, string) {
-	defer st.reset()
+	n, why := st.replay(s, hints)
+	st.reset()
+	return n, why
+}
+
+// replay is check without the cleanup: it leaves its assignment in place.
+func (st *stepChecker) replay(s *Step, hints []int32) (int64, string) {
 	// Assume the negation of the derived clause. A complementary pair means
 	// the clause is a tautology — trivially implied, no hints needed.
 	for _, l := range s.C {
-		switch st.val(l) {
+		switch st.val[l] {
 		case 1:
 			return 0, "" // tautology
 		case 0:
@@ -384,7 +395,7 @@ func (st *stepChecker) check(s *Step, hints []int32) (int64, string) {
 		var unit cnf.Lit = cnf.LitUndef
 		unassigned := 0
 		for _, l := range cl {
-			switch st.val(l) {
+			switch st.val[l] {
 			case 1:
 				return int64(i + 1), fmt.Sprintf("hint %d (clause %s) satisfied, not unit", i, fmtClause(cl))
 			case 0:

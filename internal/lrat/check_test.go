@@ -3,6 +3,7 @@ package lrat
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -195,17 +196,35 @@ func TestCheckEmptyFormulaClauseRejectsNothing(t *testing.T) {
 	}
 }
 
+// The replay arrays size off the clauses, not the formula header: a header
+// that undercounts must not break the check, and one that overcounts must
+// not make it allocate for variables no clause mentions.
 func TestCheckGrowsVarsPastHeader(t *testing.T) {
-	// Header claims 0 vars; clauses mention up to x3. The replay arrays must
-	// size off the clauses, not the header.
-	f := &cnf.Formula{NumVars: 0}
-	f.Clauses = []cnf.Clause{mkClause(1), mkClause(-1, 2), mkClause(-2)}
-	res, err := Check(f, parse(t, "4 0 1 2 3 0"), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK {
-		t.Fatalf("rejected: %s", res.Reason)
+	for _, tc := range []struct {
+		name    string
+		numVars int
+	}{
+		{"undercount", 0},
+		{"overcount", 100_000_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := &cnf.Formula{NumVars: tc.numVars}
+			f.Clauses = []cnf.Clause{mkClause(1), mkClause(-1, 2), mkClause(-2)}
+			p := parse(t, "4 0 1 2 3 0")
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := Check(f, p, Options{})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.OK {
+				t.Fatalf("rejected: %s", res.Reason)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+				t.Fatalf("check allocated %d bytes for a 2-variable formula", d)
+			}
+		})
 	}
 }
 
