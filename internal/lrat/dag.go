@@ -1,12 +1,10 @@
 package lrat
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cnf"
 	"repro/internal/sched"
 )
 
@@ -20,44 +18,21 @@ import (
 // whose critical path bounds parallel wall-clock. Task costs are
 // 1 + len(hints): replay cost is linear in the hint list.
 
-// Replayer exposes step-at-a-time hinted replay for external schedulers
-// (the scheduler benchmark in internal/bench). It is the structural pass of
-// Check (id resolution, liveness intervals, hint arena) frozen into an
-// immutable table that any number of ReplayWorkers can share.
-type Replayer struct {
-	p  *Proof
-	ck *checker
-	nf int
-}
-
-// NewReplayer runs the structural pass over the proof. A structural
-// rejection (dangling id, deleted antecedent, non-increasing ids) returns
-// an error naming the step; replay failures are reported per step later.
-func NewReplayer(f *cnf.Formula, p *Proof) (*Replayer, error) {
-	ck, rej := buildChecker(f, p)
-	if rej != nil {
-		return nil, fmt.Errorf("lrat: structural rejection at step %d: %s", rej.step, rej.reason)
-	}
-	return &Replayer{p: p, ck: ck, nf: f.NumClauses()}, nil
-}
-
-// Steps reports the number of proof steps (= scheduler tasks; deletions are
-// no-op tasks so task indices equal step indices).
-func (r *Replayer) Steps() int { return len(r.p.Steps) }
-
-// DAG builds the clause-dependency DAG over the proof's steps.
-func (r *Replayer) DAG() *sched.DAG {
-	b := sched.NewBuilder(len(r.p.Steps))
-	for k := range r.p.Steps {
-		if r.p.Steps[k].Del {
+// hintDAG builds the clause-dependency DAG over the proof's steps from the
+// checker's resolved hints. Deletions are no-op tasks, so task indices
+// equal step indices.
+func hintDAG(p *Proof, ck *checker) *sched.DAG {
+	b := sched.NewBuilder(len(p.Steps))
+	for k := range p.Steps {
+		if p.Steps[k].Del {
 			continue
 		}
-		hints := r.ck.hintSlots[r.ck.hintOff[k]:r.ck.hintOff[k+1]]
+		hints := ck.hintSlots[ck.hintOff[k]:ck.hintOff[k+1]]
 		b.SetCost(k, int64(1+len(hints)))
 		for _, slot := range hints {
 			// addAt < k is guaranteed: buildChecker rejects hints that cite
 			// a step not yet derived.
-			if at := r.ck.refs[slot].addAt; at >= 0 {
+			if at := ck.refs[slot].addAt; at >= 0 {
 				b.AddEdge(int(at), k)
 			}
 		}
@@ -65,33 +40,11 @@ func (r *Replayer) DAG() *sched.DAG {
 	return b.Build()
 }
 
-// NewWorker allocates one worker's private replay scratchpad. Workers are
-// not safe for concurrent use; allocate one per goroutine.
-func (r *Replayer) NewWorker() *ReplayWorker {
-	return &ReplayWorker{r: r, st: newStepChecker(r.ck)}
-}
-
-// ReplayWorker replays individual steps against the shared table.
-type ReplayWorker struct {
-	r  *Replayer
-	st *stepChecker
-}
-
-// Step replays step k. It returns the number of hint clauses scanned and a
-// non-empty reason if the replay failed; deletion steps are no-ops.
-func (w *ReplayWorker) Step(k int) (hintsScanned int64, reason string) {
-	s := &w.r.p.Steps[k]
-	if s.Del {
-		return 0, ""
-	}
-	return w.st.check(s, w.r.ck.hintSlots[w.r.ck.hintOff[k]:w.r.ck.hintOff[k+1]])
-}
-
 // BuildDAG constructs the hint DAG of a bare proof without its formula, for
 // diagnostics (proofstat): hints that do not name an addition step of the
 // proof — formula clauses, or ids a malformed proof dangles — contribute no
 // edges, and edges that would not point forward are skipped rather than
-// rejected. Use NewReplayer for the checked construction.
+// rejected. Check builds the checked DAG itself.
 func BuildDAG(p *Proof) *sched.DAG {
 	b := sched.NewBuilder(len(p.Steps))
 	idx := make(map[int64]int, p.Additions())
@@ -123,7 +76,7 @@ func BuildDAG(p *Proof) *sched.DAG {
 // executed and failures take an atomic min.
 func checkDAG(p *Proof, ck *checker, workers int, opt Options, res *Result) (*Result, error) {
 	ctx := opt.Ctx
-	d := (&Replayer{p: p, ck: ck}).DAG()
+	d := hintDAG(p, ck)
 
 	var (
 		failStep   int64 = math.MaxInt64

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cnf"
 	"repro/internal/sched"
 )
 
@@ -104,19 +105,23 @@ func TestCheckDAGDifferentialRandom(t *testing.T) {
 	}
 }
 
+// buildTestChecker runs the structural pass and fails the test on a
+// rejection.
+func buildTestChecker(t *testing.T, f *cnf.Formula, p *Proof) *checker {
+	t.Helper()
+	ck, rej := buildChecker(f, p)
+	if rej != nil {
+		t.Fatalf("structural rejection at step %d: %s", rej.step, rej.reason)
+	}
+	return ck
+}
+
 // The chain proof's DAG is one long dependency path: each derived unit
 // hints the previous derived unit, so depth tracks the additions and the
 // deletionless chain admits no parallelism (crit == total over additions).
-func TestReplayerDAGShape(t *testing.T) {
+func TestHintDAGShape(t *testing.T) {
 	f, p := longChain(100)
-	rep, err := NewReplayer(f, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Steps() != len(p.Steps) {
-		t.Fatalf("steps %d, want %d", rep.Steps(), len(p.Steps))
-	}
-	st := rep.DAG().Stats()
+	st := hintDAG(p, buildTestChecker(t, f, p)).Stats()
 	if st.Tasks != 100 || st.Depth != 100 || st.MaxWidth != 1 {
 		t.Fatalf("chain DAG stats = %+v", st)
 	}
@@ -127,41 +132,29 @@ func TestReplayerDAGShape(t *testing.T) {
 	}
 }
 
-func TestReplayerStructuralRejection(t *testing.T) {
-	f, p := longChain(10)
-	p.Steps[3].Hints = []int64{999}
-	if _, err := NewReplayer(f, p); err == nil {
-		t.Fatal("dangling hint did not reject")
-	}
-}
-
-func TestReplayerStepByStep(t *testing.T) {
+func TestStepReplayOutOfOrder(t *testing.T) {
 	f, p := longChain(50)
-	rep, err := NewReplayer(f, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := rep.NewWorker()
+	ck := buildTestChecker(t, f, p)
+	st := newStepChecker(ck)
 	// Replay out of order on purpose: step replay only reads the immutable
 	// table, so any order must succeed.
-	for k := rep.Steps() - 1; k >= 0; k-- {
-		if _, why := w.Step(k); why != "" {
+	for k := len(p.Steps) - 1; k >= 0; k-- {
+		if p.Steps[k].Del {
+			continue
+		}
+		if _, why := st.check(&p.Steps[k], ck.hintSlots[ck.hintOff[k]:ck.hintOff[k+1]]); why != "" {
 			t.Fatalf("step %d: %s", k, why)
 		}
 	}
 }
 
-// BuildDAG (no formula) must agree with the replayer's DAG on shape for a
+// BuildDAG (no formula) must agree with the checked DAG on shape for a
 // well-formed proof, and tolerate dangling hints instead of rejecting.
 func TestBuildDAGStandalone(t *testing.T) {
 	f, p := longChain(60)
-	rep, err := NewReplayer(f, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := rep.DAG().Stats(), BuildDAG(p).Stats()
+	a, b := hintDAG(p, buildTestChecker(t, f, p)).Stats(), BuildDAG(p).Stats()
 	if a != b {
-		t.Fatalf("replayer DAG %+v vs standalone %+v", a, b)
+		t.Fatalf("checked DAG %+v vs standalone %+v", a, b)
 	}
 	p.Steps[10].Hints = append(p.Steps[10].Hints, 424242)
 	st := BuildDAG(p).Stats()
