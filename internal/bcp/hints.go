@@ -1,7 +1,8 @@
 package bcp
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/cnf"
 )
@@ -100,7 +101,7 @@ func engineConflictHints(
 		seen[v] = false
 	}
 	*seenReset = (*seenReset)[:0]
-	sort.Slice(cands, func(i, j int) bool { return cands[i].pos < cands[j].pos })
+	slices.SortFunc(cands, func(a, b hintCand) int { return cmp.Compare(a.pos, b.pos) })
 
 	// Phase 2: replay simulation (see the package comment above).
 	assign := func(l cnf.Lit) {
