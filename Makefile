@@ -94,10 +94,10 @@ cluster-smoke:
 	$(GO) test -count=1 ./internal/cluster/ ./internal/retry/
 
 # par-smoke is the dependency-aware scheduling gate: the work-stealing
-# scheduler's unit suite and the LRAT checker's DAG-vs-chunk-vs-sequential
+# scheduler's unit suite and the LRAT checker's DAG-vs-sequential
 # differential under the race detector, and the CLI round trip (dpv -sched
 # dag, the sequential check plus a hinted DAG recheck, byte-compared with a
-# sequential run; lratcheck under both schedules).
+# sequential run; dpv -sched chunk's verdict; lratcheck -par 4).
 par-smoke:
 	$(GO) test -race -count=1 ./internal/sched/
 	$(GO) test -race -run '^TestCheckDAG|^TestHintDAG|^TestStepReplay|^TestBuildDAG' -count=1 ./internal/lrat/

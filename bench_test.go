@@ -430,7 +430,7 @@ func BenchmarkParallelVerify(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.VerifyParallel(inst.F, tr, core.EngineWatched, workers)
+				res, err := core.VerifyParallelOpts(inst.F, tr, core.Options{}, workers)
 				if err != nil || !res.OK {
 					b.Fatalf("%v %+v", err, res)
 				}

@@ -96,7 +96,7 @@ func run() int {
 	// which the exit-code contract reserves for a rejected proof.
 	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	all := flag.Bool("all", false, "check every clause (Proof_verification1)")
-	engine := flag.String("engine", "watched", "BCP engine: watched | counting | watched-scratch")
+	engine := flag.String("engine", "watched", "BCP engine: watched | counting")
 	par := flag.Int("par", 0, "parallel workers (0 = sequential)")
 	schedName := flag.String("sched", "chunk", "parallel schedule with -par: chunk | dag (sequential check, then a parallel recheck of its LRAT hints)")
 	corePath := flag.String("core", "", "write the unsatisfiable core (DIMACS) to this file")
@@ -245,8 +245,6 @@ func run() int {
 		opt.Engine = core.EngineWatched
 	case "counting":
 		opt.Engine = core.EngineCounting
-	case "watched-scratch":
-		opt.Engine = core.EngineWatchedScratch
 	default:
 		fmt.Fprintf(os.Stderr, "dpv: unknown engine %q\n", *engine)
 		return exitcode.Usage

@@ -19,7 +19,7 @@
 //	-job-timeout D    per-job verification deadline (0 = unlimited)
 //	-max-props N      per-job propagation budget (0 = unlimited)
 //	-max-memory N     per-job estimated-memory budget in bytes (0 = unlimited)
-//	-engine NAME      watched | counting | watched-scratch (default watched)
+//	-engine NAME      watched | counting (default watched)
 //	-all              check every proof clause (Proof_verification1)
 //	-checkpoint-every N  journal interval in proof clauses (default 1000;
 //	                  -1 disables checkpointing even with -store)
@@ -82,7 +82,7 @@ func run() int {
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job verification deadline (0 = unlimited)")
 	maxProps := flag.Int64("max-props", 0, "per-job propagation budget (0 = unlimited)")
 	maxMemory := flag.Int64("max-memory", 0, "per-job estimated-memory budget in bytes (0 = unlimited)")
-	engine := flag.String("engine", "watched", "BCP engine: watched | counting | watched-scratch")
+	engine := flag.String("engine", "watched", "BCP engine: watched | counting")
 	all := flag.Bool("all", false, "check every clause (Proof_verification1)")
 	checkpointEvery := flag.Int("checkpoint-every", 1000, "journal interval in proof clauses (-1 disables)")
 	maxUpload := flag.Int64("max-upload", 256<<20, "upload body size cap in bytes")
@@ -107,8 +107,6 @@ func run() int {
 		engineKind = core.EngineWatched
 	case "counting":
 		engineKind = core.EngineCounting
-	case "watched-scratch":
-		engineKind = core.EngineWatchedScratch
 	default:
 		fmt.Fprintf(os.Stderr, "dpvd: unknown engine %q\n", *engine)
 		return exitcode.Usage

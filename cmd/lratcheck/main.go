@@ -3,16 +3,15 @@
 // dpv and dratcheck it performs no unit propagation search at all: each step
 // replays only the clauses its hints name (each must be unit in order, the
 // last falsified), so verification cost is linear in the hint text and the
-// steps check independently (-par fans them across workers; -sched selects
-// the fixed-chunk split or the default work-stealing schedule over the hint
-// dependency DAG).
+// steps check independently (-par fans them across workers, scheduled
+// work-stealing style over the hint dependency DAG).
 //
 // Proofs in the compact binary encoding (as written by dpv/dratcheck with
 // -emit-lrat -lrat-binary) are detected automatically by their magic.
 //
 // Usage:
 //
-//	lratcheck [-q] [-par N] [-sched chunk|dag] [-timeout D] [-stats-json f] formula.cnf proof.lrat
+//	lratcheck [-q] [-par N] [-timeout D] [-stats-json f] formula.cnf proof.lrat
 //
 // Exit status: 0 verified, 1 usage errors, 2 rejected, 3 malformed or
 // unreadable formula/proof input, 4 when -timeout expires, 6 internal
@@ -48,8 +47,7 @@ func run() int {
 	// which the exit-code contract reserves for a rejected proof.
 	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	quiet := flag.Bool("q", false, "quiet")
-	par := flag.Int("par", 0, "check steps over this many workers (0 or 1 = sequential)")
-	schedName := flag.String("sched", "dag", "parallel schedule with -par: chunk (fixed step ranges) | dag (work-stealing over the hint dependency DAG)")
+	par := flag.Int("par", 0, "check steps over this many workers, scheduled over the hint dependency DAG (0 or 1 = sequential)")
 	timeout := flag.Duration("timeout", 0, "give up after this long (0 = unlimited)")
 	statsJSON := flag.String("stats-json", "", "write a JSON metrics snapshot to this file")
 	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
@@ -59,16 +57,11 @@ func run() int {
 		return exitcode.Usage
 	}
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: lratcheck [-q] [-par N] [-sched chunk|dag] [-timeout D] [-stats-json f] formula.cnf proof.lrat")
+		fmt.Fprintln(os.Stderr, "usage: lratcheck [-q] [-par N] [-timeout D] [-stats-json f] formula.cnf proof.lrat")
 		return exitcode.Usage
 	}
 	if *par < 0 {
 		fmt.Fprintln(os.Stderr, "lratcheck: -par must be non-negative")
-		return exitcode.Usage
-	}
-	strategy, serr := sched.ParseStrategy(*schedName)
-	if serr != nil {
-		fmt.Fprintln(os.Stderr, "lratcheck:", serr)
 		return exitcode.Usage
 	}
 
@@ -118,7 +111,7 @@ func run() int {
 	}
 
 	start := time.Now()
-	res, cerr := lrat.Check(f, p, lrat.Options{Workers: *par, Strategy: strategy, Ctx: ctx, Obs: reg})
+	res, cerr := lrat.Check(f, p, lrat.Options{Workers: *par, Strategy: sched.StrategyDAG, Ctx: ctx, Obs: reg})
 	elapsed := time.Since(start)
 
 	if *statsJSON != "" {

@@ -72,7 +72,7 @@ func TestFullPipeline(t *testing.T) {
 		}
 	}
 	// Parallel verification agrees.
-	par, err := core.VerifyParallel(f, tr, core.EngineWatched, 4)
+	par, err := core.VerifyParallelOpts(f, tr, core.Options{}, 4)
 	if err != nil || !par.OK {
 		t.Fatalf("parallel: %v %+v", err, par)
 	}
@@ -193,7 +193,7 @@ func TestPipelineCatchesInjectedBug(t *testing.T) {
 	if res.OK {
 		t.Fatal("sequential checker accepted the corrupted proof")
 	}
-	par, err := core.VerifyParallel(f, bad, core.EngineWatched, 4)
+	par, err := core.VerifyParallelOpts(f, bad, core.Options{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

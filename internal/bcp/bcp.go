@@ -46,13 +46,13 @@ type Propagator interface {
 	// Add inserts a clause and returns its ID. The clause is copied and
 	// normalized internally; tautologies are accepted but never propagate.
 	Add(c cnf.Clause) ID
-	// Deactivate removes the clause from future propagations. Engines built
-	// for it (see NewEngineReactivable) can undo a deactivation via
-	// Reactivate; elsewhere it is permanent (the verifier only ever pops the
-	// proof stack). Deactivating an inactive clause is a no-op.
+	// Deactivate removes the clause from future propagations for good (the
+	// verifier pops the proof stack this way). Deactivating an inactive
+	// clause is a no-op.
 	Deactivate(id ID)
-	// Reactivate undoes a Deactivate. Engines that compact deactivated
-	// clauses out of their propagation structures return ErrNotReactivable.
+	// Reactivate brings back a clause that Engine.Suspend took out. A
+	// clause taken out by Deactivate, whose propagation-structure entries
+	// may already be gone, yields ErrNotReactivable.
 	Reactivate(id ID) error
 	// Refute assigns every literal of c to false, propagates the active
 	// clause database and returns the ID of a falsified clause, or
@@ -113,10 +113,10 @@ type Propagator interface {
 	NumClauses() int
 }
 
-// ErrNotReactivable is returned by Engine.Reactivate when the engine was not
-// built with NewEngineReactivable and therefore compacted the clause out of
-// its watch lists on Deactivate.
-var ErrNotReactivable = errors.New("bcp: Reactivate requires an engine built with NewEngineReactivable")
+// ErrNotReactivable is returned by Reactivate for a clause taken out by
+// Deactivate rather than Engine.Suspend: its list entries may already be
+// gone.
+var ErrNotReactivable = errors.New("bcp: Reactivate requires a suspended clause")
 
 // stopPollEvery is how many dequeued trail literals may pass between polls
 // of the stop hook. Small enough that even adversarial formulas cannot keep

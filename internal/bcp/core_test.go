@@ -37,28 +37,28 @@ func TestMarkCorePrefersCore(t *testing.T) {
 }
 
 // TestUnmarkedEngineKeepsInputOrder pins, on a seeded verifier-style
-// sequence (build, then refute and deactivate), the conflicts and work
-// counters of engines that are never marked. They were recorded before
+// sequence (build, then refute and take clauses out), the conflicts and
+// work counters of engines that are never marked. They were recorded before
 // core-first propagation existed, so an unmarked engine still visits
-// watchers in the same order at the same cost.
+// watchers in the same order at the same cost. Taking clauses out with
+// Deactivate or with Suspend finds the same conflicts; only the visits to
+// suspended clauses' watchers differ.
 func TestUnmarkedEngineKeepsInputOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		mk    func(int) *Engine
+		out   func(*Engine, ID)
 		want  string
 		stats Stats
 	}{
-		{"watched", NewEngine, "be957796f005bb1a",
+		{"watched", (*Engine).Deactivate, "be957796f005bb1a",
 			Stats{Propagations: 2844, Refutations: 351, Conflicts: 147, WatcherVisits: 5744}},
-		{"scratch", NewEngineNonIncremental, "be957796f005bb1a",
-			Stats{Propagations: 3217, Refutations: 351, Conflicts: 147, WatcherVisits: 5744}},
-		{"reactivable", NewEngineReactivable, "be957796f005bb1a",
+		{"reactivable", (*Engine).Suspend, "be957796f005bb1a",
 			Stats{Propagations: 2844, Refutations: 351, Conflicts: 147, WatcherVisits: 7382}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			const nVars = 40
-			e := tc.mk(nVars)
+			e := NewEngine(nVars)
 			randClause := func(n int) cnf.Clause { // over n distinct variables
 				c := make(cnf.Clause, n)
 				for j, v := range rng.Perm(nVars)[:n] {
@@ -76,7 +76,7 @@ func TestUnmarkedEngineKeepsInputOrder(t *testing.T) {
 			h := fnv.New64a()
 			for q := 0; q < 400; q++ {
 				if rng.Intn(8) == 0 {
-					e.Deactivate(ids[rng.Intn(len(ids))])
+					tc.out(e, ids[rng.Intn(len(ids))])
 					continue
 				}
 				conflict, sc := e.Refute(randClause(3 + rng.Intn(4)))
@@ -125,20 +125,16 @@ func checkWatchers(t *testing.T, e *Engine) {
 
 // TestMarkCoreMatchesFreshEngines: engines that mark random clauses core as
 // they go — including clauses their conflict walks visit, as the verifier
-// does — must reach the same verdict on every refutation as a fresh engine
-// holding the active clauses, and keep the watch invariant. Occasional stop
-// hooks abort propagation midway, leaving a non-core scan paused.
+// does — and take clauses out both for good and reactivably must reach the
+// same verdict on every refutation as a fresh engine holding the active
+// clauses, and keep the watch invariant. Occasional stop hooks abort
+// propagation midway, leaving a non-core scan paused.
 func TestMarkCoreMatchesFreshEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(2027))
 	errStop := errors.New("stop")
 	for round := 0; round < 1500; round++ {
 		nVars := 6 + rng.Intn(10)
-		var e *Engine
-		if round%2 == 0 {
-			e = NewEngine(nVars)
-		} else {
-			e = NewEngineReactivable(nVars)
-		}
+		e := NewEngine(nVars)
 		randClause := func(minLen, maxLen int) cnf.Clause {
 			c := make(cnf.Clause, minLen+rng.Intn(maxLen-minLen+1))
 			for j := range c {
@@ -155,8 +151,8 @@ func TestMarkCoreMatchesFreshEngines(t *testing.T) {
 			case 0:
 				e.Deactivate(ids[rng.Intn(len(ids))])
 			case 1:
-				if round%2 == 1 {
-					if err := e.Reactivate(ids[rng.Intn(len(ids))]); err != nil {
+				if id := ids[rng.Intn(len(ids))]; e.isSuspended(id) {
+					if err := e.Reactivate(id); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -172,6 +168,8 @@ func TestMarkCoreMatchesFreshEngines(t *testing.T) {
 				})
 				e.Refute(randClause(0, 2))
 				e.SetStop(nil)
+			case 4:
+				e.Suspend(ids[rng.Intn(len(ids))])
 			}
 			target := randClause(0, 2)
 			got, gotS := e.Refute(target)

@@ -117,8 +117,8 @@ func (e *Counting) Deactivate(id ID) {
 	}
 }
 
-// Reactivate implements Propagator. The counting engine compacts
-// deactivated units out of its injection list, so it cannot restore them.
+// Reactivate implements Propagator. The counting engine has no Suspend, so
+// no clause of it can be brought back.
 func (e *Counting) Reactivate(ID) error { return ErrNotReactivable }
 
 func (e *Counting) reset() {

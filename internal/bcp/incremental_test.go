@@ -1,6 +1,7 @@
 package bcp
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -83,16 +84,27 @@ func TestDeactivateUnitTruncatesAtZero(t *testing.T) {
 	}
 }
 
-// TestReactivateRestoresRootDerivations: undoing a deletion brings the
+// isActive reports whether a clause currently takes part in propagation.
+func (e *Engine) isActive(id ID) bool {
+	return e.arena[e.offs[id]+1]&metaInactive == 0
+}
+
+// isSuspended reports whether a clause was taken out by Suspend and can be
+// reactivated.
+func (e *Engine) isSuspended(id ID) bool {
+	return e.arena[e.offs[id]+1]&metaSuspended != 0
+}
+
+// TestReactivateRestoresRootDerivations: undoing a suspension brings the
 // derived literals back on the next Refute.
 func TestReactivateRestoresRootDerivations(t *testing.T) {
-	e := NewEngineReactivable(3)
+	e := NewEngine(3)
 	u := e.Add(cl(1))
 	e.Add(cl(-1, 2))
 	e.Add(cl(-2, 3))
 	e.Refute(nil)
 
-	e.Deactivate(u)
+	e.Suspend(u)
 	if conflict, _ := e.Refute(cl(3)); conflict != NoConflict {
 		t.Fatalf("x3 implied without the base unit: conflict %d", conflict)
 	}
@@ -131,21 +143,22 @@ func TestAddAfterRootFix(t *testing.T) {
 	_ = bad
 }
 
-// TestIncrementalMatchesFreshEngines drives a reactivable incremental engine
-// through random interleavings of Add/Deactivate/Reactivate/Refute and
+// TestIncrementalMatchesFreshEngines drives an incremental engine through
+// random interleavings of Add/Deactivate/Suspend/Reactivate/Refute and
 // cross-checks every verdict against two references built fresh from the
-// active clause set: the counting engine (old-behavior semantics, different
-// algorithm) and the non-incremental watched engine (same algorithm, no
-// persistent root). Conflict IDs may differ; conflict existence and
-// self-contradiction must not. Every conflict's WalkConflict must visit only
-// active clauses, each at most once.
+// active clause set for that one query: the counting engine (different
+// algorithm) and a new watched engine (same algorithm, no root trail kept
+// from earlier queries). Conflict IDs may differ; conflict existence and
+// self-contradiction must not. Only suspended clauses are reactivated, and
+// reactivating a deactivated one must fail with ErrNotReactivable. Every
+// conflict's WalkConflict must visit only active clauses, each at most once.
 func TestIncrementalMatchesFreshEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	for round := 0; round < 150; round++ {
 		nVars := 3 + rng.Intn(8)
-		inc := NewEngineReactivable(nVars)
+		inc := NewEngine(nVars)
 		var clauses []cnf.Clause
-		var active, isTaut []bool
+		var active, suspended []bool
 
 		randClause := func(minLen, maxLen int) cnf.Clause {
 			n := minLen + rng.Intn(maxLen-minLen+1)
@@ -166,29 +179,41 @@ func TestIncrementalMatchesFreshEngines(t *testing.T) {
 			inc.Add(c)
 			clauses = append(clauses, c)
 			active = append(active, !taut)
-			isTaut = append(isTaut, taut)
+			suspended = append(suspended, false)
 		}
 		for i := 0; i < 3+rng.Intn(10); i++ {
 			addOne()
 		}
 
 		for q := 0; q < 20; q++ {
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				addOne()
 			case 1:
 				i := rng.Intn(len(clauses))
-				if active[i] {
-					inc.Deactivate(ID(i))
-					active[i] = false
-				}
+				inc.Deactivate(ID(i)) // a no-op on a suspended clause
+				active[i] = false
 			case 2:
 				i := rng.Intn(len(clauses))
-				if !active[i] && !isTaut[i] {
-					if err := inc.Reactivate(ID(i)); err != nil {
+				if active[i] {
+					inc.Suspend(ID(i))
+					active[i], suspended[i] = false, true
+				}
+			case 3:
+				i := rng.Intn(len(clauses))
+				err := inc.Reactivate(ID(i))
+				switch {
+				case suspended[i]:
+					if err != nil {
 						t.Fatal(err)
 					}
-					active[i] = true
+					active[i], suspended[i] = true, false
+				case active[i] || inc.arena[inc.offs[i]+1]&metaTaut != 0:
+					if err != nil {
+						t.Fatalf("round %d: reactivating live or tautological clause %d: %v", round, i, err)
+					}
+				case !errors.Is(err, ErrNotReactivable):
+					t.Fatalf("round %d: reactivating deactivated clause %d: %v, want ErrNotReactivable", round, i, err)
 				}
 			default:
 				var target cnf.Clause
@@ -207,12 +232,12 @@ func TestIncrementalMatchesFreshEngines(t *testing.T) {
 					return p.Refute(target)
 				}
 				refC, refS := fresh(NewCounting(nVars))
-				nonC, nonS := fresh(NewEngineNonIncremental(nVars))
+				nonC, nonS := fresh(NewEngine(nVars))
 
 				if gotS != refS || gotS != nonS ||
 					(gotC == NoConflict) != (refC == NoConflict) ||
 					(gotC == NoConflict) != (nonC == NoConflict) {
-					t.Fatalf("round %d query %v: incremental (%d,%v) vs counting (%d,%v) vs scratch (%d,%v)\nclauses: %v\nactive: %v",
+					t.Fatalf("round %d query %v: incremental (%d,%v) vs counting (%d,%v) vs fresh (%d,%v)\nclauses: %v\nactive: %v",
 						round, target, gotC, gotS, refC, refS, nonC, nonS, clauses, active)
 				}
 				if gotC != NoConflict {
@@ -239,12 +264,12 @@ func TestIncrementalMatchesFreshEngines(t *testing.T) {
 func TestIncrementalDeterministicReplay(t *testing.T) {
 	run := func() ([]ID, []bool, Stats) {
 		rng := rand.New(rand.NewSource(99))
-		e := NewEngineReactivable(8)
+		e := NewEngine(8)
 		var conflicts []ID
 		var contras []bool
 		var ids []ID
 		for i := 0; i < 400; i++ {
-			switch rng.Intn(5) {
+			switch rng.Intn(6) {
 			case 0:
 				n := rng.Intn(4)
 				c := make(cnf.Clause, 0, n)
@@ -254,11 +279,15 @@ func TestIncrementalDeterministicReplay(t *testing.T) {
 				ids = append(ids, e.Add(c))
 			case 1:
 				if len(ids) > 0 {
-					e.Deactivate(ids[rng.Intn(len(ids))])
+					e.Suspend(ids[rng.Intn(len(ids))])
 				}
 			case 2:
 				if len(ids) > 0 {
 					_ = e.Reactivate(ids[rng.Intn(len(ids))])
+				}
+			case 3:
+				if len(ids) > 0 {
+					e.Deactivate(ids[rng.Intn(len(ids))])
 				}
 			default:
 				n := rng.Intn(3)
@@ -292,12 +321,12 @@ func TestUnitKeepsRootConflict(t *testing.T) {
 		"add":        func(e *Engine) error { e.Add(cl(3)); return nil },
 	} {
 		t.Run(name, func(t *testing.T) {
-			e := NewEngineReactivable(5)
+			e := NewEngine(5)
 			for _, c := range [][]int{{1, 3}, {5}, {3}, {-1}, {2}, {-2, -3}, {-3, -1}, {3}, {-2, -4, 1}, {4, 2}} {
 				e.Add(cl(c...))
 			}
-			e.Deactivate(7)
-			e.Deactivate(3)
+			e.Suspend(7)
+			e.Suspend(3)
 			e.Refute(cl(-2))
 			if err := e.Reactivate(3); err != nil {
 				t.Fatal(err)

@@ -113,18 +113,27 @@ func (m *markingEngine) Add(c cnf.Clause) ID {
 	return id
 }
 
+// TestReactivateTypedError covers both ways to take a clause out: a
+// deactivated clause cannot come back, even when suspended afterwards; a
+// suspended one can.
 func TestReactivateTypedError(t *testing.T) {
 	e := NewEngine(3)
 	id := e.Add(clauseOf(1, 2))
 	e.Deactivate(id)
 	if err := e.Reactivate(id); !errors.Is(err, ErrNotReactivable) {
-		t.Fatalf("Reactivate on plain engine = %v, want ErrNotReactivable", err)
+		t.Fatalf("Reactivate after Deactivate = %v, want ErrNotReactivable", err)
+	}
+	e.Suspend(id)
+	if err := e.Reactivate(id); !errors.Is(err, ErrNotReactivable) {
+		t.Fatalf("Reactivate after Deactivate then Suspend = %v, want ErrNotReactivable", err)
 	}
 
-	re := NewEngineReactivable(3)
-	rid := re.Add(clauseOf(1, 2))
-	re.Deactivate(rid)
-	if err := re.Reactivate(rid); err != nil {
-		t.Fatalf("Reactivate on reactivable engine = %v", err)
+	sid := e.Add(clauseOf(1, 2))
+	e.Suspend(sid)
+	if err := e.Reactivate(sid); err != nil {
+		t.Fatalf("Reactivate after Suspend = %v", err)
+	}
+	if conflict, _ := e.Refute(clauseOf(1, 2)); conflict != sid {
+		t.Fatalf("reactivated clause not propagating: conflict %d, want %d", conflict, sid)
 	}
 }

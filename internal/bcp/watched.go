@@ -15,19 +15,18 @@ import (
 //     alive between Refute calls. Each Refute backtracks to the saved root
 //     length, pushes only the refuted clause's assumption literals, and
 //     propagates from there, instead of re-injecting every unit clause and
-//     re-deriving the whole fixpoint per check. Add/Deactivate/Reactivate
-//     maintain the trail's validity: deactivating a clause that is the
-//     reason for a root literal truncates the trail at that literal (every
-//     later entry is conservatively dropped) and schedules a lazy
-//     re-propagation; mutations that can only extend the fixpoint merely
-//     clear the fixed flag.
+//     re-deriving the whole fixpoint per check. Add, Deactivate, Suspend
+//     and Reactivate maintain the trail's validity: taking out a clause
+//     that is the reason for a root literal truncates the trail at that
+//     literal (every later entry is conservatively dropped) and schedules a
+//     lazy re-propagation; mutations that can only extend the fixpoint
+//     merely clear the fixed flag.
 //
 //   - Flat clause arena. Every clause lives in one contiguous []cnf.Lit as
 //     [id, meta, lits...], where meta packs the literal count with the
-//     inactive and tautology flags. A watch-list entry carries the clause's
-//     arena offset, so visiting a clause touches one cache line for its
-//     header and first literals instead of a separate header table and then
-//     the arena. Truth values are kept per literal, so testing a literal is
+//     clause's flags. A watch-list entry carries the clause's arena offset,
+//     so visiting a clause touches one cache line for its header and first
+//     literals instead of a separate header table and then the arena. Truth values are kept per literal, so testing a literal is
 //     one load with no sign arithmetic.
 //
 //   - Blocking literals. A watch-list entry carries a copy of some literal
@@ -40,6 +39,13 @@ import (
 //     any other clause, as DRAT-trim does, so conflicts prefer clauses the
 //     verifier has already marked. An engine never marked has no second set
 //     and propagates in plain watch-list order.
+//
+//   - Per-clause retention. A clause taken out with Deactivate is gone for
+//     good: propagation drops its watch-list entries when it meets them,
+//     as it does the unit and empty lists' entries. A clause taken out with
+//     Suspend keeps all of them, so Reactivate is a flag flip. Dropping an
+//     inactive entry never reorders the active ones, so the choice changes
+//     the work done but not which conflict is found.
 //
 // Clauses of length >= 2 keep two watched positions (lits[0] and lits[1]);
 // a clause is revisited only when one of its watched literals becomes false.
@@ -60,21 +66,11 @@ type Engine struct {
 	watches [][]watcher
 	core    [][]watcher
 
-	// retainInactive keeps deactivated clauses in the watch/unit lists
-	// (skipped during propagation) so Reactivate is a flag flip. Enabled
-	// by NewEngineReactivable; costs list compaction.
-	retainInactive bool
-	// incremental enables the persistent root trail. Disabled by
-	// NewEngineNonIncremental, which rebuilds the root fixpoint from scratch
-	// on every Refute — the historical behavior, kept as the benchmark
-	// baseline and as a reference implementation for differential tests.
-	incremental bool
-
-	units  []ID // active unit clauses (lazily compacted)
-	empty  []ID // active empty clauses (lazily compacted)
+	units  []ID // unit clauses, active or suspended (lazily compacted)
+	empty  []ID // empty clauses, active or suspended (lazily compacted)
 	taut   int  // count of tautologies, for stats only
-	nUnits int  // active unit count (maintained on Add/Deactivate/Reactivate)
-	nEmpty int  // active empty count (maintained on Add/Deactivate/Reactivate)
+	nUnits int  // active unit count (maintained by every mutation)
+	nEmpty int  // active empty count (maintained by every mutation)
 
 	val    []int8 // indexed by literal: +1 true, -1 false, 0 unassigned
 	reason []ID
@@ -117,13 +113,14 @@ type Engine struct {
 	watcherVisits int64
 }
 
-// A clause's meta word: the literal count shifted above two flag bits.
+// A clause's meta word: the literal count shifted above four flag bits.
 const (
-	metaInactive = 1 << 0 // deactivated, or a tautology
-	metaTaut     = 1 << 1 // tautologies can never be activated
-	metaCore     = 1 << 2 // passed to MarkCore
-	metaShift    = 3
-	hdrWords     = 2 // arena words before a clause's literals: id, meta
+	metaInactive  = 1 << 0 // deactivated, suspended, or a tautology
+	metaTaut      = 1 << 1 // tautologies can never be activated
+	metaCore      = 1 << 2 // passed to MarkCore
+	metaSuspended = 1 << 3 // inactive, but kept in its lists for Reactivate
+	metaShift     = 4
+	hdrWords      = 2 // arena words before a clause's literals: id, meta
 )
 
 // watcher is a watch-list entry: the arena offset of the watching clause
@@ -139,29 +136,8 @@ var _ Propagator = (*Engine)(nil)
 // NewEngine returns a watched-literal engine over n variables. The variable
 // range grows automatically when Add or Refute mention larger variables.
 func NewEngine(n int) *Engine {
-	e := &Engine{nVars: n, incremental: true, rootConflict: NoConflict, savedVar: -1}
+	e := &Engine{nVars: n, rootConflict: NoConflict, savedVar: -1}
 	e.growTo(n)
-	return e
-}
-
-// NewEngineReactivable returns an engine whose Deactivate is reversible via
-// Reactivate — used by the backward DRUP checker, which walks deletion
-// steps in reverse. Inactive clauses stay in the watch lists (skipped
-// during propagation), trading list compaction for O(1) reactivation.
-func NewEngineReactivable(n int) *Engine {
-	e := NewEngine(n)
-	e.retainInactive = true
-	return e
-}
-
-// NewEngineNonIncremental returns an engine with the arena and blocking
-// literals but without the persistent root trail: every Refute re-derives
-// the formula's unit-propagation fixpoint from scratch. This replicates the
-// historical per-check cost and exists as the before/after benchmark
-// baseline and as an independent reference for differential tests.
-func NewEngineNonIncremental(n int) *Engine {
-	e := NewEngine(n)
-	e.incremental = false
 	return e
 }
 
@@ -172,10 +148,9 @@ func (e *Engine) lits(id ID) []cnf.Lit {
 	return e.arena[off+hdrWords : off+hdrWords+n]
 }
 
-// isActive reports whether a clause currently takes part in propagation.
-func (e *Engine) isActive(id ID) bool {
-	return e.arena[e.offs[id]+1]&metaInactive == 0
-}
+// keep reports whether an inactive clause's list entries must stay: it
+// was suspended, not deactivated.
+func keep(meta cnf.Lit) bool { return meta&metaSuspended != 0 }
 
 // Reserve sizes the clause store so that adding nClauses more clauses with
 // nLits literals in total does not reallocate it.
@@ -184,19 +159,20 @@ func (e *Engine) Reserve(nClauses, nLits int) {
 	e.offs = slices.Grow(e.offs, nClauses)
 }
 
-// Reactivate undoes a Deactivate. It returns ErrNotReactivable on engines
-// not created with NewEngineReactivable (their Deactivate compacts the
-// clause out of the watch lists, so a flag flip cannot bring it back).
+// Reactivate undoes a Suspend. It returns ErrNotReactivable for a clause
+// taken out by Deactivate, whose list entries may already be gone, so a
+// flag flip cannot bring it back. An active clause or a tautology is left
+// as it is.
 func (e *Engine) Reactivate(id ID) error {
-	if !e.retainInactive {
-		return ErrNotReactivable
-	}
 	meta := &e.arena[e.offs[id]+1]
 	if *meta&(metaInactive|metaTaut) != metaInactive {
 		return nil // active, or a tautology
 	}
+	if !keep(*meta) {
+		return ErrNotReactivable
+	}
 	e.backtrackToRoot()
-	*meta &^= metaInactive
+	*meta &^= metaInactive | metaSuspended
 	switch *meta >> metaShift {
 	case 0:
 		e.nEmpty++
@@ -373,18 +349,28 @@ func (e *Engine) MarkCore(id ID) {
 	}
 }
 
-// Deactivate removes the clause from future propagations. If the clause is
-// the reason for a root-trail literal, the trail is truncated at that
-// literal — every later entry is dropped and re-derived lazily, since its
-// own justification may depend on the invalidated one.
-func (e *Engine) Deactivate(id ID) {
+// Deactivate removes the clause from future propagations for good:
+// propagation drops its list entries as it meets them. Deactivating an
+// inactive clause leaves it as it is.
+func (e *Engine) Deactivate(id ID) { e.takeOut(id, metaInactive) }
+
+// Suspend removes the clause from future propagations but keeps it in its
+// watch, unit and empty lists, so Reactivate can bring it back. Suspending
+// an inactive clause leaves it as it is.
+func (e *Engine) Suspend(id ID) { e.takeOut(id, metaInactive|metaSuspended) }
+
+// takeOut sets the flags of an active clause. If the clause is the reason
+// for a root-trail literal, the trail is truncated at that literal — every
+// later entry is dropped and re-derived lazily, since its own justification
+// may depend on the invalidated one.
+func (e *Engine) takeOut(id ID, flags cnf.Lit) {
 	off := e.offs[id]
 	meta := &e.arena[off+1]
 	if *meta&metaInactive != 0 {
 		return
 	}
 	e.backtrackToRoot()
-	*meta |= metaInactive
+	*meta |= flags
 	switch *meta >> metaShift {
 	case 0:
 		e.nEmpty--
@@ -442,16 +428,6 @@ func (e *Engine) backtrackToRoot() {
 	}
 }
 
-// dropRoot discards the persistent root state entirely (non-incremental
-// mode: every Refute re-derives the fixpoint from scratch).
-func (e *Engine) dropRoot() {
-	e.shrinkTrail(0)
-	e.rootLen = 0
-	e.rootQhead = 0
-	e.rootFixed = false
-	e.rootConflict = NoConflict
-}
-
 // enqueue makes l true with the given reason. It returns false when l is
 // already false (a conflict the caller must handle).
 func (e *Engine) enqueue(l cnf.Lit, why ID) bool {
@@ -483,14 +459,14 @@ func (e *Engine) rootFix() ID {
 	}
 	e.qhead = e.rootQhead
 
-	// Inject active unit clauses, compacting the list as we go (unless
-	// inactive entries must be retained for reactivation).
+	// Inject active unit clauses, compacting deactivated ones out of the
+	// list as we go.
 	w := 0
 	conflict := NoConflict
 	for i, id := range e.units {
 		off := e.offs[id]
-		if e.arena[off+1]&metaInactive != 0 {
-			if e.retainInactive {
+		if meta := e.arena[off+1]; meta&metaInactive != 0 {
+			if keep(meta) {
 				e.units[w] = id
 				w++
 			}
@@ -544,34 +520,27 @@ func (e *Engine) refute(c cnf.Clause) (ID, bool) {
 		e.growTo(int(mv) + 1)
 	}
 	e.backtrackToRoot()
-	if !e.incremental {
-		e.dropRoot()
-	}
 	e.refutations++
 	if e.beginRefute() {
 		return NoConflict, false
 	}
 
 	// An active empty clause conflicts immediately; nEmpty makes the common
-	// case one compare.
+	// case one compare. The first active one in Add order is reported.
 	if e.nEmpty > 0 {
-		if e.retainInactive {
-			for _, id := range e.empty {
-				if e.isActive(id) {
-					return id, false
-				}
+		w, first := 0, NoConflict
+		for _, id := range e.empty {
+			meta := e.arena[e.offs[id]+1]
+			if meta&metaInactive == 0 && first == NoConflict {
+				first = id
 			}
-		} else {
-			w := 0
-			for _, id := range e.empty {
-				if e.isActive(id) {
-					e.empty[w] = id
-					w++
-				}
+			if meta&metaInactive == 0 || keep(meta) {
+				e.empty[w] = id
+				w++
 			}
-			e.empty = e.empty[:w]
-			return e.empty[0], false
 		}
+		e.empty = e.empty[:w]
+		return first, false
 	}
 
 	// Tautology pre-scan: c cannot be falsified iff it contains a
@@ -681,8 +650,8 @@ func (e *Engine) scan(lists [][]watcher, head, coreHead *int) ID {
 			}
 			meta := arena[w.off+1]
 			if meta&metaInactive != 0 {
-				if e.retainInactive {
-					ws[j] = w // keep: may be reactivated later
+				if keep(meta) {
+					ws[j] = w // suspended: may be reactivated later
 					j++
 				}
 				continue

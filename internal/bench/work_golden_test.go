@@ -23,8 +23,6 @@ import (
 //
 //   - watched         — incremental: persistent root trail, flat arena,
 //     blocking literals (the default engine), recording LRAT hints
-//   - watched-scratch — same algorithm and layout, but the root fixpoint
-//     is re-derived on every Refute
 //   - counting        — the naive occurrence-counter propagator
 //   - watched, plain  — the default engine without hints: dpv's default
 //     path
@@ -85,7 +83,7 @@ type engineWork struct {
 // workGolden is one instance's pinned counters.
 type workGolden struct {
 	name    string
-	engines [4]engineWork // in workRuns order
+	engines [3]engineWork // in workRuns order
 
 	// The flight recorder on the hinted watched run.
 	events  int
@@ -106,9 +104,8 @@ type workRun struct {
 	hinted bool
 }
 
-var workRuns = [4]workRun{
+var workRuns = [3]workRun{
 	{core.EngineWatched, true},
-	{core.EngineWatchedScratch, false},
 	{core.EngineCounting, false},
 	{core.EngineWatched, false},
 }
@@ -172,9 +169,8 @@ func measureWork(t *testing.T, inst gen.Instance) workGolden {
 var workGoldens = []workGolden{
 	{
 		name: "php_5_pin20",
-		engines: [4]engineWork{
+		engines: [3]engineWork{
 			{tested: 140, core: 221, props: 15340, visits: 26958},
-			{tested: 138, core: 221, props: 75752, visits: 77496},
 			{tested: 140, core: 221, props: 82683, occ: 233160},
 			{tested: 138, core: 221, props: 9482, visits: 14012},
 		},
@@ -184,9 +180,8 @@ var workGoldens = []workGolden{
 	},
 	{
 		name: "rand3_v40s3_chain1500",
-		engines: [4]engineWork{
+		engines: [3]engineWork{
 			{tested: 15, core: 54, props: 3139, visits: 3656},
-			{tested: 15, core: 45, props: 19631, visits: 20019},
 			{tested: 15, core: 54, props: 183, occ: 1286},
 			{tested: 15, core: 45, props: 3122, visits: 3530},
 		},
@@ -196,9 +191,8 @@ var workGoldens = []workGolden{
 	},
 	{
 		name: "php_5",
-		engines: [4]engineWork{
+		engines: [3]engineWork{
 			{tested: 140, core: 81, props: 2280, visits: 10818},
-			{tested: 138, core: 81, props: 2432, visits: 6496},
 			{tested: 140, core: 81, props: 2468, occ: 77982},
 			{tested: 138, core: 81, props: 2242, visits: 6352},
 		},
@@ -208,9 +202,8 @@ var workGoldens = []workGolden{
 	},
 	{
 		name: "rand3_v50s9",
-		engines: [4]engineWork{
+		engines: [3]engineWork{
 			{tested: 25, core: 122, props: 471, visits: 1932},
-			{tested: 25, core: 91, props: 507, visits: 1784},
 			{tested: 25, core: 122, props: 482, occ: 3999},
 			{tested: 25, core: 91, props: 476, visits: 1782},
 		},
@@ -220,9 +213,8 @@ var workGoldens = []workGolden{
 	},
 	{
 		name: "php_6_pin48",
-		engines: [4]engineWork{
+		engines: [3]engineWork{
 			{tested: 592, core: 517, props: 106018, visits: 241257},
-			{tested: 584, core: 517, props: 1573016, visits: 1607690},
 			{tested: 590, core: 517, props: 1606847, occ: 4959948},
 			{tested: 584, core: 517, props: 54801, visits: 117113},
 		},
@@ -232,9 +224,8 @@ var workGoldens = []workGolden{
 	},
 	{
 		name: "php_7_pin40",
-		engines: [4]engineWork{
+		engines: [3]engineWork{
 			{tested: 3306, core: 564, props: 488746, visits: 2881790},
-			{tested: 3219, core: 564, props: 6359929, visits: 7352159},
 			{tested: 3292, core: 564, props: 6650448, occ: 99508810},
 			{tested: 3219, core: 564, props: 219613, visits: 1279954},
 		},
@@ -244,9 +235,8 @@ var workGoldens = []workGolden{
 	},
 	{
 		name: "rand3_v60s9_chain4000",
-		engines: [4]engineWork{
+		engines: [3]engineWork{
 			{tested: 9, core: 53, props: 8137, visits: 8571},
-			{tested: 8, core: 48, props: 24134, visits: 24507},
 			{tested: 9, core: 53, props: 199, occ: 1346},
 			{tested: 8, core: 48, props: 8125, visits: 8508},
 		},
@@ -256,9 +246,8 @@ var workGoldens = []workGolden{
 	},
 	{
 		name: "php_7",
-		engines: [4]engineWork{
+		engines: [3]engineWork{
 			{tested: 3847, core: 204, props: 73523, visits: 2795698},
-			{tested: 3459, core: 204, props: 78449, visits: 1401173},
 			{tested: 3819, core: 204, props: 83642, occ: 120464511},
 			{tested: 3459, core: 204, props: 68675, visits: 1189374},
 		},
@@ -268,9 +257,8 @@ var workGoldens = []workGolden{
 	},
 	{
 		name: "rand3_v60s17",
-		engines: [4]engineWork{
+		engines: [3]engineWork{
 			{tested: 46, core: 169, props: 881, visits: 3686},
-			{tested: 40, core: 116, props: 835, visits: 2785},
 			{tested: 46, core: 164, props: 890, occ: 9153},
 			{tested: 40, core: 116, props: 799, visits: 2782},
 		},
@@ -281,16 +269,14 @@ var workGoldens = []workGolden{
 }
 
 // TestBCPBenchSmall checks the shape of the per-engine counters on three
-// small instances: every engine does work, each reports only its own
-// counter, and the persistent root trail never costs the watched engine
-// visits over the scratch variant (and saves at least half on the suite).
+// small instances: every engine does work, and each reports only its own
+// counter.
 func TestBCPBenchSmall(t *testing.T) {
 	insts := []gen.Instance{
 		gen.PHPPinned(4, 12),
 		gen.RandUnsatChained(3, 30, 500),
 		gen.PHP(4),
 	}
-	var incVisits, scrVisits int64
 	for _, inst := range insts {
 		w := measureWork(t, inst)
 		for i, e := range w.engines {
@@ -306,17 +292,6 @@ func TestBCPBenchSmall(t *testing.T) {
 				t.Errorf("%s/%v: visits=%d occ=%d", inst.Name, run, e.visits, e.occ)
 			}
 		}
-		// Scratch records no hints, so it is compared with the plain
-		// watched run: both then propagate in the same order.
-		inc, scr := w.engines[3].visits, w.engines[1].visits
-		if scr < inc {
-			t.Errorf("%s: root-trail reuse increased visits: %d > %d", inst.Name, inc, scr)
-		}
-		incVisits += inc
-		scrVisits += scr
-	}
-	if scrVisits < 2*incVisits {
-		t.Errorf("suite visits: watched %d, scratch %d; want a reduction of at least 2x", incVisits, scrVisits)
 	}
 }
 

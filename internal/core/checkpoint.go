@@ -121,7 +121,7 @@ const (
 	// marked bitmap. Such runs never propagate core-first.
 	checkpointVersionHints = 2
 	// checkpointVersionSeq is the sequential payload of a run that records
-	// no hints; its watched engines propagate core-first.
+	// no hints; its watched engine propagates core-first.
 	checkpointVersionSeq = 4
 )
 

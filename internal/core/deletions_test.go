@@ -59,7 +59,6 @@ func TestVerifyRejectsBadDeletionSchedule(t *testing.T) {
 		opt  Options
 	}{
 		{"counting engine", [][]int{nil, {0}, nil}, Options{Engine: EngineCounting}},
-		{"scratch engine", [][]int{nil, {0}, nil}, Options{Engine: EngineWatchedScratch}},
 		{"short schedule", [][]int{nil, {0}}, Options{}},
 		{"slot not yet added", [][]int{nil, {5}, nil}, Options{}},
 		{"negative slot", [][]int{{-1}, nil, nil}, Options{}},

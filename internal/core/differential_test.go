@@ -186,7 +186,7 @@ func TestDifferentialEnginesAgree(t *testing.T) {
 // TestDifferentialCheckpointResume: for every engine and both modes, a run
 // resumed from any checkpoint record must reproduce the uninterrupted
 // checkpointed run byte-for-byte (full fingerprint, not just the verdict).
-// Neither run records hints, so the watched engines propagate core-first
+// Neither run records hints, so the watched engine propagates core-first
 // and each resume rebuilds its core lists from the marked bitmap.
 func TestDifferentialCheckpointResume(t *testing.T) {
 	type input struct {
@@ -199,7 +199,7 @@ func TestDifferentialCheckpointResume(t *testing.T) {
 		in.tr = solveTrace(t, in.inst)
 		inputs = append(inputs, in)
 	}
-	for _, engine := range []EngineKind{EngineWatched, EngineWatchedScratch, EngineCounting} {
+	for _, engine := range []EngineKind{EngineWatched, EngineCounting} {
 		for _, mode := range []Mode{ModeCheckMarked, ModeCheckAll} {
 			t.Run(fmt.Sprintf("%v-%v", engine, mode), func(t *testing.T) {
 				for _, in := range inputs {

@@ -21,7 +21,7 @@ func TestVerifyEmitsCheckableLRAT(t *testing.T) {
 	for _, inst := range diffInstances() {
 		tr := solveTrace(t, inst)
 		for _, mode := range []Mode{ModeCheckMarked, ModeCheckAll} {
-			for _, engine := range []EngineKind{EngineWatched, EngineCounting, EngineWatchedScratch} {
+			for _, engine := range []EngineKind{EngineWatched, EngineCounting} {
 				name := fmt.Sprintf("%s/%v/%v", inst.Name, mode, engine)
 				var rec lrat.Recorder
 				res, err := Verify(inst.F, tr, Options{Mode: mode, Engine: engine, Hints: &rec})
@@ -38,7 +38,6 @@ func TestVerifyEmitsCheckableLRAT(t *testing.T) {
 				// The DAG-scheduled check is the recheck dpv -sched dag runs.
 				for _, o := range []lrat.Options{
 					{Workers: 1},
-					{Workers: 4, Strategy: sched.StrategyChunk},
 					{Workers: 4, Strategy: sched.StrategyDAG},
 				} {
 					cres, err := lrat.Check(inst.F, lp, o)

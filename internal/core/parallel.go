@@ -13,19 +13,6 @@ import (
 	"repro/internal/proof"
 )
 
-// VerifyParallel is Proof_verification1 fanned out over worker goroutines:
-// the check of clause i against F ∪ F*[0..i-1] is independent of every
-// other check, so the proof is sliced into contiguous chunks and each
-// worker verifies its chunk with a private BCP engine. Marking (and hence
-// core extraction and Verification2's skipping) is inherently sequential,
-// so this entry point checks every clause and reports no core — it is the
-// "maximum-assurance, wall-clock-bound" mode.
-//
-// workers <= 0 selects GOMAXPROCS.
-func VerifyParallel(f *cnf.Formula, t *proof.Trace, engine EngineKind, workers int) (*Result, error) {
-	return VerifyParallelOpts(f, t, Options{Mode: ModeCheckAll, Engine: engine}, workers)
-}
-
 // ResolveWorkers maps a requested worker count to the effective one for a
 // fixed-chunk run over a proof of m clauses: non-positive selects
 // GOMAXPROCS, and the count is clamped to m because a chunk needs at least
@@ -48,10 +35,11 @@ func ResolveWorkers(m, workers int) int {
 // tests use it to blow up inside a worker and prove the process survives.
 var parallelChunkHook func(worker, lo, hi, attempt int)
 
-// fallbackEngine is the engine a panicked chunk is retried on: the counting
+// FallbackEngine is the engine a panicked run is retried on: the counting
 // engine backs up the watched one and vice versa, so a defect confined to
 // one propagator's data structures cannot take down the whole verification.
-func fallbackEngine(k EngineKind) EngineKind {
+// The parallel verifier retries a chunk on it, and the service a job.
+func FallbackEngine(k EngineKind) EngineKind {
 	if k == EngineCounting {
 		return EngineWatched
 	}
@@ -66,13 +54,17 @@ type chunkTally struct {
 	props        int64
 }
 
-// VerifyParallelOpts is VerifyParallel with full Options: opt.Engine
+// VerifyParallelOpts is Proof_verification1 fanned out over worker
+// goroutines: the check of clause i against F ∪ F*[0..i-1] is independent
+// of every other check, so the proof is sliced into contiguous chunks and
+// each worker verifies its chunk with a private BCP engine. opt.Engine
 // selects the BCP engine, opt.Obs and opt.Progress instrument the run
 // (per-worker child spans record each chunk's bounds and wall time;
 // counters aggregate across workers) and opt.Ctx/opt.Budget bound it.
+// workers <= 0 selects GOMAXPROCS.
 //
-// The trace is sliced into contiguous per-worker ranges. The run cannot
-// honor opt.Mode — marking is inherently sequential, so chunked workers
+// The run cannot honor opt.Mode — marking (and hence core extraction and
+// Verification2's skipping) is inherently sequential, so chunked workers
 // check every clause regardless and extract no core — and it rejects
 // opt.Hints.
 //
@@ -305,16 +297,10 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 					if eng != nil {
 						statsBase = addStats(statsBase, eng.Stats())
 					}
-					var watched *bcp.Engine
-					switch kind {
-					case EngineCounting:
+					if kind == EngineCounting {
 						eng = bcp.NewCounting(nVars)
-					case EngineWatchedScratch:
-						watched = bcp.NewEngineNonIncremental(nVars)
-					default:
-						watched = bcp.NewEngine(nVars)
-					}
-					if watched != nil {
+					} else {
+						watched := bcp.NewEngine(nVars)
 						// Size the clause store once, as the sequential
 						// buildEngine does.
 						watched.Reserve(nf+upto, formulaLits+numLits(t.Clauses[:upto]))
@@ -405,7 +391,7 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 				if stopPtr.Load() == nil {
 					cRetries.Inc()
 					var again bool
-					tally, err, again = runAttempt(1, fallbackEngine(opt.Engine))
+					tally, err, again = runAttempt(1, FallbackEngine(opt.Engine))
 					if again {
 						cPanics.Inc()
 					}

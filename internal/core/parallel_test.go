@@ -11,7 +11,7 @@ import (
 func TestVerifyParallelAcceptsValidProof(t *testing.T) {
 	f, tr := chainFormula()
 	for _, workers := range []int{0, 1, 2, 4, 16} {
-		res, err := VerifyParallel(f, tr, EngineWatched, workers)
+		res, err := VerifyParallelOpts(f, tr, Options{}, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -39,7 +39,7 @@ func TestVerifyParallelAgreesWithSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := VerifyParallel(f, tr, EngineWatched, 3)
+	par, err := VerifyParallelOpts(f, tr, Options{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestVerifyParallelRejectsBadClause(t *testing.T) {
 	tr.Append(base.Clauses[0], 0)
 	tr.Append(base.Clauses[1], 0)
 	for _, workers := range []int{1, 2, 8} {
-		res, err := VerifyParallel(f, tr, EngineWatched, workers)
+		res, err := VerifyParallelOpts(f, tr, Options{}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestVerifyParallelBadTermination(t *testing.T) {
 	f := cnf.NewFormula(0).Add(1)
 	tr := proof.New()
 	tr.Append(cl(1, 2), 0)
-	_, err := VerifyParallel(f, tr, EngineWatched, 2)
+	_, err := VerifyParallelOpts(f, tr, Options{}, 2)
 	if err == nil {
 		t.Fatal("bad termination accepted")
 	}
@@ -86,7 +86,7 @@ func TestVerifyParallelBadTermination(t *testing.T) {
 
 func TestVerifyParallelCountingEngine(t *testing.T) {
 	f, tr := chainFormula()
-	res, err := VerifyParallel(f, tr, EngineCounting, 2)
+	res, err := VerifyParallelOpts(f, tr, Options{Engine: EngineCounting}, 2)
 	if err != nil || !res.OK {
 		t.Fatalf("%v %+v", err, res)
 	}

@@ -41,7 +41,7 @@ func TestLongChainIsValid(t *testing.T) {
 			t.Fatalf("%v/%v: err=%v res=%+v", opt.Mode, opt.Engine, err, res)
 		}
 	}
-	res, err := VerifyParallel(f, tr, EngineWatched, 4)
+	res, err := VerifyParallelOpts(f, tr, Options{}, 4)
 	if err != nil || !res.OK {
 		t.Fatalf("parallel: err=%v res=%+v", err, res)
 	}

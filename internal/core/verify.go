@@ -71,18 +71,11 @@ const (
 	EngineWatched EngineKind = iota
 	// EngineCounting uses the naive counter-based propagator (ablation).
 	EngineCounting
-	// EngineWatchedScratch is the watched engine without the persistent
-	// root trail: every Refute re-derives the root fixpoint from scratch.
-	// It exists as a baseline for benchmarks and differential tests.
-	EngineWatchedScratch
 )
 
 func (k EngineKind) String() string {
-	switch k {
-	case EngineCounting:
+	if k == EngineCounting {
 		return "counting"
-	case EngineWatchedScratch:
-		return "watched-scratch"
 	}
 	return "watched"
 }
@@ -134,7 +127,7 @@ type Options struct {
 	// Hints from one recorded with them, fails with ErrBadCheckpoint.
 	//
 	// Hints also select the propagation order. Without them the watched
-	// engines propagate core-first (clauses already marked before the
+	// engine propagates core-first (clauses already marked before the
 	// rest), which tests and marks fewer clauses; with them they keep input
 	// order, whose hint chains are shorter (DESIGN.md §6b).
 	Hints *lrat.Recorder
@@ -209,9 +202,10 @@ var ErrBadTrace = errors.New("core: malformed proof trace")
 // identified, matching the paper's promise that "one can point to a clause
 // of the proof whose deduction is questionable".
 //
-// A trace with a deletion schedule always runs on the watched engine in
-// its reactivable form; asking for EngineCounting or EngineWatchedScratch
-// with one is an ErrBadTrace error, as neither can undo a deletion.
+// A trace with a deletion schedule always runs on the watched engine, which
+// suspends the deleted clauses so the backward walk can bring them back;
+// asking for EngineCounting with one is an ErrBadTrace error, as it cannot
+// undo a deletion.
 func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 	term := t.Terminates()
 	if term == proof.TermNone {
@@ -307,8 +301,10 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 	// into statsBase. Called once at the start and — when checkpointing is
 	// enabled — at every epoch boundary, so that an uninterrupted run and
 	// a killed-and-resumed run pass through identical engine states (see
-	// checkpoint.go). A deletion schedule is replayed up to clause upto-1;
-	// the deletions after it are the ones the loop undoes first.
+	// checkpoint.go). A deletion schedule is replayed up to clause upto-1
+	// by suspending the deleted clauses, so that walking a deletion
+	// backwards can reactivate them; the deletions after it are the ones
+	// the loop undoes first.
 	formulaLits := numLits(f.Clauses)
 	marked := make([]bool, nf+m)
 	buildEngine := func(upto int) {
@@ -316,19 +312,10 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 			statsBase = addStats(statsBase, eng.Stats())
 		}
 		var watched *bcp.Engine
-		switch {
-		case dels != nil:
-			// Walking a deletion backwards re-adds the clause, which only
-			// an engine that keeps inactive clauses watched can do.
-			watched = bcp.NewEngineReactivable(nVars)
-		case opt.Engine == EngineCounting:
+		if opt.Engine == EngineCounting {
 			eng = bcp.NewCounting(nVars)
-		case opt.Engine == EngineWatchedScratch:
-			watched = bcp.NewEngineNonIncremental(nVars)
-		default:
+		} else {
 			watched = bcp.NewEngine(nVars)
-		}
-		if watched != nil {
 			// Size the clause store once: growing it by appends would
 			// allocate several times its final size on every (re)build.
 			watched.Reserve(nf+upto, formulaLits+numLits(t.Clauses[:upto]))
@@ -342,7 +329,7 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 		for i := 0; i < upto; i++ {
 			if dels != nil {
 				for _, s := range dels[i] {
-					eng.Deactivate(bcp.ID(s))
+					watched.Suspend(bcp.ID(s))
 				}
 			}
 			eng.Add(t.Clauses[i])
@@ -543,12 +530,12 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 // Slots are not checked for liveness: deleting a clause twice, or using one
 // the producer deleted, can only keep more clauses in the database, which a
 // RUP check may use soundly. A schedule needs an engine that can undo a
-// deletion, so the counting and scratch engines refuse it.
+// deletion, so the counting engine refuses it.
 func checkDeletions(f *cnf.Formula, t *proof.Trace, engine EngineKind) error {
 	if t.Deletions == nil {
 		return nil
 	}
-	if engine == EngineCounting || engine == EngineWatchedScratch {
+	if engine == EngineCounting {
 		return fmt.Errorf("%w: the %v engine cannot undo clause deletions", ErrBadTrace, engine)
 	}
 	if len(t.Deletions) != len(t.Clauses) {

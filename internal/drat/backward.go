@@ -71,8 +71,8 @@ func (p *Proof) TraceLen() int {
 // opt passes through unchanged, so checkpoint intervals and resume points
 // count additions (the closing empty clause included), and a resumable
 // record is a core.Checkpoint. The trace always carries a schedule, even an
-// empty one, so the engine is always the reactivable watched engine and
-// opt.Engine must be left at its default.
+// empty one, so the engine is always the watched engine, which suspends
+// the deleted clauses, and opt.Engine must be left at its default.
 //
 // Unmarked additions are skipped — the same redundancy argument as the
 // paper's §4 — and the marked additions form the trimmed proof, returned
@@ -83,9 +83,9 @@ func (p *Proof) TraceLen() int {
 func VerifyBackward(f *cnf.Formula, p *Proof, opt core.Options) (*Result, *Proof, []int, error) {
 	res := &Result{OK: true, FailedStep: -1, StoppedAt: -1}
 	nf := len(f.Clauses)
-	store := newClauseStore()
+	live := liveKeys{}
 	for i, c := range f.Clauses {
-		store.add(bcp.ID(i), c)
+		live.add(bcp.ID(i), c)
 	}
 	// Deletions[i] collects the deletions seen since trace clause i-1, so
 	// the schedule always has one entry more than the additions so far.
@@ -95,7 +95,7 @@ func VerifyBackward(f *cnf.Formula, p *Proof, opt core.Options) (*Result, *Proof
 	for i, s := range p.Steps {
 		if s.Del {
 			res.Deletions++
-			id, ok := store.remove(s.C)
+			id, ok := live.remove(s.C)
 			if !ok {
 				res.OK = false
 				res.FailedStep = i
@@ -112,7 +112,7 @@ func VerifyBackward(f *cnf.Formula, p *Proof, opt core.Options) (*Result, *Proof
 			lastStep = i
 			break
 		}
-		store.add(bcp.ID(nf+len(t.Clauses)), s.C)
+		live.add(bcp.ID(nf+len(t.Clauses)), s.C)
 		t.Clauses = append(t.Clauses, s.C)
 		t.Deletions = append(t.Deletions, nil)
 		stepOf = append(stepOf, i)

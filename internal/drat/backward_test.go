@@ -1,11 +1,14 @@
 package drat
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/obs"
+	"repro/internal/proof"
 	"repro/internal/solver"
 )
 
@@ -172,6 +175,48 @@ func TestVerifyBackwardExplicitEmptyClause(t *testing.T) {
 	for _, s := range trimmed.Steps {
 		if s.C.SameLits(cl(3)) {
 			t.Fatal("post-refutation garbage kept")
+		}
+	}
+}
+
+// TestBackwardWithoutDeletionsCostsLikeVerify: a DRUP proof with no
+// deletion lines runs the same backward loop as its conflict-clause trace,
+// and only the proof clauses it pops are taken out of the engine, so it
+// must cost exactly what core.Verify costs on that trace: the same tested
+// count, propagations and watcher visits.
+func TestBackwardWithoutDeletionsCostsLikeVerify(t *testing.T) {
+	for _, inst := range []gen.Instance{gen.PHP(6), gen.RandUnsat(9, 50), gen.Fifo(4, 8)} {
+		st, tr, _, _, err := solver.Solve(inst.F, solver.Options{})
+		if err != nil || st != solver.Unsat {
+			t.Fatalf("%s: %v %v", inst.Name, st, err)
+		}
+		if tr.Terminates() != proof.TermEmptyClause {
+			tr.Append(cnf.Clause{}, 0)
+		}
+		work := func(run func(core.Options) error) [3]int64 {
+			reg := obs.New()
+			if err := run(core.Options{Obs: reg}); err != nil {
+				t.Fatalf("%s: %v", inst.Name, err)
+			}
+			c := reg.Snapshot().Counters
+			return [3]int64{c["verify.checked"], c["bcp.propagations"], c["bcp.watcher_visits"]}
+		}
+		plain := work(func(opt core.Options) error {
+			res, err := core.Verify(inst.F, tr, opt)
+			if err == nil && !res.OK {
+				err = fmt.Errorf("trace rejected at %d", res.FailedIndex)
+			}
+			return err
+		})
+		drup := work(func(opt core.Options) error {
+			res, _, _, err := VerifyBackward(inst.F, FromTrace(tr), opt)
+			if err == nil && !res.OK {
+				err = fmt.Errorf("proof rejected at step %d: %s", res.FailedStep, res.Reason)
+			}
+			return err
+		})
+		if drup != plain {
+			t.Errorf("%s: [tested propagations visits] DRUP %v, trace %v", inst.Name, drup, plain)
 		}
 	}
 }

@@ -191,25 +191,46 @@ type Result struct {
 	StoppedAt  int
 }
 
-// clauseStore tracks live clauses for deletion matching and RAT occurrence
-// lookups.
+// liveKeys maps each live clause's canonical key to its IDs, newest last,
+// so a deletion line can be resolved by content. It is all the backward
+// check needs.
+type liveKeys map[string][]bcp.ID
+
+func (lk liveKeys) add(id bcp.ID, c cnf.Clause) {
+	k := clauseKey(c)
+	lk[k] = append(lk[k], id)
+}
+
+// remove drops the newest live instance of c and returns its ID (ok=false
+// when none is live).
+func (lk liveKeys) remove(c cnf.Clause) (bcp.ID, bool) {
+	k := clauseKey(c)
+	ids := lk[k]
+	if len(ids) == 0 {
+		return 0, false
+	}
+	lk[k] = ids[:len(ids)-1]
+	return ids[len(ids)-1], true
+}
+
+// clauseStore is liveKeys plus each live clause and its occurrence lists,
+// which the forward check's RAT lookups read.
 type clauseStore struct {
-	byKey map[string][]bcp.ID
-	byID  map[bcp.ID]cnf.Clause
-	occ   map[cnf.Lit]map[bcp.ID]struct{}
+	keys liveKeys
+	byID map[bcp.ID]cnf.Clause
+	occ  map[cnf.Lit]map[bcp.ID]struct{}
 }
 
 func newClauseStore() *clauseStore {
 	return &clauseStore{
-		byKey: map[string][]bcp.ID{},
-		byID:  map[bcp.ID]cnf.Clause{},
-		occ:   map[cnf.Lit]map[bcp.ID]struct{}{},
+		keys: liveKeys{},
+		byID: map[bcp.ID]cnf.Clause{},
+		occ:  map[cnf.Lit]map[bcp.ID]struct{}{},
 	}
 }
 
 func (cs *clauseStore) add(id bcp.ID, c cnf.Clause) {
-	k := clauseKey(c)
-	cs.byKey[k] = append(cs.byKey[k], id)
+	cs.keys.add(id, c)
 	cs.byID[id] = c
 	for _, l := range c {
 		m := cs.occ[l]
@@ -224,13 +245,10 @@ func (cs *clauseStore) add(id bcp.ID, c cnf.Clause) {
 // remove drops one live instance of c and returns its ID (ok=false when
 // none is live).
 func (cs *clauseStore) remove(c cnf.Clause) (bcp.ID, bool) {
-	k := clauseKey(c)
-	ids := cs.byKey[k]
-	if len(ids) == 0 {
+	id, ok := cs.keys.remove(c)
+	if !ok {
 		return 0, false
 	}
-	id := ids[len(ids)-1]
-	cs.byKey[k] = ids[:len(ids)-1]
 	for _, l := range cs.byID[id] {
 		delete(cs.occ[l], id)
 	}

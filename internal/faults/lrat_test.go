@@ -91,8 +91,8 @@ var pinnedHintVerdicts = map[HintKind][8]hintVerdict{
 
 // TestLRATHintFaultMatrix attacks the hinted checker with syntactically
 // well-formed proofs whose hint lists lie: wrong antecedents, reordered
-// units, dropped hints, dangling IDs. The sequential, chunked and
-// DAG-scheduled checks must give every mutant the same pinned verdict —
+// units, dropped hints, dangling IDs. The sequential and DAG-scheduled
+// checks must give every mutant the same pinned verdict —
 // OK, failing step and reason — and never panic.
 func TestLRATHintFaultMatrix(t *testing.T) {
 	f, _, p := recordedProof(t, 5)
@@ -102,7 +102,6 @@ func TestLRATHintFaultMatrix(t *testing.T) {
 		opt  lrat.Options
 	}{
 		{"sequential", lrat.Options{}},
-		{"chunk", lrat.Options{Workers: 4}},
 		{"dag", lrat.Options{Workers: 4, Strategy: sched.StrategyDAG}},
 	}
 	for _, kind := range HintKinds {

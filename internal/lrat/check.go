@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cnf"
 	"repro/internal/obs"
@@ -32,20 +30,18 @@ import (
 // construction.
 //
 // Because a step's replay depends only on the immutable id→clause table and
-// its own hint list, steps verify independently: the parallel mode chunks
-// the proof across workers after one cheap sequential structural pass (id
+// its own hint list, steps verify independently: the parallel mode schedules
+// them across workers after one cheap sequential structural pass (id
 // resolution + liveness intervals), with no shared propagation state at all.
 
 // Options configures Check.
 type Options struct {
-	// Workers > 1 enables the parallel mode.
-	Workers int
-	// Strategy selects how parallel work is dispatched: StrategyChunk (the
-	// zero value) slices the proof into fixed contiguous per-worker chunks;
-	// StrategyDAG schedules steps work-stealing style over the hint
-	// dependency DAG (see dag.go), so wall-clock tracks the proof's
-	// critical path instead of the slowest chunk. Verdicts are identical
-	// either way. Ignored when Workers <= 1.
+	// Workers > 1 together with Strategy == sched.StrategyDAG enables the
+	// parallel mode, which schedules steps work-stealing style over the
+	// hint dependency DAG (see dag.go), so wall-clock tracks the proof's
+	// critical path. Verdicts are identical to the sequential mode's. Any
+	// other setting checks the steps in order on the calling goroutine.
+	Workers  int
 	Strategy sched.Strategy
 	// Ctx, when non-nil, cancels the run; Check then returns ctx.Err()
 	// alongside a partial Result with Incomplete set.
@@ -124,117 +120,46 @@ func Check(f *cnf.Formula, p *Proof, opt Options) (*Result, error) {
 		return res, nil
 	}
 
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(p.Steps) {
-		workers = len(p.Steps)
-	}
-	if workers > 1 && opt.Strategy == sched.StrategyDAG {
+	if workers := min(opt.Workers, len(p.Steps)); workers > 1 && opt.Strategy == sched.StrategyDAG {
 		return checkDAG(p, ck, workers, opt, res)
 	}
-	cSteps := opt.Obs.Counter("lrat.steps_checked")
-	cHints := opt.Obs.Counter("lrat.hints_scanned")
 
-	var (
-		failStep   int64 = math.MaxInt64 // atomic min over failing step indices
-		reasonMu   sync.Mutex
-		reasons    = map[int]string{}
-		hintsTotal int64
-		refuted    atomic.Bool
-		stoppedAt  int64 = -1 // >= 0: context fired; lowest step index seen
-	)
-	runRange := func(lo, hi int) {
-		st := newStepChecker(ck)
-		scanned := int64(0)
-		for k := lo; k < hi; k++ {
-			if int64(k) > atomic.LoadInt64(&failStep) {
-				break // a strictly earlier failure already decides the verdict
-			}
-			if ctx != nil && k%ctxPollEvery == 0 && ctx.Err() != nil {
-				for {
-					cur := atomic.LoadInt64(&stoppedAt)
-					if cur >= 0 && cur <= int64(k) {
-						break
-					}
-					if atomic.CompareAndSwapInt64(&stoppedAt, cur, int64(k)) {
-						break
-					}
-				}
-				break
-			}
-			s := &p.Steps[k]
-			if s.Del {
-				continue
-			}
-			n, why := st.check(s, ck.hintSlots[ck.hintOff[k]:ck.hintOff[k+1]])
-			scanned += n
-			if why != "" {
-				for {
-					cur := atomic.LoadInt64(&failStep)
-					if int64(k) >= cur {
-						break
-					}
-					if atomic.CompareAndSwapInt64(&failStep, cur, int64(k)) {
-						reasonMu.Lock()
-						reasons[k] = why
-						reasonMu.Unlock()
-						break
-					}
-				}
-				break
-			}
-			if len(s.C) == 0 {
-				refuted.Store(true)
-			}
+	st := newStepChecker(ck)
+	stoppedAt, refuted := -1, false
+	for k := range p.Steps {
+		if ctx != nil && k%ctxPollEvery == 0 && ctx.Err() != nil {
+			stoppedAt = k
+			break
 		}
-		atomic.AddInt64(&hintsTotal, scanned)
+		s := &p.Steps[k]
+		if s.Del {
+			continue
+		}
+		n, why := st.check(s, ck.hintSlots[ck.hintOff[k]:ck.hintOff[k+1]])
+		res.HintsScanned += n
+		if why != "" {
+			res.FailedStep, res.Reason = k, why
+			break
+		}
+		if len(s.C) == 0 {
+			refuted = true
+		}
 	}
 
-	if workers <= 1 {
-		runRange(0, len(p.Steps))
-	} else {
-		chunk := (len(p.Steps) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(p.Steps) {
-				hi = len(p.Steps)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				runRange(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-
-	res.HintsScanned = hintsTotal
-	cHints.Add(hintsTotal)
-	cSteps.Add(int64(res.Additions))
-	if sa := atomic.LoadInt64(&stoppedAt); sa >= 0 && ctx != nil && ctx.Err() != nil {
+	opt.Obs.Counter("lrat.hints_scanned").Add(res.HintsScanned)
+	opt.Obs.Counter("lrat.steps_checked").Add(int64(res.Additions))
+	switch {
+	case stoppedAt >= 0:
 		res.Incomplete = true
-		res.StoppedAt = int(sa)
+		res.StoppedAt = stoppedAt
 		return res, ctx.Err()
-	}
-	if fs := atomic.LoadInt64(&failStep); fs != math.MaxInt64 {
-		res.FailedStep = int(fs)
-		reasonMu.Lock()
-		res.Reason = reasons[int(fs)]
-		reasonMu.Unlock()
+	case res.FailedStep >= 0:
 		return res, nil
-	}
-	res.Refuted = refuted.Load()
-	if !res.Refuted {
+	case !refuted:
 		res.Reason = "no empty clause derived"
 		return res, nil
 	}
+	res.Refuted = true
 	res.OK = true
 	return res, nil
 }

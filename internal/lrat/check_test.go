@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cnf"
+	"repro/internal/sched"
 )
 
 // chainFormula is (x1)(¬x1 x2)(¬x2): a three-clause unit chain whose LRAT
@@ -105,7 +106,7 @@ func TestCheckCounters(t *testing.T) {
 
 // longChain builds (x1)(¬x1 x2)...(¬x_{n-1} x_n)(¬x_n) and an LRAT proof
 // deriving each unit (x_i) in turn before the empty clause, for exercising
-// the chunked parallel mode on something longer than one chunk.
+// the parallel mode on a proof with many steps.
 func longChain(n int) (*cnf.Formula, *Proof) {
 	f := cnf.NewFormula(0)
 	f.Add(1)
@@ -143,7 +144,7 @@ func TestCheckParallelMatchesSequential(t *testing.T) {
 	if !seq.OK {
 		t.Fatalf("sequential rejected: step %d: %s", seq.FailedStep, seq.Reason)
 	}
-	par, err := Check(f, p, Options{Workers: 4})
+	par, err := Check(f, p, Options{Workers: 4, Strategy: sched.StrategyDAG})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +156,11 @@ func TestCheckParallelMatchesSequential(t *testing.T) {
 func TestCheckParallelFirstFailureWins(t *testing.T) {
 	f, p := longChain(500)
 	// Corrupt two steps; the earlier one must be reported regardless of
-	// which worker hits its chunk first.
+	// which worker reaches its step first.
 	p.Steps[100].Hints = []int64{1}
 	p.Steps[400].Hints = []int64{1}
 	for _, workers := range []int{1, 4} {
-		res, err := Check(f, p, Options{Workers: workers})
+		res, err := Check(f, p, Options{Workers: workers, Strategy: sched.StrategyDAG})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +234,7 @@ func BenchmarkCheckChain(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := Check(f, p, Options{Workers: workers})
+				res, err := Check(f, p, Options{Workers: workers, Strategy: sched.StrategyDAG})
 				if err != nil || !res.OK {
 					b.Fatal(res.Reason, err)
 				}

@@ -68,8 +68,8 @@ func BuildDAG(p *Proof) *sched.DAG {
 }
 
 // checkDAG is Check's DAG-scheduled mode: the same per-step replay as the
-// chunked mode, dispatched by the work-stealing scheduler over the hint DAG
-// instead of by contiguous index ranges. Verdict semantics are identical —
+// sequential mode, dispatched by the work-stealing scheduler over the hint
+// DAG instead of in step order. Verdict semantics are identical —
 // the first (lowest-index) failing step decides, a derived empty clause
 // sets Refuted, cancellation yields Incomplete with the lowest step index
 // that observed it — because every step below the minimum failure is still

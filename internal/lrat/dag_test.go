@@ -9,26 +9,20 @@ import (
 	"repro/internal/sched"
 )
 
-func TestCheckDAGMatchesChunkAndSequential(t *testing.T) {
+func TestCheckDAGMatchesSequential(t *testing.T) {
 	f, p := longChain(800)
 	seq, err := Check(f, p, Options{})
 	if err != nil || !seq.OK {
 		t.Fatalf("sequential: %+v, %v", seq, err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		chunk, err := Check(f, p, Options{Workers: workers, Strategy: sched.StrategyChunk})
-		if err != nil {
-			t.Fatal(err)
-		}
 		dag, err := Check(f, p, Options{Workers: workers, Strategy: sched.StrategyDAG})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, r := range map[string]*Result{"chunk": chunk, "dag": dag} {
-			if !r.OK || !r.Refuted || r.HintsScanned != seq.HintsScanned ||
-				r.Additions != seq.Additions || r.Deletions != seq.Deletions {
-				t.Fatalf("workers=%d %s diverged: %+v vs %+v", workers, name, r, seq)
-			}
+		if !dag.OK || !dag.Refuted || dag.HintsScanned != seq.HintsScanned ||
+			dag.Additions != seq.Additions || dag.Deletions != seq.Deletions {
+			t.Fatalf("workers=%d diverged: %+v vs %+v", workers, dag, seq)
 		}
 	}
 }
@@ -72,8 +66,8 @@ func corruptOne(rng *rand.Rand, p *Proof) int {
 	}
 }
 
-// Randomized differential: on randomly corrupted chains, DAG and chunk mode
-// must agree on the verdict and the failing step exactly.
+// Randomized differential: on randomly corrupted chains, the DAG and
+// sequential modes must agree on the verdict and the failing step exactly.
 func TestCheckDAGDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for round := 0; round < 40; round++ {
@@ -84,7 +78,7 @@ func TestCheckDAGDifferentialRandom(t *testing.T) {
 			want = corruptOne(rng, p)
 		}
 		workers := 2 + rng.Intn(6)
-		chunk, err := Check(f, p, Options{Workers: workers, Strategy: sched.StrategyChunk})
+		seq, err := Check(f, p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,8 +86,8 @@ func TestCheckDAGDifferentialRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if chunk.OK != dag.OK || chunk.FailedStep != dag.FailedStep || chunk.Reason != dag.Reason {
-			t.Fatalf("round %d: chunk %+v vs dag %+v", round, chunk, dag)
+		if seq.OK != dag.OK || seq.FailedStep != dag.FailedStep || seq.Reason != dag.Reason {
+			t.Fatalf("round %d: sequential %+v vs dag %+v", round, seq, dag)
 		}
 		if want >= 0 && (dag.OK || dag.FailedStep != want) {
 			t.Fatalf("round %d: corrupted step %d, dag reported %d (ok=%v)",

@@ -12,22 +12,12 @@ import (
 // parse time stops being ignorable. A nil registry falls back to plain
 // Read.
 func ReadObserved(r io.Reader, reg *obs.Registry) (*Trace, error) {
-	return readObserved(r, reg, Read)
-}
-
-// ReadBinaryObserved is ReadBinary with the same IO metering as
-// ReadObserved.
-func ReadBinaryObserved(r io.Reader, reg *obs.Registry) (*Trace, error) {
-	return readObserved(r, reg, ReadBinary)
-}
-
-func readObserved(r io.Reader, reg *obs.Registry, parse func(io.Reader) (*Trace, error)) (*Trace, error) {
 	if reg == nil {
-		return parse(r)
+		return Read(r)
 	}
 	span := reg.StartSpan("proof-read")
 	cr := obs.CountingReader(r, reg.Counter("proof.read.bytes"))
-	t, err := parse(cr)
+	t, err := Read(cr)
 	d := span.End()
 	reg.Counter("proof.read.ns").Add(int64(d))
 	if t != nil {

@@ -1,7 +1,6 @@
 package proof
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -37,28 +36,5 @@ func TestReadObservedNilRegistry(t *testing.T) {
 	tr, err := ReadObserved(strings.NewReader("1 0\n-1 0\n"), nil)
 	if err != nil || tr.Len() != 2 {
 		t.Fatalf("%v, %d clauses", err, tr.Len())
-	}
-}
-
-func TestReadBinaryObserved(t *testing.T) {
-	tr := New()
-	tr.Append(cl(1, 2), 0)
-	tr.Append(cl(-1), 0)
-	tr.Append(cl(1), 0)
-	var bin bytes.Buffer
-	if err := WriteBinary(&bin, tr); err != nil {
-		t.Fatal(err)
-	}
-	n := bin.Len()
-	reg := obs.New()
-	back, err := ReadBinaryObserved(&bin, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 3 {
-		t.Fatalf("clauses = %d", back.Len())
-	}
-	if got := reg.Counter("proof.read.bytes").Value(); got != int64(n) {
-		t.Errorf("bytes = %d, want %d", got, n)
 	}
 }

@@ -127,16 +127,6 @@ func (d *Daemon) finish(job *Job, jr *JobResult) {
 	d.opt.Obs.Counter("service.jobs_completed").Inc()
 }
 
-// fallbackEngineFor mirrors the parallel verifier's panic-retry policy: a
-// structurally different BCP implementation, so a data-dependent defect in
-// one engine does not doom the job.
-func fallbackEngineFor(k core.EngineKind) core.EngineKind {
-	if k == core.EngineCounting {
-		return core.EngineWatched
-	}
-	return core.EngineCounting
-}
-
 // verifyJob runs verification with at most one fallback-engine retry after
 // a panic. Any second panic — or any non-panic error — is final. It returns
 // the engine that produced the result so the verdict names the right one,
@@ -150,7 +140,7 @@ func (d *Daemon) verifyJob(w int, job *Job, f *cnf.Formula, tr *proof.Trace, bud
 		var pe *core.WorkerPanicError
 		if errors.As(err, &pe) && attempt == 1 {
 			d.opt.Obs.Counter("service.worker_panics").Inc()
-			fb := fallbackEngineFor(engine)
+			fb := core.FallbackEngine(engine)
 			d.opt.Logf("service: job %s: %v engine panicked (%v); retrying once on %v",
 				job.ID, engine, pe.Value, fb)
 			engine = fb
