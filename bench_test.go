@@ -10,6 +10,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -344,7 +345,7 @@ func BenchmarkDRUPChecking(b *testing.B) {
 	p := rec.Proof()
 	b.Run("forward", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := drat.Verify(inst.F, p)
+			res, err := drat.Verify(context.Background(), inst.F, p)
 			if err != nil || !res.OK {
 				b.Fatalf("%v %+v", err, res)
 			}

@@ -36,9 +36,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/atomicio"
 	"repro/internal/cnf"
 	"repro/internal/drat"
@@ -49,14 +48,14 @@ import (
 	"repro/internal/solver"
 )
 
+const tool = cli.Tool("bksat")
+
 func main() {
 	os.Exit(run())
 }
 
 func run() int {
-	// ContinueOnError: a bad flag must exit Usage, not the flag package's 2,
-	// which the exit-code contract reserves for a rejected proof.
-	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	var out cli.Outputs
 	proofPath := flag.String("proof", "", "write the conflict-clause proof to this file")
 	dratPath := flag.String("drat", "", "write a deletion-aware DRUP proof to this file")
 	learn := flag.String("learn", "hybrid", "learning scheme: 1uip | decision | hybrid")
@@ -65,73 +64,36 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "give up after this long (0 = unlimited)")
 	seed := flag.Int64("seed", 0, "activity perturbation seed")
 	stats := flag.Bool("stats", false, "print search statistics")
-	statsJSON := flag.String("stats-json", "", "write a JSON metrics snapshot to this file")
-	progress := flag.Bool("progress", false, "report search progress on stderr")
+	flag.StringVar(&out.StatsJSON, "stats-json", "", "write a JSON metrics snapshot to this file")
+	flag.BoolVar(&out.Progress, "progress", false, "report search progress on stderr")
 	progressEvery := flag.Int64("progress-every", 10000, "progress line every N conflicts")
-	metricsAddr := flag.String("metrics", "", "serve live metrics over HTTP on this address")
-	pprofFlag := flag.Bool("pprof", false, "with -metrics: also serve net/http/pprof under /debug/pprof/")
+	flag.StringVar(&out.Metrics, "metrics", "", "serve live metrics over HTTP on this address")
+	flag.BoolVar(&out.Pprof, "pprof", false, "with -metrics: also serve net/http/pprof under /debug/pprof/")
 	simp := flag.Bool("simp", false, "preprocess before solving (NOTE: any proof then refers to the simplified formula)")
 	portfolio := flag.Int("portfolio", 0, "race N diversified solver configurations; the winner's proof is written at the end (streaming and -drat are unavailable in this mode)")
-	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return exitcode.OK
-		}
-		return exitcode.Usage
+	if code, ok := cli.Parse(1, "usage: bksat [flags] formula.cnf"); !ok {
+		return code
 	}
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: bksat [flags] formula.cnf")
-		return exitcode.Usage
-	}
-
-	// Context: an optional deadline, and SIGINT or SIGTERM cancels so a ^C
-	// (or a supervisor's polite kill) mid-search still reports statistics
-	// for the partial run before exiting 130.
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	// The registry exists whenever any observability surface is requested;
-	// nil otherwise, which turns every instrument call into a nil check.
-	var reg *obs.Registry
-	if *statsJSON != "" || *metricsAddr != "" || *progress {
-		reg = obs.New()
-	}
-	if *metricsAddr != "" {
-		addr, shutdown, serr := obs.Serve(ctx, *metricsAddr, reg, *pprofFlag)
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "bksat:", serr)
-			return exitcode.Internal
-		}
-		defer shutdown()
-		fmt.Fprintf(os.Stderr, "c metrics: http://%v/debug/vars (Prometheus at /metrics)\n", addr)
-	}
-
-	parseSpan := reg.StartSpan("parse-formula")
-	in, err := os.Open(flag.Arg(0))
+	// A ^C (or a supervisor's polite kill) mid-search still reports
+	// statistics for the partial run before exiting 130.
+	r, err := tool.Start(*timeout, out)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bksat:", err)
-		return exitcode.BadInput
+		return tool.Fail(exitcode.Internal, err)
 	}
-	defer in.Close()
-	f, err := cnf.ParseDimacs(in)
+	defer r.Close()
+	ctx, reg := r.Ctx, r.Reg
+
+	f, err := r.ReadFormula(flag.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bksat:", err)
-		return exitcode.BadInput
+		return tool.Fail(exitcode.BadInput, err)
 	}
-	parseSpan.End()
 
 	var pre *simplify.Result
 	if *simp {
 		pre, err = simplify.Simplify(f, simplify.Default())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bksat:", err)
-			return exitcode.Internal
+			return tool.Fail(exitcode.Internal, err)
 		}
 		fmt.Fprintf(os.Stderr, "c simp: %d -> %d clauses\n", f.NumClauses(), pre.F.NumClauses())
 		f = pre.F
@@ -139,7 +101,7 @@ func run() int {
 
 	opts := solver.Options{MaxConflicts: *maxConflicts, Seed: *seed, Obs: reg, Ctx: ctx}
 	var prog *obs.Progress
-	if *progress {
+	if out.Progress {
 		learned := reg.Counter("solver.learned")
 		restarts := reg.Counter("solver.restarts")
 		prog = obs.NewProgress(os.Stderr, obs.ProgressConfig{
@@ -160,8 +122,7 @@ func run() int {
 	case "hybrid":
 		opts.Learn = solver.LearnHybrid
 	default:
-		fmt.Fprintf(os.Stderr, "bksat: unknown learning scheme %q\n", *learn)
-		return exitcode.Usage
+		return tool.Fail(exitcode.Usage, fmt.Sprintf("unknown learning scheme %q", *learn))
 	}
 	switch *heur {
 	case "berkmin":
@@ -169,8 +130,7 @@ func run() int {
 	case "vsids":
 		opts.Heuristic = solver.HeurVSIDS
 	default:
-		fmt.Fprintf(os.Stderr, "bksat: unknown heuristic %q\n", *heur)
-		return exitcode.Usage
+		return tool.Fail(exitcode.Usage, fmt.Sprintf("unknown heuristic %q", *heur))
 	}
 
 	var proofFile *atomicio.File
@@ -181,8 +141,7 @@ func run() int {
 	var sstats solver.Stats
 	if *portfolio > 0 {
 		if *dratPath != "" {
-			fmt.Fprintln(os.Stderr, "bksat: -drat is unavailable with -portfolio")
-			return exitcode.Usage
+			return tool.Fail(exitcode.Usage, "-drat is unavailable with -portfolio")
 		}
 		configs := make([]solver.Options, *portfolio)
 		for i := range configs {
@@ -195,8 +154,7 @@ func run() int {
 		res, perr := solver.Portfolio(f, configs)
 		solveSpan.End()
 		if perr != nil {
-			fmt.Fprintln(os.Stderr, "bksat:", perr)
-			return exitcode.Internal
+			return tool.Fail(exitcode.Internal, perr)
 		}
 		st, tr, model, sstats = res.Status, res.Trace, res.Model, res.Stats
 		fmt.Fprintf(os.Stderr, "c portfolio: configuration %d won\n", res.Winner)
@@ -209,16 +167,14 @@ func run() int {
 				return proof.Write(w, tr)
 			})
 			if werr != nil {
-				fmt.Fprintln(os.Stderr, "bksat:", werr)
-				return exitcode.Internal
+				return tool.Fail(exitcode.Internal, werr)
 			}
 		}
 	} else {
 		if *proofPath != "" {
 			proofFile, err = atomicio.Create(*proofPath)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "bksat:", err)
-				return exitcode.Internal
+				return tool.Fail(exitcode.Internal, err)
 			}
 			// Closed uncommitted (and hence discarded) on every path except a
 			// completed UNSAT run, which commits it below.
@@ -238,16 +194,12 @@ func run() int {
 		st, tr, model, sstats, err = solver.Solve(f, opts)
 		solveSpan.End()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bksat:", err)
-			return exitcode.Internal
+			return tool.Fail(exitcode.Internal, err)
 		}
 	}
 	prog.Finish()
-	if *statsJSON != "" {
-		if serr := atomicio.WriteFile(*statsJSON, reg.WriteJSON); serr != nil {
-			fmt.Fprintln(os.Stderr, "bksat:", serr)
-			return exitcode.Internal
-		}
+	if werr := r.WriteStats(); werr != nil {
+		return tool.Fail(exitcode.Internal, werr)
 	}
 	if *stats {
 		fmt.Fprintf(os.Stderr, "c conflicts=%d decisions=%d propagations=%d restarts=%d learned=%d deleted=%d resolutions=%d\n",
@@ -261,8 +213,7 @@ func run() int {
 		if pre != nil {
 			model, err = pre.ExtendModel(model)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "bksat:", err)
-				return exitcode.Internal
+				return tool.Fail(exitcode.Internal, err)
 			}
 		}
 		fmt.Print("v ")
@@ -279,8 +230,7 @@ func run() int {
 		fmt.Println("s UNSATISFIABLE")
 		if proofFile != nil {
 			if err := proofFile.Commit(); err != nil {
-				fmt.Fprintln(os.Stderr, "bksat:", err)
-				return exitcode.Internal
+				return tool.Fail(exitcode.Internal, err)
 			}
 			fmt.Fprintf(os.Stderr, "c proof: %d conflict clauses, %d literals, termination: %v -> %s\n",
 				tr.Len(), tr.NumLiterals(), tr.Terminates(), *proofPath)
@@ -289,8 +239,7 @@ func run() int {
 			if err := atomicio.WriteFile(*dratPath, func(out io.Writer) error {
 				return drat.Write(out, rec.Proof())
 			}); err != nil {
-				fmt.Fprintln(os.Stderr, "bksat:", err)
-				return exitcode.Internal
+				return tool.Fail(exitcode.Internal, err)
 			}
 			fmt.Fprintf(os.Stderr, "c drat: %d additions, %d deletions -> %s\n",
 				rec.Proof().Additions(), rec.Proof().Deletions(), *dratPath)

@@ -63,17 +63,13 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"repro/cmd/internal/ckpt"
-	"repro/cmd/internal/tracedump"
+	"repro/cmd/internal/cli"
 	"repro/internal/atomicio"
 	"repro/internal/cnf"
 	"repro/internal/core"
@@ -81,20 +77,18 @@ import (
 	"repro/internal/journal"
 	"repro/internal/lrat"
 	"repro/internal/obs"
-	"repro/internal/obs/trace"
 	"repro/internal/proof"
 	"repro/internal/sched"
-	"repro/internal/service"
 )
+
+const tool = cli.Tool("dpv")
 
 func main() {
 	os.Exit(run())
 }
 
 func run() int {
-	// ContinueOnError: a bad flag must exit Usage, not the flag package's 2,
-	// which the exit-code contract reserves for a rejected proof.
-	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	var out cli.Outputs
 	all := flag.Bool("all", false, "check every clause (Proof_verification1)")
 	engine := flag.String("engine", "watched", "BCP engine: watched | counting")
 	par := flag.Int("par", 0, "parallel workers (0 = sequential)")
@@ -110,128 +104,59 @@ func run() int {
 	checkpointEvery := flag.Int("checkpoint-every", 1000, "checkpoint interval in proof clauses")
 	resume := flag.Bool("resume", false, "resume from the -checkpoint journal when it matches")
 	jsonOut := flag.Bool("json", false, "emit the verification result as JSON on stdout")
-	statsJSON := flag.String("stats-json", "", "write a JSON metrics snapshot to this file")
-	progress := flag.Bool("progress", false, "report verification progress on stderr")
+	flag.StringVar(&out.StatsJSON, "stats-json", "", "write a JSON metrics snapshot to this file")
+	flag.BoolVar(&out.Progress, "progress", false, "report verification progress on stderr")
 	progressEvery := flag.Int64("progress-every", 1000, "progress line every N proof clauses")
-	metricsAddr := flag.String("metrics", "", "serve live metrics over HTTP on this address")
-	pprofFlag := flag.Bool("pprof", false, "with -metrics: also serve net/http/pprof under /debug/pprof/")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON flight recording to this file")
-	traceJSONL := flag.String("trace-jsonl", "", "write the flight recording as JSONL events to this file")
-	traceBuf := flag.Int("trace-buf", 0, "flight recorder ring capacity in events per track (0 = default 65536)")
+	flag.StringVar(&out.Metrics, "metrics", "", "serve live metrics over HTTP on this address")
+	flag.BoolVar(&out.Pprof, "pprof", false, "with -metrics: also serve net/http/pprof under /debug/pprof/")
+	flag.StringVar(&out.TraceOut, "trace-out", "", "write a Chrome trace-event JSON flight recording to this file")
+	flag.StringVar(&out.TraceJSONL, "trace-jsonl", "", "write the flight recording as JSONL events to this file")
+	flag.IntVar(&out.TraceBuf, "trace-buf", 0, "flight recorder ring capacity in events per track (0 = default 65536)")
 	quiet := flag.Bool("q", false, "quiet")
-	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return exitcode.OK
-		}
-		return exitcode.Usage
-	}
-
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: dpv [flags] formula.cnf proof.trace")
-		return exitcode.Usage
+	if code, ok := cli.Parse(2, "usage: dpv [flags] formula.cnf proof.trace"); !ok {
+		return code
 	}
 	strategy, serr := sched.ParseStrategy(*schedName)
 	if serr != nil {
-		fmt.Fprintln(os.Stderr, "dpv:", serr)
-		return exitcode.Usage
+		return tool.Fail(exitcode.Usage, serr)
 	}
 	dagSched := strategy == sched.StrategyDAG
-	if dagSched && *par == 0 {
-		fmt.Fprintln(os.Stderr, "dpv: -sched dag requires -par")
-		return exitcode.Usage
-	}
-	if *par != 0 && !dagSched && (*corePath != "" || *trimPath != "") {
-		fmt.Fprintln(os.Stderr, "dpv: chunked -par checks every clause without marking; -core/-trim need the sequential checker or -sched dag")
-		return exitcode.Usage
-	}
-	if *par != 0 && !dagSched && *lratPath != "" {
-		fmt.Fprintln(os.Stderr, "dpv: -emit-lrat records one engine's propagation order; it needs the sequential checker or -sched dag")
-		return exitcode.Usage
-	}
-	if *lratBinary && *lratPath == "" {
-		fmt.Fprintln(os.Stderr, "dpv: -lrat-binary requires -emit-lrat")
-		return exitcode.Usage
-	}
-	if *resume && *checkpointPath == "" {
-		fmt.Fprintln(os.Stderr, "dpv: -resume requires -checkpoint")
-		return exitcode.Usage
-	}
-	if *checkpointPath != "" && *checkpointEvery <= 0 {
-		fmt.Fprintln(os.Stderr, "dpv: -checkpoint-every must be positive")
-		return exitcode.Usage
+	switch {
+	case dagSched && *par == 0:
+		return tool.Fail(exitcode.Usage, "-sched dag requires -par")
+	case *par != 0 && !dagSched && (*corePath != "" || *trimPath != ""):
+		return tool.Fail(exitcode.Usage, "chunked -par checks every clause without marking; -core/-trim need the sequential checker or -sched dag")
+	case *par != 0 && !dagSched && *lratPath != "":
+		return tool.Fail(exitcode.Usage, "-emit-lrat records one engine's propagation order; it needs the sequential checker or -sched dag")
+	case *lratBinary && *lratPath == "":
+		return tool.Fail(exitcode.Usage, "-lrat-binary requires -emit-lrat")
+	case *resume && *checkpointPath == "":
+		return tool.Fail(exitcode.Usage, "-resume requires -checkpoint")
+	case *checkpointPath != "" && *checkpointEvery <= 0:
+		return tool.Fail(exitcode.Usage, "-checkpoint-every must be positive")
 	}
 
-	// Context: an optional deadline, and SIGINT or SIGTERM cancels so a ^C
-	// — or a supervisor's polite kill — mid-run still reports how far
-	// verification got before exiting 130. Built before the observability
-	// surfaces so the metrics listener is tied to the same lifetime.
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
+	r, err := tool.Start(*timeout, out)
+	if err != nil {
+		return tool.Fail(exitcode.Internal, err)
 	}
-	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
+	defer r.Close()
+	reg := r.Reg
 
-	// The registry exists whenever any observability surface is requested;
-	// nil otherwise, which turns every instrument call into a nil check.
-	// The flight recorder additionally attaches when a trace dump was
-	// asked for, and is flushed on every exit path — a rejected proof's or
-	// an interrupted run's recording is exactly the one worth reading.
-	var reg *obs.Registry
-	if *statsJSON != "" || *metricsAddr != "" || *progress || *traceOut != "" || *traceJSONL != "" {
-		reg = obs.New()
-	}
-	var rec *trace.Recorder
-	if *traceOut != "" || *traceJSONL != "" {
-		rec = trace.New(*traceBuf)
-		reg.SetTracer(rec)
-		defer func() {
-			if err := tracedump.Write("dpv", *traceOut, *traceJSONL, reg, rec); err != nil {
-				fmt.Fprintln(os.Stderr, "dpv:", err)
-			}
-		}()
-	}
-	if *metricsAddr != "" {
-		addr, shutdown, err := obs.Serve(ctx, *metricsAddr, reg, *pprofFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dpv:", err)
-			return exitcode.Internal
-		}
-		defer shutdown()
-		fmt.Fprintf(os.Stderr, "c metrics: http://%v/debug/vars (Prometheus at /metrics)\n", addr)
-	}
-
-	parseSpan := reg.StartSpan("parse-formula")
-	fin, err := os.Open(flag.Arg(0))
+	f, err := r.ReadFormula(flag.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dpv:", err)
-		return exitcode.BadInput
+		return tool.Fail(exitcode.BadInput, err)
 	}
-	defer fin.Close()
-	f, err := cnf.ParseDimacs(fin)
+	tr, err := cli.Read(flag.Arg(1), func(in io.Reader) (*proof.Trace, error) {
+		return proof.ReadObserved(in, reg)
+	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dpv:", err)
-		return exitcode.BadInput
-	}
-	parseSpan.End()
-
-	pin, err := os.Open(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dpv:", err)
-		return exitcode.BadInput
-	}
-	defer pin.Close()
-	tr, err := proof.ReadObserved(pin, reg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dpv:", err)
-		return exitcode.BadInput
+		return tool.Fail(exitcode.BadInput, err)
 	}
 
 	opt := core.Options{
 		Obs: reg,
-		Ctx: ctx,
+		Ctx: r.Ctx,
 		Budget: core.Budget{
 			MaxPropagations: *maxProps,
 			MaxMemoryBytes:  *maxMemory,
@@ -246,8 +171,7 @@ func run() int {
 	case "counting":
 		opt.Engine = core.EngineCounting
 	default:
-		fmt.Fprintf(os.Stderr, "dpv: unknown engine %q\n", *engine)
-		return exitcode.Usage
+		return tool.Fail(exitcode.Usage, fmt.Sprintf("unknown engine %q", *engine))
 	}
 	// The DAG schedule rechecks the sequential run's hints, so it records
 	// them whether or not -emit-lrat asked for the file.
@@ -267,20 +191,14 @@ func run() int {
 		if *par != 0 && !dagSched {
 			workers = *par
 		}
-		var warn error
-		jw, warn, err = core.StartJournal(*checkpointPath, f, tr.Len(), journal.FingerprintTrace(tr),
+		jw, err = tool.StartJournal(*checkpointPath, f, tr.Len(), journal.FingerprintTrace(tr),
 			&opt, *checkpointEvery, workers, *resume)
-		if warn != nil {
-			fmt.Fprintf(os.Stderr, "dpv: warning: not resuming (%v); running from scratch\n", warn)
-		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dpv:", err)
-			return exitcode.Internal
+			return tool.Fail(exitcode.Internal, err)
 		}
-		opt.Checkpoint.Sink = ckpt.CrashSink(opt.Checkpoint.Sink)
 	}
 
-	if *progress {
+	if out.Progress {
 		markedC := reg.Counter("verify.marked")
 		total := tr.Len()
 		opt.Progress = obs.NewProgress(os.Stderr, obs.ProgressConfig{
@@ -306,7 +224,7 @@ func run() int {
 	} else {
 		res, err = core.Verify(f, tr, opt)
 		if err == nil && res.OK && dagSched {
-			if err = recheck(ctx, f, hints, *par, reg); err != nil {
+			if err = recheck(r.Ctx, f, hints, *par, reg); err != nil {
 				res.Incomplete = true
 			}
 		}
@@ -317,17 +235,14 @@ func run() int {
 		// flushes a final record, and a later -resume restarts from the
 		// last checkpoint record.
 		if ferr := jw.Finish(res, err); ferr != nil {
-			fmt.Fprintln(os.Stderr, "dpv:", ferr)
+			tool.Warn(ferr)
 		}
 	}
-	if *statsJSON != "" {
-		if werr := writeStats(*statsJSON, reg); werr != nil {
-			fmt.Fprintln(os.Stderr, "dpv:", werr)
-			return exitcode.Internal
-		}
+	if werr := r.WriteStats(); werr != nil {
+		return tool.Fail(exitcode.Internal, werr)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dpv:", err)
+		tool.Warn(err)
 		if res != nil && res.Incomplete {
 			fmt.Printf("s UNKNOWN\n")
 			fmt.Printf("c incomplete: stopped before a verdict\n")
@@ -337,22 +252,13 @@ func run() int {
 				fmt.Printf("c stopped at proof clause %d\n", res.StoppedAt)
 			}
 		}
-		// Only the -sched dag recheck stops with a bare context error (core
-		// returns its own sentinels); map it the way lratcheck does.
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			return exitcode.Timeout
-		case errors.Is(err, context.Canceled):
-			return exitcode.Interrupted
-		}
 		return exitcode.FromVerifyError(err)
 	}
 
 	if *jsonOut {
-		v := service.BuildVerdict(res, opt.Mode, opt.Engine, *par, f.NumClauses())
+		v := core.BuildVerdict(res, opt.Mode, opt.Engine, *par, f.NumClauses())
 		if err := json.NewEncoder(os.Stdout).Encode(v); err != nil {
-			fmt.Fprintln(os.Stderr, "dpv:", err)
-			return exitcode.Internal
+			return tool.Fail(exitcode.Internal, err)
 		}
 		if !res.OK {
 			return exitcode.VerifyFailed
@@ -378,28 +284,24 @@ func run() int {
 			return cnf.WriteDimacs(w, core.CoreFormula(f, res))
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dpv:", err)
-			return exitcode.Internal
+			return tool.Fail(exitcode.Internal, err)
 		}
 	}
 	if *trimPath != "" {
 		trimmed, err := core.Trim(tr, res)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dpv:", err)
-			return exitcode.Internal
+			return tool.Fail(exitcode.Internal, err)
 		}
 		err = atomicio.WriteFile(*trimPath, func(w io.Writer) error {
 			return proof.Write(w, trimmed)
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dpv:", err)
-			return exitcode.Internal
+			return tool.Fail(exitcode.Internal, err)
 		}
 	}
 	if *lratPath != "" && res.OK {
-		if err := writeLRAT(*lratPath, hints, *lratBinary); err != nil {
-			fmt.Fprintln(os.Stderr, "dpv:", err)
-			return exitcode.Internal
+		if err := cli.WriteLRAT(*lratPath, hints, *lratBinary); err != nil {
+			return tool.Fail(exitcode.Internal, err)
 		}
 	}
 	return exitcode.OK
@@ -423,24 +325,4 @@ func recheck(ctx context.Context, f *cnf.Formula, hints *lrat.Recorder, workers 
 		return fmt.Errorf("recheck rejected recorded step %d: %s", res.FailedStep, res.Reason)
 	}
 	return nil
-}
-
-// writeLRAT renders a recorder's proof to path (text or binary) atomically.
-func writeLRAT(path string, rec *lrat.Recorder, binary bool) error {
-	lp, err := rec.Proof()
-	if err != nil {
-		return err
-	}
-	return atomicio.WriteFile(path, func(w io.Writer) error {
-		if binary {
-			return lrat.WriteBinary(w, lp)
-		}
-		return lrat.Write(w, lp)
-	})
-}
-
-func writeStats(path string, reg *obs.Registry) error {
-	return atomicio.WriteFile(path, func(w io.Writer) error {
-		return reg.WriteJSON(w)
-	})
 }

@@ -48,31 +48,27 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"repro/cmd/internal/ckpt"
+	"repro/cmd/internal/cli"
 	"repro/internal/core"
 	"repro/internal/exitcode"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
 
+const tool = cli.Tool("dpvd")
+
 func main() {
 	os.Exit(run())
 }
 
 func run() int {
-	// ContinueOnError: a bad flag must exit Usage, not the flag package's 2,
-	// which the exit-code contract reserves for a rejected proof.
-	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	addr := flag.String("addr", ":8100", "listen address")
 	storeDir := flag.String("store", "", "disk-backed job store root (empty = in-memory)")
 	workers := flag.Int("workers", 2, "concurrent verification workers")
@@ -90,16 +86,8 @@ func run() int {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs on shutdown")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	quiet := flag.Bool("q", false, "quiet")
-	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return exitcode.OK
-		}
-		return exitcode.Usage
-	}
-
-	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: dpvd [flags]")
-		return exitcode.Usage
+	if code, ok := cli.Parse(0, "usage: dpvd [flags]"); !ok {
+		return code
 	}
 	var engineKind core.EngineKind
 	switch *engine {
@@ -108,8 +96,7 @@ func run() int {
 	case "counting":
 		engineKind = core.EngineCounting
 	default:
-		fmt.Fprintf(os.Stderr, "dpvd: unknown engine %q\n", *engine)
-		return exitcode.Usage
+		return tool.Fail(exitcode.Usage, fmt.Sprintf("unknown engine %q", *engine))
 	}
 	mode := core.ModeCheckMarked
 	if *all {
@@ -125,8 +112,7 @@ func run() int {
 	if *storeDir != "" {
 		ds, err := service.NewDiskStore(*storeDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dpvd:", err)
-			return exitcode.Internal
+			return tool.Fail(exitcode.Internal, err)
 		}
 		store = ds
 	} else {
@@ -147,17 +133,15 @@ func run() int {
 		MaxUploadBytes:  *maxUpload,
 		RetryAfter:      *retryAfter,
 		Obs:             reg,
-		SinkWrap:        ckpt.CrashSink,
+		SinkWrap:        cli.CrashSink,
 		Logf:            logf,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dpvd:", err)
-		return exitcode.Internal
+		return tool.Fail(exitcode.Internal, err)
 	}
 
 	if n, err := d.Recover(); err != nil {
-		fmt.Fprintln(os.Stderr, "dpvd:", err)
-		return exitcode.Internal
+		return tool.Fail(exitcode.Internal, err)
 	} else if n > 0 {
 		logf("dpvd: recovered %d unfinished job(s); resuming", n)
 	}
@@ -167,15 +151,14 @@ func run() int {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
+	ctx, stop := cli.Context(0)
+	defer stop()
 	logf("dpvd: listening on %s (store=%s workers=%d queue=%d)", *addr, storeDesc(*storeDir), *workers, *queueCap)
 
 	select {
 	case err := <-errc:
 		// The listener died on its own (port in use, ...): nothing to drain.
-		fmt.Fprintln(os.Stderr, "dpvd:", err)
-		return exitcode.Internal
+		return tool.Fail(exitcode.Internal, err)
 	case <-ctx.Done():
 	}
 
@@ -188,8 +171,7 @@ func run() int {
 		logf("dpvd: http shutdown: %v", err)
 	}
 	if err := d.Drain(dctx); err != nil {
-		fmt.Fprintln(os.Stderr, "dpvd:", err)
-		return exitcode.Internal
+		return tool.Fail(exitcode.Internal, err)
 	}
 	logf("dpvd: drained cleanly")
 	return exitcode.OK

@@ -46,31 +46,27 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/exitcode"
 	"repro/internal/obs"
 	"repro/internal/retry"
 )
 
+const tool = cli.Tool("dpvrouter")
+
 func main() {
 	os.Exit(run())
 }
 
 func run() int {
-	// ContinueOnError: a bad flag must exit Usage, not the flag package's 2,
-	// which the exit-code contract reserves for a rejected proof.
-	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	addr := flag.String("addr", ":8200", "listen address")
 	shards := flag.String("shards", "", "comma-separated backend base URLs (required)")
 	replication := flag.Int("replication", 2, "copies per verdict, primary included")
@@ -86,16 +82,12 @@ func run() int {
 	forwardTimeout := flag.Duration("forward-timeout", 5*time.Second, "per-backend-request timeout")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	quiet := flag.Bool("q", false, "quiet")
-	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return exitcode.OK
-		}
-		return exitcode.Usage
+	const usage = "usage: dpvrouter -shards URL[,URL...] [flags]"
+	if code, ok := cli.Parse(0, usage); !ok {
+		return code
 	}
-
-	if flag.NArg() != 0 || *shards == "" {
-		fmt.Fprintln(os.Stderr, "usage: dpvrouter -shards URL[,URL...] [flags]")
-		return exitcode.Usage
+	if *shards == "" {
+		return cli.Usage(usage)
 	}
 	var urls []string
 	for _, s := range strings.Split(*shards, ",") {
@@ -109,8 +101,7 @@ func run() int {
 		urls = append(urls, s)
 	}
 	if len(urls) == 0 {
-		fmt.Fprintln(os.Stderr, "dpvrouter: -shards lists no usable URLs")
-		return exitcode.Usage
+		return tool.Fail(exitcode.Usage, "-shards lists no usable URLs")
 	}
 
 	logf := log.New(os.Stderr, "", log.LstdFlags).Printf
@@ -133,8 +124,7 @@ func run() int {
 		Logf:              logf,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dpvrouter:", err)
-		return exitcode.Internal
+		return tool.Fail(exitcode.Internal, err)
 	}
 	rt.Start()
 
@@ -142,14 +132,13 @@ func run() int {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
+	ctx, stop := cli.Context(0)
+	defer stop()
 	logf("dpvrouter: listening on %s (%d shards, R=%d)", *addr, len(urls), *replication)
 
 	select {
 	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "dpvrouter:", err)
-		return exitcode.Internal
+		return tool.Fail(exitcode.Internal, err)
 	case <-ctx.Done():
 	}
 

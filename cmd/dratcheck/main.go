@@ -24,41 +24,36 @@
 //
 // Exit status: 0 verified, 1 usage errors, 2 rejected, 3 malformed or
 // unreadable formula/proof input, 4 when -timeout expires, 6 internal
-// errors (failed output writes), 130 on SIGINT/SIGTERM (with -backward the
-// partial progress is reported and, when checkpointing, a final journal
-// record is flushed so -resume can pick up where the run stopped).
+// errors (failed output writes), 130 on SIGINT/SIGTERM. In either mode a
+// run stopped by the deadline or a signal reports its partial progress
+// first; with -backward -checkpoint a final journal record is flushed too,
+// so -resume can pick up where the run stopped.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 
-	"repro/cmd/internal/ckpt"
-	"repro/cmd/internal/tracedump"
+	"repro/cmd/internal/cli"
 	"repro/internal/atomicio"
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/drat"
 	"repro/internal/exitcode"
 	"repro/internal/lrat"
-	"repro/internal/obs"
 	"repro/internal/obs/trace"
 )
+
+const tool = cli.Tool("dratcheck")
 
 func main() {
 	os.Exit(run())
 }
 
 func run() int {
-	// ContinueOnError: a bad flag must exit Usage, not the flag package's 2,
-	// which the exit-code contract reserves for a rejected proof.
-	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	var out cli.Outputs
 	quiet := flag.Bool("q", false, "quiet")
 	backward := flag.Bool("backward", false, "backward checking with marking (drat-trim style; checks only used clauses)")
 	trimPath := flag.String("trim", "", "with -backward: write the trimmed proof to this file")
@@ -66,101 +61,50 @@ func run() int {
 	checkpointPath := flag.String("checkpoint", "", "with -backward: write resumable checkpoints to this journal file")
 	checkpointEvery := flag.Int("checkpoint-every", 1000, "checkpoint interval in proof additions")
 	resume := flag.Bool("resume", false, "resume from the -checkpoint journal when it matches")
-	timeout := flag.Duration("timeout", 0, "with -backward: give up after this long (0 = unlimited)")
+	timeout := flag.Duration("timeout", 0, "give up after this long (0 = unlimited)")
 	lratPath := flag.String("emit-lrat", "", "with -backward: write an LRAT proof with resolution hints to this file")
 	lratBinary := flag.Bool("lrat-binary", false, "with -emit-lrat: write the compact binary LRAT encoding")
-	statsJSON := flag.String("stats-json", "", "write a JSON metrics snapshot to this file")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON flight recording to this file")
-	traceJSONL := flag.String("trace-jsonl", "", "write the flight recording as JSONL to this file")
-	traceBuf := flag.Int("trace-buf", trace.DefaultTrackEvents, "flight recorder ring capacity per track")
-	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return exitcode.OK
-		}
-		return exitcode.Usage
+	flag.StringVar(&out.StatsJSON, "stats-json", "", "write a JSON metrics snapshot to this file")
+	flag.StringVar(&out.TraceOut, "trace-out", "", "write a Chrome trace-event JSON flight recording to this file")
+	flag.StringVar(&out.TraceJSONL, "trace-jsonl", "", "write the flight recording as JSONL to this file")
+	flag.IntVar(&out.TraceBuf, "trace-buf", trace.DefaultTrackEvents, "flight recorder ring capacity per track")
+	if code, ok := cli.Parse(2, "usage: dratcheck [-q] [-backward [-trim out.drat] [-core out.cnf] [-checkpoint j [-resume]]] [-stats-json f] [-trace-out f] [-trace-jsonl f] formula.cnf proof.drat"); !ok {
+		return code
 	}
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: dratcheck [-q] [-backward [-trim out.drat] [-core out.cnf] [-checkpoint j [-resume]]] [-stats-json f] [-trace-out f] [-trace-jsonl f] formula.cnf proof.drat")
-		return exitcode.Usage
-	}
-	if (*checkpointPath != "" || *resume) && !*backward {
-		fmt.Fprintln(os.Stderr, "dratcheck: -checkpoint/-resume require -backward")
-		return exitcode.Usage
-	}
-	if *resume && *checkpointPath == "" {
-		fmt.Fprintln(os.Stderr, "dratcheck: -resume requires -checkpoint")
-		return exitcode.Usage
-	}
-	if *checkpointPath != "" && *checkpointEvery <= 0 {
-		fmt.Fprintln(os.Stderr, "dratcheck: -checkpoint-every must be positive")
-		return exitcode.Usage
-	}
-	if *lratPath != "" && !*backward {
-		fmt.Fprintln(os.Stderr, "dratcheck: -emit-lrat requires -backward (hints come from the backward pass)")
-		return exitcode.Usage
-	}
-	if *lratBinary && *lratPath == "" {
-		fmt.Fprintln(os.Stderr, "dratcheck: -lrat-binary requires -emit-lrat")
-		return exitcode.Usage
+	switch {
+	case (*checkpointPath != "" || *resume) && !*backward:
+		return tool.Fail(exitcode.Usage, "-checkpoint/-resume require -backward")
+	case *resume && *checkpointPath == "":
+		return tool.Fail(exitcode.Usage, "-resume requires -checkpoint")
+	case *checkpointPath != "" && *checkpointEvery <= 0:
+		return tool.Fail(exitcode.Usage, "-checkpoint-every must be positive")
+	case *lratPath != "" && !*backward:
+		return tool.Fail(exitcode.Usage, "-emit-lrat requires -backward (hints come from the backward pass)")
+	case *lratBinary && *lratPath == "":
+		return tool.Fail(exitcode.Usage, "-lrat-binary requires -emit-lrat")
 	}
 
-	// The registry exists whenever any observability surface is requested;
-	// nil otherwise, which turns every instrument call into a nil check.
-	// The flight recording is flushed on every exit path — a rejected
-	// proof's recording is exactly the one worth reading.
-	var reg *obs.Registry
-	if *statsJSON != "" || *traceOut != "" || *traceJSONL != "" {
-		reg = obs.New()
+	r, err := tool.Start(*timeout, out)
+	if err != nil {
+		return tool.Fail(exitcode.Internal, err)
 	}
-	if *traceOut != "" || *traceJSONL != "" {
-		rec := trace.New(*traceBuf)
-		reg.SetTracer(rec)
-		defer func() {
-			if terr := tracedump.Write("dratcheck", *traceOut, *traceJSONL, reg, rec); terr != nil {
-				fmt.Fprintln(os.Stderr, "dratcheck:", terr)
-			}
-		}()
-	}
+	defer r.Close()
 
-	fin, err := os.Open(flag.Arg(0))
+	f, err := r.ReadFormula(flag.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dratcheck:", err)
-		return exitcode.BadInput
+		return tool.Fail(exitcode.BadInput, err)
 	}
-	defer fin.Close()
-	f, err := cnf.ParseDimacs(fin)
+	p, err := cli.Read(flag.Arg(1), drat.Read)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dratcheck:", err)
-		return exitcode.BadInput
+		return tool.Fail(exitcode.BadInput, err)
 	}
-	pin, err := os.Open(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dratcheck:", err)
-		return exitcode.BadInput
-	}
-	defer pin.Close()
-	p, err := drat.Read(pin)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dratcheck:", err)
-		return exitcode.BadInput
-	}
-
-	// Context: an optional deadline, and SIGINT or SIGTERM cancels so an
-	// interrupted backward pass still reports how far it got (and flushes a
-	// final journal record when checkpointing) before exiting 130.
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
 
 	var res *drat.Result
+	var trimmed *drat.Proof
+	var coreIdx []int
+	var hints *lrat.Recorder
 	if *backward {
-		opt := core.Options{Obs: reg, Ctx: ctx}
-		var hints *lrat.Recorder
+		opt := core.Options{Obs: r.Reg, Ctx: r.Ctx}
 		if *lratPath != "" {
 			hints = new(lrat.Recorder)
 			opt.Hints = hints
@@ -170,85 +114,69 @@ func run() int {
 			// The backward pass is core.Verify's, so it journals like a
 			// sequential dpv run; the proof fingerprint keeps a dpv journal
 			// for the same formula from matching.
-			var warn error
-			jw, warn, err = core.StartJournal(*checkpointPath, f, p.TraceLen(), p.Fingerprint(),
+			jw, err = tool.StartJournal(*checkpointPath, f, p.TraceLen(), p.Fingerprint(),
 				&opt, *checkpointEvery, 0, *resume)
-			if warn != nil {
-				fmt.Fprintf(os.Stderr, "dratcheck: warning: not resuming (%v); running from scratch\n", warn)
-			}
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "dratcheck:", err)
-				return exitcode.Internal
+				return tool.Fail(exitcode.Internal, err)
 			}
-			opt.Checkpoint.Sink = ckpt.CrashSink(opt.Checkpoint.Sink)
 		}
-		var trimmed *drat.Proof
-		var coreIdx []int
 		res, trimmed, coreIdx, err = drat.VerifyBackward(f, p, opt)
 		if jw != nil {
 			// A verdict removes the journal; a stop flushes a final record
 			// so the journal visibly ends with a clean stop.
 			if ferr := jw.Finish(nil, err); ferr != nil {
-				fmt.Fprintln(os.Stderr, "dratcheck:", ferr)
-			}
-		}
-		if err != nil && res != nil && res.Incomplete {
-			// The run was cut short (signal or deadline), not broken: dump
-			// the partial progress and exit per the contract.
-			fmt.Fprintln(os.Stderr, "dratcheck:", err)
-			fmt.Printf("s UNKNOWN\n")
-			fmt.Printf("c incomplete: stopped before a verdict at step %d\n", res.StoppedAt)
-			fmt.Printf("c additions=%d deletions=%d tautologies=%d propagations=%d\n",
-				res.Additions, res.Deletions, res.Tautologies, res.Propagations)
-			return exitcode.FromVerifyError(err)
-		}
-		if err == nil && res.OK {
-			if *trimPath != "" {
-				werr := atomicio.WriteFile(*trimPath, func(w io.Writer) error {
-					return drat.Write(w, trimmed)
-				})
-				if werr != nil {
-					fmt.Fprintln(os.Stderr, "dratcheck:", werr)
-					return exitcode.Internal
-				}
-			}
-			if *corePath != "" {
-				werr := atomicio.WriteFile(*corePath, func(w io.Writer) error {
-					return cnf.WriteDimacs(w, f.Restrict(coreIdx))
-				})
-				if werr != nil {
-					fmt.Fprintln(os.Stderr, "dratcheck:", werr)
-					return exitcode.Internal
-				}
-			}
-			if hints != nil {
-				werr := writeLRAT(*lratPath, hints, *lratBinary)
-				if werr != nil {
-					fmt.Fprintln(os.Stderr, "dratcheck:", werr)
-					return exitcode.Internal
-				}
-			}
-			if !*quiet {
-				fmt.Printf("c trimmed: %d of %d additions kept; core: %d of %d clauses\n",
-					trimmed.Additions(), res.Additions, len(coreIdx), f.NumClauses())
+				tool.Warn(ferr)
 			}
 		}
 	} else {
-		res, err = drat.Verify(f, p)
+		res, err = drat.Verify(r.Ctx, f, p)
+	}
+	if werr := r.WriteStats(); werr != nil {
+		return tool.Fail(exitcode.Internal, werr)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dratcheck:", err)
-		return exitcode.BadInput
-	}
-	if *statsJSON != "" {
-		if serr := atomicio.WriteFile(*statsJSON, reg.WriteJSON); serr != nil {
-			fmt.Fprintln(os.Stderr, "dratcheck:", serr)
-			return exitcode.Internal
+		tool.Warn(err)
+		if res == nil || !res.Incomplete {
+			return exitcode.BadInput
 		}
+		// The run was cut short (signal or deadline), not broken: dump the
+		// partial progress and exit per the contract.
+		fmt.Printf("s UNKNOWN\n")
+		fmt.Printf("c incomplete: stopped before a verdict at step %d\n", res.StoppedAt)
+		fmt.Printf("c additions=%d deletions=%d tautologies=%d propagations=%d\n",
+			res.Additions, res.Deletions, res.Tautologies, res.Propagations)
+		return exitcode.FromVerifyError(err)
 	}
 	if !res.OK {
 		fmt.Printf("s PROOF REJECTED\nc step %d: %s\n", res.FailedStep, res.Reason)
 		return exitcode.VerifyFailed
+	}
+	if *backward {
+		if *trimPath != "" {
+			werr := atomicio.WriteFile(*trimPath, func(w io.Writer) error {
+				return drat.Write(w, trimmed)
+			})
+			if werr != nil {
+				return tool.Fail(exitcode.Internal, werr)
+			}
+		}
+		if *corePath != "" {
+			werr := atomicio.WriteFile(*corePath, func(w io.Writer) error {
+				return cnf.WriteDimacs(w, f.Restrict(coreIdx))
+			})
+			if werr != nil {
+				return tool.Fail(exitcode.Internal, werr)
+			}
+		}
+		if hints != nil {
+			if werr := cli.WriteLRAT(*lratPath, hints, *lratBinary); werr != nil {
+				return tool.Fail(exitcode.Internal, werr)
+			}
+		}
+		if !*quiet {
+			fmt.Printf("c trimmed: %d of %d additions kept; core: %d of %d clauses\n",
+				trimmed.Additions(), res.Additions, len(coreIdx), f.NumClauses())
+		}
 	}
 	if !*quiet {
 		fmt.Println("s PROOF VERIFIED")
@@ -256,18 +184,4 @@ func run() int {
 			res.Additions, res.Deletions, res.Tautologies, res.RATChecks, res.Propagations)
 	}
 	return exitcode.OK
-}
-
-// writeLRAT atomically writes the recorded hinted proof.
-func writeLRAT(path string, rec *lrat.Recorder, binary bool) error {
-	lp, err := rec.Proof()
-	if err != nil {
-		return err
-	}
-	return atomicio.WriteFile(path, func(w io.Writer) error {
-		if binary {
-			return lrat.WriteBinary(w, lp)
-		}
-		return lrat.Write(w, lp)
-	})
 }

@@ -20,117 +20,65 @@ package main
 
 import (
 	"bufio"
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"repro/internal/atomicio"
-	"repro/internal/cnf"
+	"repro/cmd/internal/cli"
 	"repro/internal/exitcode"
 	"repro/internal/lrat"
-	"repro/internal/obs"
 	"repro/internal/sched"
 )
+
+const tool = cli.Tool("lratcheck")
 
 func main() {
 	os.Exit(run())
 }
 
 func run() int {
-	// ContinueOnError: a bad flag must exit Usage, not the flag package's 2,
-	// which the exit-code contract reserves for a rejected proof.
-	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	var out cli.Outputs
 	quiet := flag.Bool("q", false, "quiet")
 	par := flag.Int("par", 0, "check steps over this many workers, scheduled over the hint dependency DAG (0 or 1 = sequential)")
 	timeout := flag.Duration("timeout", 0, "give up after this long (0 = unlimited)")
-	statsJSON := flag.String("stats-json", "", "write a JSON metrics snapshot to this file")
-	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return exitcode.OK
-		}
-		return exitcode.Usage
-	}
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: lratcheck [-q] [-par N] [-timeout D] [-stats-json f] formula.cnf proof.lrat")
-		return exitcode.Usage
+	flag.StringVar(&out.StatsJSON, "stats-json", "", "write a JSON metrics snapshot to this file")
+	if code, ok := cli.Parse(2, "usage: lratcheck [-q] [-par N] [-timeout D] [-stats-json f] formula.cnf proof.lrat"); !ok {
+		return code
 	}
 	if *par < 0 {
-		fmt.Fprintln(os.Stderr, "lratcheck: -par must be non-negative")
-		return exitcode.Usage
+		return tool.Fail(exitcode.Usage, "-par must be non-negative")
 	}
 
-	var reg *obs.Registry
-	if *statsJSON != "" {
-		reg = obs.New()
+	// The -timeout clock starts here: parse time counts against the budget.
+	r, err := tool.Start(*timeout, out)
+	if err != nil {
+		return tool.Fail(exitcode.Internal, err)
 	}
+	defer r.Close()
 
-	// Signals are caught before the (possibly large) inputs are read, so a
-	// SIGTERM landing mid-parse still yields the partial-result report and
-	// exit 130 instead of the runtime's default death. The -timeout clock
-	// starts here too: parse time counts against the budget.
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	fin, err := os.Open(flag.Arg(0))
+	f, err := r.ReadFormula(flag.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lratcheck:", err)
-		return exitcode.BadInput
+		return tool.Fail(exitcode.BadInput, err)
 	}
-	defer fin.Close()
-	f, err := cnf.ParseDimacs(fin)
+	p, err := cli.Read(flag.Arg(1), readProof)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lratcheck:", err)
-		return exitcode.BadInput
-	}
-
-	pin, err := os.Open(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lratcheck:", err)
-		return exitcode.BadInput
-	}
-	defer pin.Close()
-	p, err := readProof(pin)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lratcheck:", err)
-		if errors.Is(err, lrat.ErrMalformed) || errors.Is(err, lrat.ErrLimit) {
-			return exitcode.BadInput
-		}
-		return exitcode.BadInput // unreadable input is bad input too
+		return tool.Fail(exitcode.BadInput, err)
 	}
 
 	start := time.Now()
-	res, cerr := lrat.Check(f, p, lrat.Options{Workers: *par, Strategy: sched.StrategyDAG, Ctx: ctx, Obs: reg})
+	res, cerr := lrat.Check(f, p, lrat.Options{Workers: *par, Strategy: sched.StrategyDAG, Ctx: r.Ctx, Obs: r.Reg})
 	elapsed := time.Since(start)
 
-	if *statsJSON != "" {
-		if serr := atomicio.WriteFile(*statsJSON, reg.WriteJSON); serr != nil {
-			fmt.Fprintln(os.Stderr, "lratcheck:", serr)
-			return exitcode.Internal
-		}
+	if werr := r.WriteStats(); werr != nil {
+		return tool.Fail(exitcode.Internal, werr)
 	}
 	if cerr != nil {
-		fmt.Fprintln(os.Stderr, "lratcheck:", cerr)
+		tool.Warn(cerr)
 		fmt.Printf("s UNKNOWN\n")
 		fmt.Printf("c incomplete: stopped before a verdict at step %d\n", res.StoppedAt)
-		if errors.Is(cerr, context.DeadlineExceeded) {
-			return exitcode.Timeout
-		}
-		if errors.Is(cerr, context.Canceled) {
-			return exitcode.Interrupted
-		}
-		return exitcode.Internal
+		return exitcode.FromVerifyError(cerr)
 	}
 	if !res.OK {
 		fmt.Printf("s PROOF REJECTED\nc step %d: %s\n", res.FailedStep, res.Reason)

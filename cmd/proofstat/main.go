@@ -106,13 +106,15 @@ func runLRAT(data []byte, toBinary, toText string) int {
 	}
 
 	if toBinary != "" {
-		if err := writeLRATWith(toBinary, p, lrat.WriteBinary); err != nil {
+		err := atomicio.WriteFile(toBinary, func(w io.Writer) error { return lrat.WriteBinary(w, p) })
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "proofstat:", err)
 			return 1
 		}
 	}
 	if toText != "" {
-		if err := writeLRATWith(toText, p, lrat.Write); err != nil {
+		err := atomicio.WriteFile(toText, func(w io.Writer) error { return lrat.Write(w, p) })
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "proofstat:", err)
 			return 1
 		}
@@ -228,11 +230,5 @@ func pow2Bucket(n int) int {
 func writeWith(path string, tr *proof.Trace, w func(io.Writer, *proof.Trace) error) error {
 	return atomicio.WriteFile(path, func(out io.Writer) error {
 		return w(out, tr)
-	})
-}
-
-func writeLRATWith(path string, p *lrat.Proof, w func(io.Writer, *lrat.Proof) error) error {
-	return atomicio.WriteFile(path, func(out io.Writer) error {
-		return w(out, p)
 	})
 }

@@ -122,6 +122,33 @@ func writeBigLRAT(t *testing.T, dir string, n int) (cnfPath, lratPath string) {
 	return
 }
 
+// writeLongForwardDRUP emits an n-variable implication chain x1 → … → xn
+// (no units, so the root fixpoint is empty) and a DRUP proof that adds and
+// deletes (¬x1 ∨ xn) m times. Each addition is RUP only through the whole
+// chain, so every step of the forward check propagates about n literals;
+// n=20000, m=10000 keeps dratcheck busy for seconds. The proof derives no
+// refutation: the signal tests need a long run, not a verdict.
+func writeLongForwardDRUP(t *testing.T, dir string, n, m int) (cnfPath, dratPath string) {
+	t.Helper()
+	var cb, db bytes.Buffer
+	fmt.Fprintf(&cb, "p cnf %d %d\n", n, n-1)
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&cb, "-%d %d 0\n", i, i+1)
+	}
+	for i := 0; i < m; i++ {
+		fmt.Fprintf(&db, "-1 %d 0\nd -1 %d 0\n", n, n)
+	}
+	cnfPath = filepath.Join(dir, "fwdchain.cnf")
+	dratPath = filepath.Join(dir, "fwdchain.drat")
+	if err := os.WriteFile(cnfPath, cb.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dratPath, db.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return
+}
+
 func runCmd(t *testing.T, bin string, args ...string) (int, string) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
@@ -207,6 +234,8 @@ func TestExitCodes(t *testing.T) {
 		// wrap into the int32 literal encoding and panic.
 		{"dratcheck oversized literal", dratcheck, []string{unsatCNF, hugeLit}, 3},
 		{"dratcheck backward oversized literal", dratcheck, []string{"-backward", unsatCNF, hugeLit}, 3},
+		// The deadline covers the forward check as well as -backward.
+		{"dratcheck forward timeout", dratcheck, []string{"-timeout", "1ns", unsatCNF, trace}, 4},
 		{"lratcheck verified", lratcheck, []string{"-q", unsatCNF, lratProof}, 0},
 		{"lratcheck verified parallel", lratcheck, []string{"-q", "-par", "4", unsatCNF, lratProof}, 0},
 		// The hints were recorded against the full formula; dropping a clause
@@ -354,8 +383,9 @@ func TestExitCodeInterruptedResume(t *testing.T) {
 // supervisor's polite kill must behave exactly like ^C for every
 // long-running CLI — a partial-result dump, a flushed final journal record
 // when checkpointing, and exit 130. dratcheck in particular gained signal
-// handling only together with this test; the checkpointed cases wait for a
-// durable record before signalling so the stop provably lands mid-run.
+// handling only together with this test, in both its modes; the
+// checkpointed cases wait for a durable record before signalling so the
+// stop provably lands mid-run.
 func TestExitCodeTerminated(t *testing.T) {
 	bins := buildCmds(t)
 	dir := t.TempDir()
@@ -371,6 +401,7 @@ func TestExitCodeTerminated(t *testing.T) {
 	out.Close()
 
 	lratCNF, lratBig := writeBigLRAT(t, dir, 3_000_000)
+	fwdCNF, fwdDRAT := writeLongForwardDRUP(t, dir, 20000, 10000)
 
 	dpvJournal := filepath.Join(dir, "dpv-term.dpvj")
 	dratJournal := filepath.Join(dir, "drat-term.dpvj")
@@ -392,6 +423,9 @@ func TestExitCodeTerminated(t *testing.T) {
 		// delay suffices; the multi-million-step proof keeps it parsing and
 		// replaying well past the signal.
 		{"lratcheck", "lratcheck", []string{"-timeout", "60s", lratCNF, lratBig}, "", 150 * time.Millisecond},
+		// The forward check has no journal; its proof keeps it propagating
+		// for seconds, well past the signal.
+		{"dratcheck forward", "dratcheck", []string{"-timeout", "60s", fwdCNF, fwdDRAT}, "", 300 * time.Millisecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

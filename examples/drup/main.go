@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 	fmt.Printf("DRUP proof: %d additions, %d deletions (solver deleted %d clauses)\n",
 		p.Additions(), p.Deletions(), stats.Deleted)
 
-	fres, err := drat.Verify(inst.F, p)
+	fres, err := drat.Verify(context.Background(), inst.F, p)
 	if err != nil || !fres.OK {
 		log.Fatalf("forward check failed: %v %+v", err, fres)
 	}
@@ -56,7 +57,7 @@ func main() {
 		100*float64(len(coreIdx))/float64(inst.F.NumClauses()))
 
 	// The trimmed proof still verifies.
-	tres, err := drat.Verify(inst.F, trimmed)
+	tres, err := drat.Verify(context.Background(), inst.F, trimmed)
 	if err != nil || !tres.OK {
 		log.Fatalf("trimmed proof rejected: %v %+v", err, tres)
 	}

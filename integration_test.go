@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/bench"
@@ -123,7 +124,7 @@ func TestFullPipeline(t *testing.T) {
 
 	// DRUP: the recorded deletion-aware proof checks forward and backward;
 	// the backward core is UNSAT.
-	dres, err := drat.Verify(f, rec.Proof())
+	dres, err := drat.Verify(context.Background(), f, rec.Proof())
 	if err != nil || !dres.OK {
 		t.Fatalf("drup forward: %v %+v", err, dres)
 	}

@@ -1,8 +1,6 @@
-package service
+package core
 
-import "repro/internal/core"
-
-// Verdict is the machine-readable shape of a core.Result — the one JSON
+// Verdict is the machine-readable shape of a Result — the one JSON
 // contract for verification outcomes, emitted identically by dpv -json and
 // by the daemon's job results. Keeping a single builder here is what makes
 // the daemon's crash-recovery guarantee testable: a resumed daemon job and
@@ -29,7 +27,7 @@ type Verdict struct {
 // BuildVerdict renders res as the shared JSON shape. workers is the -par
 // value (0 = sequential); nOriginal is the formula's clause count, needed
 // for the core percentage.
-func BuildVerdict(res *core.Result, mode core.Mode, engine core.EngineKind, workers, nOriginal int) Verdict {
+func BuildVerdict(res *Result, mode Mode, engine EngineKind, workers, nOriginal int) Verdict {
 	out := Verdict{
 		Verdict:      "verified",
 		Mode:         mode.String(),
@@ -48,7 +46,7 @@ func BuildVerdict(res *core.Result, mode core.Mode, engine core.EngineKind, work
 		FailedIndex:  res.FailedIndex,
 	}
 	if workers != 0 {
-		out.Mode = core.ModeCheckAll.String() // parallel always checks everything
+		out.Mode = ModeCheckAll.String() // parallel always checks everything
 	}
 	if !res.OK {
 		out.Verdict = "rejected"

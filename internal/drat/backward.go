@@ -83,7 +83,7 @@ func (p *Proof) TraceLen() int {
 func VerifyBackward(f *cnf.Formula, p *Proof, opt core.Options) (*Result, *Proof, []int, error) {
 	res := &Result{OK: true, FailedStep: -1, StoppedAt: -1}
 	nf := len(f.Clauses)
-	live := liveKeys{}
+	live := newLiveKeys()
 	for i, c := range f.Clauses {
 		live.add(bcp.ID(i), c)
 	}

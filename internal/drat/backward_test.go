@@ -1,6 +1,7 @@
 package drat
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -127,7 +128,7 @@ func TestVerifyBackwardSolverEndToEnd(t *testing.T) {
 			t.Fatalf("%s: trimmed proof larger than original", inst.Name)
 		}
 		// The trimmed proof re-verifies with the forward checker.
-		fres, err := Verify(inst.F, trimmed)
+		fres, err := Verify(context.Background(), inst.F, trimmed)
 		if err != nil || !fres.OK {
 			t.Fatalf("%s: trimmed proof rejected forward: %v %+v", inst.Name, err, fres)
 		}
@@ -146,7 +147,7 @@ func TestVerifyBackwardAgreesWithForward(t *testing.T) {
 	if st, _, _, _, _ := solver.Solve(inst.F, opts); st != solver.Unsat {
 		t.Fatal("not unsat")
 	}
-	fres, err := Verify(inst.F, rec.Proof())
+	fres, err := Verify(context.Background(), inst.F, rec.Proof())
 	if err != nil || !fres.OK {
 		t.Fatalf("forward: %v %+v", err, fres)
 	}

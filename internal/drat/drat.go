@@ -16,11 +16,12 @@ package drat
 
 import (
 	"bufio"
+	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/bcp"
 	"repro/internal/cnf"
@@ -154,22 +155,6 @@ func readLimited(r io.Reader, lim proof.Limits) (*Proof, error) {
 	return p, nil
 }
 
-// clauseKey builds a canonical map key for deletion matching.
-func clauseKey(c cnf.Clause) string {
-	norm, _ := c.Normalize()
-	ints := make([]int, len(norm))
-	for i, l := range norm {
-		ints[i] = l.Dimacs()
-	}
-	sort.Ints(ints)
-	var b strings.Builder
-	for _, d := range ints {
-		b.WriteString(strconv.Itoa(d))
-		b.WriteByte(' ')
-	}
-	return b.String()
-}
-
 // Result reports a DRUP/DRAT verification outcome.
 type Result struct {
 	OK           bool
@@ -182,11 +167,11 @@ type Result struct {
 	Refuted      bool // an empty clause (or final pair) was established
 	Propagations int64
 
-	// Incomplete is true when a backward run stopped before reaching a
-	// verdict (core.Options Ctx or Budget, or a failed checkpoint write);
-	// the counters above then describe the work done so far and OK is
-	// meaningless. StoppedAt is the proof step of the addition the backward
-	// loop had reached, or -1.
+	// Incomplete is true when a run stopped before reaching a verdict (the
+	// forward check's context, or the backward check's core.Options Ctx or
+	// Budget, or a failed checkpoint write); the counters above then
+	// describe the work done so far and OK is meaningless. StoppedAt is the
+	// proof step the run had reached, or -1.
 	Incomplete bool
 	StoppedAt  int
 }
@@ -194,36 +179,62 @@ type Result struct {
 // liveKeys maps each live clause's canonical key to its IDs, newest last,
 // so a deletion line can be resolved by content. It is all the backward
 // check needs.
-type liveKeys map[string][]bcp.ID
+type liveKeys struct {
+	ids  map[string]*[]bcp.ID
+	lits []cnf.Lit // scratch for key
+	buf  []byte    // scratch for key
+}
 
-func (lk liveKeys) add(id bcp.ID, c cnf.Clause) {
-	k := clauseKey(c)
-	lk[k] = append(lk[k], id)
+func newLiveKeys() *liveKeys { return &liveKeys{ids: map[string]*[]bcp.ID{}} }
+
+// key encodes c's set of literals (sorted, duplicates dropped) into the
+// reused scratch buffer, so clauses that differ only in literal order or
+// repetition share a key. The bytes are valid until the next call.
+func (lk *liveKeys) key(c cnf.Clause) []byte {
+	lits := append(lk.lits[:0], c...)
+	slices.Sort(lits)
+	lits = slices.Compact(lits)
+	buf := lk.buf[:0]
+	for _, l := range lits {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
+	}
+	lk.lits, lk.buf = lits, buf
+	return buf
+}
+
+func (lk *liveKeys) add(id bcp.ID, c cnf.Clause) {
+	k := lk.key(c)
+	ids := lk.ids[string(k)]
+	if ids == nil {
+		ids = new([]bcp.ID)
+		lk.ids[string(k)] = ids
+	}
+	*ids = append(*ids, id)
 }
 
 // remove drops the newest live instance of c and returns its ID (ok=false
 // when none is live).
-func (lk liveKeys) remove(c cnf.Clause) (bcp.ID, bool) {
-	k := clauseKey(c)
-	ids := lk[k]
-	if len(ids) == 0 {
+func (lk *liveKeys) remove(c cnf.Clause) (bcp.ID, bool) {
+	ids := lk.ids[string(lk.key(c))]
+	if ids == nil || len(*ids) == 0 {
 		return 0, false
 	}
-	lk[k] = ids[:len(ids)-1]
-	return ids[len(ids)-1], true
+	id := (*ids)[len(*ids)-1]
+	*ids = (*ids)[:len(*ids)-1]
+	return id, true
 }
 
 // clauseStore is liveKeys plus each live clause and its occurrence lists,
 // which the forward check's RAT lookups read.
 type clauseStore struct {
-	keys liveKeys
+	keys *liveKeys
 	byID map[bcp.ID]cnf.Clause
 	occ  map[cnf.Lit]map[bcp.ID]struct{}
 }
 
 func newClauseStore() *clauseStore {
 	return &clauseStore{
-		keys: liveKeys{},
+		keys: newLiveKeys(),
 		byID: map[bcp.ID]cnf.Clause{},
 		occ:  map[cnf.Lit]map[bcp.ID]struct{}{},
 	}
@@ -262,7 +273,11 @@ func (cs *clauseStore) remove(c cnf.Clause) (bcp.ID, bool) {
 // generalization: every resolvent with a live clause on the pivot is RUP).
 // Deletions must name live clauses. The proof is accepted when it derives
 // the empty clause or ends with the paper's final conflicting pair.
-func Verify(f *cnf.Formula, p *Proof) (*Result, error) {
+//
+// ctx is polled between steps and, through the engine's stop hook, inside
+// long propagations. When it ends first, Verify returns the partial Result
+// (Incomplete, StoppedAt the step it had reached) with ctx's bare error.
+func Verify(ctx context.Context, f *cnf.Formula, p *Proof) (*Result, error) {
 	nVars := f.NumVars
 	for _, s := range p.Steps {
 		if mv := s.C.MaxVar(); int(mv)+1 > nVars {
@@ -270,22 +285,36 @@ func Verify(f *cnf.Formula, p *Proof) (*Result, error) {
 		}
 	}
 	eng := bcp.NewEngine(nVars)
+	if ctx.Done() != nil {
+		eng.SetStop(ctx.Err)
+	}
 	store := newClauseStore()
 	for _, c := range f.Clauses {
 		store.add(eng.Add(c), c)
 	}
 
 	res := &Result{OK: true, FailedStep: -1, StoppedAt: -1}
+	done := func(i int, reject string, err error) (*Result, error) {
+		res.Propagations = eng.Propagations()
+		switch {
+		case err != nil:
+			res.Incomplete, res.StoppedAt = true, i
+		case reject != "":
+			res.OK, res.FailedStep, res.Reason = false, i, reject
+		default:
+			res.Refuted = true
+		}
+		return res, err
+	}
 	for i, s := range p.Steps {
+		if err := ctx.Err(); err != nil {
+			return done(i, "", err)
+		}
 		if s.Del {
 			res.Deletions++
 			id, ok := store.remove(s.C)
 			if !ok {
-				res.OK = false
-				res.FailedStep = i
-				res.Reason = fmt.Sprintf("deletion of a clause that is not live: %v", s.C)
-				res.Propagations = eng.Propagations()
-				return res, nil
+				return done(i, fmt.Sprintf("deletion of a clause that is not live: %v", s.C), nil)
 			}
 			eng.Deactivate(id)
 			continue
@@ -293,28 +322,28 @@ func Verify(f *cnf.Formula, p *Proof) (*Result, error) {
 		res.Additions++
 		if len(s.C) == 0 {
 			conflict, _ := eng.Refute(nil)
-			if conflict == bcp.NoConflict {
-				res.OK = false
-				res.FailedStep = i
-				res.Reason = "empty clause is not derivable by unit propagation"
-				res.Propagations = eng.Propagations()
-				return res, nil
+			if err := eng.StopErr(); err != nil {
+				return done(i, "", err)
 			}
-			res.Refuted = true
-			res.Propagations = eng.Propagations()
-			return res, nil
+			if conflict == bcp.NoConflict {
+				return done(i, "empty clause is not derivable by unit propagation", nil)
+			}
+			return done(i, "", nil)
 		}
 		conflict, selfContra := eng.Refute(s.C)
+		if err := eng.StopErr(); err != nil {
+			return done(i, "", err)
+		}
 		switch {
 		case selfContra:
 			res.Tautologies++
 		case conflict == bcp.NoConflict:
-			if !ratHolds(eng, store, s.C) {
-				res.OK = false
-				res.FailedStep = i
-				res.Reason = fmt.Sprintf("clause is neither RUP nor RAT on %v: %v", s.C[0], s.C)
-				res.Propagations = eng.Propagations()
-				return res, nil
+			rat, err := ratHolds(eng, store, s.C)
+			if err != nil {
+				return done(i, "", err)
+			}
+			if !rat {
+				return done(i, fmt.Sprintf("clause is neither RUP nor RAT on %v: %v", s.C[0], s.C), nil)
 			}
 			res.RATChecks++
 		}
@@ -323,23 +352,22 @@ func Verify(f *cnf.Formula, p *Proof) (*Result, error) {
 
 	// No explicit empty clause: accept the paper's final-conflicting-pair
 	// termination, i.e. unit propagation alone now refutes the database.
-	if conflict, _ := eng.Refute(nil); conflict != bcp.NoConflict {
-		res.Refuted = true
-		res.Propagations = eng.Propagations()
-		return res, nil
+	end := len(p.Steps)
+	conflict, _ := eng.Refute(nil)
+	if err := eng.StopErr(); err != nil {
+		return done(end, "", err)
 	}
-	res.OK = false
-	res.FailedStep = len(p.Steps)
-	res.Reason = "proof ends without deriving a refutation"
-	res.Propagations = eng.Propagations()
-	return res, nil
+	if conflict == bcp.NoConflict {
+		return done(end, "proof ends without deriving a refutation", nil)
+	}
+	return done(end, "", nil)
 }
 
 // ratHolds checks the resolution-asymmetric-tautology condition for c with
 // pivot c[0]: for every live clause d containing the pivot's negation, the
 // resolvent (c \ pivot) ∪ (d \ ¬pivot) must be RUP (tautologous resolvents
-// are vacuously fine).
-func ratHolds(eng *bcp.Engine, store *clauseStore, c cnf.Clause) bool {
+// are vacuously fine). A stop-hook abort is returned as the error.
+func ratHolds(eng *bcp.Engine, store *clauseStore, c cnf.Clause) (bool, error) {
 	pivot := c[0]
 	for id := range store.occ[pivot.Neg()] {
 		d := store.byID[id]
@@ -355,12 +383,15 @@ func ratHolds(eng *bcp.Engine, store *clauseStore, c cnf.Clause) bool {
 			}
 		}
 		conflict, selfContra := eng.Refute(resolvent)
+		if err := eng.StopErr(); err != nil {
+			return false, err
+		}
 		if selfContra {
 			continue // tautologous resolvent
 		}
 		if conflict == bcp.NoConflict {
-			return false
+			return false, nil
 		}
 	}
-	return true
+	return true, nil
 }

@@ -2,6 +2,8 @@ package drat
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -29,7 +31,7 @@ func TestVerifyHandProof(t *testing.T) {
 	p.Add(cl(1))
 	p.Add(cl(-1))
 	p.Add(nil) // empty clause
-	res, err := Verify(chainFormula(), p)
+	res, err := Verify(context.Background(), chainFormula(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestVerifyFinalPairTermination(t *testing.T) {
 	p := &Proof{}
 	p.Add(cl(1))
 	p.Add(cl(-1))
-	res, err := Verify(chainFormula(), p)
+	res, err := Verify(context.Background(), chainFormula(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +61,55 @@ func TestVerifyWithDeletions(t *testing.T) {
 	p.Delete(cl(1, -2))
 	p.Add(cl(-1))
 	p.Add(nil)
-	res, err := Verify(chainFormula(), p)
+	res, err := Verify(context.Background(), chainFormula(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.OK || res.Deletions != 2 {
 		t.Fatalf("res = %+v", res)
+	}
+}
+
+// TestDeletionMatchesLiteralSet pins the content matching of deletion
+// lines: a deletion names a live clause by its set of literals, whatever
+// their order or repetition, and removes the newest live instance.
+func TestDeletionMatchesLiteralSet(t *testing.T) {
+	lk := newLiveKeys()
+	lk.add(1, cl(1, -2, 3))
+	lk.add(2, cl(3, 1, -2))
+	lk.add(3, cl(1, 2, 3))
+	for _, tc := range []struct {
+		del  cnf.Clause
+		id   int
+		live bool
+	}{
+		{cl(-2, 3, 1, 3), 2, true},
+		{cl(3, -2, 1), 1, true},
+		{cl(1, -2, 3), 0, false},
+		{cl(2, 3, 1, 1), 3, true},
+		{cl(1, 3), 0, false},
+	} {
+		id, ok := lk.remove(tc.del)
+		if ok != tc.live || (ok && int(id) != tc.id) {
+			t.Errorf("remove(%v) = %d, %v; want %d, %v", tc.del, id, ok, tc.id, tc.live)
+		}
+	}
+}
+
+// TestVerifyStopsOnContext: a context that ends first stops the forward
+// check with its bare error and a partial Result.
+func TestVerifyStopsOnContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := &Proof{}
+	p.Add(cl(1))
+	p.Add(nil)
+	res, err := Verify(ctx, chainFormula(), p)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if !res.Incomplete || res.StoppedAt != 0 || res.Refuted {
+		t.Fatalf("res = %+v, want an incomplete run stopped at step 0", res)
 	}
 }
 
@@ -77,7 +122,7 @@ func TestVerifyRejectsNonRUP(t *testing.T) {
 	p := &Proof{}
 	p.Add(cl(9))
 	p.Add(nil)
-	res, err := Verify(f, p)
+	res, err := Verify(context.Background(), f, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +140,7 @@ func TestVerifyRejectsDeletingTooMuch(t *testing.T) {
 	p := &Proof{}
 	p.Delete(cl(1, 2))
 	p.Add(cl(1)) // no longer RUP without (1 2)
-	res, err := Verify(chainFormula(), p)
+	res, err := Verify(context.Background(), chainFormula(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +155,7 @@ func TestVerifyRejectsDeletingTooMuch(t *testing.T) {
 func TestVerifyRejectsDeletingDeadClause(t *testing.T) {
 	p := &Proof{}
 	p.Delete(cl(7, 8))
-	res, err := Verify(chainFormula(), p)
+	res, err := Verify(context.Background(), chainFormula(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +171,7 @@ func TestVerifyRejectsNoRefutation(t *testing.T) {
 	// the refutation by propagation alone.)
 	p := &Proof{}
 	p.Add(cl(1, 2))
-	res, err := Verify(chainFormula(), p)
+	res, err := Verify(context.Background(), chainFormula(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +195,7 @@ func TestVerifyAcceptsRATClause(t *testing.T) {
 	p.Add(cl(1))
 	p.Add(cl(-1))
 	p.Add(nil)
-	res, err := Verify(f, p)
+	res, err := Verify(context.Background(), f, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +222,7 @@ func TestVerifyRATWithResolvents(t *testing.T) {
 	p.Add(cl(1))
 	p.Add(cl(-1))
 	p.Add(nil)
-	res, err := Verify(f, p)
+	res, err := Verify(context.Background(), f, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +242,7 @@ func TestVerifyRATFailure(t *testing.T) {
 	p := &Proof{}
 	p.Add(cl(9, 1)) // RAT (blocked)
 	p.Add(cl(-9))   // pivot ¬9; resolvent with (9 1) = (1), not RUP under (1 2) only
-	res, err := Verify(f, p)
+	res, err := Verify(context.Background(), f, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +294,7 @@ func TestFromTrace(t *testing.T) {
 	if p.Len() != 2 || p.Deletions() != 0 {
 		t.Fatalf("p = %+v", p)
 	}
-	res, err := Verify(chainFormula(), p)
+	res, err := Verify(context.Background(), chainFormula(), p)
 	if err != nil || !res.OK {
 		t.Fatalf("lifted trace rejected: %v %+v", err, res)
 	}
@@ -281,7 +326,7 @@ func TestSolverRecorderEndToEnd(t *testing.T) {
 	if p.Deletions() != int(stats.Deleted) {
 		t.Errorf("recorded %d deletions, stats say %d", p.Deletions(), stats.Deleted)
 	}
-	res, err := Verify(inst.F, p)
+	res, err := Verify(context.Background(), inst.F, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +350,7 @@ func TestSolverRecorderAcrossFamilies(t *testing.T) {
 		if err != nil || st != solver.Unsat {
 			t.Fatalf("%s: %v %v", inst.Name, st, err)
 		}
-		res, err := Verify(inst.F, rec.Proof())
+		res, err := Verify(context.Background(), inst.F, rec.Proof())
 		if err != nil || !res.OK {
 			t.Fatalf("%s: DRUP rejected: %v %+v", inst.Name, err, res)
 		}

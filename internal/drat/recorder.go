@@ -8,7 +8,7 @@ import "repro/internal/cnf"
 //	rec := drat.NewRecorder()
 //	opts.OnLearn, opts.OnDelete = rec.Learn, rec.Delete
 //	... solve ...
-//	res, err := drat.Verify(f, rec.Proof())
+//	res, err := drat.Verify(ctx, f, rec.Proof())
 type Recorder struct {
 	p Proof
 }

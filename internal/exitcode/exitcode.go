@@ -6,11 +6,10 @@
 package exitcode
 
 import (
+	"context"
 	"errors"
 
-	"repro/internal/cnf"
 	"repro/internal/core"
-	"repro/internal/proof"
 )
 
 const (
@@ -38,14 +37,16 @@ const (
 )
 
 // FromVerifyError maps the typed errors of core.Verify/VerifyParallelOpts
-// onto exit codes. A nil error maps to OK.
+// onto exit codes, as well as the bare context errors with which the
+// checkers outside core (drat.Verify, lrat.Check) stop. A nil error maps to
+// OK.
 func FromVerifyError(err error) int {
 	switch {
 	case err == nil:
 		return OK
-	case errors.Is(err, core.ErrDeadline):
+	case errors.Is(err, core.ErrDeadline), errors.Is(err, context.DeadlineExceeded):
 		return Timeout
-	case errors.Is(err, core.ErrCancelled):
+	case errors.Is(err, core.ErrCancelled), errors.Is(err, context.Canceled):
 		return Interrupted
 	case errors.Is(err, core.ErrBudget):
 		return Budget
@@ -54,11 +55,4 @@ func FromVerifyError(err error) int {
 	default:
 		return Internal
 	}
-}
-
-// IsBadInput reports whether err is a parse-layer rejection (malformed
-// input or a parser limit), as opposed to an IO or internal failure.
-func IsBadInput(err error) bool {
-	return errors.Is(err, cnf.ErrMalformed) || errors.Is(err, cnf.ErrLimit) ||
-		errors.Is(err, proof.ErrMalformed) || errors.Is(err, proof.ErrLimit)
 }

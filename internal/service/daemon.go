@@ -82,7 +82,7 @@ type Options struct {
 	// Obs receives service metrics; nil disables instrumentation.
 	Obs *obs.Registry
 	// SinkWrap, when non-nil, wraps every checkpoint-journal sink — the
-	// hook the kill-and-recover harness uses (cmd/internal/ckpt.CrashSink).
+	// hook the kill-and-recover harness uses (cmd/internal/cli.CrashSink).
 	SinkWrap func(func([]byte) error) func([]byte) error
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // State is a job's position in its lifecycle. The state machine is strictly
@@ -62,7 +64,7 @@ type JobResult struct {
 	Attempts int `json:"attempts"`
 	// Verdict is the verification result proper — the same JSON shape dpv
 	// -json emits — present only for verified/rejected outcomes.
-	Verdict *Verdict `json:"verdict,omitempty"`
+	Verdict *core.Verdict `json:"verdict,omitempty"`
 	// Core lists the unsat-core clause indices (verified jobs, sequential
 	// check-marked mode only); /v1/jobs/{id}/core renders it as DIMACS.
 	Core []int `json:"core,omitempty"`

@@ -78,7 +78,7 @@ func (d *Daemon) runJob(w int, job *Job) {
 	if verr != nil {
 		jr.Error = verr.Error()
 	} else {
-		v := BuildVerdict(res, d.opt.Mode, engine, 0, job.NumClauses)
+		v := core.BuildVerdict(res, d.opt.Mode, engine, 0, job.NumClauses)
 		jr.Verdict = &v
 		if res.OK {
 			jr.Core = res.Core
