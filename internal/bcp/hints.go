@@ -52,10 +52,20 @@ type hintCand struct {
 	id  ID      // the reason clause
 }
 
+// hintScratch is an engine's ConflictHints scratch, kept across calls so a
+// hinted conflict allocates nothing once the slices have grown: the
+// candidate reasons, the walk stack, and the undo list of the replay
+// assignment.
+type hintScratch struct {
+	cands    []hintCand
+	stack    []cnf.Lit
+	litReset []cnf.Lit
+}
+
 // engineConflictHints implements ConflictHints for both engines given
 // accessors for clause literals and trail positions. seen/seenReset are the
-// engine's per-variable walk scratch; litMark/litReset are a per-literal
-// scratch for the replay assignment (true = literal assigned true).
+// engine's per-variable walk scratch; litMark is a per-literal scratch for
+// the replay assignment (true = literal assigned true).
 func engineConflictHints(
 	conflict ID,
 	refuted cnf.Clause,
@@ -66,7 +76,7 @@ func engineConflictHints(
 	seen []bool,
 	seenReset *[]cnf.Var,
 	litMark []bool,
-	litReset *[]cnf.Lit,
+	sc *hintScratch,
 ) []ID {
 	dst = dst[:0]
 	if conflict == NoConflict {
@@ -75,8 +85,8 @@ func engineConflictHints(
 
 	// Phase 1: the conflict walk, collecting each involved reason clause with
 	// the trail position of its implied variable.
-	var cands []hintCand
-	stack := append([]cnf.Lit(nil), lits(conflict)...)
+	cands := sc.cands[:0]
+	stack := append(sc.stack[:0], lits(conflict)...)
 	for len(stack) > 0 {
 		l := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -97,6 +107,7 @@ func engineConflictHints(
 			}
 		}
 	}
+	sc.cands, sc.stack = cands, stack
 	for _, v := range *seenReset {
 		seen[v] = false
 	}
@@ -107,14 +118,14 @@ func engineConflictHints(
 	assign := func(l cnf.Lit) {
 		if !litMark[l] {
 			litMark[l] = true
-			*litReset = append(*litReset, l)
+			sc.litReset = append(sc.litReset, l)
 		}
 	}
 	clearLits := func() {
-		for _, l := range *litReset {
+		for _, l := range sc.litReset {
 			litMark[l] = false
 		}
-		*litReset = (*litReset)[:0]
+		sc.litReset = sc.litReset[:0]
 	}
 	for _, l := range refuted {
 		assign(l.Neg())
@@ -159,7 +170,7 @@ func (e *Engine) ConflictHints(conflict ID, refuted cnf.Clause, dst []ID) []ID {
 	return engineConflictHints(conflict, refuted, dst,
 		e.lits, e.reason,
 		func(v cnf.Var) int32 { return e.varPos[v] },
-		e.seen, &e.seenReset, e.litMark, &e.hintLitReset)
+		e.seen, &e.seenReset, e.litMark, &e.hintBuf)
 }
 
 // ConflictHints implements Propagator. The counting engine keeps no
@@ -176,5 +187,5 @@ func (e *Counting) ConflictHints(conflict ID, refuted cnf.Clause, dst []ID) []ID
 	return engineConflictHints(conflict, refuted, dst,
 		func(id ID) []cnf.Lit { return e.clauses[id].lits }, e.reason,
 		func(v cnf.Var) int32 { return pos[v] },
-		e.seen, &e.seenReset, e.litMark, &e.hintLitReset)
+		e.seen, &e.seenReset, e.litMark, &e.hintBuf)
 }

@@ -176,18 +176,22 @@ func WriteDimacs(w io.Writer, f *Formula) error {
 	if _, err := fmt.Fprintf(bw, "p cnf %d %d\n", f.NumVars, len(f.Clauses)); err != nil {
 		return err
 	}
+	var line []byte
 	for _, c := range f.Clauses {
-		for _, l := range c {
-			if _, err := bw.WriteString(strconv.Itoa(l.Dimacs())); err != nil {
-				return err
-			}
-			if err := bw.WriteByte(' '); err != nil {
-				return err
-			}
-		}
-		if _, err := bw.WriteString("0\n"); err != nil {
+		line = AppendClauseLine(line[:0], c)
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// AppendClauseLine appends c as one DIMACS clause line, "l1 l2 ... 0\n",
+// to b. The DIMACS and trace writers share it.
+func AppendClauseLine(b []byte, c Clause) []byte {
+	for _, l := range c {
+		b = strconv.AppendInt(b, int64(l.Dimacs()), 10)
+		b = append(b, ' ')
+	}
+	return append(b, "0\n"...)
 }

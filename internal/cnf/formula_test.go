@@ -68,6 +68,9 @@ func TestDimacsRoundTrip(t *testing.T) {
 	if err := WriteDimacs(&buf, f); err != nil {
 		t.Fatal(err)
 	}
+	if want := "p cnf 5 3\n1 -2 3 0\n-4 5 0\n2 0\n"; buf.String() != want {
+		t.Fatalf("wrote %q, want %q", buf.String(), want)
+	}
 	g, err := ParseDimacs(&buf)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package lrat
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -82,62 +81,44 @@ func unmapHint(u uint64, maxID int64) (int64, error) {
 
 // WriteBinary writes the proof in the binary format.
 func WriteBinary(w io.Writer, p *Proof) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(binaryVersion); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(0); err != nil { // flags
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(u uint64) error {
-		n := binary.PutUvarint(buf[:], u)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
+	const flushAt = 32 << 10
+	buf := appendBinaryHeader(make([]byte, 0, 2*flushAt))
 	for i := range p.Steps {
-		s := &p.Steps[i]
-		if s.Del {
-			if err := bw.WriteByte('d'); err != nil {
+		buf = appendBinaryStep(buf, &p.Steps[i])
+		if len(buf) >= flushAt {
+			if _, err := w.Write(buf); err != nil {
 				return err
 			}
-			if err := putUvarint(uint64(s.ID)); err != nil {
-				return err
-			}
-			for _, id := range s.Deleted {
-				if err := putUvarint(uint64(id)); err != nil {
-					return err
-				}
-			}
-		} else {
-			if err := bw.WriteByte('a'); err != nil {
-				return err
-			}
-			if err := putUvarint(uint64(s.ID)); err != nil {
-				return err
-			}
-			for _, l := range s.C {
-				if err := putUvarint(mapLit(l)); err != nil {
-					return err
-				}
-			}
-			if err := bw.WriteByte(0); err != nil {
-				return err
-			}
-			for _, h := range s.Hints {
-				if err := putUvarint(mapHint(h)); err != nil {
-					return err
-				}
-			}
-		}
-		if err := bw.WriteByte(0); err != nil {
-			return err
+			buf = buf[:0]
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
+}
+
+// appendBinaryHeader appends the binary format's magic, version and flags.
+func appendBinaryHeader(b []byte) []byte {
+	return append(append(b, binaryMagic...), binaryVersion, 0)
+}
+
+// appendBinaryStep appends one step in the binary format.
+func appendBinaryStep(b []byte, s *Step) []byte {
+	if s.Del {
+		b = binary.AppendUvarint(append(b, 'd'), uint64(s.ID))
+		for _, id := range s.Deleted {
+			b = binary.AppendUvarint(b, uint64(id))
+		}
+		return append(b, 0)
+	}
+	b = binary.AppendUvarint(append(b, 'a'), uint64(s.ID))
+	for _, l := range s.C {
+		b = binary.AppendUvarint(b, mapLit(l))
+	}
+	b = append(b, 0)
+	for _, h := range s.Hints {
+		b = binary.AppendUvarint(b, mapHint(h))
+	}
+	return append(b, 0)
 }
 
 // ReadBinary parses a binary proof under DefaultLimits.

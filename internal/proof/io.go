@@ -16,21 +16,16 @@ import (
 // counts when present.
 func Write(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for i, c := range t.Clauses {
+		line = line[:0]
 		if t.Resolutions != nil {
-			if _, err := fmt.Fprintf(bw, "c res %d\n", t.Resolutions[i]); err != nil {
-				return err
-			}
+			line = append(line, "c res "...)
+			line = strconv.AppendInt(line, t.Resolutions[i], 10)
+			line = append(line, '\n')
 		}
-		for _, l := range c {
-			if _, err := bw.WriteString(strconv.Itoa(l.Dimacs())); err != nil {
-				return err
-			}
-			if err := bw.WriteByte(' '); err != nil {
-				return err
-			}
-		}
-		if _, err := bw.WriteString("0\n"); err != nil {
+		line = cnf.AppendClauseLine(line, c)
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

@@ -96,6 +96,9 @@ func TestTraceIORoundTrip(t *testing.T) {
 	if err := Write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
+	if want := "c res 4\n1 -2 3 0\nc res 7\n-1 0\nc res 2\n1 0\n"; buf.String() != want {
+		t.Fatalf("wrote %q, want %q", buf.String(), want)
+	}
 	got, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)

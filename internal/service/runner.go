@@ -227,7 +227,7 @@ func (d *Daemon) verifyOnce(w int, job *Job, f *cnf.Formula, tr *proof.Trace, bu
 // the store) costs durability, not the verdict: core.Verify aborts the run
 // when its checkpoint sink errors, so the first failure here switches the
 // sink off for the rest of the run instead of propagating. The checkpoint
-// grid itself (engine rebuilds at epoch boundaries) is unaffected, so the
+// grid itself (engine resets at epoch boundaries) is unaffected, so the
 // produced verdict stays byte-identical either way.
 func (d *Daemon) degradingSink(id string, sink func([]byte) error) func([]byte) error {
 	failed := false
