@@ -13,8 +13,9 @@ import (
 // checkpoint grid costs in memory. At the daemon's interval (1000), a
 // hinted Verify whose sink receives every payload must allocate at most
 // 1.25 times what the same hinted Verify allocates without checkpoints:
-// epoch boundaries reset the engine in place, the recorder extends its
-// encoding instead of redoing it, and hinted conflicts reuse their scratch.
+// epoch boundaries reset the engine in place, a record copies the
+// recorder's encoding as it stands, and hinted conflicts reuse their
+// scratch.
 func TestCheckpointedVerifyAllocatesLikeUnchecked(t *testing.T) {
 	// The proof dpvd-mixed verifies: perfbench solves its inputs with
 	// these options.

@@ -61,8 +61,8 @@ type CheckpointConfig struct {
 	// Sink receives each encoded checkpoint record. It must make the
 	// record durable before returning (internal/journal.Writer.Append
 	// does). A nil Sink with Every > 0 still establishes the canonical
-	// rebuild grid — that is how a resume-only run (no new journal) stays
-	// deterministic.
+	// epoch grid, whose boundaries reset the engine — that is how a
+	// resume-only run (no new journal) stays deterministic.
 	Sink func(payload []byte) error
 	// Resume, when non-nil, restarts verification from a decoded
 	// checkpoint instead of the beginning. StartJournal sets it only to a
@@ -108,9 +108,12 @@ type Checkpoint struct {
 	// Parallel state: one entry per worker.
 	Workers []WorkerState
 
-	// Hints is the serialized lrat.Recorder state at the boundary (nil when
-	// the run is not recording hints). Sequential checkpoints only.
-	Hints []byte
+	// Hints holds the steps recorded up to the boundary (nil when the run
+	// is not recording hints). Sequential checkpoints only. A resumed
+	// Verify records into a copy of it; DecodeCheckpoint's recorder has no
+	// spare capacity, so the copy never writes into the checkpoint's memory
+	// and one decoded checkpoint can seed more than one run.
+	Hints *lrat.Recorder
 }
 
 // Payload versions. Version 3 (the phase-2 record of a retired two-phase
@@ -167,13 +170,9 @@ func subStats(a, b bcp.Stats) bcp.Stats {
 }
 
 // Encode serializes the checkpoint (version byte, fixed-width
-// little-endian integers, packed bitmap).
-func (cp *Checkpoint) Encode() []byte { return cp.encode(nil) }
-
-// encode is Encode into one buffer sized up front. A non-nil hints stands
-// in for cp.Hints: a live run's recorder appends its kept encoding straight
-// into the payload.
-func (cp *Checkpoint) encode(hints *lrat.Recorder) []byte {
+// little-endian integers, packed bitmap, then the hint recorder's encoding)
+// into one buffer sized up front.
+func (cp *Checkpoint) Encode() []byte {
 	if cp.Par {
 		b := []byte{checkpointVersion, 1}
 		b = binary.LittleEndian.AppendUint64(b, uint64(len(cp.Workers)))
@@ -185,12 +184,9 @@ func (cp *Checkpoint) encode(hints *lrat.Recorder) []byte {
 		}
 		return b
 	}
-	ver, hintsLen := byte(checkpointVersionSeq), len(cp.Hints)
-	switch {
-	case hints != nil:
-		ver, hintsLen = checkpointVersionHints, hints.EncodedLen()
-	case cp.Hints != nil:
-		ver = checkpointVersionHints
+	ver, hintsLen := byte(checkpointVersionSeq), 0
+	if cp.Hints != nil {
+		ver, hintsLen = checkpointVersionHints, cp.Hints.EncodedLen()
 	}
 	nbm := (len(cp.Marked) + 7) / 8
 	// A capacity hint: the fixed fields, the bitmap and the hint blob.
@@ -208,15 +204,17 @@ func (cp *Checkpoint) encode(hints *lrat.Recorder) []byte {
 			bm[i/8] |= 1 << (i % 8)
 		}
 	}
-	if hints != nil {
-		return hints.Encode(b)
+	if cp.Hints != nil {
+		return cp.Hints.Encode(b)
 	}
-	return append(b, cp.Hints...)
+	return b
 }
 
 // DecodeCheckpoint parses an encoded checkpoint payload. It validates only
 // internal consistency; whether the state fits a concrete run is decided
-// when the run starts (see StartJournal).
+// when the run starts (see StartJournal). A hinted checkpoint's recorder
+// keeps its part of b (see lrat.DecodeRecorder), so b must not change
+// afterwards.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	fail := func(what string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: %s", ErrBadCheckpoint, what)
@@ -286,7 +284,11 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if hinted {
 		// Everything after the bitmap is the serialized hint recorder; the
 		// blob self-delimits (binary LRAT), so trailing length needs no frame.
-		cp.Hints = append([]byte(nil), b[nbm:]...)
+		rec, err := lrat.DecodeRecorder(b[nbm:])
+		if err != nil {
+			return fail(fmt.Sprintf("hint recorder: %v", err))
+		}
+		cp.Hints = rec
 	}
 	return cp, nil
 }
@@ -295,10 +297,10 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 // CheckpointConfig.Resume and by StartJournal on a journal's last record. It
 // reports why cp could not have been written by a run over nf formula and m
 // proof clauses on the given workers (0 = sequential) that records hints or
-// not, and returns the hint recorder a hinted checkpoint restores.
-func (cp *Checkpoint) fit(nf, m, workers int, hinted bool) (*lrat.Recorder, error) {
-	fail := func(format string, args ...any) (*lrat.Recorder, error) {
-		return nil, fmt.Errorf("%w: "+format, append([]any{ErrBadCheckpoint}, args...)...)
+// not.
+func (cp *Checkpoint) fit(nf, m, workers int, hinted bool) error {
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("%w: "+format, append([]any{ErrBadCheckpoint}, args...)...)
 	}
 	if cp.Par != (workers > 0) {
 		return fail("parallel flag %v does not match workers=%d", cp.Par, workers)
@@ -333,7 +335,7 @@ func (cp *Checkpoint) fit(nf, m, workers int, hinted bool) (*lrat.Recorder, erro
 				return fail("worker %d next index %d outside chunk [%d,%d)", w, st.Next, lo, hi)
 			}
 		}
-		return nil, nil
+		return nil
 	}
 	if cp.NextIndex < 0 || cp.NextIndex >= m {
 		return fail("next index %d outside trace of %d clauses", cp.NextIndex, m)
@@ -341,14 +343,7 @@ func (cp *Checkpoint) fit(nf, m, workers int, hinted bool) (*lrat.Recorder, erro
 	if len(cp.Marked) != nf+m {
 		return fail("marked bitmap of %d bits for %d clause slots", len(cp.Marked), nf+m)
 	}
-	if !hinted {
-		return nil, nil
-	}
-	rec, err := lrat.DecodeRecorder(cp.Hints)
-	if err != nil {
-		return fail("hint recorder: %v", err)
-	}
-	return rec, nil
+	return nil
 }
 
 // markedCounts splits a marked bitmap's popcount into original-formula and

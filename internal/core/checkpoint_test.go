@@ -70,7 +70,7 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 // A journal written by an older binary can still hold one; it must decode
 // to ErrBadCheckpoint so resume falls back to a full run.
 func TestDecodeCheckpointRejectsRetiredV3(t *testing.T) {
-	hinted := (&Checkpoint{NextIndex: 3, Marked: make([]bool, 10), Hints: []byte{1, 2, 3}}).Encode()
+	hinted := (&Checkpoint{NextIndex: 3, Marked: make([]bool, 10), Hints: new(lrat.Recorder)}).Encode()
 	if hinted[0] != checkpointVersionHints {
 		t.Fatalf("hinted payload has version %d, want %d", hinted[0], checkpointVersionHints)
 	}
@@ -111,9 +111,28 @@ func TestDecodeCheckpointRejectsSequentialV1(t *testing.T) {
 	if _, err := DecodeCheckpoint(append([]byte{checkpointVersionSeq}, par[1:]...)); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("version-4 payload with parallel flag: err = %v, want ErrBadCheckpoint", err)
 	}
-	hinted := (&Checkpoint{NextIndex: 3, Marked: make([]bool, 10), Hints: []byte{1, 2, 3}}).Encode()
+	hinted := (&Checkpoint{NextIndex: 3, Marked: make([]bool, 10), Hints: new(lrat.Recorder)}).Encode()
 	if _, err := DecodeCheckpoint(hinted); err != nil {
 		t.Fatalf("hinted version-2 payload: %v", err)
+	}
+}
+
+// The hint recorder after a hinted payload's bitmap is decoded with the
+// payload, so a blob that is not binary LRAT fails DecodeCheckpoint rather
+// than the resume that would use it.
+func TestDecodeCheckpointRejectsGarbledHints(t *testing.T) {
+	var rec lrat.Recorder
+	rec.Record(31, nil, []int64{1, 2})
+	hinted := (&Checkpoint{NextIndex: 5, Marked: make([]bool, 30), Hints: &rec}).Encode()
+	if _, err := DecodeCheckpoint(hinted); err != nil {
+		t.Fatalf("hinted payload: %v", err)
+	}
+	blob := len(hinted) - rec.EncodedLen()
+	for _, tail := range [][]byte{{0xff}, {}, hinted[blob : len(hinted)-1]} {
+		b := append(append([]byte(nil), hinted[:blob]...), tail...)
+		if _, err := DecodeCheckpoint(b); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("hint blob %x: err = %v, want ErrBadCheckpoint", tail, err)
+		}
 	}
 }
 
@@ -146,27 +165,23 @@ func TestResumeRefusesHintedCheckpointWithoutHints(t *testing.T) {
 
 func TestCheckpointFit(t *testing.T) {
 	ok := &Checkpoint{NextIndex: 5, Marked: make([]bool, 10+20)}
-	if _, err := ok.fit(10, 20, 0, false); err != nil {
+	if err := ok.fit(10, 20, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	bad := []*Checkpoint{
-		{NextIndex: 20, Marked: make([]bool, 30)},                 // index out of range
-		{NextIndex: -1, Marked: make([]bool, 30)},                 // index out of range
-		{NextIndex: 5, Marked: make([]bool, 29)},                  // bitmap size
-		{Par: true, Workers: make([]WorkerState, 2)},              // parallel vs sequential
-		{NextIndex: 5, Marked: make([]bool, 30), Hints: []byte{}}, // hinted record, unhinted run
+		{NextIndex: 20, Marked: make([]bool, 30)},                           // index out of range
+		{NextIndex: -1, Marked: make([]bool, 30)},                           // index out of range
+		{NextIndex: 5, Marked: make([]bool, 29)},                            // bitmap size
+		{Par: true, Workers: make([]WorkerState, 2)},                        // parallel vs sequential
+		{NextIndex: 5, Marked: make([]bool, 30), Hints: new(lrat.Recorder)}, // hinted record, unhinted run
 	}
 	for i, cp := range bad {
-		if _, err := cp.fit(10, 20, 0, false); !errors.Is(err, ErrBadCheckpoint) {
+		if err := cp.fit(10, 20, 0, false); !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("case %d: err = %v, want ErrBadCheckpoint", i, err)
 		}
 	}
-	if _, err := ok.fit(10, 20, 0, true); !errors.Is(err, ErrBadCheckpoint) {
+	if err := ok.fit(10, 20, 0, true); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("unhinted record, hinted run: err = %v, want ErrBadCheckpoint", err)
-	}
-	garbled := &Checkpoint{NextIndex: 5, Marked: make([]bool, 30), Hints: []byte{0xff}}
-	if _, err := garbled.fit(10, 20, 0, true); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("undecodable hint recorder: err = %v, want ErrBadCheckpoint", err)
 	}
 
 	// Parallel: m=5, workers=4 → chunk=2, chunks [0,2) [2,4) [4,5) and one
@@ -174,16 +189,16 @@ func TestCheckpointFit(t *testing.T) {
 	pok := &Checkpoint{Par: true, Workers: []WorkerState{
 		{Next: 1}, {Next: 3}, {Next: 4}, {Next: 5},
 	}}
-	if _, err := pok.fit(10, 5, 4, false); err != nil {
+	if err := pok.fit(10, 5, 4, false); err != nil {
 		t.Fatal(err)
 	}
 	pbad := &Checkpoint{Par: true, Workers: []WorkerState{
 		{Next: 1}, {Next: 3}, {Next: 4}, {Next: 0}, // empty chunk without sentinel
 	}}
-	if _, err := pbad.fit(10, 5, 4, false); !errors.Is(err, ErrBadCheckpoint) {
+	if err := pbad.fit(10, 5, 4, false); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("err = %v, want ErrBadCheckpoint", err)
 	}
-	if _, err := pok.fit(10, 5, 3, false); !errors.Is(err, ErrBadCheckpoint) {
+	if err := pok.fit(10, 5, 3, false); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("worker count mismatch: err = %v, want ErrBadCheckpoint", err)
 	}
 }

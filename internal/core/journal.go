@@ -54,7 +54,7 @@ func StartJournal(path string, f *cnf.Formula, m int, proofFP uint64, opt *Optio
 		payload, warn = journal.Open(path, meta, opt.Obs)
 		if warn == nil {
 			if cp, warn = DecodeCheckpoint(payload); warn == nil {
-				_, warn = cp.fit(len(f.Clauses), m, checked, opt.Hints != nil)
+				warn = cp.fit(len(f.Clauses), m, checked, opt.Hints != nil)
 			}
 		}
 		if warn != nil {

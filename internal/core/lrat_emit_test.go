@@ -135,6 +135,57 @@ func TestVerifyResumeEmitsIdenticalLRAT(t *testing.T) {
 	}
 }
 
+// TestTwoResumesFromOneLRATCheckpoint resumes two runs from one decoded
+// hinted checkpoint. Both must emit the uninterrupted run's LRAT, and
+// neither may write into the memory the checkpoint's recorder holds: the
+// record is decoded from a buffer with a piece's worth of spare capacity
+// behind it, which must still be zero after both runs.
+func TestTwoResumesFromOneLRATCheckpoint(t *testing.T) {
+	inst := gen.PHP(5)
+	tr := solveTrace(t, inst)
+
+	const every = 16
+	var records [][]byte
+	var rec lrat.Recorder
+	res, err := Verify(inst.F, tr, Options{
+		Hints: &rec,
+		Checkpoint: CheckpointConfig{Every: every, Sink: func(b []byte) error {
+			records = append(records, append([]byte(nil), b...))
+			return nil
+		}},
+	})
+	if err != nil || !res.OK || len(records) < 2 {
+		t.Fatalf("uninterrupted: err=%v res=%+v records=%d", err, res, len(records))
+	}
+	want := emittedLRAT(t, &rec)
+
+	r := records[len(records)/2]
+	buf := append(make([]byte, 0, len(r)+64<<10), r...)
+	cp, err := DecodeCheckpoint(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := range 2 {
+		var recC lrat.Recorder
+		resC, err := Verify(inst.F, tr, Options{
+			Hints:      &recC,
+			Checkpoint: CheckpointConfig{Every: every, Resume: cp},
+		})
+		if err != nil || !resC.OK {
+			t.Fatalf("resume %d: err=%v res=%+v", run, err, resC)
+		}
+		if got := emittedLRAT(t, &recC); !bytes.Equal(got, want) {
+			t.Fatalf("resume %d emitted different LRAT (%d vs %d bytes)", run, len(got), len(want))
+		}
+	}
+	if !bytes.Equal(cp.Encode(), r) {
+		t.Fatal("the resumed runs changed the checkpoint")
+	}
+	if spare := buf[len(buf):cap(buf)]; !bytes.Equal(spare, make([]byte, len(spare))) {
+		t.Fatal("a resumed run wrote into the checkpoint's buffer")
+	}
+}
+
 func TestVerifyResumeWithoutRecordedHints(t *testing.T) {
 	inst := gen.PHP(4)
 	tr := solveTrace(t, inst)

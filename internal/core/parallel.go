@@ -106,7 +106,7 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 		if !ck.enabled() {
 			return nil, fmt.Errorf("%w: resume requires a checkpoint interval", ErrBadCheckpoint)
 		}
-		if _, err := ck.Resume.fit(len(f.Clauses), m, workers, false); err != nil {
+		if err := ck.Resume.fit(len(f.Clauses), m, workers, false); err != nil {
 			return nil, err
 		}
 	}

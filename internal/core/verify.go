@@ -231,12 +231,11 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 		if !ck.enabled() {
 			return nil, fmt.Errorf("%w: resume requires a checkpoint interval", ErrBadCheckpoint)
 		}
-		restored, err := ck.Resume.fit(nf, m, 0, opt.Hints != nil)
-		if err != nil {
+		if err := ck.Resume.fit(nf, m, 0, opt.Hints != nil); err != nil {
 			return nil, err
 		}
-		if restored != nil {
-			*opt.Hints = *restored
+		if ck.Resume.Hints != nil {
+			*opt.Hints = *ck.Resume.Hints
 		}
 	}
 
@@ -413,11 +412,12 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 					Skipped:     res.Skipped,
 					Tautologies: res.Tautologies,
 					Stats:       statsBase,
+					// Clause i is not processed yet, so the recorder holds
+					// exactly the steps for indices above i — the resumed
+					// loop re-records i..0 with no duplicates.
+					Hints: opt.Hints,
 				}
-				// Clause i is not processed yet, so the hint blob holds
-				// exactly the steps for indices above i — the resumed loop
-				// re-records i..0 with no duplicates.
-				if err := ck.Sink(cp.encode(opt.Hints)); err != nil {
+				if err := ck.Sink(cp.Encode()); err != nil {
 					res.Incomplete = true
 					res.StoppedAt = i
 					res.Propagations = totalProps()

@@ -241,11 +241,11 @@ func TestRecorderSortsAndRoundTrips(t *testing.T) {
 	}
 }
 
-// TestRecorderEncodeIsIncremental checks that Encode, which keeps its
-// encoding and extends it by the steps recorded since the last call, gives
-// WriteBinary's bytes for all the steps at every call: across piece
-// boundaries, after a call with nothing new, and on a recorder restored by
-// DecodeRecorder that goes on recording.
+// TestRecorderEncodeIsIncremental checks that Encode, which reads the
+// encoding Record extends step by step, gives WriteBinary's bytes for all
+// the steps at every call: before any step, across piece boundaries, after
+// a call with nothing new, and on a recorder restored by DecodeRecorder that
+// goes on recording.
 func TestRecorderEncodeIsIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var r Recorder
@@ -295,6 +295,29 @@ func TestRecorderEncodeIsIncremental(t *testing.T) {
 	check(restored, "decoded")
 	record(restored, 25)
 	check(restored, "decoded, then extended")
+}
+
+// TestRecorderAllocatesPerPiece records 4,096 steps of a typical shape (a
+// few literals, about ten hints) into a fresh recorder: the recorder may
+// allocate for its pieces of encoding, and a few times besides, but never
+// per step.
+func TestRecorderAllocatesPerPiece(t *testing.T) {
+	const steps = 4096
+	c := mkClause(3, -17, 250, -4000)
+	hints := []int64{12, 7, 9001, 455, 31, 2, 88, 1020, 64, 5}
+	var pieces int
+	allocs := testing.AllocsPerRun(5, func() {
+		var r Recorder
+		for i := range steps {
+			r.Record(int64(100_000-i), c, hints)
+		}
+		// A piece is at least 7/8 full before the next one starts.
+		pieces = (r.EncodedLen() + encPiece*7/8 - 1) / (encPiece * 7 / 8)
+	})
+	t.Logf("%d steps: %.0f allocations, %d pieces", steps, allocs, pieces)
+	if allocs > float64(pieces+4) {
+		t.Fatalf("%d steps allocated %.0f times for %d pieces", steps, allocs, pieces)
+	}
 }
 
 func TestRecorderDuplicateID(t *testing.T) {

@@ -10,7 +10,9 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/cnf"
 	"repro/internal/exitcode"
@@ -130,55 +132,18 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	mt, params, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if err != nil || mt != "multipart/form-data" {
-		writeError(w, http.StatusBadRequest, StatusBadInput,
-			"content type must be multipart/form-data with parts \"formula\" and \"proof\"")
-		return
-	}
-	boundary := params["boundary"]
-	if boundary == "" {
-		writeError(w, http.StatusBadRequest, StatusBadInput, "multipart boundary missing")
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, d.opt.MaxUploadBytes)
-	mr := multipart.NewReader(r.Body, boundary)
-
 	var f *cnf.Formula
 	var tr *proof.Trace
-	for {
-		part, err := mr.NextPart()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Includes truncated bodies (a dying client): io.ErrUnexpectedEOF
-			// or a malformed closing boundary — typed rejection either way.
-			d.writeUploadError(w, fmt.Errorf("multipart body: %w", err))
-			return
-		}
-		switch part.FormName() {
-		case "formula":
-			if f != nil {
-				writeError(w, http.StatusBadRequest, StatusBadInput, "duplicate \"formula\" part")
-				return
-			}
-			f, err = cnf.ParseDimacsLimited(part, d.opt.FormulaLimits)
-		case "proof":
-			if tr != nil {
-				writeError(w, http.StatusBadRequest, StatusBadInput, "duplicate \"proof\" part")
-				return
-			}
-			tr, err = proof.ReadLimited(part, d.opt.ProofLimits)
-		default:
-			writeError(w, http.StatusBadRequest, StatusBadInput,
-				fmt.Sprintf("unknown part %q (want \"formula\", \"proof\")", part.FormName()))
-			return
-		}
-		if err != nil {
-			d.writeUploadError(w, err)
-			return
-		}
+	if !d.readParts(w, r,
+		uploadPart{"formula", func(p io.Reader) (err error) {
+			f, err = cnf.ParseDimacsLimited(p, d.opt.FormulaLimits)
+			return err
+		}},
+		uploadPart{"proof", func(p io.Reader) (err error) {
+			tr, err = proof.ReadLimited(p, d.opt.ProofLimits)
+			return err
+		}}) {
+		return
 	}
 	if f == nil || tr == nil {
 		writeError(w, http.StatusBadRequest, StatusBadInput, "upload needs both a \"formula\" and a \"proof\" part")
@@ -223,6 +188,66 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// uploadPart names one part of a multipart upload and reads it.
+type uploadPart struct {
+	name string
+	read func(io.Reader) error
+}
+
+// readParts is the multipart half of the upload handlers. It checks the
+// content type, caps the body at MaxUploadBytes and streams each part to
+// its reader, refusing a part that comes twice or that parts does not name;
+// parts lists the names in the order error messages give them. On failure
+// the HTTP error has been written and ok is false.
+func (d *Daemon) readParts(w http.ResponseWriter, r *http.Request, parts ...uploadPart) (ok bool) {
+	quoted := make([]string, len(parts))
+	for i, p := range parts {
+		quoted[i] = strconv.Quote(p.name)
+	}
+	mt, params, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	if err != nil || mt != "multipart/form-data" {
+		writeError(w, http.StatusBadRequest, StatusBadInput,
+			"content type must be multipart/form-data with parts "+
+				strings.Join(quoted[:len(quoted)-1], ", ")+" and "+quoted[len(quoted)-1])
+		return false
+	}
+	boundary := params["boundary"]
+	if boundary == "" {
+		writeError(w, http.StatusBadRequest, StatusBadInput, "multipart boundary missing")
+		return false
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, d.opt.MaxUploadBytes)
+	mr := multipart.NewReader(r.Body, boundary)
+	seen := make([]bool, len(parts))
+	for {
+		part, err := mr.NextPart()
+		if err == io.EOF {
+			return true
+		}
+		if err != nil {
+			// Includes truncated bodies (a dying client): io.ErrUnexpectedEOF
+			// or a malformed closing boundary — typed rejection either way.
+			d.writeUploadError(w, fmt.Errorf("multipart body: %w", err))
+			return false
+		}
+		k := slices.IndexFunc(parts, func(p uploadPart) bool { return p.name == part.FormName() })
+		if k < 0 {
+			writeError(w, http.StatusBadRequest, StatusBadInput,
+				fmt.Sprintf("unknown part %q (want %s)", part.FormName(), strings.Join(quoted, ", ")))
+			return false
+		}
+		if seen[k] {
+			writeError(w, http.StatusBadRequest, StatusBadInput, fmt.Sprintf("duplicate %s part", quoted[k]))
+			return false
+		}
+		seen[k] = true
+		if err := parts[k].read(part); err != nil {
+			d.writeUploadError(w, err)
+			return false
+		}
+	}
+}
+
 // setRetryAfter stamps one freshly jittered Retry-After hint.
 func (d *Daemon) setRetryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(d.retryAfterSeconds()))
@@ -242,18 +267,46 @@ func (d *Daemon) writeUploadError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, StatusBadInput, err.Error())
 }
 
-func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+// jobStatus looks up a job for a handler: an unknown job is a 404 and any
+// other failure a 500. On failure the HTTP error has been written and ok is
+// false.
+func (d *Daemon) jobStatus(w http.ResponseWriter, id string) (st State, jr *JobResult, ok bool) {
 	st, jr, err := d.Status(id)
 	if errors.Is(err, ErrUnknownJob) {
 		writeError(w, http.StatusNotFound, StatusBadInput, "unknown job")
-		return
+		return "", nil, false
 	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, StatusInternal, err.Error())
-		return
+		return "", nil, false
 	}
-	d.writeStatusResponse(w, id, st, jr)
+	return st, jr, true
+}
+
+// verifiedJob is jobStatus for the endpoints that serve what a verified job
+// leaves behind (named by what in the refusal): a job without a verdict, or
+// with any verdict but verified, is a 409.
+func (d *Daemon) verifiedJob(w http.ResponseWriter, id, what string) (jr *JobResult, ok bool) {
+	st, jr, ok := d.jobStatus(w, id)
+	if !ok {
+		return nil, false
+	}
+	if st != StateDone {
+		writeError(w, http.StatusConflict, StatusBadInput, "job has no verdict yet")
+		return nil, false
+	}
+	if jr == nil || jr.Status != StatusVerified || jr.Code != exitcode.OK {
+		writeError(w, http.StatusConflict, StatusBadInput, what+" exists only for verified jobs")
+		return nil, false
+	}
+	return jr, true
+}
+
+func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	if st, jr, ok := d.jobStatus(w, id); ok {
+		d.writeStatusResponse(w, id, st, jr)
+	}
 }
 
 // writeStatusResponse renders the one status/verdict body shape. handleStatus
@@ -271,21 +324,8 @@ func (d *Daemon) writeStatusResponse(w http.ResponseWriter, id string, st State,
 // by-product, delivered over the wire instead of via dpv -core FILE.
 func (d *Daemon) handleCore(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st, jr, err := d.Status(id)
-	if errors.Is(err, ErrUnknownJob) {
-		writeError(w, http.StatusNotFound, StatusBadInput, "unknown job")
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, StatusInternal, err.Error())
-		return
-	}
-	if st != StateDone {
-		writeError(w, http.StatusConflict, StatusBadInput, "job has no verdict yet")
-		return
-	}
-	if jr == nil || jr.Status != StatusVerified || jr.Code != exitcode.OK {
-		writeError(w, http.StatusConflict, StatusBadInput, "core exists only for verified jobs")
+	jr, ok := d.verifiedJob(w, id, "core")
+	if !ok {
 		return
 	}
 	f, err := d.opt.Store.Formula(id)
@@ -303,24 +343,11 @@ func (d *Daemon) handleCore(w http.ResponseWriter, r *http.Request) {
 // verified, and the store must hold its LRAT bytes. On any failure the HTTP
 // error has been written and ok is false.
 func (d *Daemon) verifiedLRAT(w http.ResponseWriter, id string) (b []byte, jr *JobResult, ok bool) {
-	st, jr, err := d.Status(id)
-	if errors.Is(err, ErrUnknownJob) {
-		writeError(w, http.StatusNotFound, StatusBadInput, "unknown job")
+	jr, ok = d.verifiedJob(w, id, "hinted proof")
+	if !ok {
 		return nil, nil, false
 	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, StatusInternal, err.Error())
-		return nil, nil, false
-	}
-	if st != StateDone {
-		writeError(w, http.StatusConflict, StatusBadInput, "job has no verdict yet")
-		return nil, nil, false
-	}
-	if jr == nil || jr.Status != StatusVerified || jr.Code != exitcode.OK {
-		writeError(w, http.StatusConflict, StatusBadInput, "hinted proof exists only for verified jobs")
-		return nil, nil, false
-	}
-	b, err = d.opt.Store.LRAT(id)
+	b, err := d.opt.Store.LRAT(id)
 	if err != nil && !errors.Is(err, ErrUnknownJob) {
 		writeError(w, http.StatusInternalServerError, StatusInternal, err.Error())
 		return nil, nil, false
@@ -418,59 +445,22 @@ func (d *Daemon) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		tenant = "default"
 	}
 
-	mt, params, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if err != nil || mt != "multipart/form-data" {
-		writeError(w, http.StatusBadRequest, StatusBadInput,
-			"content type must be multipart/form-data with parts \"formula\", \"verdict\" and \"lrat\"")
-		return
-	}
-	boundary := params["boundary"]
-	if boundary == "" {
-		writeError(w, http.StatusBadRequest, StatusBadInput, "multipart boundary missing")
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, d.opt.MaxUploadBytes)
-	mr := multipart.NewReader(r.Body, boundary)
-
 	var f *cnf.Formula
 	var verdictJSON, lratBytes []byte
-	for {
-		part, err := mr.NextPart()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			d.writeUploadError(w, fmt.Errorf("multipart body: %w", err))
-			return
-		}
-		switch part.FormName() {
-		case "formula":
-			if f != nil {
-				writeError(w, http.StatusBadRequest, StatusBadInput, "duplicate \"formula\" part")
-				return
-			}
-			f, err = cnf.ParseDimacsLimited(part, d.opt.FormulaLimits)
-		case "verdict":
-			if verdictJSON != nil {
-				writeError(w, http.StatusBadRequest, StatusBadInput, "duplicate \"verdict\" part")
-				return
-			}
-			verdictJSON, err = io.ReadAll(io.LimitReader(part, 1<<20))
-		case "lrat":
-			if lratBytes != nil {
-				writeError(w, http.StatusBadRequest, StatusBadInput, "duplicate \"lrat\" part")
-				return
-			}
-			lratBytes, err = io.ReadAll(part)
-		default:
-			writeError(w, http.StatusBadRequest, StatusBadInput,
-				fmt.Sprintf("unknown part %q (want \"formula\", \"verdict\", \"lrat\")", part.FormName()))
-			return
-		}
-		if err != nil {
-			d.writeUploadError(w, err)
-			return
-		}
+	if !d.readParts(w, r,
+		uploadPart{"formula", func(p io.Reader) (err error) {
+			f, err = cnf.ParseDimacsLimited(p, d.opt.FormulaLimits)
+			return err
+		}},
+		uploadPart{"verdict", func(p io.Reader) (err error) {
+			verdictJSON, err = io.ReadAll(io.LimitReader(p, 1<<20))
+			return err
+		}},
+		uploadPart{"lrat", func(p io.Reader) (err error) {
+			lratBytes, err = io.ReadAll(p)
+			return err
+		}}) {
+		return
 	}
 	if f == nil || verdictJSON == nil || len(lratBytes) == 0 {
 		writeError(w, http.StatusBadRequest, StatusBadInput,
