@@ -15,12 +15,12 @@
 //	-par N          fan the check over N workers (0 = sequential)
 //	-sched NAME     parallel schedule with -par: "chunk" slices the trace
 //	                into fixed per-worker ranges (always checks every
-//	                clause, extracts no core); "dag" runs the sequential
-//	                checker (honoring -all, supporting -core/-trim/
-//	                -emit-lrat) and then rechecks its recorded LRAT hints
-//	                on N workers over the hint dependency DAG, as
-//	                lratcheck -sched dag does (default chunk; "dag"
-//	                requires -par)
+//	                clause, extracts no core, keeps no checkpoints); "dag"
+//	                runs the sequential checker (honoring -all, supporting
+//	                -core/-trim/-emit-lrat/-checkpoint) and then rechecks
+//	                its recorded LRAT hints on N workers over the hint
+//	                dependency DAG, as lratcheck -sched dag does (default
+//	                chunk; "dag" requires -par)
 //	-core FILE      write the unsatisfiable core as DIMACS
 //	-trim FILE      write the trimmed proof (used clauses only)
 //	-emit-lrat FILE write an LRAT hinted proof of the verification
@@ -31,6 +31,7 @@
 //	-max-props N    give up after N unit propagations (0 = unlimited)
 //	-max-memory N   refuse runs whose estimated footprint exceeds N bytes
 //	-checkpoint FILE  write resumable checkpoints to this journal file
+//	                (sequential or -sched dag)
 //	-checkpoint-every N  checkpoint interval in proof clauses (default 1000)
 //	-resume         resume from the -checkpoint journal when it matches;
 //	                any mismatch or corruption falls back to a full run
@@ -91,7 +92,7 @@ func run() int {
 	var out cli.Outputs
 	all := flag.Bool("all", false, "check every clause (Proof_verification1)")
 	engine := flag.String("engine", "watched", "BCP engine: watched | counting")
-	par := flag.Int("par", 0, "parallel workers (0 = sequential)")
+	par := flag.Int("par", 0, "parallel workers (0 = sequential); without -sched dag, no -core/-trim/-emit-lrat/-checkpoint")
 	schedName := flag.String("sched", "chunk", "parallel schedule with -par: chunk | dag (sequential check, then a parallel recheck of its LRAT hints)")
 	corePath := flag.String("core", "", "write the unsatisfiable core (DIMACS) to this file")
 	trimPath := flag.String("trim", "", "write the trimmed proof to this file")
@@ -128,6 +129,8 @@ func run() int {
 		return tool.Fail(exitcode.Usage, "chunked -par checks every clause without marking; -core/-trim need the sequential checker or -sched dag")
 	case *par != 0 && !dagSched && *lratPath != "":
 		return tool.Fail(exitcode.Usage, "-emit-lrat records one engine's propagation order; it needs the sequential checker or -sched dag")
+	case *par != 0 && !dagSched && *checkpointPath != "":
+		return tool.Fail(exitcode.Usage, "chunked -par keeps no checkpoints; -checkpoint needs the sequential checker (-all for a check-all run) or -sched dag")
 	case *lratBinary && *lratPath == "":
 		return tool.Fail(exitcode.Usage, "-lrat-binary requires -emit-lrat")
 	case *resume && *checkpointPath == "":
@@ -187,12 +190,8 @@ func run() int {
 	// like a sequential run: either schedule resumes the other's journal.
 	var jw *core.Journal
 	if *checkpointPath != "" {
-		workers := 0
-		if *par != 0 && !dagSched {
-			workers = *par
-		}
 		jw, err = tool.StartJournal(*checkpointPath, f, tr.Len(), journal.FingerprintTrace(tr),
-			&opt, *checkpointEvery, workers, *resume)
+			&opt, *checkpointEvery, *resume)
 		if err != nil {
 			return tool.Fail(exitcode.Internal, err)
 		}

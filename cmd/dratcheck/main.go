@@ -115,7 +115,7 @@ func run() int {
 			// sequential dpv run; the proof fingerprint keeps a dpv journal
 			// for the same formula from matching.
 			jw, err = tool.StartJournal(*checkpointPath, f, p.TraceLen(), p.Fingerprint(),
-				&opt, *checkpointEvery, 0, *resume)
+				&opt, *checkpointEvery, *resume)
 			if err != nil {
 				return tool.Fail(exitcode.Internal, err)
 			}

@@ -215,8 +215,8 @@ func WriteLRAT(path string, rec *lrat.Recorder, binary bool) error {
 // not resumed is reported as a warning (the run starts from scratch, never
 // with a wrong verdict), and the checkpoint sink gets the CrashSink hook.
 func (t Tool) StartJournal(path string, f *cnf.Formula, m int, proofFP uint64,
-	opt *core.Options, every, workers int, resume bool) (*core.Journal, error) {
-	jw, warn, err := core.StartJournal(path, f, m, proofFP, opt, every, workers, resume)
+	opt *core.Options, every int, resume bool) (*core.Journal, error) {
+	jw, warn, err := core.StartJournal(path, f, m, proofFP, opt, every, resume)
 	if warn != nil {
 		fmt.Fprintf(os.Stderr, "%s: warning: not resuming (%v); running from scratch\n", t, warn)
 	}

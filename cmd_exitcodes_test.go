@@ -213,6 +213,8 @@ func TestExitCodes(t *testing.T) {
 		{"dpv sat formula with trailer", dpv, []string{"-q", satTrailer, emptyProof}, 2},
 		{"dpv verified dag", dpv, []string{"-q", "-par", "4", "-sched", "dag", unsatCNF, trace}, 0},
 		{"dpv sched dag without par", dpv, []string{"-sched", "dag", unsatCNF, trace}, 1},
+		// Chunked workers keep no checkpoints; a resumable run is sequential.
+		{"dpv par checkpoint", dpv, []string{"-par", "3", "-checkpoint", filepath.Join(tmp, "par.dpvj"), unsatCNF, trace}, 1},
 		// The flag package's own exit status for a bad flag is 2, which the
 		// contract reserves for a rejected proof; every binary maps it to 1.
 		{"dpv unknown flag", dpv, []string{"-bogus", unsatCNF, trace}, 1},

@@ -2,6 +2,9 @@ package repro
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -24,9 +27,10 @@ import (
 // -resume until they finish. The crash-safety contract is that the final
 // verdict, exit code, stdout report, and every artifact written are
 // byte-identical to an uninterrupted checkpointed run, for every verifier
-// configuration: pv1/pv2 × watched/counting × sequential/chunked/DAG-
-// scheduled parallel, resumes that switch between the sequential and DAG
-// schedules, plus dratcheck -backward with and without deletion lines.
+// configuration that keeps checkpoints: pv1/pv2 × watched/counting ×
+// sequential/DAG-scheduled parallel, resumes that switch between the
+// sequential and DAG schedules, plus dratcheck -backward with and without
+// deletion lines. (Chunked -par runs keep no checkpoints.)
 
 // mkcl builds a clause from DIMACS literals.
 func mkcl(lits ...int) cnf.Clause {
@@ -138,26 +142,23 @@ func TestCrashRecoverMatrix(t *testing.T) {
 		name   string
 		args   []string // verifier configuration flags
 		resume []string // flags of the resumed runs; nil reuses args
-		core   bool     // sequential configs also compare the core and LRAT artifacts
 	}
 	var cfgs []config
 	for _, eng := range []string{"watched", "counting"} {
 		cfgs = append(cfgs,
-			config{"pv2-" + eng, []string{"-engine", eng}, nil, true},
-			config{"pv1-" + eng, []string{"-all", "-engine", eng}, nil, true},
-			config{"par-" + eng, []string{"-par", "3", "-engine", eng}, nil, false},
+			config{"pv2-" + eng, []string{"-engine", eng}, nil},
+			config{"pv1-" + eng, []string{"-all", "-engine", eng}, nil},
 			// The DAG schedule is the sequential checker plus a hinted
-			// recheck, so unlike the chunked config it compares core and
-			// LRAT artifacts too.
-			config{"dag-" + eng, []string{"-par", "3", "-sched", "dag", "-engine", eng}, nil, true},
+			// recheck.
+			config{"dag-" + eng, []string{"-par", "3", "-sched", "dag", "-engine", eng}, nil},
 		)
 	}
 	// A -sched dag run journals only its sequential pass, under the
 	// sequential journal kind, so each schedule resumes the other's journal.
 	dag := []string{"-par", "3", "-sched", "dag"}
 	cfgs = append(cfgs,
-		config{"dag-then-seq", dag, []string{}, true},
-		config{"seq-then-dag", []string{}, dag, true},
+		config{"dag-then-seq", dag, []string{}},
+		config{"seq-then-dag", []string{}, dag},
 	)
 
 	for _, tc := range cfgs {
@@ -174,10 +175,8 @@ func TestCrashRecoverMatrix(t *testing.T) {
 				if resume {
 					args = append(args, "-resume")
 				}
-				if tc.core {
-					args = append(args, "-core", filepath.Join(dir, tag+".core"),
-						"-emit-lrat", filepath.Join(dir, tag+".lrat"))
-				}
+				args = append(args, "-core", filepath.Join(dir, tag+".core"),
+					"-emit-lrat", filepath.Join(dir, tag+".lrat"))
 				return append(args, cnfPath, tracePath)
 			}
 
@@ -192,24 +191,22 @@ func TestCrashRecoverMatrix(t *testing.T) {
 			if out != baseOut {
 				t.Errorf("recovered stdout diverged after %d crashes:\n got %q\nwant %q", crashes, out, baseOut)
 			}
-			if tc.core {
-				for _, ext := range []string{".core", ".lrat"} {
-					base, err := os.ReadFile(filepath.Join(dir, "base"+ext))
-					if err != nil {
-						t.Fatal(err)
-					}
-					rec, err := os.ReadFile(filepath.Join(dir, "crash"+ext))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(base, rec) {
-						t.Errorf("recovered %s artifact is not byte-identical to the baseline", ext)
-					}
+			for _, ext := range []string{".core", ".lrat"} {
+				base, err := os.ReadFile(filepath.Join(dir, "base"+ext))
+				if err != nil {
+					t.Fatal(err)
 				}
-				// The emitted hinted proof must round-trip through lratcheck.
-				if code, out := runWithEnv(t, nil, lratcheck, "-q", cnfPath, filepath.Join(dir, "base.lrat")); code != 0 {
-					t.Errorf("lratcheck rejected the emitted proof (exit %d):\n%s", code, out)
+				rec, err := os.ReadFile(filepath.Join(dir, "crash"+ext))
+				if err != nil {
+					t.Fatal(err)
 				}
+				if !bytes.Equal(base, rec) {
+					t.Errorf("recovered %s artifact is not byte-identical to the baseline", ext)
+				}
+			}
+			// The emitted hinted proof must round-trip through lratcheck.
+			if code, out := runWithEnv(t, nil, lratcheck, "-q", cnfPath, filepath.Join(dir, "base.lrat")); code != 0 {
+				t.Errorf("lratcheck rejected the emitted proof (exit %d):\n%s", code, out)
 			}
 			// A verdict was reached, so both journals must be gone.
 			for _, tag := range []string{"base", "crash"} {
@@ -310,233 +307,142 @@ func writeDeletionFixtures(t *testing.T, dir string) (cnfPath, dratPath string) 
 	return
 }
 
-// TestResumeIgnoresRetiredDAGJournal offers dpv -resume a journal whose
-// header carries kind 4, which older binaries wrote for a retired two-phase
-// DAG-scheduled pipeline (its payloads were checkpoint version 3). Every
-// other header field matches the run, so only the kind can refuse it: dpv
-// must warn, run from scratch, and reach the uninterrupted run's verdict.
-func TestResumeIgnoresRetiredDAGJournal(t *testing.T) {
+// TestResumeIgnoresRetiredJournals offers dpv and dratcheck -backward
+// -resume journals that older binaries wrote and this one no longer
+// resumes: a retired journal kind (2 for chunked dpv -par runs, 3 for
+// drat's own backward checker, 4 for a two-phase DAG-scheduled pipeline)
+// or a retired payload version in a sequential journal (1, written before
+// runs without hints propagated core-first). Every other header field
+// matches the run and the record's CRC is valid, so only the kind or the
+// version can refuse it: the tool must warn, run from scratch and print an
+// uninterrupted run's stdout — never decode the old record as a current
+// checkpoint.
+func TestResumeIgnoresRetiredJournals(t *testing.T) {
 	bins := buildCmds(t)
 	dir := t.TempDir()
-	cnfPath, tracePath, _ := writeChainFixtures(t, dir, 500)
+	cnfPath, tracePath, dratPath := writeChainFixtures(t, dir, 500)
 	dpv := filepath.Join(bins, "dpv")
-	// Checkpointing rebuilds the engine at every interval boundary, which
-	// shows in the propagation count: the baseline checkpoints too.
-	code, baseOut := runWithEnv(t, nil, dpv,
-		"-checkpoint", filepath.Join(dir, "base.dpvj"), "-checkpoint-every", "100", cnfPath, tracePath)
-	if code != 0 {
-		t.Fatalf("baseline exit %d:\n%s", code, baseOut)
-	}
+	dratcheck := filepath.Join(bins, "dratcheck")
+	const every = 100
 
-	fin, err := os.Open(cnfPath)
-	if err != nil {
-		t.Fatal(err)
+	read := func(path string, parse func(io.Reader) error) {
+		in, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer in.Close()
+		if err := parse(in); err != nil {
+			t.Fatal(err)
+		}
 	}
-	f, err := cnf.ParseDimacs(fin)
-	fin.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pin, err := os.Open(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := proof.Read(pin)
-	pin.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := filepath.Join(dir, "old.dpvj")
-	jw, err := journal.Create(j, journal.Meta{
-		Kind:      journal.Kind(4),
-		Mode:      uint8(core.ModeCheckMarked),
-		Engine:    uint8(core.EngineWatched),
-		Interval:  100,
-		FormulaFP: journal.FingerprintFormula(f),
-		ProofFP:   journal.FingerprintTrace(tr),
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A version-3 record: version byte 3, flag byte 2, then the state.
-	if err := jw.Append(append([]byte{3, 2}, make([]byte, 96)...)); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	var f *cnf.Formula
+	var tr *proof.Trace
+	var dp *drat.Proof
+	read(cnfPath, func(in io.Reader) (err error) { f, err = cnf.ParseDimacs(in); return })
+	read(tracePath, func(in io.Reader) (err error) { tr, err = proof.Read(in); return })
+	read(dratPath, func(in io.Reader) (err error) { dp, err = drat.Read(in); return })
 
-	cmd := exec.Command(dpv, "-par", "3", "-sched", "dag",
-		"-checkpoint", j, "-checkpoint-every", "100", "-resume", cnfPath, tracePath)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("resume over a kind-4 journal: %v\nstderr:\n%s", err, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "not resuming") || !strings.Contains(stderr.String(), "running from scratch") {
-		t.Errorf("no fallback warning on stderr:\n%s", stderr.String())
-	}
-	if stdout.String() != baseOut {
-		t.Errorf("stdout diverged from an uninterrupted run:\n got %q\nwant %q", stdout.String(), baseOut)
-	}
-}
-
-// TestResumeIgnoresRetiredSeqV1Journal offers dpv -resume a sequential
-// journal whose record carries checkpoint version 1, which older binaries
-// wrote for runs without hints before those runs propagated core-first.
-// The header matches the run and the record is a real one with only its
-// version byte rewritten, so only the version can refuse it: dpv must warn,
-// run from scratch, and reach the uninterrupted run's output.
-func TestResumeIgnoresRetiredSeqV1Journal(t *testing.T) {
-	bins := buildCmds(t)
-	dir := t.TempDir()
-	cnfPath, tracePath, _ := writeChainFixtures(t, dir, 500)
-	dpv := filepath.Join(bins, "dpv")
-	code, baseOut := runWithEnv(t, nil, dpv,
-		"-checkpoint", filepath.Join(dir, "base.dpvj"), "-checkpoint-every", "100", cnfPath, tracePath)
-	if code != 0 {
-		t.Fatalf("baseline exit %d:\n%s", code, baseOut)
-	}
-
-	fin, err := os.Open(cnfPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := cnf.ParseDimacs(fin)
-	fin.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pin, err := os.Open(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := proof.Read(pin)
-	pin.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := journal.Meta{
-		Kind:      journal.KindVerifySeq,
-		Mode:      uint8(core.ModeCheckMarked),
-		Engine:    uint8(core.EngineWatched),
-		Interval:  100,
-		FormulaFP: journal.FingerprintFormula(f),
-		ProofFP:   journal.FingerprintTrace(tr),
-	}
-	// dpv removes its journal after a clean run, so take a record from the
-	// same run made in-process.
-	var payload []byte
-	_, err = core.Verify(f, tr, core.Options{Checkpoint: core.CheckpointConfig{Every: 100,
+	// dpv removes its journal after a clean run, so take a sequential
+	// record from the same run made in-process.
+	var seqRecord []byte
+	_, err := core.Verify(f, tr, core.Options{Checkpoint: core.CheckpointConfig{Every: every,
 		Sink: func(p []byte) error {
-			if payload == nil {
-				payload = append([]byte(nil), p...)
+			if seqRecord == nil {
+				seqRecord = append([]byte(nil), p...)
 			}
 			return nil
 		}}})
-	if err != nil || payload == nil {
-		t.Fatalf("in-process run: err %v, %d-byte record", err, len(payload))
+	if err != nil || seqRecord == nil {
+		t.Fatalf("in-process run: err %v, %d-byte record", err, len(seqRecord))
 	}
-	old := append([]byte{1}, payload[1:]...)
-	j := filepath.Join(dir, "old.dpvj")
-	jw, err := journal.Create(j, meta, nil)
-	if err != nil {
-		t.Fatal(err)
+	// A chunked run's version-1 record: flag byte 1, the worker count, then
+	// per worker its next index (each at its chunk's top, 167 clauses a
+	// chunk), tested and tautology counts and five bcp counters.
+	parRecord := binary.LittleEndian.AppendUint64([]byte{1, 1}, 3)
+	for _, next := range []uint64{166, 333, 499} {
+		parRecord = binary.LittleEndian.AppendUint64(parRecord, next)
+		parRecord = append(parRecord, make([]byte, 7*8)...)
 	}
-	if err := jw.Append(old); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cmd := exec.Command(dpv, "-checkpoint", j, "-checkpoint-every", "100", "-resume", cnfPath, tracePath)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("resume over a version-1 record: %v\nstderr:\n%s", err, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "not resuming") || !strings.Contains(stderr.String(), "running from scratch") {
-		t.Errorf("no fallback warning on stderr:\n%s", stderr.String())
-	}
-	if stdout.String() != baseOut {
-		t.Errorf("stdout diverged from an uninterrupted run:\n got %q\nwant %q", stdout.String(), baseOut)
-	}
-}
-
-// TestResumeIgnoresRetiredDRATJournal offers dratcheck -resume a journal
-// whose header carries kind 3, which older binaries wrote for drat's own
-// backward checker and its own payload format. Every other header field
-// matches the run, so only the kind can refuse it: dratcheck must warn, run
-// from scratch, and reach the uninterrupted run's verdict — never decode
-// the old record as a core checkpoint.
-func TestResumeIgnoresRetiredDRATJournal(t *testing.T) {
-	bins := buildCmds(t)
-	dir := t.TempDir()
-	cnfPath, _, dratPath := writeChainFixtures(t, dir, 500)
-	dratcheck := filepath.Join(bins, "dratcheck")
-	code, baseOut := runWithEnv(t, nil, dratcheck, "-backward",
-		"-checkpoint", filepath.Join(dir, "base.dpvj"), "-checkpoint-every", "100", cnfPath, dratPath)
-	if code != 0 {
-		t.Fatalf("baseline exit %d:\n%s", code, baseOut)
-	}
-
-	fin, err := os.Open(cnfPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := cnf.ParseDimacs(fin)
-	fin.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pin, err := os.Open(dratPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := drat.Read(pin)
-	pin.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := filepath.Join(dir, "old.dpvj")
-	jw, err := journal.Create(j, journal.Meta{
-		Kind:      journal.Kind(3),
-		Interval:  100,
-		FormulaFP: journal.FingerprintFormula(f),
-		ProofFP:   p.Fingerprint(),
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An old-format record: version byte 1 (which core's payloads use too),
+	// drat's own record: version byte 1 (which core's payloads used too),
 	// next step, tautologies, propagations, bitmap length, bitmap.
-	nIDs := f.NumClauses() + p.Additions() - 1
-	rec := append([]byte{1}, make([]byte, 24)...)
-	rec = append(rec, byte(nIDs), byte(nIDs>>8), 0, 0, 0, 0, 0, 0)
-	rec = append(rec, make([]byte, (nIDs+7)/8)...)
-	if err := jw.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	nIDs := f.NumClauses() + dp.Additions() - 1
+	dratRecord := append([]byte{1}, make([]byte, 24)...)
+	dratRecord = append(dratRecord, byte(nIDs), byte(nIDs>>8), 0, 0, 0, 0, 0, 0)
+	dratRecord = append(dratRecord, make([]byte, (nIDs+7)/8)...)
 
-	cmd := exec.Command(dratcheck, "-backward",
-		"-checkpoint", j, "-checkpoint-every", "100", "-resume", cnfPath, dratPath)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("resume over a kind-3 journal: %v\nstderr:\n%s", err, stderr.String())
+	meta := func(kind journal.Kind, mode core.Mode, proofFP uint64) journal.Meta {
+		return journal.Meta{Kind: kind, Mode: uint8(mode), Engine: uint8(core.EngineWatched),
+			Interval: every, FormulaFP: journal.FingerprintFormula(f), ProofFP: proofFP}
 	}
-	if !strings.Contains(stderr.String(), "not resuming") || !strings.Contains(stderr.String(), "running from scratch") {
-		t.Errorf("no fallback warning on stderr:\n%s", stderr.String())
-	}
-	if stdout.String() != baseOut {
-		t.Errorf("stdout diverged from an uninterrupted run:\n got %q\nwant %q", stdout.String(), baseOut)
+	traceFP := journal.FingerprintTrace(tr)
+	for _, tc := range []struct {
+		name    string
+		bin     string
+		flags   []string // the baseline's and the resumed run's
+		proof   string
+		meta    journal.Meta
+		workers uint32 // header bytes 12-16, where kind 2 kept its worker count
+		record  []byte
+	}{
+		{"dag-kind4", dpv, []string{"-par", "3", "-sched", "dag"}, tracePath,
+			meta(journal.Kind(4), core.ModeCheckMarked, traceFP), 0,
+			// A version-3 record: version byte 3, flag byte 2, then the state.
+			append([]byte{3, 2}, make([]byte, 96)...)},
+		// A real record with only its version byte rewritten.
+		{"seq-v1", dpv, nil, tracePath,
+			meta(journal.KindVerifySeq, core.ModeCheckMarked, traceFP), 0,
+			append([]byte{1}, seqRecord[1:]...)},
+		// Chunked runs journaled in check-all mode; -all is the sequential
+		// run that would otherwise match.
+		{"par-kind2", dpv, []string{"-all"}, tracePath,
+			meta(journal.Kind(2), core.ModeCheckAll, traceFP), 3, parRecord},
+		{"drat-kind3", dratcheck, []string{"-backward"}, dratPath,
+			meta(journal.Kind(3), core.ModeCheckMarked, dp.Fingerprint()), 0, dratRecord},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := func(journalPath string, resume bool) []string {
+				a := append([]string{}, tc.flags...)
+				a = append(a, "-checkpoint", journalPath, "-checkpoint-every", strconv.Itoa(every))
+				if resume {
+					a = append(a, "-resume")
+				}
+				return append(a, cnfPath, tc.proof)
+			}
+			// Checkpointing resets the engine at every interval boundary,
+			// which shows in the propagation count: the baseline
+			// checkpoints too.
+			code, baseOut := runWithEnv(t, nil, tc.bin, args(filepath.Join(dir, tc.name+"-base.dpvj"), false)...)
+			if code != 0 {
+				t.Fatalf("baseline exit %d:\n%s", code, baseOut)
+			}
+
+			// The header and the one checkpoint frame, as the older binary
+			// wrote them.
+			h := journal.EncodeHeader(tc.meta)
+			binary.LittleEndian.PutUint32(h[12:], tc.workers)
+			binary.LittleEndian.PutUint32(h[36:], crc32.ChecksumIEEE(h[8:36]))
+			frame := binary.LittleEndian.AppendUint32([]byte{journal.MarkerCheckpoint}, uint32(len(tc.record)))
+			frame = append(frame, tc.record...)
+			frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
+			j := filepath.Join(dir, tc.name+".dpvj")
+			if err := os.WriteFile(j, append(h, frame...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			cmd := exec.Command(tc.bin, args(j, true)...)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout = &stdout
+			cmd.Stderr = &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("resume over a retired journal: %v\nstderr:\n%s", err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "not resuming") || !strings.Contains(stderr.String(), "running from scratch") {
+				t.Errorf("no fallback warning on stderr:\n%s", stderr.String())
+			}
+			if stdout.String() != baseOut {
+				t.Errorf("stdout diverged from an uninterrupted run:\n got %q\nwant %q", stdout.String(), baseOut)
+			}
+		})
 	}
 }
 

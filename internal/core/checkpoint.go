@@ -9,12 +9,12 @@ import (
 	"repro/internal/lrat"
 )
 
-// Checkpoint support for Verify and VerifyParallelOpts: every
-// CheckpointConfig.Every processed proof clauses the verifier serializes
-// its resumable state — the loop boundary, the marked-clause bitmap
-// (sequential modes) or the per-worker progress (parallel), and the
-// cumulative work counters — and hands it to the configured sink, which is
-// typically an internal/journal writer.
+// Checkpoint support for Verify: every CheckpointConfig.Every processed
+// proof clauses the verifier serializes its resumable state — the loop
+// boundary, the marked-clause bitmap, the cumulative work counters and,
+// on a run that records hints, the hint log — and hands it to the
+// configured sink, which is typically an internal/journal writer.
+// VerifyParallelOpts keeps no checkpoints.
 //
 // # Determinism across a crash
 //
@@ -38,8 +38,7 @@ import (
 // pass through identical engine states at every boundary, and everything
 // downstream — conflicts, marks, core, hints, counters — is identical by
 // construction. Cumulative bcp statistics survive resets in a statsBase
-// accumulator that the checkpoint carries. VerifyParallelOpts workers
-// still rebuild their engines from scratch at their boundaries.
+// accumulator that the checkpoint carries.
 //
 // Non-checkpointed runs never reset and are byte-for-byte unchanged.
 //
@@ -54,9 +53,8 @@ import (
 // CheckpointConfig enables durable progress records. The zero value
 // disables checkpointing entirely.
 type CheckpointConfig struct {
-	// Every is the checkpoint interval in processed proof clauses (per
-	// worker in parallel mode). Zero disables checkpointing; negative is
-	// invalid.
+	// Every is the checkpoint interval in processed proof clauses. Zero
+	// disables checkpointing; negative is invalid.
 	Every int
 	// Sink receives each encoded checkpoint record. It must make the
 	// record durable before returning (internal/journal.Writer.Append
@@ -79,25 +77,11 @@ func (c *CheckpointConfig) enabled() bool { return c != nil && c.Every > 0 }
 // CheckpointConfig.Resume without StartJournal.
 var ErrBadCheckpoint = errors.New("core: checkpoint does not match this verification")
 
-// WorkerState is one parallel worker's durable progress: the next trace
-// index its chunk loop will process (one below the last processed index;
-// may be lo-1 i.e. "chunk done"), its tally so far, and the bcp statistics
-// its engines accumulated.
-type WorkerState struct {
-	Next        int
-	Tested      int
-	Tautologies int
-	Stats       bcp.Stats
-}
-
 // Checkpoint is the decoded resumable state of a verification run.
 type Checkpoint struct {
-	// Par distinguishes parallel (per-worker) from sequential state.
-	Par bool
-
-	// Sequential state: the loop index to resume at (the paper's backward
-	// scan processes m-1 down to 0), the marked bitmap over nf+m clause
-	// slots, and the counters accumulated so far.
+	// The loop index to resume at (the paper's backward scan processes m-1
+	// down to 0), the marked bitmap over nf+m clause slots, and the
+	// counters accumulated so far.
 	NextIndex   int
 	Marked      []bool
 	Tested      int
@@ -105,25 +89,20 @@ type Checkpoint struct {
 	Tautologies int
 	Stats       bcp.Stats
 
-	// Parallel state: one entry per worker.
-	Workers []WorkerState
-
 	// Hints holds the steps recorded up to the boundary (nil when the run
-	// is not recording hints). Sequential checkpoints only. A resumed
-	// Verify records into a copy of it; DecodeCheckpoint's recorder has no
-	// spare capacity, so the copy never writes into the checkpoint's memory
-	// and one decoded checkpoint can seed more than one run.
+	// is not recording hints). A resumed Verify records into a copy of it;
+	// DecodeCheckpoint's recorder has no spare capacity, so the copy never
+	// writes into the checkpoint's memory and one decoded checkpoint can
+	// seed more than one run.
 	Hints *lrat.Recorder
 }
 
-// Payload versions. Version 3 (the phase-2 record of a retired two-phase
-// DAG-scheduled pipeline) is no longer written or accepted.
+// Payload versions. Versions 1 and 3 are no longer written or accepted:
+// version 1 was the per-worker state of a chunked parallel run and, before
+// core-first propagation, the sequential payload of runs that propagated
+// in input order; version 3 was the phase-2 record of a retired two-phase
+// DAG-scheduled pipeline.
 const (
-	// checkpointVersion is the parallel payload. Sequential version-1
-	// payloads predate core-first propagation: they were written by runs
-	// that propagated in input order, so they are refused rather than mixed
-	// with the order a resumed run would use.
-	checkpointVersion = 1
 	// checkpointVersionHints is the sequential payload of a run that records
 	// hints: the version-4 layout plus the hint-recorder blob after the
 	// marked bitmap. Such runs never propagate core-first.
@@ -159,31 +138,10 @@ func addStats(a, b bcp.Stats) bcp.Stats {
 	}
 }
 
-func subStats(a, b bcp.Stats) bcp.Stats {
-	return bcp.Stats{
-		Propagations:  a.Propagations - b.Propagations,
-		Refutations:   a.Refutations - b.Refutations,
-		Conflicts:     a.Conflicts - b.Conflicts,
-		WatcherVisits: a.WatcherVisits - b.WatcherVisits,
-		OccTouches:    a.OccTouches - b.OccTouches,
-	}
-}
-
 // Encode serializes the checkpoint (version byte, fixed-width
 // little-endian integers, packed bitmap, then the hint recorder's encoding)
 // into one buffer sized up front.
 func (cp *Checkpoint) Encode() []byte {
-	if cp.Par {
-		b := []byte{checkpointVersion, 1}
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(cp.Workers)))
-		for _, w := range cp.Workers {
-			b = binary.LittleEndian.AppendUint64(b, uint64(int64(w.Next)))
-			b = binary.LittleEndian.AppendUint64(b, uint64(w.Tested))
-			b = binary.LittleEndian.AppendUint64(b, uint64(w.Tautologies))
-			b = appendStats(b, w.Stats)
-		}
-		return b
-	}
 	ver, hintsLen := byte(checkpointVersionSeq), 0
 	if cp.Hints != nil {
 		ver, hintsLen = checkpointVersionHints, cp.Hints.EncodedLen()
@@ -223,41 +181,18 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 		return fail("payload too short")
 	}
 	ver := b[0]
-	if ver != checkpointVersion && ver != checkpointVersionHints && ver != checkpointVersionSeq {
-		return fail(fmt.Sprintf("payload version %d, want %d, %d or %d",
-			ver, checkpointVersion, checkpointVersionHints, checkpointVersionSeq))
+	if ver != checkpointVersionHints && ver != checkpointVersionSeq {
+		return fail(fmt.Sprintf("payload version %d, want %d or %d",
+			ver, checkpointVersionHints, checkpointVersionSeq))
 	}
-	par := b[1] == 1
-	if par != (ver == checkpointVersion) {
-		if par {
-			return fail(fmt.Sprintf("version-%d payload with parallel flag", ver))
-		}
-		return fail("sequential version-1 payload predates core-first propagation")
+	if b[1] != 0 {
+		return fail(fmt.Sprintf("version-%d payload with flag byte %d", ver, b[1]))
 	}
 	b = b[2:]
-	cp := &Checkpoint{Par: par}
-	need := func(n int) bool { return len(b) >= n }
-	if par {
-		if !need(8) {
-			return fail("truncated worker count")
-		}
-		n := int(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-		if n < 0 || n > 1<<20 || !need(n*(3*8+5*8)) {
-			return fail("truncated worker states")
-		}
-		cp.Workers = make([]WorkerState, n)
-		for i := range cp.Workers {
-			cp.Workers[i].Next = int(int64(binary.LittleEndian.Uint64(b)))
-			cp.Workers[i].Tested = int(binary.LittleEndian.Uint64(b[8:]))
-			cp.Workers[i].Tautologies = int(binary.LittleEndian.Uint64(b[16:]))
-			cp.Workers[i].Stats, b = readStats(b[24:])
-		}
-		return cp, nil
+	if len(b) < 4*8+5*8+8 {
+		return fail("truncated state")
 	}
-	if !need(4*8 + 5*8 + 8) {
-		return fail("truncated sequential state")
-	}
+	cp := &Checkpoint{}
 	cp.NextIndex = int(int64(binary.LittleEndian.Uint64(b)))
 	cp.Tested = int(binary.LittleEndian.Uint64(b[8:]))
 	cp.Skipped = int(binary.LittleEndian.Uint64(b[16:]))
@@ -293,17 +228,13 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// fit is the one resume decision, made by Verify and VerifyParallelOpts on
-// CheckpointConfig.Resume and by StartJournal on a journal's last record. It
-// reports why cp could not have been written by a run over nf formula and m
-// proof clauses on the given workers (0 = sequential) that records hints or
-// not.
-func (cp *Checkpoint) fit(nf, m, workers int, hinted bool) error {
+// fit is the one resume decision, made by Verify on CheckpointConfig.Resume
+// and by StartJournal on a journal's last record. It reports why cp could
+// not have been written by a run over nf formula and m proof clauses that
+// records hints or not.
+func (cp *Checkpoint) fit(nf, m int, hinted bool) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: "+format, append([]any{ErrBadCheckpoint}, args...)...)
-	}
-	if cp.Par != (workers > 0) {
-		return fail("parallel flag %v does not match workers=%d", cp.Par, workers)
 	}
 	switch {
 	case cp.Hints != nil && !hinted:
@@ -315,27 +246,6 @@ func (cp *Checkpoint) fit(nf, m, workers int, hinted bool) error {
 		// crash; a checkpoint written without a recorder cannot provide
 		// them, so refuse rather than emit a silently truncated proof.
 		return fail("checkpoint carries no hint recorder")
-	}
-	if cp.Par {
-		if len(cp.Workers) != workers {
-			return fail("%d worker states for %d workers", len(cp.Workers), workers)
-		}
-		chunk := (m + workers - 1) / workers
-		for w, st := range cp.Workers {
-			lo, hi := w*chunk, min((w+1)*chunk, m)
-			if lo >= hi {
-				// Empty chunk (workers does not divide m evenly); its slot
-				// carries the "no work" sentinel m.
-				if st.Next != m {
-					return fail("worker %d has empty chunk but next index %d", w, st.Next)
-				}
-				continue
-			}
-			if st.Next < lo-1 || st.Next >= hi {
-				return fail("worker %d next index %d outside chunk [%d,%d)", w, st.Next, lo, hi)
-			}
-		}
-		return nil
 	}
 	if cp.NextIndex < 0 || cp.NextIndex >= m {
 		return fail("next index %d outside trace of %d clauses", cp.NextIndex, m)

@@ -25,23 +25,7 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got) != fmt.Sprint(seq) {
-		t.Fatalf("sequential round trip:\n got %+v\nwant %+v", got, seq)
-	}
-
-	par := &Checkpoint{
-		Par: true,
-		Workers: []WorkerState{
-			{Next: 10, Tested: 5, Tautologies: 0, Stats: bcp.Stats{Propagations: 50}},
-			{Next: 20, Tested: 7, Tautologies: 2, Stats: bcp.Stats{Conflicts: 7, OccTouches: 3}},
-			{Next: -1, Tested: 0, Tautologies: 0},
-		},
-	}
-	got, err = DecodeCheckpoint(par.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(par) {
-		t.Fatalf("parallel round trip:\n got %+v\nwant %+v", got, par)
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, seq)
 	}
 }
 
@@ -49,10 +33,9 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{},
-		{checkpointVersion},
-		{checkpointVersion + 9, 0},
-		{checkpointVersionSeq, 0, 1, 2, 3}, // truncated sequential state
-		{checkpointVersion, 1, 4, 0, 0, 0, 0, 0, 0, 0}, // 4 workers, no states
+		{checkpointVersionSeq},
+		{checkpointVersionSeq + 9, 0},
+		{checkpointVersionSeq, 0, 1, 2, 3}, // truncated state
 	}
 	for i, b := range cases {
 		if _, err := DecodeCheckpoint(b); !errors.Is(err, ErrBadCheckpoint) {
@@ -66,54 +49,46 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 	}
 }
 
-// Version 3 was the phase-2 record of the retired two-phase DAG pipeline.
-// A journal written by an older binary can still hold one; it must decode
-// to ErrBadCheckpoint so resume falls back to a full run.
-func TestDecodeCheckpointRejectsRetiredV3(t *testing.T) {
+// Versions 1 and 3 are retired: version 1 was a chunked parallel run's
+// per-worker state and, before core-first propagation, the sequential
+// payload; version 3 was the phase-2 record of the retired two-phase DAG
+// pipeline. A journal written by an older binary can still hold one; it
+// must decode to ErrBadCheckpoint so resume falls back to a full run,
+// while the current versions 2 and 4 still decode.
+func TestDecodeCheckpointRejectsRetired(t *testing.T) {
+	seq := (&Checkpoint{NextIndex: 3, Marked: make([]bool, 10), Tested: 2}).Encode()
 	hinted := (&Checkpoint{NextIndex: 3, Marked: make([]bool, 10), Hints: new(lrat.Recorder)}).Encode()
-	if hinted[0] != checkpointVersionHints {
-		t.Fatalf("hinted payload has version %d, want %d", hinted[0], checkpointVersionHints)
-	}
-	// The old v3 layout was the hinted layout under version byte 3 and
-	// flag byte 2.
-	v3 := append([]byte{3, 2}, hinted[2:]...)
-	for _, b := range [][]byte{v3, append([]byte{3}, hinted[1:]...)} {
-		if _, err := DecodeCheckpoint(b); !errors.Is(err, ErrBadCheckpoint) {
-			t.Fatalf("version-3 payload: err = %v, want ErrBadCheckpoint", err)
+	for _, b := range [][]byte{seq, hinted} {
+		if _, err := DecodeCheckpoint(b); err != nil {
+			t.Fatalf("version-%d payload: %v", b[0], err)
 		}
 	}
-}
-
-// Sequential version-1 payloads were written by runs that propagated in
-// input order. They must decode to ErrBadCheckpoint, so that a resume runs
-// from scratch instead of mixing that order with core-first propagation;
-// parallel version-1 and hinted version-2 payloads still decode.
-func TestDecodeCheckpointRejectsSequentialV1(t *testing.T) {
-	seq := (&Checkpoint{NextIndex: 3, Marked: make([]bool, 10), Tested: 2}).Encode()
-	if seq[0] != checkpointVersionSeq {
-		t.Fatalf("unhinted sequential payload has version %d, want %d", seq[0], checkpointVersionSeq)
+	if seq[0] != checkpointVersionSeq || hinted[0] != checkpointVersionHints {
+		t.Fatalf("payload versions %d and %d, want %d and %d",
+			seq[0], hinted[0], checkpointVersionSeq, checkpointVersionHints)
 	}
-	if _, err := DecodeCheckpoint(seq); err != nil {
-		t.Fatalf("version-%d payload: %v", checkpointVersionSeq, err)
-	}
-	// The version-1 sequential layout is the version-4 one under byte 1.
-	v1 := append([]byte{checkpointVersion}, seq[1:]...)
-	if _, err := DecodeCheckpoint(v1); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("sequential version-1 payload: err = %v, want ErrBadCheckpoint", err)
-	}
-	par := (&Checkpoint{Par: true, Workers: []WorkerState{{Next: 2}}}).Encode()
-	if par[0] != checkpointVersion {
-		t.Fatalf("parallel payload has version %d, want %d", par[0], checkpointVersion)
-	}
-	if _, err := DecodeCheckpoint(par); err != nil {
-		t.Fatalf("parallel version-1 payload: %v", err)
-	}
-	if _, err := DecodeCheckpoint(append([]byte{checkpointVersionSeq}, par[1:]...)); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("version-4 payload with parallel flag: err = %v, want ErrBadCheckpoint", err)
-	}
-	hinted := (&Checkpoint{NextIndex: 3, Marked: make([]bool, 10), Hints: new(lrat.Recorder)}).Encode()
-	if _, err := DecodeCheckpoint(hinted); err != nil {
-		t.Fatalf("hinted version-2 payload: %v", err)
+	// A chunked run's record: version 1, flag byte 1, a worker count, and
+	// per worker its next index, tested and tautology counts and five bcp
+	// counters.
+	par := append([]byte{1, 1, 3, 0, 0, 0, 0, 0, 0, 0}, make([]byte, 3*8*8)...)
+	for _, tc := range []struct {
+		name string
+		b    []byte
+	}{
+		// The version-1 sequential layout is the version-4 one under byte 1.
+		{"v1-sequential", append([]byte{1}, seq[1:]...)},
+		{"v1-parallel", par},
+		// The version-3 layout was the hinted one under version byte 3 and
+		// flag byte 2.
+		{"v3", append([]byte{3, 2}, hinted[2:]...)},
+		{"v3-flag0", append([]byte{3}, hinted[1:]...)},
+		{"v4-parallel-flag", append([]byte{checkpointVersionSeq}, par[1:]...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := DecodeCheckpoint(tc.b); !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("err = %v, want ErrBadCheckpoint", err)
+			}
+		})
 	}
 }
 
@@ -165,41 +140,22 @@ func TestResumeRefusesHintedCheckpointWithoutHints(t *testing.T) {
 
 func TestCheckpointFit(t *testing.T) {
 	ok := &Checkpoint{NextIndex: 5, Marked: make([]bool, 10+20)}
-	if err := ok.fit(10, 20, 0, false); err != nil {
+	if err := ok.fit(10, 20, false); err != nil {
 		t.Fatal(err)
 	}
 	bad := []*Checkpoint{
 		{NextIndex: 20, Marked: make([]bool, 30)},                           // index out of range
 		{NextIndex: -1, Marked: make([]bool, 30)},                           // index out of range
 		{NextIndex: 5, Marked: make([]bool, 29)},                            // bitmap size
-		{Par: true, Workers: make([]WorkerState, 2)},                        // parallel vs sequential
 		{NextIndex: 5, Marked: make([]bool, 30), Hints: new(lrat.Recorder)}, // hinted record, unhinted run
 	}
 	for i, cp := range bad {
-		if err := cp.fit(10, 20, 0, false); !errors.Is(err, ErrBadCheckpoint) {
+		if err := cp.fit(10, 20, false); !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("case %d: err = %v, want ErrBadCheckpoint", i, err)
 		}
 	}
-	if err := ok.fit(10, 20, 0, true); !errors.Is(err, ErrBadCheckpoint) {
+	if err := ok.fit(10, 20, true); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("unhinted record, hinted run: err = %v, want ErrBadCheckpoint", err)
-	}
-
-	// Parallel: m=5, workers=4 → chunk=2, chunks [0,2) [2,4) [4,5) and one
-	// empty chunk whose slot must carry the sentinel m.
-	pok := &Checkpoint{Par: true, Workers: []WorkerState{
-		{Next: 1}, {Next: 3}, {Next: 4}, {Next: 5},
-	}}
-	if err := pok.fit(10, 5, 4, false); err != nil {
-		t.Fatal(err)
-	}
-	pbad := &Checkpoint{Par: true, Workers: []WorkerState{
-		{Next: 1}, {Next: 3}, {Next: 4}, {Next: 0}, // empty chunk without sentinel
-	}}
-	if err := pbad.fit(10, 5, 4, false); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("err = %v, want ErrBadCheckpoint", err)
-	}
-	if err := pok.fit(10, 5, 3, false); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("worker count mismatch: err = %v, want ErrBadCheckpoint", err)
 	}
 }
 
@@ -335,55 +291,9 @@ func TestSequentialBudgetInterruptThenResume(t *testing.T) {
 	}
 }
 
-// TestParallelResumeMatchesUninterrupted mirrors the golden test for the
-// parallel verifier: resuming from every journal record reproduces the
-// uninterrupted tallies and counters.
-func TestParallelResumeMatchesUninterrupted(t *testing.T) {
-	f, tr := longChain(100)
-	const workers, every = 3, 8
-	for _, eng := range []EngineKind{EngineWatched, EngineCounting} {
-		eng := eng
-		t.Run(fmt.Sprint(eng), func(t *testing.T) {
-			var records [][]byte
-			regA := obs.New()
-			resA, err := VerifyParallelOpts(f, tr, Options{Engine: eng, Obs: regA,
-				Checkpoint: CheckpointConfig{Every: every, Sink: func(p []byte) error {
-					records = append(records, append([]byte(nil), p...))
-					return nil
-				}}}, workers)
-			if err != nil || !resA.OK {
-				t.Fatalf("uninterrupted: err=%v res=%+v", err, resA)
-			}
-			if len(records) == 0 {
-				t.Fatal("no checkpoint records written")
-			}
-			wantRes := resultFingerprint(resA)
-			wantObs := fmt.Sprint(snapshotCounters(regA))
-
-			for k, rec := range records {
-				cp, err := DecodeCheckpoint(rec)
-				if err != nil {
-					t.Fatalf("record %d: %v", k, err)
-				}
-				regC := obs.New()
-				resC, err := VerifyParallelOpts(f, tr, Options{Engine: eng, Obs: regC,
-					Checkpoint: CheckpointConfig{Every: every, Resume: cp}}, workers)
-				if err != nil {
-					t.Fatalf("resume from record %d: %v", k, err)
-				}
-				if got := resultFingerprint(resC); got != wantRes {
-					t.Fatalf("resume from record %d diverged:\n got %s\nwant %s", k, got, wantRes)
-				}
-				if got := fmt.Sprint(snapshotCounters(regC)); got != wantObs {
-					t.Fatalf("resume from record %d: counters diverged:\n got %s\nwant %s", k, got, wantObs)
-				}
-			}
-		})
-	}
-}
-
 // TestResumeRequiresValidation: handing Verify a checkpoint that does not
-// fit the run must fail loudly, not corrupt the scan.
+// fit the run must fail loudly, not corrupt the scan, and VerifyParallelOpts
+// refuses checkpointing outright, even on one worker.
 func TestResumeRequiresValidation(t *testing.T) {
 	f, tr := longChain(30)
 	cp := &Checkpoint{NextIndex: 999, Marked: make([]bool, 5)}
@@ -395,8 +305,13 @@ func TestResumeRequiresValidation(t *testing.T) {
 	if _, err := Verify(f, tr, Options{Checkpoint: CheckpointConfig{Resume: good}}); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("err = %v, want ErrBadCheckpoint", err)
 	}
-	if _, err := VerifyParallelOpts(f, tr, Options{Checkpoint: CheckpointConfig{Resume: good}}, 4); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("parallel err = %v, want ErrBadCheckpoint", err)
+	for _, workers := range []int{1, 4} {
+		for _, ck := range []CheckpointConfig{{Every: 4}, {Resume: good}} {
+			if _, err := VerifyParallelOpts(f, tr, Options{Checkpoint: ck}, workers); !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("parallel workers=%d every=%d resume=%v: err = %v, want ErrBadCheckpoint",
+					workers, ck.Every, ck.Resume != nil, err)
+			}
+		}
 	}
 }
 

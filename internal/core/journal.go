@@ -9,17 +9,16 @@ import (
 
 // Journal is one run's checkpoint journal (internal/journal) from start to
 // close-out. StartJournal decides whether the old journal's last record may
-// seed the run — the same decision Verify and VerifyParallelOpts make on
-// CheckpointConfig.Resume — so every caller resumes by the same rule.
+// seed the run — the same decision Verify makes on CheckpointConfig.Resume —
+// so every caller resumes by the same rule.
 type Journal struct {
 	w *journal.Writer
 }
 
 // StartJournal opens the checkpoint journal at path for a run of f against
 // a proof of m clauses whose fingerprint is proofFP (journal.FingerprintTrace,
-// or a DRUP proof's own). The run checkpoints every `every` proof clauses
-// with opt's mode, engine and hint recording, sequentially (workers == 0,
-// Verify) or chunked (VerifyParallelOpts's workers argument).
+// or a DRUP proof's own). The run is a Verify that checkpoints every `every`
+// proof clauses with opt's mode, engine and hint recording.
 //
 // With resume set it reads the journal already at path and resumes from its
 // last record when the journal matches the run and the record fits it;
@@ -29,7 +28,7 @@ type Journal struct {
 // durable progress is lost, and sets opt.Checkpoint's Every, Sink and
 // Resume; callers may wrap the Sink. On err no journal was started and opt
 // is unchanged.
-func StartJournal(path string, f *cnf.Formula, m int, proofFP uint64, opt *Options, every, workers int, resume bool) (j *Journal, warn, err error) {
+func StartJournal(path string, f *cnf.Formula, m int, proofFP uint64, opt *Options, every int, resume bool) (j *Journal, warn, err error) {
 	meta := journal.Meta{
 		Kind:      journal.KindVerifySeq,
 		Mode:      uint8(opt.Mode),
@@ -38,23 +37,13 @@ func StartJournal(path string, f *cnf.Formula, m int, proofFP uint64, opt *Optio
 		FormulaFP: journal.FingerprintFormula(f),
 		ProofFP:   proofFP,
 	}
-	// checked is the worker count the verifier validates a resume against:
-	// a chunked run that resolves to one worker runs sequential Verify.
-	checked := 0
-	if workers != 0 {
-		meta.Kind, meta.Mode = journal.KindVerifyParallel, uint8(ModeCheckAll)
-		meta.Workers = uint32(ResolveWorkers(m, workers))
-		if meta.Workers > 1 {
-			checked = int(meta.Workers)
-		}
-	}
 	var cp *Checkpoint
 	var payload []byte
 	if resume {
 		payload, warn = journal.Open(path, meta, opt.Obs)
 		if warn == nil {
 			if cp, warn = DecodeCheckpoint(payload); warn == nil {
-				warn = cp.fit(len(f.Clauses), m, checked, opt.Hints != nil)
+				warn = cp.fit(len(f.Clauses), m, opt.Hints != nil)
 			}
 		}
 		if warn != nil {

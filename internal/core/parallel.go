@@ -13,14 +13,11 @@ import (
 	"repro/internal/proof"
 )
 
-// ResolveWorkers maps a requested worker count to the effective one for a
+// resolveWorkers maps a requested worker count to the effective one for a
 // fixed-chunk run over a proof of m clauses: non-positive selects
 // GOMAXPROCS, and the count is clamped to m because a chunk needs at least
-// one clause. CLI callers use it to record the effective parallelism in a
-// checkpoint journal's metadata before VerifyParallelOpts applies the same
-// resolution — the chunk geometry (and hence the durable per-worker state)
-// depends on it, so a chunked journal is only resumable at the same count.
-func ResolveWorkers(m, workers int) int {
+// one clause.
+func resolveWorkers(m, workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -66,21 +63,27 @@ type chunkTally struct {
 // The run cannot honor opt.Mode — marking (and hence core extraction and
 // Verification2's skipping) is inherently sequential, so chunked workers
 // check every clause regardless and extract no core — and it rejects
-// opt.Hints.
+// opt.Hints and opt.Checkpoint (with ErrBadCheckpoint): the resumable
+// check-all run is the sequential Verify with ModeCheckAll.
 //
 // Failure isolation: a panic inside a worker is recovered and attributed
-// (worker id + chunk bounds); the chunk is retried once on the fallback
-// engine before the run gives up with a *WorkerPanicError. Cancellation,
-// deadline and budget exhaustion stop every worker promptly and return the
-// aggregated partial Result alongside the distinct error, exactly like the
-// sequential Verify.
+// (worker id + chunk bounds); the chunk is retried once, from its top, on
+// the fallback engine before the run gives up with a *WorkerPanicError.
+// Cancellation, deadline and budget exhaustion stop every worker promptly
+// and return the aggregated partial Result alongside the distinct error,
+// exactly like the sequential Verify.
 func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int) (*Result, error) {
 	term := t.Terminates()
 	if term == proof.TermNone {
 		return nil, errTermination()
 	}
+	if ck := opt.Checkpoint; ck.Every != 0 || ck.Sink != nil || ck.Resume != nil {
+		// Refused before the one-worker fallback, so whether a run may
+		// checkpoint never depends on GOMAXPROCS or the proof length.
+		return nil, fmt.Errorf("%w: checkpointing requires sequential verification", ErrBadCheckpoint)
+	}
 	m := len(t.Clauses)
-	workers = ResolveWorkers(m, workers)
+	workers = resolveWorkers(m, workers)
 	if workers <= 1 {
 		seq := opt
 		seq.Mode = ModeCheckAll
@@ -101,15 +104,6 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 		return &Result{FailedIndex: -1, StoppedAt: -1, Termination: term,
 			ProofClauses: m, Incomplete: true}, err
 	}
-	ck := opt.Checkpoint
-	if ck.Resume != nil {
-		if !ck.enabled() {
-			return nil, fmt.Errorf("%w: resume requires a checkpoint interval", ErrBadCheckpoint)
-		}
-		if err := ck.Resume.fit(len(f.Clauses), m, workers, false); err != nil {
-			return nil, err
-		}
-	}
 
 	span := opt.Obs.StartSpan("verify-parallel")
 	defer span.End()
@@ -118,7 +112,6 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 	cTaut := opt.Obs.Counter("verify.tautologies")
 	cPanics := opt.Obs.Counter("verify.worker_panics")
 	cRetries := opt.Obs.Counter("verify.chunk_retries")
-	cCkpt := opt.Obs.Counter("verify.checkpoints")
 	hChunkProps := opt.Obs.Histogram("verify.props_per_chunk")
 
 	nVars := f.NumVars
@@ -169,54 +162,7 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 		}
 	}
 
-	// slots is the durable per-worker progress: each worker owns its entry
-	// and commits an updated copy at every checkpoint boundary; the sink
-	// record is a snapshot of the whole array, so any single record can
-	// restart every worker. ckMu serializes slot updates with the snapshot
-	// and keeps journal appends ordered.
-	var ckMu sync.Mutex
 	chunk := (m + workers - 1) / workers
-	slots := make([]WorkerState, workers)
-	for w := range slots {
-		lo, hi := w*chunk, min((w+1)*chunk, m)
-		if lo >= hi {
-			slots[w].Next = m // empty chunk sentinel, see Checkpoint.fit
-		} else {
-			slots[w].Next = hi - 1
-		}
-	}
-	if rcp := ck.Resume; rcp != nil {
-		copy(slots, rcp.Workers)
-		// Re-seed the aggregate counters so a resumed run's final snapshot
-		// equals an uninterrupted run's.
-		var tested, taut int64
-		var st bcp.Stats
-		for _, ws := range rcp.Workers {
-			tested += int64(ws.Tested)
-			taut += int64(ws.Tautologies)
-			st = addStats(st, ws.Stats)
-		}
-		cChecked.Add(tested)
-		cTaut.Add(taut)
-		publishStats(opt.Obs, st)
-	}
-	commitSlot := func(w int, st WorkerState) error {
-		ckMu.Lock()
-		defer ckMu.Unlock()
-		slots[w] = st
-		cCkpt.Inc()
-		if ck.Sink == nil {
-			return nil
-		}
-		cp := &Checkpoint{Par: true, Workers: append([]WorkerState(nil), slots...)}
-		return ck.Sink(cp.Encode())
-	}
-	readSlot := func(w int) WorkerState {
-		ckMu.Lock()
-		defer ckMu.Unlock()
-		return slots[w]
-	}
-
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
@@ -237,24 +183,19 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 			wspan := span.ChildOn(wtrack, fmt.Sprintf("worker-%d [%d,%d)", w, lo, hi))
 			defer wspan.End()
 
-			// runAttempt checks trace clauses [seed.Next..lo] on a fresh
-			// engine, seeded from the worker's committed slot (the chunk top
-			// on a fresh run, the last checkpoint after a resume or a panic
-			// retry). A recovered panic reverts the tally to the seed — a
-			// retry redoes everything since the last commit, so merging
-			// would double count — while a stop error keeps it, so the
-			// aggregated partial Result stays accurate.
+			// runAttempt checks trace clauses [hi-1..lo] on a fresh engine.
+			// A recovered panic discards the tally — a retry redoes the
+			// whole chunk, so merging would double count — while a stop
+			// error keeps it, so the aggregated partial Result stays
+			// accurate.
 			// panicked distinguishes a panic in THIS worker's attempt from a
 			// stop error merely relayed by the hook (which may itself be
 			// another worker's WorkerPanicError).
 			runAttempt := func(attempt int, kind EngineKind) (tally chunkTally, err error, panicked bool) {
-				seed := readSlot(w)
-				seedTally := chunkTally{tested: seed.Tested, taut: seed.Tautologies,
-					failed: -1, props: seed.Stats.Propagations}
-				tally = seedTally
+				tally.failed = -1
 				defer func() {
 					if r := recover(); r != nil {
-						tally = seedTally
+						tally = chunkTally{failed: -1}
 						err = &WorkerPanicError{Worker: w, Lo: lo, Hi: hi,
 							Attempts: attempt + 1, Value: r, Stack: debug.Stack()}
 						panicked = true
@@ -264,90 +205,46 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 					parallelChunkHook(w, lo, hi, attempt)
 				}
 				wtrack.Instant(fmt.Sprintf("chunk.claim [%d,%d)", lo, hi), int64(attempt))
-				startAt := seed.Next
-				if startAt < lo {
-					// The resumed state says this chunk is already done.
-					hChunkProps.Observe(tally.props)
-					return tally, nil, false
-				}
-				statsBase := seed.Stats
-				var eng bcp.Propagator
-				defer func() {
-					if eng != nil {
-						// Publish only this attempt's new work; the seed
-						// portion was published once during resume setup.
-						publishStats(opt.Obs, subStats(addStats(statsBase, eng.Stats()), seed.Stats))
-					}
-				}()
-				totalProps := func() int64 {
-					if eng == nil {
-						return statsBase.Propagations
-					}
-					return statsBase.Propagations + eng.Propagations()
-				}
-				stop := mkStop(totalProps)
-				// buildEngine (re)creates the engine with the formula and
-				// trace prefix [0, upto) active, folding the previous
-				// engine's statistics into statsBase. Under checkpointing it
-				// runs at every epoch boundary so interrupted and
-				// uninterrupted runs share engine states (see checkpoint.go);
-				// clause i is checked after deactivating ids >= i, i.e. we
-				// add [0, upto) and walk backwards like the sequential code.
-				buildEngine := func(upto int) {
-					if eng != nil {
-						statsBase = addStats(statsBase, eng.Stats())
-					}
-					if kind == EngineCounting {
-						eng = bcp.NewCounting(nVars)
-					} else {
-						watched := bcp.NewEngine(nVars)
-						// Size the clause store once, as the sequential
-						// buildEngine does.
-						watched.Reserve(nf+upto, formulaLits+numLits(t.Clauses[:upto]))
-						eng = watched
-					}
-					eng.SetStop(stop)
-					eng.SetTrace(wtrack)
-					for _, c := range f.Clauses {
-						eng.Add(c)
-					}
-					for i := 0; i < upto; i++ {
-						eng.Add(t.Clauses[i])
-					}
-				}
 
+				// The engine holds the formula and the trace prefix [0, hi);
+				// clause i is checked after deactivating ids >= i, walking
+				// backwards like the sequential code.
 				build := wspan.Child("build-db")
-				buildEngine(startAt + 1)
+				var eng bcp.Propagator
+				if kind == EngineCounting {
+					eng = bcp.NewCounting(nVars)
+				} else {
+					watched := bcp.NewEngine(nVars)
+					// Size the clause store once, as the sequential
+					// buildEngine does.
+					watched.Reserve(nf+hi, formulaLits+numLits(t.Clauses[:hi]))
+					eng = watched
+				}
+				defer func() { publishStats(opt.Obs, eng.Stats()) }()
+				stop := mkStop(eng.Propagations)
+				eng.SetStop(stop)
+				eng.SetTrace(wtrack)
+				for _, c := range f.Clauses {
+					eng.Add(c)
+				}
+				for _, c := range t.Clauses[:hi] {
+					eng.Add(c)
+				}
 				build.End()
 
-				completed := true
-				for i := startAt; i >= lo; i-- {
-					if ck.enabled() && i != startAt && (hi-1-i)%ck.Every == 0 {
-						// Per-worker epoch boundary, anchored at the chunk
-						// top: canonical rebuild, then a durable record of
-						// every worker's slot.
-						buildEngine(i + 1)
-						wtrack.Instant("checkpoint.epoch", int64(i))
-						st := WorkerState{Next: i, Tested: tally.tested,
-							Tautologies: tally.taut, Stats: statsBase}
-						if cerr := commitSlot(w, st); cerr != nil {
-							tally.props = totalProps()
-							return tally, fmt.Errorf("core: checkpoint append: %w", cerr), false
-						}
-					}
+				for i := hi - 1; i >= lo; i-- {
 					if failedAt.Load() != int32(m) {
-						completed = false
 						break // some worker already found a bad clause
 					}
 					if serr := stop(); serr != nil {
-						tally.props = totalProps()
+						tally.props = eng.Propagations()
 						return tally, serr, false
 					}
 					eng.Deactivate(bcp.ID(nf + i))
 					opt.Progress.Step(1)
 					conflict, selfContra := eng.Refute(t.Clauses[i])
 					if serr := eng.StopErr(); serr != nil {
-						tally.props = totalProps()
+						tally.props = eng.Propagations()
 						return tally, serr, false
 					}
 					if selfContra {
@@ -367,20 +264,10 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 								break
 							}
 						}
-						completed = false
 						break
 					}
 				}
-				tally.props = totalProps()
-				if completed && ck.enabled() {
-					// Chunk-done record (Next = lo-1): a later resume skips
-					// this chunk entirely and reuses its final tallies.
-					st := WorkerState{Next: lo - 1, Tested: tally.tested,
-						Tautologies: tally.taut, Stats: addStats(statsBase, eng.Stats())}
-					if cerr := commitSlot(w, st); cerr != nil {
-						return tally, fmt.Errorf("core: checkpoint append: %w", cerr), false
-					}
-				}
+				tally.props = eng.Propagations()
 				hChunkProps.Observe(tally.props)
 				return tally, nil, false
 			}

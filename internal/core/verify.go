@@ -84,7 +84,8 @@ func (k EngineKind) String() string {
 //
 // Mode is honored by sequential Verify only; parallel runs cannot honor it
 // — marking is inherently sequential, so VerifyParallelOpts checks every
-// clause regardless of Mode. See VerifyParallelOpts.
+// clause regardless of Mode — and Checkpoint and Hints are sequential only.
+// See VerifyParallelOpts.
 type Options struct {
 	Mode   Mode
 	Engine EngineKind
@@ -113,7 +114,9 @@ type Options struct {
 
 	// Checkpoint configures durable progress records and resume; the zero
 	// value disables both and leaves the check loop byte-for-byte
-	// unchanged. See checkpoint.go for the determinism contract.
+	// unchanged. Sequential Verify only; VerifyParallelOpts rejects any
+	// other value with ErrBadCheckpoint. See checkpoint.go for the
+	// determinism contract.
 	Checkpoint CheckpointConfig
 
 	// Hints, when non-nil, records an LRAT hint step for every successfully
@@ -231,7 +234,7 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 		if !ck.enabled() {
 			return nil, fmt.Errorf("%w: resume requires a checkpoint interval", ErrBadCheckpoint)
 		}
-		if err := ck.Resume.fit(nf, m, 0, opt.Hints != nil); err != nil {
+		if err := ck.Resume.fit(nf, m, opt.Hints != nil); err != nil {
 			return nil, err
 		}
 		if ck.Resume.Hints != nil {
@@ -565,16 +568,8 @@ func numLits(cs []cnf.Clause) int {
 	return n
 }
 
-// publishEngine copies a propagator's cumulative counters into the
-// registry's bcp.* namespace. Called once per engine at the end of a
-// verification (Add is cumulative, so parallel workers simply sum).
-func publishEngine(r *obs.Registry, eng bcp.Propagator) {
-	if r == nil || eng == nil {
-		return
-	}
-	publishStats(r, eng.Stats())
-}
-
+// publishStats adds a propagator's counters to the registry's bcp.*
+// namespace (Add is cumulative, so parallel workers simply sum).
 func publishStats(r *obs.Registry, st bcp.Stats) {
 	if r == nil {
 		return
@@ -584,18 +579,4 @@ func publishStats(r *obs.Registry, st bcp.Stats) {
 	r.Counter("bcp.conflicts").Add(st.Conflicts)
 	r.Counter("bcp.watcher_visits").Add(st.WatcherVisits)
 	r.Counter("bcp.occ_touches").Add(st.OccTouches)
-}
-
-// VerifyFormulaUnsat is a convenience wrapper asserting a successful
-// verification; it returns an error describing the failure otherwise.
-func VerifyFormulaUnsat(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
-	res, err := Verify(f, t, opt)
-	if err != nil {
-		return nil, err
-	}
-	if !res.OK {
-		return res, fmt.Errorf("core: proof clause %d (%v) is not implied — the producing solver is buggy",
-			res.FailedIndex, res.FailedClause)
-	}
-	return res, nil
 }

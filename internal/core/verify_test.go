@@ -286,21 +286,6 @@ func TestVerifyProofUsesVarsBeyondFormula(t *testing.T) {
 	}
 }
 
-func TestVerifyFormulaUnsatWrapper(t *testing.T) {
-	f, tr := chainFormula()
-	if _, err := VerifyFormulaUnsat(f, tr, Options{}); err != nil {
-		t.Errorf("valid proof: %v", err)
-	}
-	// A conflicting pair over a fresh variable is not derivable: falsifying
-	// (9) propagates nothing (x9 occurs nowhere in F).
-	bad := proof.New()
-	bad.Append(cl(-9), 0)
-	bad.Append(cl(9), 0)
-	if _, err := VerifyFormulaUnsat(f, bad, Options{}); err == nil {
-		t.Error("invalid proof accepted")
-	}
-}
-
 func TestTrim(t *testing.T) {
 	f, tr := chainFormula()
 	padded := proof.New()

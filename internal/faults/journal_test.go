@@ -33,7 +33,7 @@ func TestJournalFaultMatrix(t *testing.T) {
 	dir := t.TempDir()
 	cleanPath := filepath.Join(dir, "ckpt.dpvj")
 	opt := core.Options{Mode: core.ModeCheckMarked}
-	jw, _, err := core.StartJournal(cleanPath, f, tr.Len(), proofFP, &opt, every, 0, false)
+	jw, _, err := core.StartJournal(cleanPath, f, tr.Len(), proofFP, &opt, every, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestJournalFaultMatrix(t *testing.T) {
 
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 				opt := core.Options{Mode: core.ModeCheckMarked, Ctx: ctx}
-				j, warn, err := core.StartJournal(path, f, tr.Len(), proofFP, &opt, every, 0, true)
+				j, warn, err := core.StartJournal(path, f, tr.Len(), proofFP, &opt, every, true)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

@@ -22,8 +22,9 @@
 // File layout (all integers little-endian):
 //
 //	header:  "DPVJ" | version u32 | kind u8 | mode u8 | engine u8 | pad u8 |
-//	         workers u32 | interval u32 | formulaFP u64 | proofFP u64 |
-//	         crc32 u32 (over the bytes after version, i.e. [8:36))
+//	         reserved u32 (zero) | interval u32 | formulaFP u64 |
+//	         proofFP u64 | crc32 u32 (over the bytes after version, i.e.
+//	         [8:36))
 //	record:  marker u8 ('C' checkpoint, 'F' final) | len u32 | payload |
 //	         crc32 u32 (over marker+len+payload)
 package journal
@@ -66,37 +67,31 @@ type Kind uint8
 const (
 	// KindVerifySeq is the sequential core.Verify (pv1 and pv2).
 	KindVerifySeq Kind = 1
-	// KindVerifyParallel is core.VerifyParallelOpts.
-	KindVerifyParallel Kind = 2
-	// Kinds 3 and 4 are reserved: older binaries wrote kind 3 for drat's
-	// own backward checker (dratcheck -backward now journals core payloads
-	// under KindVerifySeq) and kind 4 for a retired two-phase DAG-scheduled
-	// pipeline. No current writer uses either, so such a journal never
-	// matches, its payloads are never decoded, and resume falls back to a
-	// full run.
+	// Kinds 2, 3 and 4 are reserved: older binaries wrote kind 2 for the
+	// chunked core.VerifyParallelOpts (with its worker count in the
+	// header's reserved word), kind 3 for drat's own backward checker
+	// (dratcheck -backward now journals core payloads under KindVerifySeq)
+	// and kind 4 for a retired two-phase DAG-scheduled pipeline. No current
+	// writer uses any of them, so such a journal never matches, its
+	// payloads are never decoded, and resume falls back to a full run.
 )
 
 func (k Kind) String() string {
-	switch k {
-	case KindVerifySeq:
+	if k == KindVerifySeq {
 		return "verify"
-	case KindVerifyParallel:
-		return "verify-parallel"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 // Meta pins a journal to one exact verification setup. Every field
 // participates in resume validation: the checkpoint grid (and hence the
 // bit-for-bit determinism argument for resumed runs) depends on the mode,
-// engine, worker count and interval, and the fingerprints tie the journal
-// to one formula/proof pair.
+// engine and interval, and the fingerprints tie the journal to one
+// formula/proof pair.
 type Meta struct {
 	Kind     Kind
 	Mode     uint8
 	Engine   uint8
-	Workers  uint32
 	Interval uint32
 	// FormulaFP and ProofFP fingerprint the CNF formula and the proof
 	// (FingerprintFormula, and FingerprintTrace or a DRUP proof's own
@@ -136,7 +131,6 @@ func EncodeHeader(meta Meta) []byte {
 	h[9] = meta.Mode
 	h[10] = meta.Engine
 	h[11] = 0
-	binary.LittleEndian.PutUint32(h[12:], meta.Workers)
 	binary.LittleEndian.PutUint32(h[16:], meta.Interval)
 	binary.LittleEndian.PutUint64(h[20:], meta.FormulaFP)
 	binary.LittleEndian.PutUint64(h[28:], meta.ProofFP)
@@ -162,7 +156,6 @@ func DecodeHeader(h []byte) (Meta, error) {
 	m.Kind = Kind(h[8])
 	m.Mode = h[9]
 	m.Engine = h[10]
-	m.Workers = binary.LittleEndian.Uint32(h[12:])
 	m.Interval = binary.LittleEndian.Uint32(h[16:])
 	m.FormulaFP = binary.LittleEndian.Uint64(h[20:])
 	m.ProofFP = binary.LittleEndian.Uint64(h[28:])
@@ -177,8 +170,6 @@ func checkMeta(got, want Meta) error {
 		return fmt.Errorf("%w: verification mode changed (%d -> %d)", ErrMismatch, got.Mode, want.Mode)
 	case got.Engine != want.Engine:
 		return fmt.Errorf("%w: BCP engine changed (%d -> %d)", ErrMismatch, got.Engine, want.Engine)
-	case got.Workers != want.Workers:
-		return fmt.Errorf("%w: worker count changed (%d -> %d)", ErrMismatch, got.Workers, want.Workers)
 	case got.Interval != want.Interval:
 		return fmt.Errorf("%w: checkpoint interval changed (%d -> %d)", ErrMismatch, got.Interval, want.Interval)
 	case got.FormulaFP != want.FormulaFP:
@@ -192,9 +183,8 @@ func checkMeta(got, want Meta) error {
 // Writer appends checkpoint records to a journal file, fsyncing each one so
 // an acknowledged record survives any subsequent crash.
 type Writer struct {
-	f       *os.File
-	path    string
-	records int
+	f    *os.File
+	path string
 	// Obs, when non-nil, counts appended records and bytes under
 	// journal.appends / journal.bytes and timestamps nothing (appends are
 	// hot-adjacent; the per-record fsync dominates).
@@ -249,7 +239,6 @@ func (w *Writer) append(marker byte, payload []byte) error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("journal: sync: %w", err)
 	}
-	w.records++
 	w.obs.Counter("journal.appends").Inc()
 	w.obs.Counter("journal.bytes").Add(int64(len(frame)))
 	// Flight-recorder instant per durable record (arg = frame bytes): the
@@ -257,9 +246,6 @@ func (w *Writer) append(marker byte, payload []byte) error {
 	w.obs.TraceTrack().Instant("journal.append", int64(len(frame)))
 	return nil
 }
-
-// Records returns how many records this writer has appended.
-func (w *Writer) Records() int { return w.records }
 
 // Path returns the journal file path.
 func (w *Writer) Path() string { return w.path }

@@ -14,7 +14,7 @@ import (
 )
 
 func testMeta() Meta {
-	return Meta{Kind: KindVerifySeq, Mode: 1, Engine: 0, Workers: 0, Interval: 64,
+	return Meta{Kind: KindVerifySeq, Mode: 1, Engine: 0, Interval: 64,
 		FormulaFP: 0xdeadbeefcafe, ProofFP: 0x12345678}
 }
 
@@ -130,10 +130,9 @@ func TestMetaMismatchRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.journal")
 	writeJournal(t, path, testMeta(), []byte("x"))
 	cases := []func(*Meta){
-		func(m *Meta) { m.Kind = KindVerifyParallel },
+		func(m *Meta) { m.Kind++ },
 		func(m *Meta) { m.Mode++ },
 		func(m *Meta) { m.Engine++ },
-		func(m *Meta) { m.Workers = 8 },
 		func(m *Meta) { m.Interval++ },
 		func(m *Meta) { m.FormulaFP++ },
 		func(m *Meta) { m.ProofFP++ },

@@ -178,7 +178,7 @@ func (d *Daemon) verifyOnce(w int, job *Job, f *cnf.Formula, tr *proof.Trace, bu
 	if jpath := d.opt.Store.JournalPath(job.ID); jpath != "" && d.opt.CheckpointEvery > 0 {
 		var warn, jerr error
 		jw, warn, jerr = core.StartJournal(jpath, f, tr.Len(), journal.FingerprintTrace(tr),
-			&opt, d.opt.CheckpointEvery, 0, true)
+			&opt, d.opt.CheckpointEvery, true)
 		if warn != nil && !errors.Is(warn, journal.ErrNoJournal) {
 			d.opt.Logf("service: job %s: not resuming (%v); running from scratch", job.ID, warn)
 		}
