@@ -7,7 +7,7 @@ GO ?= go
 # mutator beyond the seed corpus, short enough for a pre-merge gate.
 FUZZTIME ?= 10s
 
-.PHONY: all build fmt vet test race check bench bench-selftest trace-smoke fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke clean
+.PHONY: all build fmt vet test race check run-patterns bench bench-selftest trace-smoke fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke clean
 
 all: build
 
@@ -106,6 +106,12 @@ par-smoke:
 	$(GO) test -race -run '^TestCheckDAG|^TestHintDAG|^TestStepReplay|^TestBuildDAG' -count=1 ./internal/lrat/
 	$(GO) test -run '^TestParSmoke$$' -count=1 -v .
 
+# run-patterns fails when an alternative of any -run pattern in this file
+# matches no test (under `go test -list`) in the packages its line names, so
+# a renamed or deleted test cannot silently drop out of a gate.
+run-patterns:
+	GO=$(GO) sh scripts/check-run-patterns.sh Makefile
+
 # bench-selftest builds and self-tests the benchmark (perfbench/, its own
 # module): `go test ./...` at the root skips nested modules, so without it
 # an API change that breaks the benchmark's build would pass the gate.
@@ -130,11 +136,12 @@ trace-smoke:
 # over the untrusted-input parsers and the admission gates (daemon and
 # router), the kill-and-recover crash loops (CLI, daemon, and cluster
 # kill-a-shard), the hinted-proof (LRAT) gate, the dependency-aware
-# scheduling gate, the trace roundtrip and event-count smoke, and the
-# benchmark's self-test. It gates no wall-clock figure; timing is measured
+# scheduling gate, the trace roundtrip and event-count smoke, the check
+# that every -run pattern above still names tests, and the benchmark's
+# self-test. It gates no wall-clock figure; timing is measured
 # by perfbench (perfbench/run.sh). Run it before every merge; CI and
 # reviewers assume it is green.
-check: fmt vet build race fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke trace-smoke bench-selftest
+check: fmt vet build race fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke trace-smoke run-patterns bench-selftest
 
 # bench compiles and smoke-runs every benchmark once (not a measurement run).
 bench:

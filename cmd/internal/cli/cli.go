@@ -186,7 +186,9 @@ func (r *Run) ReadFormula(path string) (*cnf.Formula, error) {
 	return Read(path, cnf.ParseDimacs)
 }
 
-// Read opens the file at path and parses it with parse.
+// Read opens the file at path and parses it with parse. Every error names
+// the path: os.Open's already does, and a parse error is prefixed with it,
+// since the readers' messages do not say which input failed.
 func Read[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -194,7 +196,11 @@ func Read[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
 		return zero, err
 	}
 	defer f.Close()
-	return parse(f)
+	v, err := parse(f)
+	if err != nil {
+		return v, fmt.Errorf("%s: %w", path, err)
+	}
+	return v, nil
 }
 
 // WriteLRAT renders a recorder's proof to path (text or binary) atomically.

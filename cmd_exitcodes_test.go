@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -258,6 +259,19 @@ func TestExitCodes(t *testing.T) {
 			}
 		})
 	}
+	// The readers' messages do not say which input failed; the path does.
+	t.Run("dpv malformed trace names its path", func(t *testing.T) {
+		t.Parallel()
+		cmd := exec.Command(dpv, unsatCNF, garbage)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if ee, ok := cmd.Run().(*exec.ExitError); !ok || ee.ExitCode() != 3 {
+			t.Fatalf("want exit code 3, stderr:\n%s", stderr.String())
+		}
+		if !strings.Contains(stderr.String(), garbage+": malformed input") {
+			t.Fatalf("stderr does not name the proof %s:\n%s", garbage, stderr.String())
+		}
+	})
 }
 
 // TestExitCodeInterrupted sends SIGINT to a bksat run on an instance far too

@@ -3,75 +3,11 @@ package cnf
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 )
-
-// ParseLimits bounds what ParseDimacs accepts from untrusted input. Zero
-// fields fall back to DefaultParseLimits.
-type ParseLimits struct {
-	// MaxClauses bounds the number of clauses in the formula.
-	MaxClauses int
-	// MaxClauseLen bounds the number of literals in a single clause.
-	MaxClauseLen int
-	// MaxVars bounds the variable count — both as declared by the header and
-	// as implied by literal magnitudes. Keeps literals inside the int32 Var
-	// encoding and stops a single huge token from sizing a variable range.
-	MaxVars int
-	// MaxBytes bounds how many input bytes the parser consumes.
-	MaxBytes int64
-}
-
-// DefaultParseLimits matches the proof package's defaults: generous enough
-// for the paper's largest benchmarks with room to spare, small enough that
-// only hostile or corrupt input trips them.
-func DefaultParseLimits() ParseLimits {
-	return ParseLimits{
-		MaxClauses:   64 << 20, // 67M clauses
-		MaxClauseLen: 1 << 22,  // 4M literals in one clause
-		MaxVars:      1 << 27,  // 134M variables
-		MaxBytes:     8 << 30,  // 8 GiB of input
-	}
-}
-
-func (l ParseLimits) withDefaults() ParseLimits {
-	d := DefaultParseLimits()
-	if l.MaxClauses == 0 {
-		l.MaxClauses = d.MaxClauses
-	}
-	if l.MaxClauseLen == 0 {
-		l.MaxClauseLen = d.MaxClauseLen
-	}
-	if l.MaxVars == 0 {
-		l.MaxVars = d.MaxVars
-	}
-	if l.MaxBytes == 0 {
-		l.MaxBytes = d.MaxBytes
-	}
-	return l
-}
-
-// ErrLimit is the errors.Is target of every parse-limit violation.
-var ErrLimit = errors.New("dimacs: input exceeds limit")
-
-// ErrMalformed is the errors.Is target of every DIMACS syntax error, so
-// callers can tell bad input apart from IO failures without string matching.
-var ErrMalformed = errors.New("dimacs: malformed input")
-
-// LimitError reports which parse bound an input blew through.
-type LimitError struct {
-	What  string // "clauses" | "clause length" | "variables" | "bytes"
-	Limit int64
-}
-
-func (e *LimitError) Error() string {
-	return fmt.Sprintf("dimacs: input exceeds %s limit %d", e.What, e.Limit)
-}
-
-func (e *LimitError) Unwrap() error { return ErrLimit }
 
 // ParseDimacs reads a CNF formula in DIMACS format under DefaultParseLimits.
 // It tolerates comment lines anywhere, a missing header (the formula is then
@@ -88,8 +24,8 @@ func ParseDimacs(r io.Reader) (*Formula, error) {
 // comment, one starting with 'p' the header, and one starting with '%' (the
 // SATLIB trailer) ends the formula. Lines may be of any length.
 func ParseDimacsLimited(r io.Reader, lim ParseLimits) (*Formula, error) {
-	lim = lim.withDefaults()
-	t := NewTokenizer(r, lim.MaxBytes, &LimitError{What: "bytes", Limit: lim.MaxBytes})
+	lim = lim.WithDefaults()
+	t := NewTokenizer(r, lim.MaxBytes)
 	f := &Formula{}
 	declaredClauses := -1
 	var lits Slab[Lit]
@@ -153,7 +89,7 @@ scan:
 		lits.Append(l)
 	}
 	if err := t.Err(); err != nil && !trailer {
-		return nil, err
+		return nil, ReadErr(err, "read")
 	}
 	if lits.Len() > 0 {
 		return nil, fmt.Errorf("%w: last clause not terminated by 0", ErrMalformed)

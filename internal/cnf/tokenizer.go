@@ -20,7 +20,7 @@ import (
 // began that line, and can skip or return the rest of a line.
 //
 // The byte budget is hard: once more than the budget has been read, the
-// input ends with the error the reader was built with, never with a silent
+// input ends with the budget's *LimitError, never with a silent
 // EOF that would make an oversized input look like a well-formed prefix.
 // Bytes within the budget are all handed out first, so a syntax error in
 // them is reported ahead of the budget error.
@@ -43,9 +43,10 @@ type Tokenizer struct {
 const tokenizerBuf = 1 << 16
 
 // NewTokenizer reads r, allowing at most maxBytes bytes of it; an input
-// with more fails with over.
-func NewTokenizer(r io.Reader, maxBytes int64, over error) *Tokenizer {
-	return &Tokenizer{r: r, left: maxBytes, over: over, buf: make([]byte, tokenizerBuf), line: 1, bol: true}
+// with more fails with the *LimitError of the "bytes" limit.
+func NewTokenizer(r io.Reader, maxBytes int64) *Tokenizer {
+	return &Tokenizer{r: r, left: maxBytes, over: &LimitError{What: "bytes", Limit: maxBytes},
+		buf: make([]byte, tokenizerBuf), line: 1, bol: true}
 }
 
 // Err reports why the input ended: nil at a clean end of input, else the

@@ -40,7 +40,7 @@ func TestTokenizerFields(t *testing.T) {
 			"whole":    strings.NewReader(in),
 			"one byte": iotest.OneByteReader(strings.NewReader(in)),
 		} {
-			tz := NewTokenizer(r, 1<<20, errors.New("over"))
+			tz := NewTokenizer(r, 1<<20)
 			if got := fields(tz); !reflect.DeepEqual(got, want) || tz.Err() != nil {
 				t.Errorf("%s %q: got %q, err %v; want %q", name, in, got, tz.Err(), want)
 			}
@@ -53,20 +53,20 @@ func TestTokenizerFields(t *testing.T) {
 func TestTokenizerStraddlesRefill(t *testing.T) {
 	long := strings.Repeat("7", 3*tokenizerBuf)
 	in := strings.Repeat(" ", tokenizerBuf-2) + "12345  " + long + "\n8"
-	tz := NewTokenizer(strings.NewReader(in), 1<<30, errors.New("over"))
+	tz := NewTokenizer(strings.NewReader(in), 1<<30)
 	want := []string{"^1:12345", "1:" + long, "^2:8"}
 	if got := fields(tz); !reflect.DeepEqual(got, want) || tz.Err() != nil {
 		t.Fatalf("got %d fields (err %v), want %d", len(got), tz.Err(), len(want))
 	}
 	// A two-byte rune split by the refill is still a separator.
 	in = strings.Repeat(" ", tokenizerBuf-2) + "1\u00a02"
-	if got := fields(NewTokenizer(strings.NewReader(in), 1<<30, nil)); !reflect.DeepEqual(got, []string{"^1:1", "1:2"}) {
+	if got := fields(NewTokenizer(strings.NewReader(in), 1<<30)); !reflect.DeepEqual(got, []string{"^1:1", "1:2"}) {
 		t.Fatalf("split separator: got %q", got)
 	}
 }
 
 func TestTokenizerLines(t *testing.T) {
-	tz := NewTokenizer(strings.NewReader("c skip me 1 2\np cnf  3 1 \r\n4 5\n"), 1<<20, nil)
+	tz := NewTokenizer(strings.NewReader("c skip me 1 2\np cnf  3 1 \r\n4 5\n"), 1<<20)
 	if f := tz.Next(); string(f) != "c" {
 		t.Fatalf("first field %q", f)
 	}
@@ -95,21 +95,24 @@ func TestTokenizerLines(t *testing.T) {
 // one byte more, every byte within the budget is handed out and then the
 // input ends with the budget error.
 func TestTokenizerBudget(t *testing.T) {
-	over := errors.New("over")
-	tz := NewTokenizer(strings.NewReader("12 34"), 5, over)
+	over := func(err error, limit int64) bool {
+		le, ok := err.(*LimitError)
+		return ok && *le == LimitError{What: "bytes", Limit: limit}
+	}
+	tz := NewTokenizer(strings.NewReader("12 34"), 5)
 	if got := fields(tz); len(got) != 2 || tz.Err() != nil {
 		t.Fatalf("at the budget: %q, %v", got, tz.Err())
 	}
-	tz = NewTokenizer(strings.NewReader("12 345"), 5, over)
-	if got := fields(tz); !reflect.DeepEqual(got, []string{"^1:12", "1:34"}) || tz.Err() != over {
+	tz = NewTokenizer(strings.NewReader("12 345"), 5)
+	if got := fields(tz); !reflect.DeepEqual(got, []string{"^1:12", "1:34"}) || !over(tz.Err(), 5) {
 		t.Fatalf("over the budget: %q, %v", got, tz.Err())
 	}
-	tz = NewTokenizer(strings.NewReader("abcdef"), 3, over)
-	if b, err := io.ReadAll(tz); string(b) != "abc" || err != over {
+	tz = NewTokenizer(strings.NewReader("abcdef"), 3)
+	if b, err := io.ReadAll(tz); string(b) != "abc" || !over(err, 3) {
 		t.Fatalf("Read over the budget: %q, %v", b, err)
 	}
 	boom := errors.New("boom")
-	tz = NewTokenizer(iotest.DataErrReader(iotest.ErrReader(boom)), 10, over)
+	tz = NewTokenizer(iotest.DataErrReader(iotest.ErrReader(boom)), 10)
 	if f := tz.Next(); f != nil || tz.Err() != boom {
 		t.Fatalf("reader error: %q, %v", f, tz.Err())
 	}
@@ -121,7 +124,7 @@ func TestTokenizerUvarint(t *testing.T) {
 	for i := 0; i < 3000; i++ { // enough to cross a refill
 		in = appendUvarint(in, vals[i%len(vals)])
 	}
-	tz := NewTokenizer(bytes.NewReader(in), 1<<20, nil)
+	tz := NewTokenizer(bytes.NewReader(in), 1<<20)
 	for i := 0; i < 3000; i++ {
 		if u, err := tz.Uvarint(); err != nil || u != vals[i%len(vals)] {
 			t.Fatalf("varint %d = %d, %v", i, u, err)
@@ -135,7 +138,7 @@ func TestTokenizerUvarint(t *testing.T) {
 		"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02":         errors.New("binary: varint overflows a 64-bit integer"),
 		"\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01": errors.New("binary: varint overflows a 64-bit integer"),
 	} {
-		_, err := NewTokenizer(strings.NewReader(in), 1<<20, nil).Uvarint()
+		_, err := NewTokenizer(strings.NewReader(in), 1<<20).Uvarint()
 		if err == nil || err.Error() != want.Error() {
 			t.Errorf("Uvarint(%q) err = %v, want %v", in, err, want)
 		}

@@ -70,7 +70,9 @@ func TestVerifyRejectsBadDeletionSchedule(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrBadTrace", tc.name, err)
 		}
 	}
-	if _, err := VerifyParallelOpts(f, deletionTrace(), Options{}, 2); !errors.Is(err, ErrBadTrace) {
-		t.Errorf("parallel: err = %v, want ErrBadTrace", err)
+	for _, workers := range []int{1, 2, 4} {
+		if _, err := VerifyParallelOpts(f, deletionTrace(), Options{}, workers); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("parallel workers=%d: err = %v, want ErrBadTrace", workers, err)
+		}
 	}
 }

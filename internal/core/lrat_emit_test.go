@@ -221,8 +221,11 @@ func TestVerifyResumeWithoutRecordedHints(t *testing.T) {
 func TestVerifyParallelRejectsHints(t *testing.T) {
 	inst := gen.PHP(4)
 	tr := solveTrace(t, inst)
-	var rec lrat.Recorder
-	if _, err := VerifyParallelOpts(inst.F, tr, Options{Hints: &rec}, 2); err == nil {
-		t.Fatal("parallel verification with hints not rejected")
+	// Workers 1 takes the sequential fallback, which must refuse too.
+	for _, workers := range []int{1, 2, 4} {
+		var rec lrat.Recorder
+		if _, err := VerifyParallelOpts(inst.F, tr, Options{Hints: &rec}, workers); err == nil {
+			t.Fatalf("workers=%d: parallel verification with hints not rejected", workers)
+		}
 	}
 }

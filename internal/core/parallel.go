@@ -62,9 +62,10 @@ type chunkTally struct {
 //
 // The run cannot honor opt.Mode — marking (and hence core extraction and
 // Verification2's skipping) is inherently sequential, so chunked workers
-// check every clause regardless and extract no core — and it rejects
-// opt.Hints and opt.Checkpoint (with ErrBadCheckpoint): the resumable
-// check-all run is the sequential Verify with ModeCheckAll.
+// check every clause regardless and extract no core — and on any worker
+// count it rejects opt.Hints, a deletion schedule (with ErrBadTrace) and
+// opt.Checkpoint (with ErrBadCheckpoint): the resumable check-all run is
+// the sequential Verify with ModeCheckAll.
 //
 // Failure isolation: a panic inside a worker is recovered and attributed
 // (worker id + chunk bounds); the chunk is retried once, from its top, on
@@ -77,17 +78,10 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 	if term == proof.TermNone {
 		return nil, errTermination()
 	}
+	// The refusals come before the one-worker fallback, so whether a call is
+	// refused never depends on GOMAXPROCS or the proof length.
 	if ck := opt.Checkpoint; ck.Every != 0 || ck.Sink != nil || ck.Resume != nil {
-		// Refused before the one-worker fallback, so whether a run may
-		// checkpoint never depends on GOMAXPROCS or the proof length.
 		return nil, fmt.Errorf("%w: checkpointing requires sequential verification", ErrBadCheckpoint)
-	}
-	m := len(t.Clauses)
-	workers = resolveWorkers(m, workers)
-	if workers <= 1 {
-		seq := opt
-		seq.Mode = ModeCheckAll
-		return Verify(f, t, seq)
 	}
 	if opt.Hints != nil {
 		// Hint order follows one engine's propagation; chunked workers each
@@ -98,6 +92,13 @@ func VerifyParallelOpts(f *cnf.Formula, t *proof.Trace, opt Options, workers int
 		// A chunk's engine starts from its prefix; undoing deletions needs
 		// the one backward walk of the sequential loop.
 		return nil, fmt.Errorf("%w: a deletion schedule requires sequential verification", ErrBadTrace)
+	}
+	m := len(t.Clauses)
+	workers = resolveWorkers(m, workers)
+	if workers <= 1 {
+		seq := opt
+		seq.Mode = ModeCheckAll
+		return Verify(f, t, seq)
 	}
 	if err := checkBudgetUpfront(f, t, opt.Budget, workers); err != nil {
 		countStopErr(opt.Obs, err)

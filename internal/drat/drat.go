@@ -97,18 +97,19 @@ func Write(w io.Writer, p *Proof) error {
 	return bw.Flush()
 }
 
-// Read parses DRUP text under proof.DefaultLimits. Each line is one step:
-// a line whose first field starts with 'c' is a comment, a first field "d"
-// starts a deletion, and the step's clause runs to the first 0 on its line;
-// whatever follows that 0 is ignored. Lines may be of any length. Syntax
-// errors wrap proof.ErrMalformed and exceeded limits proof.ErrLimit, the
-// same classes the trace readers report.
-func Read(r io.Reader) (*Proof, error) { return readLimited(r, proof.DefaultLimits()) }
+// Read parses DRUP text under cnf.DefaultParseLimits. Each line is one
+// step: a line whose first field starts with 'c' is a comment, a first
+// field "d" starts a deletion, and the step's clause runs to the first 0 on
+// its line; whatever follows that 0 is ignored. Lines may be of any length.
+func Read(r io.Reader) (*Proof, error) { return ReadLimited(r, cnf.DefaultParseLimits()) }
 
-// readLimited is Read under explicit limits, every field of which must be
-// set. The variable bound also keeps literals inside the int32 encoding.
-func readLimited(r io.Reader, lim proof.Limits) (*Proof, error) {
-	t := cnf.NewTokenizer(r, lim.MaxBytes, &proof.LimitError{What: "bytes", Limit: lim.MaxBytes})
+// ReadLimited is Read with explicit limits — the entry point for genuinely
+// untrusted input. It honours MaxClauses (which bounds the steps),
+// MaxClauseLen, MaxVars and MaxBytes. Syntax errors wrap cnf.ErrMalformed
+// and exceeded limits cnf.ErrLimit, the classes every reader reports.
+func ReadLimited(r io.Reader, lim cnf.ParseLimits) (*Proof, error) {
+	lim = lim.WithDefaults()
+	t := cnf.NewTokenizer(r, lim.MaxBytes)
 	p := &Proof{}
 	var lits cnf.Slab[cnf.Lit]
 	// Every step ends its line, so each field read here begins one.
@@ -126,31 +127,31 @@ func readLimited(r io.Reader, lim proof.Limits) (*Proof, error) {
 		for ; tok != nil; tok = t.NextInLine() {
 			d, ok := cnf.ParseInt(tok)
 			if !ok {
-				return nil, fmt.Errorf("%w: drat line %d: bad token %q", proof.ErrMalformed, lineNo, tok)
+				return nil, fmt.Errorf("%w: line %d: bad token %q", cnf.ErrMalformed, lineNo, tok)
 			}
 			if d == 0 {
 				terminated = true
 				break
 			}
-			if d > int64(lim.MaxVar) || d < -int64(lim.MaxVar) {
-				return nil, &proof.LimitError{What: "variable", Limit: int64(lim.MaxVar)}
+			if d > int64(lim.MaxVars) || d < -int64(lim.MaxVars) {
+				return nil, &cnf.LimitError{What: "variables", Limit: int64(lim.MaxVars)}
 			}
 			if lits.Len() >= lim.MaxClauseLen {
-				return nil, &proof.LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
+				return nil, &cnf.LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
 			}
 			lits.Append(cnf.FromDimacs(int(d)))
 		}
 		if !terminated {
-			return nil, fmt.Errorf("%w: drat line %d: clause not terminated by 0", proof.ErrMalformed, lineNo)
+			return nil, fmt.Errorf("%w: line %d: clause not terminated by 0", cnf.ErrMalformed, lineNo)
 		}
 		t.SkipLine()
 		if len(p.Steps) >= lim.MaxClauses {
-			return nil, &proof.LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
+			return nil, &cnf.LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
 		}
 		p.Steps = append(p.Steps, Step{Del: del, C: lits.Cut()})
 	}
 	if err := t.Err(); err != nil {
-		return nil, err
+		return nil, cnf.ReadErr(err, "read")
 	}
 	return p, nil
 }

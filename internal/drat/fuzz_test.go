@@ -9,11 +9,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/proof"
+	"repro/internal/cnf"
 )
 
 // fuzzLimits keeps fuzz inputs cheap while still reaching every limit.
-var fuzzLimits = proof.Limits{MaxClauses: 1 << 12, MaxClauseLen: 1 << 10, MaxVar: 1 << 16, MaxBytes: 1 << 20}
+var fuzzLimits = cnf.ParseLimits{MaxClauses: 1 << 12, MaxClauseLen: 1 << 10, MaxVars: 1 << 16, MaxBytes: 1 << 20}
 
 // FuzzReadDRUP pins the DRUP reader's hardening contract on arbitrary
 // bytes: never panic, fail only with the typed error classes, keep every
@@ -43,16 +43,16 @@ func FuzzReadDRUP(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := readLimited(bytes.NewReader(data), fuzzLimits)
+		p, err := ReadLimited(bytes.NewReader(data), fuzzLimits)
 		if err != nil {
-			if !errors.Is(err, proof.ErrMalformed) && !errors.Is(err, proof.ErrLimit) {
+			if !errors.Is(err, cnf.ErrMalformed) && !errors.Is(err, cnf.ErrLimit) {
 				t.Fatalf("untyped parse error: %v", err)
 			}
 			return
 		}
 		for _, s := range p.Steps {
 			for _, l := range s.C {
-				if v := int(l.Var()); v < 0 || v >= fuzzLimits.MaxVar {
+				if v := int(l.Var()); v < 0 || v >= fuzzLimits.MaxVars {
 					t.Fatalf("literal %v outside the variable limit", l)
 				}
 			}
@@ -73,25 +73,25 @@ func FuzzReadDRUP(f *testing.F) {
 
 func TestReadLimits(t *testing.T) {
 	for _, tc := range []struct{ in, what string }{
-		{"70000 0\n", "variable"},
-		{"-9223372036854775808 0\n", "variable"},
+		{"70000 0\n", "variables"},
+		{"-9223372036854775808 0\n", "variables"},
 		{strings.Repeat("1 ", 1<<10+1) + "0\n", "clause length"},
 		{strings.Repeat("1 0\n", 1<<12+1), "clauses"},
 		{strings.Repeat("c padding\n", 1<<17), "bytes"},
 	} {
-		_, err := readLimited(strings.NewReader(tc.in), fuzzLimits)
-		var le *proof.LimitError
+		_, err := ReadLimited(strings.NewReader(tc.in), fuzzLimits)
+		var le *cnf.LimitError
 		if !errors.As(err, &le) || le.What != tc.what {
 			t.Errorf("input %.20q...: err = %v, want the %s limit", tc.in, err, tc.what)
 		}
 	}
 	// The defaults apply to Read: an int64-sized literal must not wrap
 	// into the int32 literal encoding.
-	if _, err := Read(strings.NewReader("9223372036854775807 0\n")); !errors.Is(err, proof.ErrLimit) {
-		t.Errorf("Read of an int64-sized literal: err = %v, want proof.ErrLimit", err)
+	if _, err := Read(strings.NewReader("9223372036854775807 0\n")); !errors.Is(err, cnf.ErrLimit) {
+		t.Errorf("Read of an int64-sized literal: err = %v, want cnf.ErrLimit", err)
 	}
-	if _, err := Read(strings.NewReader("1 x 0\n")); !errors.Is(err, proof.ErrMalformed) {
-		t.Errorf("Read of a bad token: err = %v, want proof.ErrMalformed", err)
+	if _, err := Read(strings.NewReader("1 x 0\n")); !errors.Is(err, cnf.ErrMalformed) {
+		t.Errorf("Read of a bad token: err = %v, want cnf.ErrMalformed", err)
 	}
 }
 
@@ -114,14 +114,14 @@ func TestReadByteBudget(t *testing.T) {
 	in := "1 2 0\n-1 0\n"
 	lim := fuzzLimits
 	lim.MaxBytes = int64(len(in))
-	if _, err := readLimited(strings.NewReader(in), lim); err != nil {
+	if _, err := ReadLimited(strings.NewReader(in), lim); err != nil {
 		t.Fatalf("at the budget: %v", err)
 	}
 	// The byte past the budget would complete "0x", a bad token; it is
 	// never read.
 	lim.MaxBytes = int64(len("1 2 0\n-1 0"))
-	var le *proof.LimitError
-	if _, err := readLimited(strings.NewReader("1 2 0\n-1 0x\n"), lim); !errors.As(err, &le) || le.What != "bytes" {
+	var le *cnf.LimitError
+	if _, err := ReadLimited(strings.NewReader("1 2 0\n-1 0x\n"), lim); !errors.As(err, &le) || le.What != "bytes" {
 		t.Fatalf("over the budget: err = %v, want the bytes limit", err)
 	}
 }

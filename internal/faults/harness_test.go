@@ -218,7 +218,7 @@ func TestFaultMatrixSerialized(t *testing.T) {
 				mt, err := cd.read(data)
 				if err != nil {
 					// Typed rejection is the expected common case.
-					if !errors.Is(err, proof.ErrMalformed) && !errors.Is(err, proof.ErrLimit) {
+					if !errors.Is(err, cnf.ErrMalformed) && !errors.Is(err, cnf.ErrLimit) {
 						t.Fatalf("seed %d: parse error is untyped: %v", seed, err)
 					}
 					parseErrors++

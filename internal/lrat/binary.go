@@ -2,7 +2,6 @@ package lrat
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
@@ -19,9 +18,9 @@ import (
 //	addition: 'a' uvarint id | mapped literals..., 0 | mapped hints..., 0
 //	deletion: 'd' uvarint id | uvarint deleted ids..., 0
 //
-// A literal with DIMACS value v maps to (|v| << 1) | (v < 0); a hint h maps
-// to (|h| << 1) | (h < 0). Both are always >= 2, and deleted IDs are >= 1,
-// so the 0 terminators are unambiguous.
+// Literals are cnf.EncodeBinaryLit's binary DRAT encoding; a hint h maps
+// the same way, to (|h| << 1) | (h < 0). Both are always >= 2, and deleted
+// IDs are >= 1, so the 0 terminators are unambiguous.
 
 const binaryMagic = "CLRT"
 
@@ -33,14 +32,6 @@ func DetectBinary(prefix []byte) bool {
 	return len(prefix) >= len(binaryMagic) && string(prefix[:len(binaryMagic)]) == binaryMagic
 }
 
-func mapLit(l cnf.Lit) uint64 {
-	d := l.Dimacs()
-	if d < 0 {
-		return uint64(-d)<<1 | 1
-	}
-	return uint64(d) << 1
-}
-
 func mapHint(h int64) uint64 {
 	if h < 0 {
 		return uint64(-h)<<1 | 1
@@ -48,30 +39,13 @@ func mapHint(h int64) uint64 {
 	return uint64(h) << 1
 }
 
-// unmapLit decodes a mapped literal, refusing magnitudes beyond maxVar on
-// the uint64 before narrowing — a 2^40 "variable" must not wrap the int32
-// literal encoding.
-func unmapLit(u uint64, maxVar int) (cnf.Lit, error) {
-	mag := u >> 1
-	if mag == 0 {
-		return cnf.LitUndef, fmt.Errorf("%w: binary literal 0 outside terminator position", ErrMalformed)
-	}
-	if mag > uint64(maxVar) {
-		return cnf.LitUndef, &LimitError{What: "variable", Limit: int64(maxVar)}
-	}
-	if u&1 == 1 {
-		return cnf.FromDimacs(-int(mag)), nil
-	}
-	return cnf.FromDimacs(int(mag)), nil
-}
-
 func unmapHint(u uint64, maxID int64) (int64, error) {
 	mag := u >> 1
 	if mag == 0 {
-		return 0, fmt.Errorf("%w: binary hint 0 outside terminator position", ErrMalformed)
+		return 0, fmt.Errorf("%w: binary hint 0 outside terminator position", cnf.ErrMalformed)
 	}
 	if mag > uint64(maxID) {
-		return 0, &LimitError{What: "id", Limit: maxID}
+		return 0, &cnf.LimitError{What: "id", Limit: maxID}
 	}
 	if u&1 == 1 {
 		return -int64(mag), nil
@@ -112,7 +86,7 @@ func appendBinaryStep(b []byte, s *Step) []byte {
 	}
 	b = binary.AppendUvarint(append(b, 'a'), uint64(s.ID))
 	for _, l := range s.C {
-		b = binary.AppendUvarint(b, mapLit(l))
+		b = binary.AppendUvarint(b, cnf.EncodeBinaryLit(l))
 	}
 	b = append(b, 0)
 	for _, h := range s.Hints {
@@ -121,31 +95,29 @@ func appendBinaryStep(b []byte, s *Step) []byte {
 	return append(b, 0)
 }
 
-// ReadBinary parses a binary proof under DefaultLimits.
+// ReadBinary parses a binary proof under cnf.DefaultParseLimits.
 func ReadBinary(r io.Reader) (*Proof, error) {
-	return ReadBinaryLimited(r, DefaultLimits())
+	return ReadBinaryLimited(r, cnf.DefaultParseLimits())
 }
 
-// ReadBinaryLimited is ReadBinary with explicit Limits. Truncation and
-// encoding garbage wrap ErrMalformed; limit violations wrap ErrLimit.
-func ReadBinaryLimited(r io.Reader, lim Limits) (*Proof, error) {
-	lim = lim.withDefaults()
-	br := cnf.NewTokenizer(r, lim.MaxBytes, &LimitError{What: "bytes", Limit: lim.MaxBytes})
+// ReadBinaryLimited is ReadBinary with explicit limits; it honours the same
+// fields as ReadLimited. Truncation and encoding garbage wrap
+// cnf.ErrMalformed; limit violations wrap cnf.ErrLimit.
+func ReadBinaryLimited(r io.Reader, lim cnf.ParseLimits) (*Proof, error) {
+	lim = lim.WithDefaults()
+	br := cnf.NewTokenizer(r, lim.MaxBytes)
 	head := make([]byte, len(binaryMagic)+2)
 	if _, err := io.ReadFull(br, head); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: truncated binary header", ErrMalformed)
-		}
-		return nil, limitOr(err, fmt.Errorf("lrat: binary header: %w", err))
+		return nil, cnf.ReadErr(err, "binary header")
 	}
 	if string(head[:len(binaryMagic)]) != binaryMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrMalformed, head[:len(binaryMagic)])
+		return nil, fmt.Errorf("%w: bad magic %q", cnf.ErrMalformed, head[:len(binaryMagic)])
 	}
 	if head[4] != binaryVersion {
-		return nil, fmt.Errorf("%w: unsupported binary version %d", ErrMalformed, head[4])
+		return nil, fmt.Errorf("%w: unsupported binary version %d", cnf.ErrMalformed, head[4])
 	}
 	if head[5] != 0 {
-		return nil, fmt.Errorf("%w: unsupported flags %#x", ErrMalformed, head[5])
+		return nil, fmt.Errorf("%w: unsupported flags %#x", cnf.ErrMalformed, head[5])
 	}
 
 	p := &Proof{}
@@ -159,39 +131,39 @@ func ReadBinaryLimited(r io.Reader, lim Limits) (*Proof, error) {
 			return p, nil
 		}
 		if err != nil {
-			return nil, limitOr(err, fmt.Errorf("%w: step tag: %v", ErrMalformed, err))
+			return nil, cnf.ReadErr(err, "step tag")
 		}
 		if tag != 'a' && tag != 'd' {
-			return nil, fmt.Errorf("%w: bad step tag %#x", ErrMalformed, tag)
+			return nil, fmt.Errorf("%w: bad step tag %#x", cnf.ErrMalformed, tag)
 		}
-		if len(p.Steps) >= lim.MaxSteps {
-			return nil, &LimitError{What: "steps", Limit: int64(lim.MaxSteps)}
+		if len(p.Steps) >= lim.MaxClauses {
+			return nil, &cnf.LimitError{What: "steps", Limit: int64(lim.MaxClauses)}
 		}
 		id, err := br.Uvarint()
 		if err != nil {
-			return nil, uvarintErr(err, "step id")
+			return nil, cnf.ReadErr(err, "step id")
 		}
 		if id == 0 || id > uint64(lim.MaxID) {
 			if id == 0 {
-				return nil, fmt.Errorf("%w: step %d: id 0", ErrMalformed, len(p.Steps))
+				return nil, fmt.Errorf("%w: step %d: id 0", cnf.ErrMalformed, len(p.Steps))
 			}
-			return nil, &LimitError{What: "id", Limit: lim.MaxID}
+			return nil, &cnf.LimitError{What: "id", Limit: lim.MaxID}
 		}
 		s := Step{ID: int64(id), Del: tag == 'd'}
 		if s.Del {
 			for {
 				u, err := br.Uvarint()
 				if err != nil {
-					return nil, uvarintErr(err, "deletion")
+					return nil, cnf.ReadErr(err, "deletion")
 				}
 				if u == 0 {
 					break
 				}
 				if u > uint64(lim.MaxID) {
-					return nil, &LimitError{What: "id", Limit: lim.MaxID}
+					return nil, &cnf.LimitError{What: "id", Limit: lim.MaxID}
 				}
 				if ids.Len() >= lim.MaxHints {
-					return nil, &LimitError{What: "hints", Limit: int64(lim.MaxHints)}
+					return nil, &cnf.LimitError{What: "hints", Limit: int64(lim.MaxHints)}
 				}
 				ids.Append(int64(u))
 			}
@@ -202,15 +174,15 @@ func ReadBinaryLimited(r io.Reader, lim Limits) (*Proof, error) {
 		for {
 			u, err := br.Uvarint()
 			if err != nil {
-				return nil, uvarintErr(err, "clause")
+				return nil, cnf.ReadErr(err, "clause")
 			}
 			if u == 0 {
 				break
 			}
 			if lits.Len() >= lim.MaxClauseLen {
-				return nil, &LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
+				return nil, &cnf.LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
 			}
-			l, err := unmapLit(u, lim.MaxVar)
+			l, err := cnf.DecodeBinaryLit(u, lim.MaxVars)
 			if err != nil {
 				return nil, err
 			}
@@ -220,13 +192,13 @@ func ReadBinaryLimited(r io.Reader, lim Limits) (*Proof, error) {
 		for {
 			u, err := br.Uvarint()
 			if err != nil {
-				return nil, uvarintErr(err, "hints")
+				return nil, cnf.ReadErr(err, "hints")
 			}
 			if u == 0 {
 				break
 			}
 			if ids.Len() >= lim.MaxHints {
-				return nil, &LimitError{What: "hints", Limit: int64(lim.MaxHints)}
+				return nil, &cnf.LimitError{What: "hints", Limit: int64(lim.MaxHints)}
 			}
 			h, err := unmapHint(u, lim.MaxID)
 			if err != nil {
@@ -237,22 +209,4 @@ func ReadBinaryLimited(r io.Reader, lim Limits) (*Proof, error) {
 		s.Hints = ids.Cut()
 		p.addStep(s)
 	}
-}
-
-// uvarintErr reports a failed read of the varint named what.
-func uvarintErr(err error, what string) error {
-	if err == io.EOF {
-		return fmt.Errorf("%w: truncated %s", ErrMalformed, what)
-	}
-	return limitOr(err, fmt.Errorf("%w: %s: %v", ErrMalformed, what, err))
-}
-
-// limitOr unwraps a *LimitError riding inside err (the tokenizer's
-// byte-budget violation), else returns alt.
-func limitOr(err, alt error) error {
-	var le *LimitError
-	if errors.As(err, &le) {
-		return le
-	}
-	return alt
 }

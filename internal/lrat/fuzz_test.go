@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/cnf"
 )
 
 // The fuzz targets pin the LRAT parser hardening contract on arbitrary
@@ -13,11 +15,11 @@ import (
 
 // fuzzLimits keeps worst-case allocations small enough for the fuzzer to
 // drive millions of executions.
-var fuzzLimits = Limits{
-	MaxSteps:     1 << 12,
+var fuzzLimits = cnf.ParseLimits{
+	MaxClauses:   1 << 12,
 	MaxClauseLen: 1 << 10,
 	MaxHints:     1 << 12,
-	MaxVar:       1 << 16,
+	MaxVars:      1 << 16,
 	MaxID:        1 << 30,
 	MaxBytes:     1 << 20,
 }
@@ -41,7 +43,7 @@ func FuzzParseLRAT(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadLimited(bytes.NewReader(data), fuzzLimits)
 		if err != nil {
-			if !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrLimit) {
+			if !errors.Is(err, cnf.ErrMalformed) && !errors.Is(err, cnf.ErrLimit) {
 				t.Fatalf("untyped parse error: %v", err)
 			}
 			return
@@ -81,7 +83,7 @@ func FuzzParseLRATBinary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadBinaryLimited(bytes.NewReader(data), fuzzLimits)
 		if err != nil {
-			if !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrLimit) {
+			if !errors.Is(err, cnf.ErrMalformed) && !errors.Is(err, cnf.ErrLimit) {
 				t.Fatalf("untyped parse error: %v", err)
 			}
 			return

@@ -22,8 +22,6 @@
 package lrat
 
 import (
-	"errors"
-	"fmt"
 	"slices"
 
 	"repro/internal/cnf"
@@ -75,74 +73,7 @@ func (p *Proof) Additions() int {
 // Deletions counts deletion steps.
 func (p *Proof) Deletions() int { return len(p.Steps) - p.Additions() }
 
-// Limits bounds what the readers accept. Zero fields fall back to the
-// corresponding DefaultLimits value.
-type Limits struct {
-	// MaxSteps bounds the number of proof lines.
-	MaxSteps int
-	// MaxClauseLen bounds the literals in a single derived clause.
-	MaxClauseLen int
-	// MaxHints bounds the hints (or deleted IDs) on a single line.
-	MaxHints int
-	// MaxVar bounds the DIMACS variable magnitude.
-	MaxVar int
-	// MaxID bounds clause ID magnitude (keeps downstream indexing sane).
-	MaxID int64
-	// MaxBytes bounds how many input bytes the reader consumes.
-	MaxBytes int64
-}
-
-// DefaultLimits mirror proof.DefaultLimits: generous for real proofs,
-// closed to inputs that could only be hostile or corrupt.
-func DefaultLimits() Limits {
-	return Limits{
-		MaxSteps:     64 << 20, // 67M proof lines
-		MaxClauseLen: 1 << 22,  // 4M literals in one clause
-		MaxHints:     1 << 24,  // 16M hints on one line
-		MaxVar:       1 << 27,  // 134M variables
-		MaxID:        1 << 40,  // ~1.1e12 clause IDs
-		MaxBytes:     8 << 30,  // 8 GiB of input
-	}
-}
-
-func (l Limits) withDefaults() Limits {
-	d := DefaultLimits()
-	if l.MaxSteps == 0 {
-		l.MaxSteps = d.MaxSteps
-	}
-	if l.MaxClauseLen == 0 {
-		l.MaxClauseLen = d.MaxClauseLen
-	}
-	if l.MaxHints == 0 {
-		l.MaxHints = d.MaxHints
-	}
-	if l.MaxVar == 0 {
-		l.MaxVar = d.MaxVar
-	}
-	if l.MaxID == 0 {
-		l.MaxID = d.MaxID
-	}
-	if l.MaxBytes == 0 {
-		l.MaxBytes = d.MaxBytes
-	}
-	return l
-}
-
-// ErrLimit is the errors.Is target of every *LimitError.
-var ErrLimit = errors.New("lrat: input exceeds limit")
-
-// ErrMalformed is the errors.Is target of every syntax/truncation error from
-// the readers, so callers can map "bad input" to a distinct outcome.
-var ErrMalformed = errors.New("lrat: malformed proof")
-
-// LimitError reports which bound an input blew through.
-type LimitError struct {
-	What  string // "steps" | "clause length" | "hints" | "variable" | "id" | "bytes"
-	Limit int64
-}
-
-func (e *LimitError) Error() string {
-	return fmt.Sprintf("lrat: input exceeds %s limit %d", e.What, e.Limit)
-}
-
-func (e *LimitError) Unwrap() error { return ErrLimit }
+// DefaultLimits is cnf.DefaultParseLimits.
+//
+// Deprecated: use cnf.DefaultParseLimits.
+func DefaultLimits() cnf.ParseLimits { return cnf.DefaultParseLimits() }

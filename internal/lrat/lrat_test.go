@@ -119,8 +119,8 @@ func TestTextMalformed(t *testing.T) {
 		"4 d -1 0\n",   // negative deleted id
 		"4 y 0\n",      // bad literal token
 	} {
-		if _, err := Read(strings.NewReader(in)); !errors.Is(err, ErrMalformed) {
-			t.Errorf("%q: got %v, want ErrMalformed", in, err)
+		if _, err := Read(strings.NewReader(in)); !errors.Is(err, cnf.ErrMalformed) {
+			t.Errorf("%q: got %v, want cnf.ErrMalformed", in, err)
 		}
 	}
 }
@@ -128,25 +128,25 @@ func TestTextMalformed(t *testing.T) {
 func TestTextLimits(t *testing.T) {
 	cases := []struct {
 		in   string
-		lim  Limits
+		lim  cnf.ParseLimits
 		what string
 	}{
-		{"4 1 0 1 0\n5 2 0 1 0\n", Limits{MaxSteps: 1}, "steps"},
-		{"4 1 2 3 0 1 0\n", Limits{MaxClauseLen: 2}, "clause length"},
-		{"4 1 0 1 2 3 0\n", Limits{MaxHints: 2}, "hints"},
-		{"4 99 0 1 0\n", Limits{MaxVar: 10}, "variable"},
-		{"400 1 0 1 0\n", Limits{MaxID: 100}, "id"},
-		{"4 1 0 900 0\n", Limits{MaxID: 100}, "id"},
-		{"4 d 900 0\n", Limits{MaxID: 100}, "id"},
-		{"4 1 0 1 0\n5 2 0 1 0\n", Limits{MaxBytes: 12}, "bytes"},
+		{"4 1 0 1 0\n5 2 0 1 0\n", cnf.ParseLimits{MaxClauses: 1}, "steps"},
+		{"4 1 2 3 0 1 0\n", cnf.ParseLimits{MaxClauseLen: 2}, "clause length"},
+		{"4 1 0 1 2 3 0\n", cnf.ParseLimits{MaxHints: 2}, "hints"},
+		{"4 99 0 1 0\n", cnf.ParseLimits{MaxVars: 10}, "variables"},
+		{"400 1 0 1 0\n", cnf.ParseLimits{MaxID: 100}, "id"},
+		{"4 1 0 900 0\n", cnf.ParseLimits{MaxID: 100}, "id"},
+		{"4 d 900 0\n", cnf.ParseLimits{MaxID: 100}, "id"},
+		{"4 1 0 1 0\n5 2 0 1 0\n", cnf.ParseLimits{MaxBytes: 12}, "bytes"},
 	}
 	for _, tc := range cases {
 		_, err := ReadLimited(strings.NewReader(tc.in), tc.lim)
-		if !errors.Is(err, ErrLimit) {
-			t.Errorf("%q lim %+v: got %v, want ErrLimit", tc.in, tc.lim, err)
+		if !errors.Is(err, cnf.ErrLimit) {
+			t.Errorf("%q lim %+v: got %v, want cnf.ErrLimit", tc.in, tc.lim, err)
 			continue
 		}
-		var le *LimitError
+		var le *cnf.LimitError
 		if !errors.As(err, &le) || le.What != tc.what {
 			t.Errorf("%q: got %v, want %s limit", tc.in, err, tc.what)
 		}
@@ -169,8 +169,8 @@ func TestBinaryMalformed(t *testing.T) {
 		"empty":        nil,
 	}
 	for name, in := range cases {
-		if _, err := ReadBinary(bytes.NewReader(in)); !errors.Is(err, ErrMalformed) {
-			t.Errorf("%s: got %v, want ErrMalformed", name, err)
+		if _, err := ReadBinary(bytes.NewReader(in)); !errors.Is(err, cnf.ErrMalformed) {
+			t.Errorf("%s: got %v, want cnf.ErrMalformed", name, err)
 		}
 	}
 }
@@ -185,19 +185,19 @@ func TestBinaryLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		lim  Limits
+		lim  cnf.ParseLimits
 		what string
 	}{
-		{Limits{MaxSteps: 1}, "steps"},
-		{Limits{MaxClauseLen: 2}, "clause length"},
-		{Limits{MaxHints: 2}, "hints"},
-		{Limits{MaxVar: 2}, "variable"},
-		{Limits{MaxID: 4}, "id"},
-		{Limits{MaxBytes: 8}, "bytes"},
+		{cnf.ParseLimits{MaxClauses: 1}, "steps"},
+		{cnf.ParseLimits{MaxClauseLen: 2}, "clause length"},
+		{cnf.ParseLimits{MaxHints: 2}, "hints"},
+		{cnf.ParseLimits{MaxVars: 2}, "variables"},
+		{cnf.ParseLimits{MaxID: 4}, "id"},
+		{cnf.ParseLimits{MaxBytes: 8}, "bytes"},
 	} {
 		_, err := ReadBinaryLimited(bytes.NewReader(buf.Bytes()), tc.lim)
-		var le *LimitError
-		if !errors.Is(err, ErrLimit) || !errors.As(err, &le) || le.What != tc.what {
+		var le *cnf.LimitError
+		if !errors.Is(err, cnf.ErrLimit) || !errors.As(err, &le) || le.What != tc.what {
 			t.Errorf("lim %+v: got %v, want %s limit", tc.lim, err, tc.what)
 		}
 	}
@@ -364,13 +364,13 @@ func TestTextSeparators(t *testing.T) {
 }
 
 // TestTextMinInt64Literal: -2^63 is out of every variable bound. Negating it
-// overflows, so a bound checked as -d > MaxVar let it through, to become
+// overflows, so a bound checked as -d > MaxVars let it through, to become
 // the undefined literal.
 func TestTextMinInt64Literal(t *testing.T) {
 	_, err := Read(strings.NewReader("4 -9223372036854775808 0 1 0\n"))
-	var le *LimitError
-	if !errors.As(err, &le) || le.What != "variable" {
-		t.Fatalf("err = %v, want the variable limit", err)
+	var le *cnf.LimitError
+	if !errors.As(err, &le) || le.What != "variables" {
+		t.Fatalf("err = %v, want the variables limit", err)
 	}
 }
 

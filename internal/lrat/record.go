@@ -51,8 +51,8 @@ func (r *Recorder) Len() int { return r.n }
 
 // recordedLimits lifts every reader limit: Proof reads back only bytes the
 // recorder encoded itself, and returns whatever was recorded.
-var recordedLimits = Limits{MaxSteps: math.MaxInt, MaxClauseLen: math.MaxInt,
-	MaxHints: math.MaxInt, MaxVar: math.MaxInt, MaxID: math.MaxInt64, MaxBytes: math.MaxInt64}
+var recordedLimits = cnf.ParseLimits{MaxClauses: math.MaxInt, MaxClauseLen: math.MaxInt,
+	MaxVars: math.MaxInt, MaxHints: math.MaxInt, MaxID: math.MaxInt64, MaxBytes: math.MaxInt64}
 
 // Proof decodes the recorded steps and returns them sorted by ID as an
 // emission-ready proof. Duplicate IDs mean the recorder was driven twice for

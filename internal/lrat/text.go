@@ -50,15 +50,17 @@ func Write(w io.Writer, p *Proof) error {
 	return bw.Flush()
 }
 
-// Read parses a text proof under DefaultLimits.
-func Read(r io.Reader) (*Proof, error) { return ReadLimited(r, DefaultLimits()) }
+// Read parses a text proof under cnf.DefaultParseLimits.
+func Read(r io.Reader) (*Proof, error) { return ReadLimited(r, cnf.DefaultParseLimits()) }
 
-// ReadLimited is Read with explicit Limits — the entry point for genuinely
-// untrusted input. Syntax problems (including truncation) wrap ErrMalformed
-// and limit violations wrap ErrLimit.
-func ReadLimited(r io.Reader, lim Limits) (*Proof, error) {
-	lim = lim.withDefaults()
-	t := cnf.NewTokenizer(r, lim.MaxBytes, &LimitError{What: "bytes", Limit: lim.MaxBytes})
+// ReadLimited is Read with explicit limits — the entry point for genuinely
+// untrusted input. Every field of the limits applies; MaxClauses bounds the
+// steps, MaxHints the hints or deleted IDs of one step. Syntax problems
+// (including truncation) wrap cnf.ErrMalformed and limit violations wrap
+// cnf.ErrLimit.
+func ReadLimited(r io.Reader, lim cnf.ParseLimits) (*Proof, error) {
+	lim = lim.WithDefaults()
+	t := cnf.NewTokenizer(r, lim.MaxBytes)
 	p := &Proof{}
 	var (
 		lits cnf.Slab[cnf.Lit]
@@ -72,15 +74,15 @@ func ReadLimited(r io.Reader, lim Limits) (*Proof, error) {
 		if tok == nil {
 			return p, nil
 		}
-		if len(p.Steps) >= lim.MaxSteps {
-			return nil, &LimitError{What: "steps", Limit: int64(lim.MaxSteps)}
+		if len(p.Steps) >= lim.MaxClauses {
+			return nil, &cnf.LimitError{What: "steps", Limit: int64(lim.MaxClauses)}
 		}
 		id, ok := cnf.ParseInt(tok)
 		if !ok || id <= 0 {
-			return nil, fmt.Errorf("%w: step %d: bad id %q", ErrMalformed, len(p.Steps), tok)
+			return nil, fmt.Errorf("%w: step %d: bad id %q", cnf.ErrMalformed, len(p.Steps), tok)
 		}
 		if id > lim.MaxID {
-			return nil, &LimitError{What: "id", Limit: lim.MaxID}
+			return nil, &cnf.LimitError{What: "id", Limit: lim.MaxID}
 		}
 		s := Step{ID: id}
 
@@ -88,7 +90,7 @@ func ReadLimited(r io.Reader, lim Limits) (*Proof, error) {
 			return nil, err
 		}
 		if tok == nil {
-			return nil, fmt.Errorf("%w: step %d: truncated after id", ErrMalformed, len(p.Steps))
+			return nil, fmt.Errorf("%w: step %d: truncated after id", cnf.ErrMalformed, len(p.Steps))
 		}
 		if string(tok) == "d" {
 			s.Del = true
@@ -97,20 +99,20 @@ func ReadLimited(r io.Reader, lim Limits) (*Proof, error) {
 					return nil, err
 				}
 				if tok == nil {
-					return nil, fmt.Errorf("%w: step %d: unterminated deletion", ErrMalformed, len(p.Steps))
+					return nil, fmt.Errorf("%w: step %d: unterminated deletion", cnf.ErrMalformed, len(p.Steps))
 				}
 				d, ok := cnf.ParseInt(tok)
 				if !ok || d < 0 {
-					return nil, fmt.Errorf("%w: step %d: bad deleted id %q", ErrMalformed, len(p.Steps), tok)
+					return nil, fmt.Errorf("%w: step %d: bad deleted id %q", cnf.ErrMalformed, len(p.Steps), tok)
 				}
 				if d == 0 {
 					break
 				}
 				if d > lim.MaxID {
-					return nil, &LimitError{What: "id", Limit: lim.MaxID}
+					return nil, &cnf.LimitError{What: "id", Limit: lim.MaxID}
 				}
 				if ids.Len() >= lim.MaxHints {
-					return nil, &LimitError{What: "hints", Limit: int64(lim.MaxHints)}
+					return nil, &cnf.LimitError{What: "hints", Limit: int64(lim.MaxHints)}
 				}
 				ids.Append(d)
 			}
@@ -124,23 +126,23 @@ func ReadLimited(r io.Reader, lim Limits) (*Proof, error) {
 		for {
 			d, ok := cnf.ParseInt(tok)
 			if !ok {
-				return nil, fmt.Errorf("%w: step %d: bad literal %q", ErrMalformed, len(p.Steps), tok)
+				return nil, fmt.Errorf("%w: step %d: bad literal %q", cnf.ErrMalformed, len(p.Steps), tok)
 			}
 			if d == 0 {
 				break
 			}
-			if d > int64(lim.MaxVar) || d < -int64(lim.MaxVar) {
-				return nil, &LimitError{What: "variable", Limit: int64(lim.MaxVar)}
+			if d > int64(lim.MaxVars) || d < -int64(lim.MaxVars) {
+				return nil, &cnf.LimitError{What: "variables", Limit: int64(lim.MaxVars)}
 			}
 			if lits.Len() >= lim.MaxClauseLen {
-				return nil, &LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
+				return nil, &cnf.LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
 			}
 			lits.Append(cnf.FromDimacs(int(d)))
 			if tok, err = nextToken(t); err != nil {
 				return nil, err
 			}
 			if tok == nil {
-				return nil, fmt.Errorf("%w: step %d: unterminated clause", ErrMalformed, len(p.Steps))
+				return nil, fmt.Errorf("%w: step %d: unterminated clause", cnf.ErrMalformed, len(p.Steps))
 			}
 		}
 		s.C = lits.Cut()
@@ -149,20 +151,20 @@ func ReadLimited(r io.Reader, lim Limits) (*Proof, error) {
 				return nil, err
 			}
 			if tok == nil {
-				return nil, fmt.Errorf("%w: step %d: unterminated hints", ErrMalformed, len(p.Steps))
+				return nil, fmt.Errorf("%w: step %d: unterminated hints", cnf.ErrMalformed, len(p.Steps))
 			}
 			h, ok := cnf.ParseInt(tok)
 			if !ok {
-				return nil, fmt.Errorf("%w: step %d: bad hint %q", ErrMalformed, len(p.Steps), tok)
+				return nil, fmt.Errorf("%w: step %d: bad hint %q", cnf.ErrMalformed, len(p.Steps), tok)
 			}
 			if h == 0 {
 				break
 			}
 			if h > lim.MaxID || -h > lim.MaxID {
-				return nil, &LimitError{What: "id", Limit: lim.MaxID}
+				return nil, &cnf.LimitError{What: "id", Limit: lim.MaxID}
 			}
 			if ids.Len() >= lim.MaxHints {
-				return nil, &LimitError{What: "hints", Limit: int64(lim.MaxHints)}
+				return nil, &cnf.LimitError{What: "hints", Limit: int64(lim.MaxHints)}
 			}
 			ids.Append(h)
 		}
@@ -181,7 +183,7 @@ func nextToken(t *cnf.Tokenizer) ([]byte, error) {
 		tok := t.Next()
 		if tok == nil {
 			if err := t.Err(); err != nil {
-				return nil, limitOr(err, fmt.Errorf("%w: %v", ErrMalformed, err))
+				return nil, cnf.ReadErr(err, "read")
 			}
 			return nil, nil
 		}

@@ -41,7 +41,7 @@ func (e *ValidationError) Error() string {
 // defaults). On success the check result is returned; when the bytes do
 // not establish the refutation the error is a *ValidationError; any other
 // error is environmental (context cancellation via opt.Ctx).
-func Validate(f *cnf.Formula, proofBytes []byte, lim Limits, opt Options) (*Result, error) {
+func Validate(f *cnf.Formula, proofBytes []byte, lim cnf.ParseLimits, opt Options) (*Result, error) {
 	var p *Proof
 	var err error
 	if DetectBinary(proofBytes) {

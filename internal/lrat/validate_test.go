@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"repro/internal/cnf"
 )
 
 // validChainProof is an LRAT refutation of chainFormula as bytes, the shape
@@ -19,7 +21,7 @@ func validChainProof(t *testing.T) []byte {
 
 func TestValidateAcceptsTextAndBinary(t *testing.T) {
 	text := validChainProof(t)
-	res, err := Validate(chainFormula(), text, Limits{}, Options{})
+	res, err := Validate(chainFormula(), text, cnf.ParseLimits{}, Options{})
 	if err != nil {
 		t.Fatalf("Validate(text): %v", err)
 	}
@@ -31,7 +33,7 @@ func TestValidateAcceptsTextAndBinary(t *testing.T) {
 	if err := WriteBinary(&bin, parse(t, "4 2 0 1 2 0\n5 0 4 3 0")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Validate(chainFormula(), bin.Bytes(), Limits{}, Options{}); err != nil {
+	if _, err := Validate(chainFormula(), bin.Bytes(), cnf.ParseLimits{}, Options{}); err != nil {
 		t.Fatalf("Validate(binary): %v", err)
 	}
 }
@@ -48,7 +50,7 @@ func TestValidateRejectsFlippedHintByte(t *testing.T) {
 		if bytes.Equal(bad, good) {
 			continue
 		}
-		_, err := Validate(chainFormula(), bad, Limits{}, Options{})
+		_, err := Validate(chainFormula(), bad, cnf.ParseLimits{}, Options{})
 		if err == nil {
 			// A corruption can still parse AND check only if it left the
 			// proof semantically intact; for this proof any accepted mutant
@@ -66,7 +68,7 @@ func TestValidateRejectsFlippedHintByte(t *testing.T) {
 	if bytes.Equal(bad, good) {
 		t.Fatal("fixture did not contain the expected hint bytes")
 	}
-	_, err := Validate(chainFormula(), bad, Limits{}, Options{})
+	_, err := Validate(chainFormula(), bad, cnf.ParseLimits{}, Options{})
 	var ve *ValidationError
 	if !errors.As(err, &ve) {
 		t.Fatalf("corrupted hint: err = %v, want *ValidationError", err)
@@ -83,7 +85,7 @@ func TestValidateRejectsNonRefutation(t *testing.T) {
 	if err := Write(&buf, parse(t, "4 2 0 1 2 0")); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Validate(chainFormula(), buf.Bytes(), Limits{}, Options{})
+	_, err := Validate(chainFormula(), buf.Bytes(), cnf.ParseLimits{}, Options{})
 	var ve *ValidationError
 	if !errors.As(err, &ve) {
 		t.Fatalf("err = %v, want *ValidationError", err)
@@ -92,7 +94,7 @@ func TestValidateRejectsNonRefutation(t *testing.T) {
 
 func TestValidateRejectsGarbage(t *testing.T) {
 	for _, in := range []string{"", "not a proof", "4 2 0 1 2"} {
-		_, err := Validate(chainFormula(), []byte(in), Limits{}, Options{})
+		_, err := Validate(chainFormula(), []byte(in), cnf.ParseLimits{}, Options{})
 		var ve *ValidationError
 		if !errors.As(err, &ve) {
 			t.Fatalf("Validate(%q) err = %v, want *ValidationError", in, err)

@@ -3,7 +3,6 @@ package proof
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
@@ -20,8 +19,8 @@ import (
 //	per clause: [uvarint resolution count, when flags&1]
 //	            uvarint mapped literals..., terminated by a 0 byte
 //
-// A literal with DIMACS value d maps to (|d| << 1) | (d < 0), which is
-// always >= 2, so the 0 terminator is unambiguous.
+// Literals are cnf.EncodeBinaryLit's binary DRAT encoding, always >= 2, so
+// the 0 terminator is unambiguous.
 
 const binaryMagic = "CCPF"
 
@@ -29,31 +28,6 @@ const (
 	binaryVersion       = 1
 	binaryFlagResCounts = 1
 )
-
-func mapLit(l cnf.Lit) uint64 {
-	d := l.Dimacs()
-	if d < 0 {
-		return uint64(-d)<<1 | 1
-	}
-	return uint64(d) << 1
-}
-
-// unmapLit decodes a mapped literal, refusing magnitudes beyond maxVar —
-// the check must happen on the uint64 before narrowing, or a 2^40 "variable"
-// would wrap the int32 literal encoding into nonsense (or a panic).
-func unmapLit(u uint64, maxVar int) (cnf.Lit, error) {
-	mag := u >> 1
-	if mag == 0 {
-		return cnf.LitUndef, fmt.Errorf("%w: binary literal 0 outside terminator position", ErrMalformed)
-	}
-	if mag > uint64(maxVar) {
-		return cnf.LitUndef, &LimitError{What: "variable", Limit: int64(maxVar)}
-	}
-	if u&1 == 1 {
-		return cnf.FromDimacs(-int(mag)), nil
-	}
-	return cnf.FromDimacs(int(mag)), nil
-}
 
 // WriteBinary writes the trace in the binary format.
 func WriteBinary(w io.Writer, t *Trace) error {
@@ -84,7 +58,7 @@ func WriteBinary(w io.Writer, t *Trace) error {
 			}
 		}
 		for _, l := range c {
-			if err := putUvarint(mapLit(l)); err != nil {
+			if err := putUvarint(cnf.EncodeBinaryLit(l)); err != nil {
 				return err
 			}
 		}
@@ -95,28 +69,26 @@ func WriteBinary(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses a binary trace under DefaultLimits.
+// ReadBinary parses a binary trace under cnf.DefaultParseLimits.
 func ReadBinary(r io.Reader) (*Trace, error) {
-	return ReadBinaryLimited(r, DefaultLimits())
+	return ReadBinaryLimited(r, cnf.DefaultParseLimits())
 }
 
-// ReadBinaryLimited is ReadBinary with explicit Limits. Truncation and
-// encoding garbage wrap ErrMalformed; limit violations wrap ErrLimit.
-func ReadBinaryLimited(r io.Reader, lim Limits) (*Trace, error) {
-	lim = lim.withDefaults()
-	br := cnf.NewTokenizer(r, lim.MaxBytes, &LimitError{What: "bytes", Limit: lim.MaxBytes})
+// ReadBinaryLimited is ReadBinary with explicit limits; it honours the same
+// fields as ReadLimited. Truncation and encoding garbage wrap
+// cnf.ErrMalformed; limit violations wrap cnf.ErrLimit.
+func ReadBinaryLimited(r io.Reader, lim cnf.ParseLimits) (*Trace, error) {
+	lim = lim.WithDefaults()
+	br := cnf.NewTokenizer(r, lim.MaxBytes)
 	head := make([]byte, len(binaryMagic)+2)
 	if _, err := io.ReadFull(br, head); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: truncated binary header", ErrMalformed)
-		}
-		return nil, fmt.Errorf("proof: binary header: %w", err)
+		return nil, cnf.ReadErr(err, "binary header")
 	}
 	if string(head[:4]) != binaryMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrMalformed, head[:4])
+		return nil, fmt.Errorf("%w: bad magic %q", cnf.ErrMalformed, head[:4])
 	}
 	if head[4] != binaryVersion {
-		return nil, fmt.Errorf("%w: unsupported binary version %d", ErrMalformed, head[4])
+		return nil, fmt.Errorf("%w: unsupported binary version %d", cnf.ErrMalformed, head[4])
 	}
 	flags := head[5]
 	hasRes := flags&binaryFlagResCounts != 0
@@ -133,7 +105,7 @@ func ReadBinaryLimited(r io.Reader, lim Limits) (*Trace, error) {
 				return t, nil
 			}
 			if err != nil {
-				return nil, fmt.Errorf("%w: binary resolution count: %v", ErrMalformed, err)
+				return nil, cnf.ReadErr(err, "binary resolution count")
 			}
 			t.Resolutions = append(t.Resolutions, int64(res))
 		}
@@ -144,30 +116,26 @@ func ReadBinaryLimited(r io.Reader, lim Limits) (*Trace, error) {
 				if first && !hasRes {
 					return t, nil
 				}
-				return nil, fmt.Errorf("%w: truncated binary clause", ErrMalformed)
+				return nil, fmt.Errorf("%w: truncated binary clause", cnf.ErrMalformed)
 			}
 			if err != nil {
-				var le *LimitError
-				if errors.As(err, &le) {
-					return nil, le
-				}
-				return nil, fmt.Errorf("%w: binary literal: %v", ErrMalformed, err)
+				return nil, cnf.ReadErr(err, "binary literal")
 			}
 			first = false
 			if u == 0 {
 				break
 			}
 			if lits.Len() >= lim.MaxClauseLen {
-				return nil, &LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
+				return nil, &cnf.LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
 			}
-			l, err := unmapLit(u, lim.MaxVar)
+			l, err := cnf.DecodeBinaryLit(u, lim.MaxVars)
 			if err != nil {
 				return nil, err
 			}
 			lits.Append(l)
 		}
 		if len(t.Clauses) >= lim.MaxClauses {
-			return nil, &LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
+			return nil, &cnf.LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
 		}
 		t.Clauses = append(t.Clauses, lits.Cut())
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"repro/internal/cnf"
 )
 
 // The fuzz targets pin the parser hardening contract on arbitrary bytes:
@@ -22,9 +24,9 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add([]byte("c res 2\n1 0\nc res 3\n-1 2 3")) // unterminated last clause
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadLimited(bytes.NewReader(data),
-			Limits{MaxClauses: 1 << 12, MaxClauseLen: 1 << 10, MaxVar: 1 << 16, MaxBytes: 1 << 20})
+			cnf.ParseLimits{MaxClauses: 1 << 12, MaxClauseLen: 1 << 10, MaxVars: 1 << 16, MaxBytes: 1 << 20})
 		if err != nil {
-			if !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrLimit) {
+			if !errors.Is(err, cnf.ErrMalformed) && !errors.Is(err, cnf.ErrLimit) {
 				t.Fatalf("untyped parse error: %v", err)
 			}
 			return
@@ -65,9 +67,9 @@ func FuzzReadBinaryTrace(f *testing.F) {
 	f.Add([]byte("CCPF\x01\x00\xff\xff\xff\xff"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadBinaryLimited(bytes.NewReader(data),
-			Limits{MaxClauses: 1 << 12, MaxClauseLen: 1 << 10, MaxVar: 1 << 16, MaxBytes: 1 << 20})
+			cnf.ParseLimits{MaxClauses: 1 << 12, MaxClauseLen: 1 << 10, MaxVars: 1 << 16, MaxBytes: 1 << 20})
 		if err != nil {
-			if !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrLimit) {
+			if !errors.Is(err, cnf.ErrMalformed) && !errors.Is(err, cnf.ErrLimit) {
 				t.Fatalf("untyped parse error: %v", err)
 			}
 			return

@@ -32,21 +32,27 @@ func Write(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// Read parses a trace in the text format under DefaultLimits. Clauses may
+// DefaultLimits is cnf.DefaultParseLimits.
+//
+// Deprecated: use cnf.DefaultParseLimits.
+func DefaultLimits() cnf.ParseLimits { return cnf.DefaultParseLimits() }
+
+// Read parses a trace in the text format under cnf.DefaultParseLimits. Clauses may
 // span lines; comments other than "c res" are ignored. A "c res <n>"
 // comment annotates the next clause. If any clause carries an annotation,
 // unannotated clauses get 0.
-func Read(r io.Reader) (*Trace, error) { return ReadLimited(r, DefaultLimits()) }
+func Read(r io.Reader) (*Trace, error) { return ReadLimited(r, cnf.DefaultParseLimits()) }
 
-// ReadLimited is Read with explicit Limits — the entry point for genuinely
-// untrusted input. Syntax problems (including truncation) wrap ErrMalformed
-// and limit violations wrap ErrLimit, so callers can map the two failure
-// classes to distinct outcomes. A line whose first field starts with 'c' is
-// a comment; every other field is a DIMACS literal or the 0 that ends a
-// clause. Lines may be of any length.
-func ReadLimited(r io.Reader, lim Limits) (*Trace, error) {
-	lim = lim.withDefaults()
-	tz := cnf.NewTokenizer(r, lim.MaxBytes, &LimitError{What: "bytes", Limit: lim.MaxBytes})
+// ReadLimited is Read with explicit limits — the entry point for genuinely
+// untrusted input. It honours MaxClauses, MaxClauseLen, MaxVars and
+// MaxBytes. Syntax problems (including truncation) wrap cnf.ErrMalformed
+// and limit violations wrap cnf.ErrLimit, so callers can map the two
+// failure classes to distinct outcomes. A line whose first field starts
+// with 'c' is a comment; every other field is a DIMACS literal or the 0
+// that ends a clause. Lines may be of any length.
+func ReadLimited(r io.Reader, lim cnf.ParseLimits) (*Trace, error) {
+	lim = lim.WithDefaults()
+	tz := cnf.NewTokenizer(r, lim.MaxBytes)
 	t := New()
 	t.Resolutions = nil
 	var (
@@ -75,11 +81,11 @@ func ReadLimited(r io.Reader, lim Limits) (*Trace, error) {
 		}
 		d, ok := cnf.ParseInt(f)
 		if !ok {
-			return nil, fmt.Errorf("%w: line %d: unexpected token %q", ErrMalformed, tz.Line(), f)
+			return nil, fmt.Errorf("%w: line %d: unexpected token %q", cnf.ErrMalformed, tz.Line(), f)
 		}
 		if d == 0 {
 			if len(t.Clauses) >= lim.MaxClauses {
-				return nil, &LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
+				return nil, &cnf.LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
 			}
 			t.Clauses = append(t.Clauses, lits.Cut())
 			if sawRes {
@@ -88,19 +94,19 @@ func ReadLimited(r io.Reader, lim Limits) (*Trace, error) {
 			pendingRes = 0
 			continue
 		}
-		if d > int64(lim.MaxVar) || d < -int64(lim.MaxVar) {
-			return nil, &LimitError{What: "variable", Limit: int64(lim.MaxVar)}
+		if d > int64(lim.MaxVars) || d < -int64(lim.MaxVars) {
+			return nil, &cnf.LimitError{What: "variables", Limit: int64(lim.MaxVars)}
 		}
 		if lits.Len() >= lim.MaxClauseLen {
-			return nil, &LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
+			return nil, &cnf.LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
 		}
 		lits.Append(cnf.FromDimacs(int(d)))
 	}
 	if err := tz.Err(); err != nil {
-		return nil, err
+		return nil, cnf.ReadErr(err, "read")
 	}
 	if lits.Len() > 0 {
-		return nil, fmt.Errorf("%w: last clause not terminated by 0", ErrMalformed)
+		return nil, fmt.Errorf("%w: last clause not terminated by 0", cnf.ErrMalformed)
 	}
 	if sawRes {
 		t.Resolutions = res
@@ -132,7 +138,7 @@ func resComment(tz *cnf.Tokenizer) (n int64, ok bool, err error) {
 		return 0, false, nil
 	}
 	if !ok {
-		return 0, false, fmt.Errorf("%w: line %d: bad res count %q", ErrMalformed, line, bad)
+		return 0, false, fmt.Errorf("%w: line %d: bad res count %q", cnf.ErrMalformed, line, bad)
 	}
 	return n, true, nil
 }

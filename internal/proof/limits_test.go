@@ -18,25 +18,25 @@ func TestReadLimitedMaxVar(t *testing.T) {
 	// narrowed into garbage.
 	// The most negative int is its own negation, so it needs its own row.
 	for _, in := range []string{"9000000000 0\n", "-9000000000 0\n", "70000 0\n", "-9223372036854775808 0\n"} {
-		_, err := ReadLimited(strings.NewReader(in), Limits{MaxVar: 65536})
-		var le *LimitError
-		if !errors.As(err, &le) || !errors.Is(err, ErrLimit) {
-			t.Fatalf("ReadLimited(%q) err = %v, want *LimitError", in, err)
+		_, err := ReadLimited(strings.NewReader(in), cnf.ParseLimits{MaxVars: 65536})
+		var le *cnf.LimitError
+		if !errors.As(err, &le) || !errors.Is(err, cnf.ErrLimit) {
+			t.Fatalf("ReadLimited(%q) err = %v, want *cnf.LimitError", in, err)
 		}
-		if le.What != "variable" {
-			t.Fatalf("ReadLimited(%q): tripped %q limit, want variable", in, le.What)
+		if le.What != "variables" {
+			t.Fatalf("ReadLimited(%q): tripped %q limit, want variables", in, le.What)
 		}
 	}
 }
 
 func TestReadLimitedClauseAndLenLimits(t *testing.T) {
-	if _, err := ReadLimited(strings.NewReader("1 0\n2 0\n3 0\n"), Limits{MaxClauses: 2}); !errors.Is(err, ErrLimit) {
+	if _, err := ReadLimited(strings.NewReader("1 0\n2 0\n3 0\n"), cnf.ParseLimits{MaxClauses: 2}); !errors.Is(err, cnf.ErrLimit) {
 		t.Fatalf("clause-count limit: err = %v", err)
 	}
-	if _, err := ReadLimited(strings.NewReader("1 2 3 4 0\n"), Limits{MaxClauseLen: 3}); !errors.Is(err, ErrLimit) {
+	if _, err := ReadLimited(strings.NewReader("1 2 3 4 0\n"), cnf.ParseLimits{MaxClauseLen: 3}); !errors.Is(err, cnf.ErrLimit) {
 		t.Fatalf("clause-length limit: err = %v", err)
 	}
-	if _, err := ReadLimited(strings.NewReader("1 2 0\n-1 0\n"), Limits{MaxBytes: 4}); !errors.Is(err, ErrLimit) {
+	if _, err := ReadLimited(strings.NewReader("1 2 0\n-1 0\n"), cnf.ParseLimits{MaxBytes: 4}); !errors.Is(err, cnf.ErrLimit) {
 		t.Fatalf("byte limit: err = %v", err)
 	}
 }
@@ -48,8 +48,8 @@ func TestReadMalformed(t *testing.T) {
 		"c res x\n1 0\n", // bad resolution count
 	}
 	for _, in := range cases {
-		if _, err := ReadString(in); !errors.Is(err, ErrMalformed) {
-			t.Fatalf("ReadString(%q) err = %v, want ErrMalformed", in, err)
+		if _, err := ReadString(in); !errors.Is(err, cnf.ErrMalformed) {
+			t.Fatalf("ReadString(%q) err = %v, want cnf.ErrMalformed", in, err)
 		}
 	}
 }
@@ -76,8 +76,8 @@ func TestReadBinaryMalformed(t *testing.T) {
 		"truncated clause": valid[:len(valid)-1],
 	}
 	for name, in := range cases {
-		if _, err := ReadBinary(bytes.NewReader(in)); !errors.Is(err, ErrMalformed) {
-			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
+		if _, err := ReadBinary(bytes.NewReader(in)); !errors.Is(err, cnf.ErrMalformed) {
+			t.Errorf("%s: err = %v, want cnf.ErrMalformed", name, err)
 		}
 	}
 }
@@ -92,22 +92,22 @@ func TestReadBinaryLimits(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	if _, err := ReadBinaryLimited(bytes.NewReader(data), Limits{MaxVar: 65536}); !errors.Is(err, ErrLimit) {
+	if _, err := ReadBinaryLimited(bytes.NewReader(data), cnf.ParseLimits{MaxVars: 65536}); !errors.Is(err, cnf.ErrLimit) {
 		t.Fatalf("variable limit: err = %v", err)
 	}
-	if _, err := ReadBinaryLimited(bytes.NewReader(data), Limits{MaxClauses: 2}); !errors.Is(err, ErrLimit) {
+	if _, err := ReadBinaryLimited(bytes.NewReader(data), cnf.ParseLimits{MaxClauses: 2}); !errors.Is(err, cnf.ErrLimit) {
 		t.Fatalf("clause-count limit: err = %v", err)
 	}
-	if _, err := ReadBinaryLimited(bytes.NewReader(data), Limits{MaxClauseLen: 1}); !errors.Is(err, ErrLimit) {
+	if _, err := ReadBinaryLimited(bytes.NewReader(data), cnf.ParseLimits{MaxClauseLen: 1}); !errors.Is(err, cnf.ErrLimit) {
 		t.Fatalf("clause-length limit: err = %v", err)
 	}
-	if _, err := ReadBinaryLimited(bytes.NewReader(data), Limits{MaxBytes: 8}); !errors.Is(err, ErrLimit) {
+	if _, err := ReadBinaryLimited(bytes.NewReader(data), cnf.ParseLimits{MaxBytes: 8}); !errors.Is(err, cnf.ErrLimit) {
 		t.Fatalf("byte limit: err = %v", err)
 	}
 
 	// Exactly-at-limit input still parses.
-	got, err := ReadBinaryLimited(bytes.NewReader(data), Limits{
-		MaxVar: 100000, MaxClauses: 3, MaxClauseLen: 2, MaxBytes: int64(len(data)),
+	got, err := ReadBinaryLimited(bytes.NewReader(data), cnf.ParseLimits{
+		MaxVars: 100000, MaxClauses: 3, MaxClauseLen: 2, MaxBytes: int64(len(data)),
 	})
 	if err != nil || len(got.Clauses) != 3 {
 		t.Fatalf("at-limit parse: err=%v got=%+v", err, got)
@@ -127,9 +127,11 @@ func TestCappedReaderDistinguishesEOF(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, read := range map[string]func([]byte, int64) (*Trace, error){
-		"text": func(b []byte, n int64) (*Trace, error) { return ReadLimited(bytes.NewReader(b), Limits{MaxBytes: n}) },
+		"text": func(b []byte, n int64) (*Trace, error) {
+			return ReadLimited(bytes.NewReader(b), cnf.ParseLimits{MaxBytes: n})
+		},
 		"binary": func(b []byte, n int64) (*Trace, error) {
-			return ReadBinaryLimited(bytes.NewReader(b), Limits{MaxBytes: n})
+			return ReadBinaryLimited(bytes.NewReader(b), cnf.ParseLimits{MaxBytes: n})
 		},
 	} {
 		in := []byte(text)
@@ -139,10 +141,29 @@ func TestCappedReaderDistinguishesEOF(t *testing.T) {
 		if got, err := read(in, int64(len(in))); err != nil || !reflect.DeepEqual(got.Clauses, tr.Clauses) {
 			t.Errorf("%s at the budget: %v, %v", name, got, err)
 		}
-		var le *LimitError
+		var le *cnf.LimitError
 		if _, err := read(in, int64(len(in))-1); !errors.As(err, &le) || le.What != "bytes" {
 			t.Errorf("%s one byte over the budget: err = %v, want the bytes limit", name, err)
 		}
+	}
+}
+
+// TestBinaryBudgetAtResolutionCount: a byte budget that runs out where a
+// resolution count starts is the bytes limit, not a malformed trace.
+func TestBinaryBudgetAtResolutionCount(t *testing.T) {
+	tr := New()
+	tr.Append(cl(1, -2), 3)
+	tr.Append(cl(2), 1)
+	var bin bytes.Buffer
+	if err := WriteBinary(&bin, tr); err != nil {
+		t.Fatal(err)
+	}
+	// Header, then the first clause: its count, two literals and the 0.
+	budget := int64(len(binaryMagic) + 2 + 1 + 2 + 1)
+	_, err := ReadBinaryLimited(bytes.NewReader(bin.Bytes()), cnf.ParseLimits{MaxBytes: budget})
+	var le *cnf.LimitError
+	if !errors.As(err, &le) || *le != (cnf.LimitError{What: "bytes", Limit: budget}) {
+		t.Fatalf("budget ending at the second count: err = %v, want the bytes limit %d", err, budget)
 	}
 }
 
@@ -227,8 +248,8 @@ func TestReadTokenizer(t *testing.T) {
 		"1 99999999999999999999 0\n": "line 1: unexpected token \"99999999999999999999\"",
 	} {
 		_, err := ReadString(in)
-		if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), msg) {
-			t.Errorf("ReadString(%q) err = %v, want ErrMalformed with %q", in, err, msg)
+		if !errors.Is(err, cnf.ErrMalformed) || !strings.Contains(err.Error(), msg) {
+			t.Errorf("ReadString(%q) err = %v, want cnf.ErrMalformed with %q", in, err, msg)
 		}
 	}
 }

@@ -62,9 +62,9 @@ type Options struct {
 	CheckpointEvery int
 
 	// FormulaLimits/ProofLimits bound what admission accepts; zero fields
-	// take the parsers' defaults.
+	// take cnf.DefaultParseLimits.
 	FormulaLimits cnf.ParseLimits
-	ProofLimits   proof.Limits
+	ProofLimits   cnf.ParseLimits
 	// MaxUploadBytes bounds a whole upload body (default 256 MiB).
 	MaxUploadBytes int64
 

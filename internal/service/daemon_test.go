@@ -220,17 +220,24 @@ func TestDaemonAdmissionGate(t *testing.T) {
 	fsBig, _ := encodeProblem(t, fBig, trBig)
 	noTerm := "2 0\n3 0\n" // no final pair, no empty clause
 
+	// says, when set, starts the error message: a reader's error names its
+	// part, since the reader's own message does not say which input failed.
 	cases := []struct {
 		name  string
 		parts map[string]string
 		code  int
+		says  string
 	}{
-		{"missing proof", map[string]string{"formula": fs}, http.StatusBadRequest},
-		{"missing formula", map[string]string{"proof": ps}, http.StatusBadRequest},
-		{"unknown part", map[string]string{"formula": fs, "proof": ps, "extra": "x"}, http.StatusBadRequest},
-		{"malformed formula", map[string]string{"formula": "p cnf zzz\n", "proof": ps}, http.StatusBadRequest},
-		{"over formula limit", map[string]string{"formula": fsBig, "proof": ps}, http.StatusRequestEntityTooLarge},
-		{"non-terminating trace", map[string]string{"formula": fs, "proof": noTerm}, http.StatusUnprocessableEntity},
+		{"missing proof", map[string]string{"formula": fs}, http.StatusBadRequest, ""},
+		{"missing formula", map[string]string{"proof": ps}, http.StatusBadRequest, ""},
+		{"unknown part", map[string]string{"formula": fs, "proof": ps, "extra": "x"}, http.StatusBadRequest, ""},
+		{"malformed formula", map[string]string{"formula": "p cnf zzz\n", "proof": ps}, http.StatusBadRequest,
+			`"formula" part: malformed input: `},
+		{"malformed proof", map[string]string{"formula": fs, "proof": "1 zz 0\n"}, http.StatusBadRequest,
+			`"proof" part: malformed input: `},
+		{"over formula limit", map[string]string{"formula": fsBig, "proof": ps}, http.StatusRequestEntityTooLarge,
+			`"formula" part: input exceeds clauses limit 8`},
+		{"non-terminating trace", map[string]string{"formula": fs, "proof": noTerm}, http.StatusUnprocessableEntity, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -239,8 +246,12 @@ func TestDaemonAdmissionGate(t *testing.T) {
 			if rw.Code != tc.code {
 				t.Fatalf("code = %d %s, want %d", rw.Code, rw.Body.String(), tc.code)
 			}
-			if !strings.Contains(rw.Body.String(), string(StatusBadInput)) {
+			var er errorResponse
+			if err := json.Unmarshal(rw.Body.Bytes(), &er); err != nil || er.Status != StatusBadInput {
 				t.Fatalf("body %q does not carry status bad_input", rw.Body.String())
+			}
+			if !strings.HasPrefix(er.Error, tc.says) {
+				t.Fatalf("error %q, want it to start %q", er.Error, tc.says)
 			}
 		})
 	}

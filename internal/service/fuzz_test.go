@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cnf"
-	"repro/internal/proof"
 )
 
 // fuzzBoundary is the fixed multipart boundary for the fuzz corpus, so the
@@ -31,7 +30,7 @@ func fuzzSetup(tb testing.TB) http.Handler {
 			Workers:        2,
 			QueueCap:       32,
 			FormulaLimits:  cnf.ParseLimits{MaxVars: 64, MaxClauses: 256, MaxClauseLen: 64, MaxBytes: 1 << 16},
-			ProofLimits:    proof.Limits{MaxClauses: 256, MaxClauseLen: 64, MaxVar: 64, MaxBytes: 1 << 16},
+			ProofLimits:    cnf.ParseLimits{MaxClauses: 256, MaxClauseLen: 64, MaxVars: 64, MaxBytes: 1 << 16},
 			MaxUploadBytes: 1 << 16,
 		})
 		if err != nil {

@@ -197,8 +197,9 @@ type uploadPart struct {
 // readParts is the multipart half of the upload handlers. It checks the
 // content type, caps the body at MaxUploadBytes and streams each part to
 // its reader, refusing a part that comes twice or that parts does not name;
-// parts lists the names in the order error messages give them. On failure
-// the HTTP error has been written and ok is false.
+// parts lists the names in the order error messages give them. A reader's
+// error is prefixed with its part's name. On failure the HTTP error has
+// been written and ok is false.
 func (d *Daemon) readParts(w http.ResponseWriter, r *http.Request, parts ...uploadPart) (ok bool) {
 	quoted := make([]string, len(parts))
 	for i, p := range parts {
@@ -242,7 +243,7 @@ func (d *Daemon) readParts(w http.ResponseWriter, r *http.Request, parts ...uplo
 		}
 		seen[k] = true
 		if err := parts[k].read(part); err != nil {
-			d.writeUploadError(w, err)
+			d.writeUploadError(w, fmt.Errorf("%s part: %w", quoted[k], err))
 			return false
 		}
 	}
@@ -260,7 +261,7 @@ func (d *Daemon) setRetryAfter(w http.ResponseWriter) {
 func (d *Daemon) writeUploadError(w http.ResponseWriter, err error) {
 	d.opt.Obs.Counter("service.uploads_rejected").Inc()
 	var maxBytes *http.MaxBytesError
-	if errors.As(err, &maxBytes) || errors.Is(err, cnf.ErrLimit) || errors.Is(err, proof.ErrLimit) {
+	if errors.As(err, &maxBytes) || errors.Is(err, cnf.ErrLimit) {
 		writeError(w, http.StatusRequestEntityTooLarge, StatusBadInput, err.Error())
 		return
 	}
@@ -390,7 +391,7 @@ func (d *Daemon) handleRecheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, StatusInternal, err.Error())
 		return
 	}
-	cres, err := lrat.Validate(f, b, lrat.Limits{}, lrat.Options{
+	cres, err := lrat.Validate(f, b, cnf.ParseLimits{}, lrat.Options{
 		Workers: runtime.GOMAXPROCS(0), Strategy: sched.StrategyDAG,
 		Ctx: r.Context(), Obs: d.opt.Obs,
 	})
@@ -482,7 +483,7 @@ func (d *Daemon) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 
 	// The integrity gate: re-derive the refutation from the formula and the
 	// hinted proof before acking anything.
-	cres, err := lrat.Validate(f, lratBytes, lrat.Limits{}, lrat.Options{Ctx: r.Context(), Obs: d.opt.Obs})
+	cres, err := lrat.Validate(f, lratBytes, cnf.ParseLimits{}, lrat.Options{Ctx: r.Context(), Obs: d.opt.Obs})
 	var ve *lrat.ValidationError
 	if errors.As(err, &ve) {
 		d.opt.Obs.Counter("service.replicas_rejected").Inc()
