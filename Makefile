@@ -39,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCNF$$' -fuzztime $(FUZZTIME) ./internal/cnf/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLRAT$$' -fuzztime $(FUZZTIME) ./internal/lrat/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLRATBinary$$' -fuzztime $(FUZZTIME) ./internal/lrat/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecorderRender$$' -fuzztime $(FUZZTIME) ./internal/lrat/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDRUP$$' -fuzztime $(FUZZTIME) ./internal/drat/
 	$(GO) test -run '^$$' -fuzz '^FuzzUpload$$' -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzRouterAdmission$$' -fuzztime $(FUZZTIME) ./internal/cluster/
@@ -133,8 +134,8 @@ trace-smoke:
 # under the race detector (which includes TestWorkGolden, the exact goldens
 # for the engines' work counters, hint counts and hint-DAG shape), a short
 # fuzz pass
-# over the untrusted-input parsers and the admission gates (daemon and
-# router), the kill-and-recover crash loops (CLI, daemon, and cluster
+# over the untrusted-input parsers, the admission gates (daemon and
+# router) and the hint recorder's renderers, the kill-and-recover crash loops (CLI, daemon, and cluster
 # kill-a-shard), the hinted-proof (LRAT) gate, the dependency-aware
 # scheduling gate, the trace roundtrip and event-count smoke, the check
 # that every -run pattern above still names tests, and the benchmark's

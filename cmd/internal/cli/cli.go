@@ -205,15 +205,11 @@ func Read[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
 
 // WriteLRAT renders a recorder's proof to path (text or binary) atomically.
 func WriteLRAT(path string, rec *lrat.Recorder, binary bool) error {
-	lp, err := rec.Proof()
-	if err != nil {
-		return err
-	}
 	return atomicio.WriteFile(path, func(w io.Writer) error {
 		if binary {
-			return lrat.WriteBinary(w, lp)
+			return rec.WriteBinary(w)
 		}
-		return lrat.Write(w, lp)
+		return rec.WriteText(w)
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/bcp"
 	"repro/internal/lrat"
@@ -58,9 +59,12 @@ type CheckpointConfig struct {
 	Every int
 	// Sink receives each encoded checkpoint record. It must make the
 	// record durable before returning (internal/journal.Writer.Append
-	// does). A nil Sink with Every > 0 still establishes the canonical
-	// epoch grid, whose boundaries reset the engine — that is how a
-	// resume-only run (no new journal) stays deterministic.
+	// does). The payload is borrowed: it is valid only until Sink
+	// returns, because Verify encodes the next record into the same
+	// buffer, so a sink that keeps a record must copy it. A nil Sink with
+	// Every > 0 still establishes the canonical epoch grid, whose
+	// boundaries reset the engine — that is how a resume-only run (no new
+	// journal) stays deterministic.
 	Sink func(payload []byte) error
 	// Resume, when non-nil, restarts verification from a decoded
 	// checkpoint instead of the beginning. StartJournal sets it only to a
@@ -141,14 +145,28 @@ func addStats(a, b bcp.Stats) bcp.Stats {
 // Encode serializes the checkpoint (version byte, fixed-width
 // little-endian integers, packed bitmap, then the hint recorder's encoding)
 // into one buffer sized up front.
-func (cp *Checkpoint) Encode() []byte {
-	ver, hintsLen := byte(checkpointVersionSeq), 0
+func (cp *Checkpoint) Encode() []byte { return cp.appendTo(nil) }
+
+// encodedLen returns how many bytes Encode writes: the version and flag
+// bytes, four counters, five bcp counters, the bitmap's length and bits,
+// then the hint blob.
+func (cp *Checkpoint) encodedLen() int {
+	n := 2 + 4*8 + 5*8 + 8 + (len(cp.Marked)+7)/8
 	if cp.Hints != nil {
-		ver, hintsLen = checkpointVersionHints, cp.Hints.EncodedLen()
+		n += cp.Hints.EncodedLen()
+	}
+	return n
+}
+
+// appendTo appends Encode's bytes to b, growing it at most once. Verify
+// encodes every epoch record into one buffer this way.
+func (cp *Checkpoint) appendTo(b []byte) []byte {
+	ver := byte(checkpointVersionSeq)
+	if cp.Hints != nil {
+		ver = checkpointVersionHints
 	}
 	nbm := (len(cp.Marked) + 7) / 8
-	// A capacity hint: the fixed fields, the bitmap and the hint blob.
-	b := make([]byte, 0, 128+nbm+hintsLen)
+	b = slices.Grow(b, cp.encodedLen())
 	b = append(b, ver, 0)
 	for _, v := range []int64{int64(cp.NextIndex), int64(cp.Tested), int64(cp.Skipped), int64(cp.Tautologies)} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))

@@ -398,6 +398,7 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 
 	check := span.Child("check-loop")
 	defer check.End()
+	var ckBuf []byte // every epoch record, in turn; see CheckpointConfig.Sink
 	for i := start; i >= 0; i-- {
 		if ck.enabled() && i != m-1 && i != resumedAt && (m-1-i)%ck.Every == 0 {
 			// Epoch boundary: reset the engine to its canonical state
@@ -420,7 +421,14 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 					// loop re-records i..0 with no duplicates.
 					Hints: opt.Hints,
 				}
-				if err := ck.Sink(cp.Encode()); err != nil {
+				// A hinted run's records grow with its hint log; sizing
+				// the buffer at twice a record keeps it from being
+				// replaced at every epoch.
+				if n := cp.encodedLen(); cap(ckBuf) < n {
+					ckBuf = make([]byte, 0, 2*n)
+				}
+				ckBuf = cp.appendTo(ckBuf[:0])
+				if err := ck.Sink(ckBuf); err != nil {
 					res.Incomplete = true
 					res.StoppedAt = i
 					res.Propagations = totalProps()

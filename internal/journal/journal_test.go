@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/cnf"
@@ -189,5 +190,45 @@ func TestFingerprintsDiscriminate(t *testing.T) {
 	tr2.Clauses = tr2.Clauses[:1]
 	if FingerprintTrace(tr) == FingerprintTrace(tr2) {
 		t.Fatal("truncated trace fingerprint collides")
+	}
+}
+
+// TestAppendCopiesNoPayload pins the copy-free frame: Append writes its
+// head and CRC around the caller's payload, so it allocates as often for a
+// 1 MiB payload as for a 1 KiB one, and far fewer bytes than the payload.
+func TestAppendCopiesNoPayload(t *testing.T) {
+	w, err := Create(filepath.Join(t.TempDir(), "ck.journal"), testMeta(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	appendAllocs := func(n int) (float64, uint64) {
+		p := bytes.Repeat([]byte{7}, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(4, func() {
+			if err := w.Append(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / 5
+	}
+	small, _ := appendAllocs(1 << 10)
+	large, bytesPerAppend := appendAllocs(1 << 20)
+	t.Logf("%.0f allocations per 1 KiB append, %.0f (%d bytes) per 1 MiB append", small, large, bytesPerAppend)
+	if small != large {
+		t.Errorf("a 1 KiB append allocates %.0f times, a 1 MiB append %.0f", small, large)
+	}
+	if bytesPerAppend >= 1<<16 {
+		t.Errorf("a 1 MiB append allocated %d bytes: the payload was copied", bytesPerAppend)
+	}
+	// The records still read back.
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Open(w.Path(), testMeta(), nil)
+	if err != nil || len(got) != 1<<20 {
+		t.Fatalf("reopening: %d-byte payload, err %v", len(got), err)
 	}
 }

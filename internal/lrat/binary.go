@@ -70,9 +70,26 @@ func WriteBinary(w io.Writer, p *Proof) error {
 	return err
 }
 
+// binaryHeaderLen is the length of the binary format's header.
+const binaryHeaderLen = len(binaryMagic) + 2
+
 // appendBinaryHeader appends the binary format's magic, version and flags.
 func appendBinaryHeader(b []byte) []byte {
 	return append(append(b, binaryMagic...), binaryVersion, 0)
+}
+
+// checkBinaryHeader validates a header of binaryHeaderLen bytes.
+func checkBinaryHeader(head []byte) error {
+	if string(head[:len(binaryMagic)]) != binaryMagic {
+		return fmt.Errorf("%w: bad magic %q", cnf.ErrMalformed, head[:len(binaryMagic)])
+	}
+	if head[4] != binaryVersion {
+		return fmt.Errorf("%w: unsupported binary version %d", cnf.ErrMalformed, head[4])
+	}
+	if head[5] != 0 {
+		return fmt.Errorf("%w: unsupported flags %#x", cnf.ErrMalformed, head[5])
+	}
+	return nil
 }
 
 // appendBinaryStep appends one step in the binary format.
@@ -106,18 +123,12 @@ func ReadBinary(r io.Reader) (*Proof, error) {
 func ReadBinaryLimited(r io.Reader, lim cnf.ParseLimits) (*Proof, error) {
 	lim = lim.WithDefaults()
 	br := cnf.NewTokenizer(r, lim.MaxBytes)
-	head := make([]byte, len(binaryMagic)+2)
+	head := make([]byte, binaryHeaderLen)
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, cnf.ReadErr(err, "binary header")
 	}
-	if string(head[:len(binaryMagic)]) != binaryMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", cnf.ErrMalformed, head[:len(binaryMagic)])
-	}
-	if head[4] != binaryVersion {
-		return nil, fmt.Errorf("%w: unsupported binary version %d", cnf.ErrMalformed, head[4])
-	}
-	if head[5] != 0 {
-		return nil, fmt.Errorf("%w: unsupported flags %#x", cnf.ErrMalformed, head[5])
+	if err := checkBinaryHeader(head); err != nil {
+		return nil, err
 	}
 
 	p := &Proof{}
@@ -209,4 +220,127 @@ func ReadBinaryLimited(r io.Reader, lim cnf.ParseLimits) (*Proof, error) {
 		s.Hints = ids.Cut()
 		p.addStep(s)
 	}
+}
+
+// walkSteps decodes the steps of body, a binary encoding after its header,
+// in order under lim, and calls visit (when not nil) with each one's
+// offset in body. visit sees the step in s, whose slices the next step
+// reuses. seen is how many steps came before body, which lim.MaxClauses
+// also counts; walkSteps returns the count after body.
+//
+// It is ReadBinaryLimited for bytes already in memory, building no Proof,
+// and one step stricter: every uvarint must be minimally encoded, so that
+// the bytes of an accepted step are exactly what appendBinaryStep writes
+// for it.
+func walkSteps(body []byte, lim *cnf.ParseLimits, seen int, s *Step, visit func(off int)) (int, error) {
+	for off := 0; off < len(body); seen++ {
+		if seen >= lim.MaxClauses {
+			return seen, &cnf.LimitError{What: "steps", Limit: int64(lim.MaxClauses)}
+		}
+		n, err := decodeStep(body[off:], s, lim)
+		if err != nil {
+			return seen, err
+		}
+		if visit != nil {
+			visit(off)
+		}
+		off += n
+	}
+	return seen, nil
+}
+
+// decodeStep decodes the step at the start of b, which must not be empty,
+// into s under lim and returns how many bytes it spans.
+func decodeStep(b []byte, s *Step, lim *cnf.ParseLimits) (int, error) {
+	tag := b[0]
+	if tag != 'a' && tag != 'd' {
+		return 0, fmt.Errorf("%w: bad step tag %#x", cnf.ErrMalformed, tag)
+	}
+	u := uvarints{b: b, n: 1}
+	id, err := u.next("step id")
+	if err != nil {
+		return 0, err
+	}
+	if id == 0 {
+		return 0, fmt.Errorf("%w: step id 0", cnf.ErrMalformed)
+	}
+	if id > uint64(lim.MaxID) {
+		return 0, &cnf.LimitError{What: "id", Limit: lim.MaxID}
+	}
+	s.ID, s.Del = int64(id), tag == 'd'
+	s.C, s.Hints, s.Deleted = s.C[:0], s.Hints[:0], s.Deleted[:0]
+	if s.Del {
+		for {
+			v, err := u.next("deletion")
+			if err != nil {
+				return 0, err
+			}
+			if v == 0 {
+				return u.n, nil
+			}
+			if v > uint64(lim.MaxID) {
+				return 0, &cnf.LimitError{What: "id", Limit: lim.MaxID}
+			}
+			if len(s.Deleted) >= lim.MaxHints {
+				return 0, &cnf.LimitError{What: "hints", Limit: int64(lim.MaxHints)}
+			}
+			s.Deleted = append(s.Deleted, int64(v))
+		}
+	}
+	for {
+		v, err := u.next("clause")
+		if err != nil {
+			return 0, err
+		}
+		if v == 0 {
+			break
+		}
+		if len(s.C) >= lim.MaxClauseLen {
+			return 0, &cnf.LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
+		}
+		l, err := cnf.DecodeBinaryLit(v, lim.MaxVars)
+		if err != nil {
+			return 0, err
+		}
+		s.C = append(s.C, l)
+	}
+	for {
+		v, err := u.next("hints")
+		if err != nil {
+			return 0, err
+		}
+		if v == 0 {
+			return u.n, nil
+		}
+		if len(s.Hints) >= lim.MaxHints {
+			return 0, &cnf.LimitError{What: "hints", Limit: int64(lim.MaxHints)}
+		}
+		h, err := unmapHint(v, lim.MaxID)
+		if err != nil {
+			return 0, err
+		}
+		s.Hints = append(s.Hints, h)
+	}
+}
+
+// uvarints reads the uvarints of b from offset n on.
+type uvarints struct {
+	b []byte
+	n int
+}
+
+// next reads one uvarint; what names the field for errors.
+func (u *uvarints) next(what string) (uint64, error) {
+	v, k := binary.Uvarint(u.b[u.n:])
+	switch {
+	case k == 0:
+		return 0, fmt.Errorf("%w: truncated %s", cnf.ErrMalformed, what)
+	case k < 0:
+		return 0, fmt.Errorf("%w: %s: uvarint overflows 64 bits", cnf.ErrMalformed, what)
+	case k > 1 && u.b[u.n+k-1] == 0:
+		// A last byte of 0 adds no bits: a longer encoding than needed.
+		return 0, fmt.Errorf("%w: %s: uvarint not minimally encoded", cnf.ErrMalformed, what)
+	}
+	u.n += k
+	return v, nil
 }

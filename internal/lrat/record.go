@@ -2,9 +2,11 @@ package lrat
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cnf"
@@ -57,6 +59,8 @@ var recordedLimits = cnf.ParseLimits{MaxClauses: math.MaxInt, MaxClauseLen: math
 // Proof decodes the recorded steps and returns them sorted by ID as an
 // emission-ready proof. Duplicate IDs mean the recorder was driven twice for
 // the same clause — a caller bug, reported rather than silently emitted.
+// To emit the steps, WriteText, WriteBinary and Text render them without
+// building the list.
 func (r *Recorder) Proof() (*Proof, error) {
 	readers := []io.Reader{bytes.NewReader(appendBinaryHeader(nil))}
 	for _, p := range r.enc {
@@ -70,10 +74,123 @@ func (r *Recorder) Proof() (*Proof, error) {
 	sort.Slice(steps, func(i, j int) bool { return steps[i].ID < steps[j].ID })
 	for i := 1; i < len(steps); i++ {
 		if steps[i].ID == steps[i-1].ID {
-			return nil, fmt.Errorf("lrat: duplicate recorded id %d", steps[i].ID)
+			return nil, duplicateID(steps[i].ID)
 		}
 	}
 	return p, nil
+}
+
+func duplicateID(id int64) error { return fmt.Errorf("lrat: duplicate recorded id %d", id) }
+
+// WriteText writes the recorded steps in the text format in ascending ID
+// order: the bytes Write(w, p) writes for p, r.Proof().
+func (r *Recorder) WriteText(w io.Writer) error {
+	return r.stream(w, nil, func(buf, _ []byte, s *Step) []byte { return appendText(buf, s) })
+}
+
+// WriteBinary writes the recorded steps in the binary format in ascending
+// ID order: the bytes WriteBinary(w, p) writes for p, r.Proof(). Each
+// step's recorded bytes are copied as they are.
+func (r *Recorder) WriteBinary(w io.Writer) error {
+	return r.stream(w, appendBinaryHeader(nil), func(buf, enc []byte, _ *Step) []byte { return append(buf, enc...) })
+}
+
+// Text returns WriteText's bytes in a buffer of exactly their length.
+func (r *Recorder) Text() ([]byte, error) {
+	refs, n, err := r.ascending(textLen)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, 0, n)
+	r.each(refs, func(_ []byte, s *Step) error {
+		buf = appendText(buf, s)
+		return nil
+	})
+	return buf, nil
+}
+
+// stream writes head, then each step in ascending ID order as add appends
+// it (from its encoding or its decoded form), in chunks of about flushAt.
+func (r *Recorder) stream(w io.Writer, head []byte, add func(buf, enc []byte, s *Step) []byte) error {
+	refs, _, err := r.ascending(nil)
+	if err != nil {
+		return err
+	}
+	const flushAt = 32 << 10
+	buf := append(make([]byte, 0, 2*flushAt), head...)
+	err = r.each(refs, func(enc []byte, s *Step) error {
+		if buf = add(buf, enc, s); len(buf) < flushAt {
+			return nil
+		}
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
+}
+
+// stepRef locates one recorded step: its ID and the offset of its encoding
+// in the concatenated pieces.
+type stepRef struct {
+	id, at int64
+}
+
+// ascending walks the recorded steps once and returns a reference to each,
+// sorted by ID, and the sum of size over the steps (0 if size is nil).
+func (r *Recorder) ascending(size func(*Step) int) ([]stepRef, int, error) {
+	refs := make([]stepRef, 0, r.n)
+	var (
+		s         Step
+		at        int64
+		seen, sum int
+		err       error
+	)
+	for _, p := range r.enc {
+		seen, err = walkSteps(p, &recordedLimits, seen, &s, func(off int) {
+			refs = append(refs, stepRef{id: s.ID, at: at + int64(off)})
+			if size != nil {
+				sum += size(&s)
+			}
+		})
+		if err != nil {
+			return nil, 0, fmt.Errorf("lrat: recorded steps: %w", err)
+		}
+		at += int64(len(p))
+	}
+	slices.SortFunc(refs, func(a, b stepRef) int { return cmp.Compare(a.id, b.id) })
+	for i := 1; i < len(refs); i++ {
+		if refs[i].id == refs[i-1].id {
+			return nil, 0, duplicateID(refs[i].id)
+		}
+	}
+	return refs, sum, nil
+}
+
+// each decodes the steps refs locate, in order, and calls fn with each
+// one's encoding and decoded form until fn fails.
+func (r *Recorder) each(refs []stepRef, fn func(enc []byte, s *Step) error) error {
+	// ends[k] is the offset just past piece k.
+	ends := make([]int64, len(r.enc))
+	var at int64
+	for k, p := range r.enc {
+		at += int64(len(p))
+		ends[k] = at
+	}
+	var s Step
+	for _, ref := range refs {
+		k, _ := slices.BinarySearch(ends, ref.at+1)
+		enc := r.enc[k][ref.at-(ends[k]-int64(len(r.enc[k]))):]
+		// ascending decoded these bytes already, so this cannot fail.
+		n, _ := decodeStep(enc, &s, &recordedLimits)
+		if err := fn(enc[:n], &s); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Encode appends the recorder's binary encoding to dst and returns the
@@ -89,7 +206,7 @@ func (r *Recorder) Encode(dst []byte) []byte {
 
 // EncodedLen returns how many bytes Encode appends.
 func (r *Recorder) EncodedLen() int {
-	n := len(binaryMagic) + 2
+	n := binaryHeaderLen
 	for _, p := range r.enc {
 		n += len(p)
 	}
@@ -98,15 +215,29 @@ func (r *Recorder) EncodedLen() int {
 
 // DecodeRecorder restores a recorder from Encode's output. Checkpoint
 // payloads are CRC-framed by the journal, so limits stay at their defaults.
+// The blob is validated and its steps counted by the renderers' step
+// walker, so no proof is built.
 //
 // The recorder keeps b after its header, which must not change afterwards,
 // as its only piece, clipped to its length. A copy of the recorder that goes
 // on recording therefore starts a new piece and never writes into b, so one
 // decoded recorder can seed any number of runs.
 func DecodeRecorder(b []byte) (*Recorder, error) {
-	p, err := ReadBinary(bytes.NewReader(b))
+	lim := cnf.DefaultParseLimits()
+	if int64(len(b)) > lim.MaxBytes {
+		return nil, &cnf.LimitError{What: "bytes", Limit: lim.MaxBytes}
+	}
+	if len(b) < binaryHeaderLen {
+		return nil, fmt.Errorf("%w: truncated binary header", cnf.ErrMalformed)
+	}
+	if err := checkBinaryHeader(b); err != nil {
+		return nil, err
+	}
+	body := b[binaryHeaderLen:len(b):len(b)]
+	var s Step
+	n, err := walkSteps(body, &lim, 0, &s, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Recorder{enc: [][]byte{b[len(binaryMagic)+2 : len(b) : len(b)]}, n: len(p.Steps)}, nil
+	return &Recorder{enc: [][]byte{body}, n: n}, nil
 }

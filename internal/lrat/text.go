@@ -23,31 +23,69 @@ func Write(w io.Writer, p *Proof) error {
 	bw := bufio.NewWriter(w)
 	var buf []byte
 	for i := range p.Steps {
-		s := &p.Steps[i]
-		buf = strconv.AppendInt(buf[:0], s.ID, 10)
-		if s.Del {
-			buf = append(buf, " d"...)
-			for _, id := range s.Deleted {
-				buf = append(buf, ' ')
-				buf = strconv.AppendInt(buf, id, 10)
-			}
-		} else {
-			for _, l := range s.C {
-				buf = append(buf, ' ')
-				buf = strconv.AppendInt(buf, int64(l.Dimacs()), 10)
-			}
-			buf = append(buf, " 0"...)
-			for _, h := range s.Hints {
-				buf = append(buf, ' ')
-				buf = strconv.AppendInt(buf, h, 10)
-			}
-		}
-		buf = append(buf, " 0\n"...)
+		buf = appendText(buf[:0], &p.Steps[i])
 		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// appendText appends one step's text line. It is the one definition of the
+// line format: Write and the recorder's renderers both use it, and textLen
+// counts its bytes.
+func appendText(buf []byte, s *Step) []byte {
+	buf = strconv.AppendInt(buf, s.ID, 10)
+	if s.Del {
+		buf = append(buf, " d"...)
+		for _, id := range s.Deleted {
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, id, 10)
+		}
+	} else {
+		for _, l := range s.C {
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(l.Dimacs()), 10)
+		}
+		buf = append(buf, " 0"...)
+		for _, h := range s.Hints {
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, h, 10)
+		}
+	}
+	return append(buf, " 0\n"...)
+}
+
+// textLen returns len(appendText(nil, s)) without formatting anything.
+func textLen(s *Step) int {
+	n := decLen(s.ID) + len(" 0\n")
+	if s.Del {
+		n += len(" d")
+		for _, id := range s.Deleted {
+			n += 1 + decLen(id)
+		}
+		return n
+	}
+	for _, l := range s.C {
+		n += 1 + decLen(int64(l.Dimacs()))
+	}
+	n += len(" 0")
+	for _, h := range s.Hints {
+		n += 1 + decLen(h)
+	}
+	return n
+}
+
+// decLen returns len(strconv.AppendInt(nil, v, 10)).
+func decLen(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // Read parses a text proof under cnf.DefaultParseLimits.

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -96,12 +95,9 @@ func (d *Daemon) storeLRAT(job *Job, rec *lrat.Recorder) {
 	if rec == nil {
 		return
 	}
-	lp, err := rec.Proof()
+	text, err := rec.Text()
 	if err == nil {
-		var buf bytes.Buffer
-		if err = lrat.Write(&buf, lp); err == nil {
-			err = d.opt.Store.SetLRAT(job.ID, buf.Bytes())
-		}
+		err = d.opt.Store.SetLRAT(job.ID, text)
 	}
 	if err != nil {
 		d.opt.Obs.Counter("service.lrat_store_errors").Inc()
