@@ -47,10 +47,11 @@ fuzz-smoke:
 # crash-smoke is the seeded kill-and-recover loop: the built CLIs are
 # SIGKILLed at durable checkpoint appends and resumed until they finish, and
 # the recovered artifacts must be byte-identical to an uninterrupted run.
-# Journals of retired kinds and payloads of retired versions must be refused,
-# as must a record that does not fit the run (dpv and dratcheck alike).
-# The journal-corruption matrix (truncated tail, bit flips, stale
-# fingerprints, version skew), core's resume-from-every-record differential
+# Journals of the retired append-only format and payloads of retired
+# versions must be refused, as must a record that does not fit the run (dpv
+# and dratcheck alike). The journal-corruption matrix (truncation, bit
+# flips, stale fingerprints, version skew: each a full run, none tolerated),
+# core's resume-from-every-record differential
 # (core-first and input order) and drat's resume-from-every-record,
 # trace-length and pinned-output goldens ride along, as do dpv's pinned outputs (stdout, core,
 # trim and LRAT in both modes, with and without hint recording). So do the

@@ -30,8 +30,9 @@
 //	-timeout D      give up after this long (e.g. 30s, 5m; 0 = unlimited)
 //	-max-props N    give up after N unit propagations (0 = unlimited)
 //	-max-memory N   refuse runs whose estimated footprint exceeds N bytes
-//	-checkpoint FILE  write resumable checkpoints to this journal file
-//	                (sequential or -sched dag)
+//	-checkpoint FILE  keep the latest resumable checkpoint in this journal
+//	                file, each record replacing the last (sequential or
+//	                -sched dag)
 //	-checkpoint-every N  checkpoint interval in proof clauses (default 1000)
 //	-resume         resume from the -checkpoint journal when it matches;
 //	                any mismatch or corruption falls back to a full run
@@ -58,7 +59,8 @@
 //	5  resource budget (-max-props, -max-memory) exhausted
 //	6  internal error (worker panic, failed output write, -sched dag
 //	   recheck rejecting the recorded hints)
-//	130  interrupted (SIGINT/SIGTERM); partial progress is reported first
+//	130  interrupted (SIGINT/SIGTERM); partial progress is reported first,
+//	     and under -checkpoint the last checkpoint record stays for -resume
 package main
 
 import (
@@ -184,7 +186,7 @@ func run() int {
 		opt.Hints = hints
 	}
 
-	// Checkpoint journal: resume from the old journal's last record when it
+	// Checkpoint journal: resume from the old journal's record when it
 	// fits this run, else warn and run from scratch — never a wrong verdict.
 	// A -sched dag run checkpoints only its sequential pass, so it journals
 	// like a sequential run: either schedule resumes the other's journal.
@@ -231,9 +233,8 @@ func run() int {
 	opt.Progress.Finish()
 	if jw != nil {
 		// A verdict removes the journal; a stop (SIGINT, timeout, budget)
-		// flushes a final record, and a later -resume restarts from the
-		// last checkpoint record.
-		if ferr := jw.Finish(res, err); ferr != nil {
+		// leaves its last checkpoint record for a later -resume.
+		if ferr := jw.Finish(err); ferr != nil {
 			tool.Warn(ferr)
 		}
 	}

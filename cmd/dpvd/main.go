@@ -36,8 +36,9 @@
 // /metrics, /debug/vars, /healthz and /readyz serve observability. A full
 // queue answers 429 with Retry-After; a draining daemon answers 503.
 //
-// Fault model: SIGTERM/SIGINT drain gracefully (in-flight jobs flush a
-// final checkpoint record; queued jobs stay durable for the next start).
+// Fault model: SIGTERM/SIGINT drain gracefully (in-flight jobs stop and
+// keep their last checkpoint record; queued jobs stay durable for the next
+// start).
 // After a SIGKILL or power cut, restarting with the same -store recovers
 // every unfinished job and resumes it from its checkpoint journal; resumed
 // verdicts are byte-identical to uninterrupted ones.

@@ -9,8 +9,9 @@
 // With -backward the proof runs through the same backward marking loop as
 // dpv (core.Verify), with deletion lines undone on the way back. With
 // -backward -checkpoint FILE that pass writes resumable checkpoints every
-// -checkpoint-every additions; -resume restarts from the journal's last
-// durable record, falling back to a full run on any mismatch or corruption.
+// -checkpoint-every additions, each replacing the last in FILE; -resume
+// restarts from that record, falling back to a full run on any mismatch or
+// corruption.
 //
 // With -backward -emit-lrat FILE a verified proof is also written out in
 // LRAT form — each kept step annotated with the resolution hints that make
@@ -26,8 +27,8 @@
 // unreadable formula/proof input, 4 when -timeout expires, 6 internal
 // errors (failed output writes), 130 on SIGINT/SIGTERM. In either mode a
 // run stopped by the deadline or a signal reports its partial progress
-// first; with -backward -checkpoint a final journal record is flushed too,
-// so -resume can pick up where the run stopped.
+// first; with -backward -checkpoint the last checkpoint record stays in
+// FILE, so -resume can pick up from it.
 package main
 
 import (
@@ -122,9 +123,8 @@ func run() int {
 		}
 		res, trimmed, coreIdx, err = drat.VerifyBackward(f, p, opt)
 		if jw != nil {
-			// A verdict removes the journal; a stop flushes a final record
-			// so the journal visibly ends with a clean stop.
-			if ferr := jw.Finish(nil, err); ferr != nil {
+			// A verdict removes the journal; a stop leaves its last record.
+			if ferr := jw.Finish(err); ferr != nil {
 				tool.Warn(ferr)
 			}
 		}

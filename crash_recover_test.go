@@ -17,6 +17,7 @@ import (
 	"repro/internal/drat"
 	"repro/internal/gen"
 	"repro/internal/journal"
+	"repro/internal/lrat"
 	"repro/internal/proof"
 	"repro/internal/solver"
 )
@@ -86,6 +87,21 @@ func writeChainFixtures(t *testing.T, dir string, n int) (cnfPath, tracePath, dr
 	return
 }
 
+// readFile parses a file the fixtures wrote.
+func readFile[T any](t *testing.T, path string, parse func(io.Reader) (T, error)) T {
+	t.Helper()
+	in, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	v, err := parse(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // runWithEnv runs bin, returning the exit code (-1 when killed by a signal)
 // and stdout only — stderr carries resume warnings that legitimately differ
 // between the baseline and recovered runs.
@@ -153,8 +169,8 @@ func TestCrashRecoverMatrix(t *testing.T) {
 			config{"dag-" + eng, []string{"-par", "3", "-sched", "dag", "-engine", eng}, nil},
 		)
 	}
-	// A -sched dag run journals only its sequential pass, under the
-	// sequential journal kind, so each schedule resumes the other's journal.
+	// A -sched dag run journals only its sequential pass, exactly as a
+	// sequential run does, so each schedule resumes the other's journal.
 	dag := []string{"-par", "3", "-sched", "dag"}
 	cfgs = append(cfgs,
 		config{"dag-then-seq", dag, []string{}},
@@ -309,14 +325,17 @@ func writeDeletionFixtures(t *testing.T, dir string) (cnfPath, dratPath string) 
 
 // TestResumeIgnoresRetiredJournals offers dpv and dratcheck -backward
 // -resume journals that older binaries wrote and this one no longer
-// resumes: a retired journal kind (2 for chunked dpv -par runs, 3 for
-// drat's own backward checker, 4 for a two-phase DAG-scheduled pipeline)
-// or a retired payload version in a sequential journal (1, written before
-// runs without hints propagated core-first). Every other header field
-// matches the run and the record's CRC is valid, so only the kind or the
-// version can refuse it: the tool must warn, run from scratch and print an
-// uninterrupted run's stdout — never decode the old record as a current
-// checkpoint.
+// resumes. Older binaries wrote format-1 journals, an append-only log
+// behind a header naming the verifier kind: kind 2 for chunked dpv -par
+// runs, 3 for drat's own backward checker, 4 for a two-phase DAG-scheduled
+// pipeline, and kind 1 for sequential runs, here with a payload of
+// retired version 1 (written before runs without hints propagated
+// core-first). Every other header field matches the run and every CRC is
+// valid, but the file's format version refuses it. A current-format
+// journal carrying that version-1 payload gets past the file checks and is
+// refused by the payload version. In every case the tool must warn, run
+// from scratch and print an uninterrupted run's stdout — never decode the
+// old record as a current checkpoint.
 func TestResumeIgnoresRetiredJournals(t *testing.T) {
 	bins := buildCmds(t)
 	dir := t.TempDir()
@@ -325,22 +344,9 @@ func TestResumeIgnoresRetiredJournals(t *testing.T) {
 	dratcheck := filepath.Join(bins, "dratcheck")
 	const every = 100
 
-	read := func(path string, parse func(io.Reader) error) {
-		in, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer in.Close()
-		if err := parse(in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var f *cnf.Formula
-	var tr *proof.Trace
-	var dp *drat.Proof
-	read(cnfPath, func(in io.Reader) (err error) { f, err = cnf.ParseDimacs(in); return })
-	read(tracePath, func(in io.Reader) (err error) { tr, err = proof.Read(in); return })
-	read(dratPath, func(in io.Reader) (err error) { dp, err = drat.Read(in); return })
+	f := readFile(t, cnfPath, cnf.ParseDimacs)
+	tr := readFile(t, tracePath, proof.Read)
+	dp := readFile(t, dratPath, drat.Read)
 
 	// dpv removes its journal after a clean run, so take a sequential
 	// record from the same run made in-process.
@@ -370,34 +376,51 @@ func TestResumeIgnoresRetiredJournals(t *testing.T) {
 	dratRecord = append(dratRecord, byte(nIDs), byte(nIDs>>8), 0, 0, 0, 0, 0, 0)
 	dratRecord = append(dratRecord, make([]byte, (nIDs+7)/8)...)
 
-	meta := func(kind journal.Kind, mode core.Mode, proofFP uint64) journal.Meta {
-		return journal.Meta{Kind: kind, Mode: uint8(mode), Engine: uint8(core.EngineWatched),
-			Interval: every, FormulaFP: journal.FingerprintFormula(f), ProofFP: proofFP}
+	formulaFP, traceFP := journal.FingerprintFormula(f), journal.FingerprintTrace(tr)
+	// v1File lays out a format-1 journal: the header (magic, version 1,
+	// kind, mode, engine, a pad byte, the worker count kind 2 kept, the
+	// interval, the fingerprints, a CRC over bytes 8-36), then the record
+	// as one 'C' frame (marker, length, payload, CRC over the frame).
+	v1File := func(kind byte, mode core.Mode, workers uint32, proofFP uint64, record []byte) []byte {
+		h := binary.LittleEndian.AppendUint32([]byte(journal.Magic), 1)
+		h = append(h, kind, uint8(mode), uint8(core.EngineWatched), 0)
+		h = binary.LittleEndian.AppendUint32(h, workers)
+		h = binary.LittleEndian.AppendUint32(h, every)
+		h = binary.LittleEndian.AppendUint64(h, formulaFP)
+		h = binary.LittleEndian.AppendUint64(h, proofFP)
+		h = binary.LittleEndian.AppendUint32(h, crc32.ChecksumIEEE(h[8:36]))
+		frame := binary.LittleEndian.AppendUint32([]byte{'C'}, uint32(len(record)))
+		frame = append(frame, record...)
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
+		return append(h, frame...)
 	}
-	traceFP := journal.FingerprintTrace(tr)
+	seqV1 := append([]byte{1}, seqRecord[1:]...) // a real record, version byte rewritten
+	var v2File bytes.Buffer
+	if err := journal.Encode(&v2File, journal.Meta{Mode: uint8(core.ModeCheckMarked),
+		Engine: uint8(core.EngineWatched), Interval: every, FormulaFP: formulaFP, ProofFP: traceFP}, seqV1); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name    string
-		bin     string
-		flags   []string // the baseline's and the resumed run's
-		proof   string
-		meta    journal.Meta
-		workers uint32 // header bytes 12-16, where kind 2 kept its worker count
-		record  []byte
+		name  string
+		bin   string
+		flags []string // the baseline's and the resumed run's
+		proof string
+		file  []byte
+		why   string // in the fallback warning
 	}{
+		// A version-3 record: version byte 3, flag byte 2, then the state.
 		{"dag-kind4", dpv, []string{"-par", "3", "-sched", "dag"}, tracePath,
-			meta(journal.Kind(4), core.ModeCheckMarked, traceFP), 0,
-			// A version-3 record: version byte 3, flag byte 2, then the state.
-			append([]byte{3, 2}, make([]byte, 96)...)},
-		// A real record with only its version byte rewritten.
+			v1File(4, core.ModeCheckMarked, 0, traceFP, append([]byte{3, 2}, make([]byte, 96)...)),
+			"version skew"},
 		{"seq-v1", dpv, nil, tracePath,
-			meta(journal.KindVerifySeq, core.ModeCheckMarked, traceFP), 0,
-			append([]byte{1}, seqRecord[1:]...)},
+			v1File(1, core.ModeCheckMarked, 0, traceFP, seqV1), "version skew"},
+		{"seq-v1-payload", dpv, nil, tracePath, v2File.Bytes(), "payload version 1"},
 		// Chunked runs journaled in check-all mode; -all is the sequential
 		// run that would otherwise match.
 		{"par-kind2", dpv, []string{"-all"}, tracePath,
-			meta(journal.Kind(2), core.ModeCheckAll, traceFP), 3, parRecord},
+			v1File(2, core.ModeCheckAll, 3, traceFP, parRecord), "version skew"},
 		{"drat-kind3", dratcheck, []string{"-backward"}, dratPath,
-			meta(journal.Kind(3), core.ModeCheckMarked, dp.Fingerprint()), 0, dratRecord},
+			v1File(3, core.ModeCheckMarked, 0, dp.Fingerprint(), dratRecord), "version skew"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			args := func(journalPath string, resume bool) []string {
@@ -416,16 +439,8 @@ func TestResumeIgnoresRetiredJournals(t *testing.T) {
 				t.Fatalf("baseline exit %d:\n%s", code, baseOut)
 			}
 
-			// The header and the one checkpoint frame, as the older binary
-			// wrote them.
-			h := journal.EncodeHeader(tc.meta)
-			binary.LittleEndian.PutUint32(h[12:], tc.workers)
-			binary.LittleEndian.PutUint32(h[36:], crc32.ChecksumIEEE(h[8:36]))
-			frame := binary.LittleEndian.AppendUint32([]byte{journal.MarkerCheckpoint}, uint32(len(tc.record)))
-			frame = append(frame, tc.record...)
-			frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
 			j := filepath.Join(dir, tc.name+".dpvj")
-			if err := os.WriteFile(j, append(h, frame...), 0o644); err != nil {
+			if err := os.WriteFile(j, tc.file, 0o644); err != nil {
 				t.Fatal(err)
 			}
 
@@ -436,8 +451,9 @@ func TestResumeIgnoresRetiredJournals(t *testing.T) {
 			if err := cmd.Run(); err != nil {
 				t.Fatalf("resume over a retired journal: %v\nstderr:\n%s", err, stderr.String())
 			}
-			if !strings.Contains(stderr.String(), "not resuming") || !strings.Contains(stderr.String(), "running from scratch") {
-				t.Errorf("no fallback warning on stderr:\n%s", stderr.String())
+			if !strings.Contains(stderr.String(), "not resuming") || !strings.Contains(stderr.String(), "running from scratch") ||
+				!strings.Contains(stderr.String(), tc.why) {
+				t.Errorf("no fallback warning naming %q on stderr:\n%s", tc.why, stderr.String())
 			}
 			if stdout.String() != baseOut {
 				t.Errorf("stdout diverged from an uninterrupted run:\n got %q\nwant %q", stdout.String(), baseOut)
@@ -498,21 +514,14 @@ func TestResumeRefusesUnfitRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		cp.NextIndex = len(cp.Marked) + 5
-		jw, err := journal.Create(path, journal.Meta{
-			Kind:      journal.KindVerifySeq,
+		err = journal.Write(path, journal.Meta{
 			Mode:      uint8(core.ModeCheckMarked),
 			Engine:    uint8(core.EngineWatched),
 			Interval:  every,
 			FormulaFP: journal.FingerprintFormula(inst.F),
 			ProofFP:   proofFP,
-		}, nil)
+		}, cp.Encode(), nil)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := jw.Append(cp.Encode()); err != nil {
-			t.Fatal(err)
-		}
-		if err := jw.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -577,46 +586,72 @@ func TestResumeRefusesUnfitRecord(t *testing.T) {
 	}
 }
 
-// TestCrashHookFiresAfterDurableAppend pins the crash point itself: a killed
-// run must leave a journal whose records are readable up to (at least) the
-// append the hook fired on — the record is durable before the SIGKILL.
+// TestCrashHookFiresAfterDurableAppend pins the crash point itself: a run
+// killed by the hook right after its Nth record must leave a journal that
+// is exactly that record — the header, the Nth payload an uninterrupted
+// in-process run writes, and the CRC — and nothing else: records replace
+// each other, so the file never grows past one. The hinted row's records
+// carry the whole hint log so far, which shows when an earlier record is
+// left over.
 func TestCrashHookFiresAfterDurableAppend(t *testing.T) {
 	bins := buildCmds(t)
 	dir := t.TempDir()
 	cnfPath, tracePath, _ := writeChainFixtures(t, dir, 2000)
-	j := filepath.Join(dir, "ck.dpvj")
-	code, out := runWithEnv(t, []string{"DPV_FAULT_CRASH_AFTER_APPENDS=1"}, filepath.Join(bins, "dpv"),
-		"-q", "-checkpoint", j, "-checkpoint-every", "100", cnfPath, tracePath)
-	if code != -1 {
-		t.Fatalf("exit code %d, want SIGKILL death\n%s", code, out)
+	f := readFile(t, cnfPath, cnf.ParseDimacs)
+	tr := readFile(t, tracePath, proof.Read)
+	const every = 100
+	for _, tc := range []struct {
+		name   string
+		n      int
+		hinted bool
+	}{
+		{"unhinted-1", 1, false},
+		{"hinted-3", 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sub := filepath.Join(dir, tc.name)
+			if err := os.Mkdir(sub, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			j := filepath.Join(sub, "ck.dpvj")
+			args := []string{"-q", "-checkpoint", j, "-checkpoint-every", strconv.Itoa(every)}
+			opt := core.Options{}
+			if tc.hinted {
+				args = append(args, "-emit-lrat", filepath.Join(sub, "out.lrat"))
+				opt.Hints = new(lrat.Recorder)
+			}
+			var record []byte
+			records := 0
+			opt.Checkpoint = core.CheckpointConfig{Every: every, Sink: func(p []byte) error {
+				if records++; records == tc.n {
+					record = append([]byte(nil), p...)
+				}
+				return nil
+			}}
+			if _, err := core.Verify(f, tr, opt); err != nil || record == nil {
+				t.Fatalf("in-process run: err %v, %d records", err, records)
+			}
+			env := []string{"DPV_FAULT_CRASH_AFTER_APPENDS=" + strconv.Itoa(tc.n)}
+			code, out := runWithEnv(t, env, filepath.Join(bins, "dpv"), append(args, cnfPath, tracePath)...)
+			if code != -1 {
+				t.Fatalf("exit code %d, want SIGKILL death\n%s", code, out)
+			}
+			var want bytes.Buffer
+			if err := journal.Encode(&want, journal.Meta{Interval: every,
+				FormulaFP: journal.FingerprintFormula(f), ProofFP: journal.FingerprintTrace(tr)}, record); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, want.Bytes()) {
+				t.Fatalf("journal after crash-at-record-%d is %d bytes, want header + record %d (%d bytes) + CRC = %d bytes",
+					tc.n, len(data), tc.n, len(record), want.Len())
+			}
+			if ents, err := os.ReadDir(sub); err != nil || len(ents) != 1 {
+				t.Fatalf("crash left %d entries beside nothing but the journal (err %v)", len(ents), err)
+			}
+		})
 	}
-	data, err := os.ReadFile(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	markers := journalMarkers(t, data)
-	if len(markers) != 1 || markers[0] != 'C' {
-		t.Fatalf("journal after crash-at-append-1 holds records %q, want exactly one checkpoint", markers)
-	}
-}
-
-// journalMarkers parses the record markers of a journal's complete frames.
-func journalMarkers(t *testing.T, data []byte) []byte {
-	t.Helper()
-	const headerSize = 40
-	if len(data) < headerSize {
-		t.Fatalf("journal is %d bytes, shorter than its header", len(data))
-	}
-	var markers []byte
-	rest := data[headerSize:]
-	for len(rest) >= 5 {
-		n := int(uint32(rest[1]) | uint32(rest[2])<<8 | uint32(rest[3])<<16 | uint32(rest[4])<<24)
-		total := 5 + n + 4
-		if len(rest) < total {
-			break // torn tail
-		}
-		markers = append(markers, rest[0])
-		rest = rest[total:]
-	}
-	return markers
 }

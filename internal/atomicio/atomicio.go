@@ -17,7 +17,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 )
+
+// tmpInfix sits between a destination's name and the random suffix in the
+// name of its temporary file: ".<name>.tmp-<digits>".
+const tmpInfix = ".tmp-"
 
 // WriteFile atomically replaces path with the bytes produced by write.
 // On any error the destination is left untouched and the temporary file is
@@ -50,7 +55,7 @@ func Create(path string) (*File, error) {
 	if dir == "" {
 		dir = "."
 	}
-	tmp, err := os.CreateTemp(dir, "."+base+".tmp-*")
+	tmp, err := os.CreateTemp(dir, "."+base+tmpInfix+"*")
 	if err != nil {
 		return nil, err
 	}
@@ -101,6 +106,40 @@ func (f *File) Close() error {
 func (f *File) abort() {
 	f.tmp.Close()
 	os.Remove(f.tmp.Name())
+}
+
+// RemoveTemps deletes the temporary files that a crash between Create and
+// Commit (or Close) left in dir; the destinations they were meant for are
+// untouched. It must not run while a writer in dir is between Create and
+// Commit.
+func RemoveTemps(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if e.Type().IsRegular() && isTemp(e.Name()) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !os.IsNotExist(err) {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// isTemp reports whether name has the shape Create gives its temporary
+// files.
+func isTemp(name string) bool {
+	i := strings.LastIndex(name, tmpInfix)
+	if !strings.HasPrefix(name, ".") || i < 1 || i+len(tmpInfix) == len(name) {
+		return false
+	}
+	for _, c := range name[i+len(tmpInfix):] {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // SyncDir fsyncs a directory so a just-created or just-renamed entry in it

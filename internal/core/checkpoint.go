@@ -58,13 +58,13 @@ type CheckpointConfig struct {
 	// disables checkpointing; negative is invalid.
 	Every int
 	// Sink receives each encoded checkpoint record. It must make the
-	// record durable before returning (internal/journal.Writer.Append
-	// does). The payload is borrowed: it is valid only until Sink
-	// returns, because Verify encodes the next record into the same
-	// buffer, so a sink that keeps a record must copy it. A nil Sink with
-	// Every > 0 still establishes the canonical epoch grid, whose
-	// boundaries reset the engine — that is how a resume-only run (no new
-	// journal) stays deterministic.
+	// record durable before returning (the journal.Write sink that
+	// StartJournal installs does). The payload is borrowed: it is valid
+	// only until Sink returns, because Verify encodes the next record into
+	// the same buffer, so a sink that keeps a record must copy it. A nil
+	// Sink with Every > 0 still establishes the canonical epoch grid,
+	// whose boundaries reset the engine — that is how a resume-only run
+	// (no new journal) stays deterministic.
 	Sink func(payload []byte) error
 	// Resume, when non-nil, restarts verification from a decoded
 	// checkpoint instead of the beginning. StartJournal sets it only to a

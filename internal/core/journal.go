@@ -7,30 +7,29 @@ import (
 	"repro/internal/journal"
 )
 
-// Journal is one run's checkpoint journal (internal/journal) from start to
-// close-out. StartJournal decides whether the old journal's last record may
-// seed the run — the same decision Verify makes on CheckpointConfig.Resume —
-// so every caller resumes by the same rule.
+// Journal is one run's checkpoint file (internal/journal) from start to
+// close-out. StartJournal decides whether the file's record may seed the
+// run — the same decision Verify makes on CheckpointConfig.Resume — so
+// every caller resumes by the same rule.
 type Journal struct {
-	w *journal.Writer
+	path string
 }
 
-// StartJournal opens the checkpoint journal at path for a run of f against
-// a proof of m clauses whose fingerprint is proofFP (journal.FingerprintTrace,
+// StartJournal opens the checkpoint file at path for a run of f against a
+// proof of m clauses whose fingerprint is proofFP (journal.FingerprintTrace,
 // or a DRUP proof's own). The run is a Verify that checkpoints every `every`
 // proof clauses with opt's mode, engine and hint recording.
 //
-// With resume set it reads the journal already at path and resumes from its
-// last record when the journal matches the run and the record fits it;
-// otherwise warn says why not, for the caller to print or log (it wraps
-// journal.ErrNoJournal when there was no journal). Either way it
-// creates a fresh journal at path, re-appends the resumed record so no
-// durable progress is lost, and sets opt.Checkpoint's Every, Sink and
-// Resume; callers may wrap the Sink. On err no journal was started and opt
-// is unchanged.
+// With resume set it reads the file already at path and resumes from its
+// record when the file matches the run and the record fits it; otherwise
+// warn says why not, for the caller to print or log (it wraps
+// journal.ErrNoJournal when there was no file). A run that does not resume
+// removes any stale file at path. It sets opt.Checkpoint's Every, Sink and
+// Resume; the Sink replaces the file's record with each new one, and
+// callers may wrap it. On err (the stale file could not be removed) opt is
+// unchanged.
 func StartJournal(path string, f *cnf.Formula, m int, proofFP uint64, opt *Options, every int, resume bool) (j *Journal, warn, err error) {
 	meta := journal.Meta{
-		Kind:      journal.KindVerifySeq,
 		Mode:      uint8(opt.Mode),
 		Engine:    uint8(opt.Engine),
 		Interval:  uint32(every),
@@ -38,50 +37,37 @@ func StartJournal(path string, f *cnf.Formula, m int, proofFP uint64, opt *Optio
 		ProofFP:   proofFP,
 	}
 	var cp *Checkpoint
-	var payload []byte
 	if resume {
-		payload, warn = journal.Open(path, meta, opt.Obs)
-		if warn == nil {
+		var payload []byte
+		if payload, warn = journal.Open(path, meta, opt.Obs); warn == nil {
 			if cp, warn = DecodeCheckpoint(payload); warn == nil {
 				warn = cp.fit(len(f.Clauses), m, opt.Hints != nil)
 			}
 		}
 		if warn != nil {
-			cp, payload = nil, nil
+			cp = nil
 		}
 	}
-	w, err := journal.Create(path, meta, opt.Obs)
-	if err != nil {
-		return nil, warn, err
-	}
-	if payload != nil {
-		if err := w.Append(payload); err != nil {
-			w.Close()
+	if cp == nil {
+		if err := journal.Remove(path); err != nil {
 			return nil, warn, err
 		}
 	}
-	opt.Checkpoint = CheckpointConfig{Every: every, Sink: w.Append, Resume: cp}
-	return &Journal{w: w}, warn, nil
+	reg := opt.Obs
+	sink := func(payload []byte) error { return journal.Write(path, meta, payload, reg) }
+	opt.Checkpoint = CheckpointConfig{Every: every, Sink: sink, Resume: cp}
+	return &Journal{path: path}, warn, nil
 }
 
 // Finish closes the journal out with the run's outcome. A verdict (err ==
-// nil) makes the journal stale, so it is removed. A run that stopped before
-// one gets a final "incomplete" record noting where it stopped (res may be
-// nil); resume skips final records and restarts from the last checkpoint.
-func (j *Journal) Finish(res *Result, err error) error {
-	if err == nil {
-		if rerr := j.w.Remove(); rerr != nil {
-			return fmt.Errorf("journal remove: %w", rerr)
-		}
+// nil) makes the file stale, so it is removed. A run that stopped before
+// one leaves the file as it is, for a later resume.
+func (j *Journal) Finish(err error) error {
+	if err != nil {
 		return nil
 	}
-	defer j.w.Close()
-	note := fmt.Sprintf("incomplete err=%v", err)
-	if res != nil {
-		note = fmt.Sprintf("incomplete stopped_at=%d tested=%d err=%v", res.StoppedAt, res.Tested, err)
-	}
-	if ferr := j.w.AppendFinal([]byte(note)); ferr != nil {
-		return fmt.Errorf("journal final record: %w", ferr)
+	if rerr := journal.Remove(j.path); rerr != nil {
+		return fmt.Errorf("journal remove: %w", rerr)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"repro/internal/journal"
@@ -9,29 +10,28 @@ import (
 // JournalKind enumerates corruptions of a checkpoint-journal *file* — the
 // crash-and-bitrot counterpart of the structural proof corruptions. Each one
 // models a distinct way a journal on disk can be wrong when a verifier tries
-// to resume from it, and each must degrade to "resume from an earlier durable
-// record" or "fall back to a full run": never a wrong verdict, never a hang.
+// to resume from it, and each must degrade to a full run: never a wrong
+// verdict, never a hang, never a record that was not written.
 type JournalKind int
 
 const (
-	// JournalTruncatedTail cuts bytes off the end of the file, as a crash
-	// mid-append does. This is the one corruption the format is *expected*
-	// to tolerate: resume restarts from the last record that still checks
-	// out (or reports an empty journal when none survives).
+	// JournalTruncatedTail cuts bytes off the end of the file. Records are
+	// replaced atomically, so no crash leaves this; a copy or a disk that
+	// loses the tail does, and Open must report the file corrupt.
 	JournalTruncatedTail JournalKind = iota
-	// JournalBitFlip flips a single bit somewhere in the record region —
+	// JournalBitFlip flips a single bit anywhere but the version word —
 	// bitrot, a bad sector, a buggy copy. CRC32 detects every single-bit
-	// error inside a framed record, so Open must either reject the journal
-	// or return a payload that was genuinely appended; it may never invent
-	// a new one.
+	// error, so Open must report the file corrupt. (A flip in the version
+	// word reads as version skew, JournalVersionSkew's outcome.)
 	JournalBitFlip
-	// JournalStaleFingerprint forges a header with a *valid* CRC but the
-	// formula fingerprint of some other instance — a journal left behind by
-	// a run on a different input. Open must report a metadata mismatch.
+	// JournalStaleFingerprint re-encodes the file with the formula
+	// fingerprint of some other instance and a valid CRC — a journal left
+	// behind by a run on a different input. Open must report a metadata
+	// mismatch.
 	JournalStaleFingerprint
-	// JournalVersionSkew rewrites the format version field, as a journal
-	// written by a newer or older build would carry. Open must report
-	// version skew without attempting to parse the records.
+	// JournalVersionSkew re-encodes the file under another format version,
+	// as a journal written by a newer or older build would carry. Open must
+	// report version skew without attempting to parse the rest.
 	JournalVersionSkew
 )
 
@@ -56,41 +56,47 @@ func (k JournalKind) String() string {
 }
 
 // ApplyJournal returns a corrupted copy of a serialized journal. The input is
-// never mutated. ok is false when the kind does not apply (e.g. the file is
-// too short to have a record region to damage).
+// never mutated. ok is false when the kind does not apply (the header-level
+// kinds need a journal that decodes).
 func (in *Injector) ApplyJournal(k JournalKind, data []byte) (out []byte, ok bool) {
+	const versionAt = len(journal.Magic) // the version word follows the magic
 	switch k {
 	case JournalTruncatedTail:
-		if len(data) <= journal.HeaderSize {
+		if len(data) == 0 {
 			return nil, false
 		}
-		// Cut anywhere in the record region, always dropping at least one
-		// byte; cutting a whole record (or all of them) is a legal outcome
-		// of a crash too.
-		cut := journal.HeaderSize + in.rng.Intn(len(data)-journal.HeaderSize)
-		out = append([]byte(nil), data[:cut]...)
+		out = append([]byte(nil), data[:in.rng.Intn(len(data))]...)
 	case JournalBitFlip:
-		if len(data) <= journal.HeaderSize {
+		if len(data) <= versionAt+4 {
 			return nil, false
 		}
 		out = append([]byte(nil), data...)
-		i := journal.HeaderSize + in.rng.Intn(len(out)-journal.HeaderSize)
+		i := in.rng.Intn(len(out) - 4)
+		if i >= versionAt {
+			i += 4
+		}
 		out[i] ^= 1 << in.rng.Intn(8)
-	case JournalStaleFingerprint:
-		meta, err := journal.DecodeHeader(data)
+	case JournalStaleFingerprint, JournalVersionSkew:
+		meta, payload, err := journal.Decode(data)
 		if err != nil {
 			return nil, false
 		}
-		meta.FormulaFP ^= 1 + uint64(in.rng.Int63())
-		out = append([]byte(nil), data...)
-		copy(out, journal.EncodeHeader(meta))
-	case JournalVersionSkew:
-		if len(data) < journal.HeaderSize {
-			return nil, false
+		if k == JournalStaleFingerprint {
+			meta.FormulaFP ^= 1 + uint64(in.rng.Int63())
 		}
-		out = append([]byte(nil), data...)
-		skew := uint32(journal.Version + 1 + in.rng.Intn(16))
-		binary.LittleEndian.PutUint32(out[4:], skew)
+		var b bytes.Buffer
+		journal.Encode(&b, meta, payload)
+		out = b.Bytes()
+		if k == JournalVersionSkew {
+			// Encode writes only the current version; another build's
+			// file, older or newer, differs first in this word, which a
+			// reader checks before anything else.
+			skew := uint32(1 + in.rng.Intn(journal.Version+15))
+			if skew >= journal.Version {
+				skew++
+			}
+			binary.LittleEndian.PutUint32(out[versionAt:], skew)
+		}
 	default:
 		return nil, false
 	}

@@ -9,119 +9,165 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/atomicio"
 	"repro/internal/cnf"
 	"repro/internal/obs"
 	"repro/internal/proof"
 )
 
 func testMeta() Meta {
-	return Meta{Kind: KindVerifySeq, Mode: 1, Engine: 0, Interval: 64,
+	return Meta{Mode: 1, Engine: 0, Interval: 64,
 		FormulaFP: 0xdeadbeefcafe, ProofFP: 0x12345678}
 }
 
 func writeJournal(t *testing.T, path string, meta Meta, payloads ...[]byte) {
 	t.Helper()
-	w, err := Create(path, meta, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, p := range payloads {
-		if err := w.Append(p); err != nil {
+		if err := Write(path, meta, p, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
+// TestRoundTripReturnsLastCheckpoint writes three records: the file holds
+// only the last, as header, payload and CRC, and no temp file stays
+// beside it.
 func TestRoundTripReturnsLastCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.journal")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ck.journal")
 	writeJournal(t, path, testMeta(), []byte("first"), []byte("second"), []byte("third"))
-	got, err := Open(path, testMeta(), obs.New())
+	reg := obs.New()
+	got, err := Open(path, testMeta(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "third" {
 		t.Fatalf("payload = %q, want third", got)
 	}
-}
-
-func TestFinalRecordIsNotResumedFrom(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.journal")
-	w, err := Create(path, testMeta(), nil)
-	if err != nil {
-		t.Fatal(err)
+	if fi, err := os.Stat(path); err != nil || fi.Size() != HeaderSize+5+4 {
+		t.Fatalf("journal of %v bytes (err %v), want %d", fi.Size(), err, HeaderSize+5+4)
 	}
-	if err := w.Append([]byte("checkpoint")); err != nil {
-		t.Fatal(err)
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("directory holds %d entries (err %v), want the journal alone", len(ents), err)
 	}
-	if err := w.AppendFinal([]byte("final-marker")); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	got, err := Open(path, testMeta(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "checkpoint" {
-		t.Fatalf("payload = %q, want checkpoint", got)
+	if n := reg.Counter("journal.opens").Value(); n != 1 {
+		t.Fatalf("journal.opens = %d", n)
 	}
 }
 
-func TestTornTailFallsBackToLastDurableRecord(t *testing.T) {
+// TestTruncatedFileIsCorrupt cuts the file at every length: a record is
+// replaced whole, so no prefix of it is a record, and every cut is
+// ErrCorrupt.
+func TestTruncatedFileIsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.journal")
-	writeJournal(t, path, testMeta(), []byte("one"), []byte("two"))
+	writeJournal(t, path, testMeta(), []byte("one"))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Chop bytes off the tail one at a time down to the end of record one;
-	// every truncation length must resume from a durable record, never error.
-	firstEnd := HeaderSize + 5 + 3 + 4
-	for cut := len(data) - 1; cut >= firstEnd; cut-- {
+	for cut := 0; cut < len(data); cut++ {
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Open(path, testMeta(), nil)
-		if err != nil {
-			t.Fatalf("cut=%d: %v", cut, err)
-		}
-		want := "one"
-		if cut == len(data) {
-			want = "two"
-		}
-		if string(got) != want {
-			t.Fatalf("cut=%d: payload %q, want %q", cut, got, want)
+		if _, err := Open(path, testMeta(), nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("cut=%d: err = %v, want ErrCorrupt", cut, err)
 		}
 	}
-	// Truncating into (or past) the only record leaves no durable state.
-	if err := os.WriteFile(path, data[:firstEnd-1], 0o644); err != nil {
+}
+
+// TestTornTailFallsBackToLastDurableRecord stops the write of a second
+// record after every prefix of its bytes, as a crash would: the torn bytes
+// sit in the temporary file beside the journal, never in it, and a resume
+// reads the first record.
+func TestTornTailFallsBackToLastDurableRecord(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ck.journal")
+	writeJournal(t, path, testMeta(), []byte("one"))
+	var rec bytes.Buffer
+	if err := Encode(&rec, testMeta(), []byte("two")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path, testMeta(), nil); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("err = %v, want ErrEmpty", err)
+	for cut := 0; cut <= rec.Len(); cut++ {
+		f, err := atomicio.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(rec.Bytes()[:cut]); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Open(path, testMeta(), nil)
+		if err != nil || string(got) != "one" {
+			t.Fatalf("cut=%d: payload %q, err %v; want one", cut, got, err)
+		}
+		f.Close()
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("directory holds %d entries (err %v), want the journal alone", len(ents), err)
 	}
 }
 
+// TestHeaderOnlyJournalIsEmpty writes a record with no payload: the file is
+// the header and the CRC alone, and it reads back as an empty payload, not
+// an error. The header without its CRC is a cut file, ErrCorrupt.
+func TestHeaderOnlyJournalIsEmpty(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.journal")
+	writeJournal(t, path, testMeta(), nil)
+	data, err := os.ReadFile(path)
+	if err != nil || len(data) != HeaderSize+4 {
+		t.Fatalf("journal of %d bytes (err %v), want %d", len(data), err, HeaderSize+4)
+	}
+	got, err := Open(path, testMeta(), nil)
+	if err != nil || len(got) != 0 {
+		t.Fatalf("payload %q, err %v; want an empty payload", got, err)
+	}
+	if err := os.WriteFile(path, data[:HeaderSize], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path, testMeta(), nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("header alone: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestCorruptRecordRejectsJournal flips every bit of a journal in turn.
+// Each flip is ErrCorrupt, except in the version word, which reads as
+// another format version.
 func TestCorruptRecordRejectsJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.journal")
-	writeJournal(t, path, testMeta(), []byte("aaaa"), []byte("bbbb"))
-	data, _ := os.ReadFile(path)
-	// Flip a payload byte of the first (fully-framed) record.
-	data[HeaderSize+6] ^= 0x40
-	os.WriteFile(path, data, 0o644)
-	if _, err := Open(path, testMeta(), nil); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	writeJournal(t, path, testMeta(), []byte("aaaa"))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		for bit := 0; bit < 8; bit++ {
+			flipped := append([]byte(nil), data...)
+			flipped[i] ^= 1 << bit
+			if err := os.WriteFile(path, flipped, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want := ErrCorrupt
+			if i >= 4 && i < 8 {
+				want = ErrVersionSkew
+			}
+			if _, err := Open(path, testMeta(), nil); !errors.Is(err, want) {
+				t.Fatalf("byte %d bit %d: err = %v, want %v", i, bit, err, want)
+			}
+		}
 	}
 }
 
+// TestVersionSkewRejected offers a version-1 file, an append-only log of
+// framed records as older binaries wrote it.
 func TestVersionSkewRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.journal")
-	writeJournal(t, path, testMeta(), []byte("x"))
-	data, _ := os.ReadFile(path)
-	binary.LittleEndian.PutUint32(data[4:], Version+1)
-	os.WriteFile(path, data, 0o644)
+	v1 := binary.LittleEndian.AppendUint32([]byte(Magic), 1)
+	v1 = append(v1, make([]byte, 32)...)
+	v1 = append(v1, 'C', 1, 0, 0, 0, 'x', 0, 0, 0, 0)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Open(path, testMeta(), nil); !errors.Is(err, ErrVersionSkew) {
 		t.Fatalf("err = %v, want ErrVersionSkew", err)
 	}
@@ -131,7 +177,6 @@ func TestMetaMismatchRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.journal")
 	writeJournal(t, path, testMeta(), []byte("x"))
 	cases := []func(*Meta){
-		func(m *Meta) { m.Kind++ },
 		func(m *Meta) { m.Mode++ },
 		func(m *Meta) { m.Engine++ },
 		func(m *Meta) { m.Interval++ },
@@ -153,19 +198,33 @@ func TestMissingJournal(t *testing.T) {
 	}
 }
 
-func TestHeaderOnlyJournalIsEmpty(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.journal")
-	writeJournal(t, path, testMeta())
-	if _, err := Open(path, testMeta(), nil); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("err = %v, want ErrEmpty", err)
-	}
-}
-
 func TestGarbageFileRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.journal")
 	os.WriteFile(path, bytes.Repeat([]byte("not a journal "), 10), 0o644)
 	if _, err := Open(path, testMeta(), nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestRemove deletes a journal, is no error without one, and refuses to
+// delete a directory named as the journal.
+func TestRemove(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ck.journal")
+	writeJournal(t, path, testMeta(), []byte("x"))
+	for i := 0; i < 2; i++ {
+		if err := Remove(path); err != nil {
+			t.Fatalf("remove %d: %v", i, err)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("journal survived Remove (err=%v)", err)
+	}
+	if err := Remove(dir); err == nil {
+		t.Fatal("Remove accepted a directory")
+	}
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Fatalf("directory removed (err=%v)", err)
 	}
 }
 
@@ -193,41 +252,35 @@ func TestFingerprintsDiscriminate(t *testing.T) {
 	}
 }
 
-// TestAppendCopiesNoPayload pins the copy-free frame: Append writes its
-// head and CRC around the caller's payload, so it allocates as often for a
-// 1 MiB payload as for a 1 KiB one, and far fewer bytes than the payload.
+// TestAppendCopiesNoPayload pins the copy-free record: Write encodes its
+// header and CRC around the caller's payload, so it allocates as often for
+// a 1 MiB payload as for a 1 KiB one, and far fewer bytes than the
+// payload.
 func TestAppendCopiesNoPayload(t *testing.T) {
-	w, err := Create(filepath.Join(t.TempDir(), "ck.journal"), testMeta(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	appendAllocs := func(n int) (float64, uint64) {
+	path := filepath.Join(t.TempDir(), "ck.journal")
+	writeAllocs := func(n int) (float64, uint64) {
 		p := bytes.Repeat([]byte{7}, n)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		allocs := testing.AllocsPerRun(4, func() {
-			if err := w.Append(p); err != nil {
+			if err := Write(path, testMeta(), p, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
 		runtime.ReadMemStats(&after)
 		return allocs, (after.TotalAlloc - before.TotalAlloc) / 5
 	}
-	small, _ := appendAllocs(1 << 10)
-	large, bytesPerAppend := appendAllocs(1 << 20)
-	t.Logf("%.0f allocations per 1 KiB append, %.0f (%d bytes) per 1 MiB append", small, large, bytesPerAppend)
+	small, _ := writeAllocs(1 << 10)
+	large, bytesPerWrite := writeAllocs(1 << 20)
+	t.Logf("%.0f allocations per 1 KiB write, %.0f (%d bytes) per 1 MiB write", small, large, bytesPerWrite)
 	if small != large {
-		t.Errorf("a 1 KiB append allocates %.0f times, a 1 MiB append %.0f", small, large)
+		t.Errorf("a 1 KiB write allocates %.0f times, a 1 MiB write %.0f", small, large)
 	}
-	if bytesPerAppend >= 1<<16 {
-		t.Errorf("a 1 MiB append allocated %d bytes: the payload was copied", bytesPerAppend)
+	if bytesPerWrite >= 1<<16 {
+		t.Errorf("a 1 MiB write allocated %d bytes: the payload was copied", bytesPerWrite)
 	}
-	// The records still read back.
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Open(w.Path(), testMeta(), nil)
+	// The record still reads back.
+	got, err := Open(path, testMeta(), nil)
 	if err != nil || len(got) != 1<<20 {
 		t.Fatalf("reopening: %d-byte payload, err %v", len(got), err)
 	}

@@ -219,8 +219,8 @@ func (d *Daemon) Start() {
 
 // Drain stops the daemon gracefully: admission closes immediately (new
 // submissions get 503), queued jobs stay in the store for the next start,
-// and in-flight jobs are cancelled so they flush a final checkpoint record
-// and stop. Drain returns when every worker has exited or ctx expires.
+// and in-flight jobs are cancelled so they stop, keeping their last
+// checkpoint record. Drain returns when every worker has exited or ctx expires.
 func (d *Daemon) Drain(ctx context.Context) error {
 	d.drainOnce.Do(func() {
 		close(d.draining)

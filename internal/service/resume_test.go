@@ -102,21 +102,14 @@ func TestDaemonResumeDecision(t *testing.T) {
 // holding payload as its one checkpoint record.
 func writeJournal(t *testing.T, path string, f *cnf.Formula, tr *proof.Trace, every int, payload []byte) {
 	t.Helper()
-	jw, err := journal.Create(path, journal.Meta{
-		Kind:      journal.KindVerifySeq,
+	err := journal.Write(path, journal.Meta{
 		Mode:      uint8(core.ModeCheckMarked),
 		Engine:    uint8(core.EngineWatched),
 		Interval:  uint32(every),
 		FormulaFP: journal.FingerprintFormula(f),
 		ProofFP:   journal.FingerprintTrace(tr),
-	}, nil)
+	}, payload, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Append(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -212,7 +212,7 @@ func (d *Daemon) verifyOnce(w int, job *Job, f *cnf.Formula, tr *proof.Trace, bu
 	}()
 
 	if jw != nil {
-		if ferr := jw.Finish(res, verr); ferr != nil {
+		if ferr := jw.Finish(verr); ferr != nil {
 			d.opt.Logf("service: job %s: %v", job.ID, ferr)
 		}
 	}

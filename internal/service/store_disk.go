@@ -58,7 +58,9 @@ func validID(id string) bool { return ValidJobID(id) }
 // for these, so deleting them loses nothing. Replica records interrupted
 // before their result.json commit point are debris of the same class: the
 // replicating router never got an ack, so it will re-replicate; a partial
-// copy must not linger looking like a job.
+// copy must not linger looking like a job. In the directories it keeps,
+// sweep removes the temp files of atomic writes (artifacts, results,
+// checkpoint records) that a crash cut short before their rename.
 func (s *DiskStore) sweep() error {
 	ents, err := os.ReadDir(s.jobsDir())
 	if err != nil {
@@ -68,20 +70,23 @@ func (s *DiskStore) sweep() error {
 		if !e.IsDir() {
 			continue
 		}
-		if _, err := os.Stat(filepath.Join(s.dir(e.Name()), "job.json")); os.IsNotExist(err) {
-			if rerr := os.RemoveAll(s.dir(e.Name())); rerr != nil {
+		dir := s.dir(e.Name())
+		if _, err := os.Stat(filepath.Join(dir, "job.json")); os.IsNotExist(err) {
+			if rerr := os.RemoveAll(dir); rerr != nil {
 				return rerr
 			}
 			continue
 		}
-		job, err := s.Job(e.Name())
-		if err != nil || !job.Replica {
-			continue
-		}
-		if _, err := os.Stat(filepath.Join(s.dir(e.Name()), "result.json")); os.IsNotExist(err) {
-			if rerr := os.RemoveAll(s.dir(e.Name())); rerr != nil {
-				return rerr
+		if job, err := s.Job(e.Name()); err == nil && job.Replica {
+			if _, err := os.Stat(filepath.Join(dir, "result.json")); os.IsNotExist(err) {
+				if rerr := os.RemoveAll(dir); rerr != nil {
+					return rerr
+				}
+				continue
 			}
+		}
+		if err := atomicio.RemoveTemps(dir); err != nil {
+			return err
 		}
 	}
 	return nil

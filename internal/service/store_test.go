@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/cnf"
+	"repro/internal/journal"
 	"repro/internal/proof"
 )
 
@@ -182,5 +184,75 @@ func TestDiskStoreSweepsAbortedAdmissions(t *testing.T) {
 	}
 	if _, err := reopened.Job(good); err != nil {
 		t.Fatalf("committed job lost by sweep: %v", err)
+	}
+}
+
+// A crash between an atomic write's temp file and its rename leaves the
+// temp file behind. Reopening the store must remove one left beside each
+// artifact of a done job, an incomplete job and a replica, and keep every
+// artifact itself.
+func TestDiskStoreSweepsTempFiles(t *testing.T) {
+	root := t.TempDir()
+	ds, err := NewDiskStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, tr := chainProblem(3)
+	done, running, replica := validTestID(1), validTestID(2), validTestID(3)
+	for i, id := range []string{done, running} {
+		if err := ds.Create(testJob(id, uint64(i+1)), f, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.SetLRAT(done, []byte("lrat\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.SetResult(done, &JobResult{Status: StatusVerified, Attempts: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Write(ds.JournalPath(running), journal.Meta{}, []byte("record"), nil); err != nil {
+		t.Fatal(err)
+	}
+	rep := testJob(replica, 3)
+	rep.Replica = true
+	if err := ds.PutReplica(rep, f, &JobResult{Status: StatusVerified, Attempts: 1}, []byte("lrat\n")); err != nil {
+		t.Fatal(err)
+	}
+
+	artifacts := map[string][]string{
+		done:    {"formula.cnf", "proof.trace", "job.json", "proof.lrat", "result.json"},
+		running: {"formula.cnf", "proof.trace", "job.json", "ck.dpvj"},
+		replica: {"formula.cnf", "proof.lrat", "job.json", "result.json"},
+	}
+	want := map[string][]byte{}
+	var temps []string
+	for id, names := range artifacts {
+		for _, name := range names {
+			path := filepath.Join(root, "jobs", id, name)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[path] = b
+			tmp := filepath.Join(root, "jobs", id, "."+name+".tmp-1234567")
+			if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			temps = append(temps, tmp)
+		}
+	}
+
+	if _, err := NewDiskStore(root); err != nil {
+		t.Fatal(err)
+	}
+	for _, tmp := range temps {
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Errorf("temp file %s survived reopen (err=%v)", tmp, err)
+		}
+	}
+	for path, b := range want {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, b) {
+			t.Errorf("%s changed by the sweep (err=%v)", path, err)
+		}
 	}
 }
