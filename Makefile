@@ -32,17 +32,20 @@ race:
 	$(GO) test -race -timeout 10m ./...
 
 # fuzz-smoke runs each fuzz target briefly. Go allows one -fuzz pattern per
-# package invocation, hence one line per target.
+# package invocation, hence one line per target. -fuzzminimizetime 100x caps
+# the minimization of each new input (and of a crasher) at 100 runs; at Go's
+# default of 60 s the coordinator can spend the whole window minimizing and
+# execute nothing after the first seconds.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/proof/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadBinaryTrace$$' -fuzztime $(FUZZTIME) ./internal/proof/
-	$(GO) test -run '^$$' -fuzz '^FuzzParseCNF$$' -fuzztime $(FUZZTIME) ./internal/cnf/
-	$(GO) test -run '^$$' -fuzz '^FuzzParseLRAT$$' -fuzztime $(FUZZTIME) ./internal/lrat/
-	$(GO) test -run '^$$' -fuzz '^FuzzParseLRATBinary$$' -fuzztime $(FUZZTIME) ./internal/lrat/
-	$(GO) test -run '^$$' -fuzz '^FuzzRecorderRender$$' -fuzztime $(FUZZTIME) ./internal/lrat/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadDRUP$$' -fuzztime $(FUZZTIME) ./internal/drat/
-	$(GO) test -run '^$$' -fuzz '^FuzzUpload$$' -fuzztime $(FUZZTIME) ./internal/service/
-	$(GO) test -run '^$$' -fuzz '^FuzzRouterAdmission$$' -fuzztime $(FUZZTIME) ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/proof/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBinaryTrace$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/proof/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCNF$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/cnf/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseLRAT$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/lrat/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseLRATBinary$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/lrat/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecorderRender$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/lrat/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadDRUP$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/drat/
+	$(GO) test -run '^$$' -fuzz '^FuzzUpload$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzRouterAdmission$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/cluster/
 
 # crash-smoke is the seeded kill-and-recover loop: the built CLIs are
 # SIGKILLed at durable checkpoint appends and resumed until they finish, and

@@ -16,17 +16,14 @@ import (
 
 	"repro/internal/bdd"
 	"repro/internal/bench"
-	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/dpll"
 	"repro/internal/drat"
 	"repro/internal/gen"
-	"repro/internal/interp"
 	"repro/internal/muscore"
 	"repro/internal/proof"
 	"repro/internal/resolution"
-	"repro/internal/seq"
 	"repro/internal/simplify"
 	"repro/internal/solver"
 )
@@ -358,67 +355,6 @@ func BenchmarkDRUPChecking(b *testing.B) {
 				b.Fatalf("%v %+v", err, res)
 			}
 			b.ReportMetric(float64(trimmed.Additions()), "trimmed-additions")
-		}
-	})
-}
-
-// --- Application: interpolation and model checking -----------------------------
-
-func BenchmarkInterpolation(b *testing.B) {
-	inst := gen.AdderEquiv(12)
-	s, err := solver.NewFromFormula(inst.F, solver.Options{RecordChains: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if s.Run() != solver.Unsat {
-		b.Fatal("not unsat")
-	}
-	rp, err := resolution.FromSolverRun(inst.F, s.Trace(), s.Chains())
-	if err != nil {
-		b.Fatal(err)
-	}
-	sides := interp.SplitBySources(inst.F.NumClauses(), inst.F.NumClauses()/2)
-	for _, sys := range []interp.System{interp.McMillan, interp.Pudlak} {
-		b.Run(sys.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ip, err := interp.ComputeWith(rp, sides, sys)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(ip.Circuit.NumGates()), "interp-gates")
-			}
-		})
-	}
-}
-
-func BenchmarkModelChecking(b *testing.B) {
-	mk := func() *seq.Design {
-		c := circuit.New()
-		state := c.InputWord(4)
-		en := c.Input()
-		inc := c.Inc(state)
-		next := c.MuxWord(en, inc, state)
-		return &seq.Design{
-			C:        c,
-			Init:     make([]bool, 4),
-			Next:     next,
-			Property: c.NeqWord(state, c.ConstWord(4, 12)),
-		}
-	}
-	b.Run("bmc-k10-holds", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := seq.BMC(mk(), 10, bench.DefaultSolverOptions())
-			if err != nil || res.Verdict != seq.Holds {
-				b.Fatalf("%v %+v", err, res)
-			}
-		}
-	})
-	b.Run("bmc-k14-cex", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := seq.BMC(mk(), 14, bench.DefaultSolverOptions())
-			if err != nil || res.Verdict != seq.Violated {
-				b.Fatalf("%v %+v", err, res)
-			}
 		}
 	})
 }

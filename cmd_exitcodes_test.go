@@ -30,7 +30,8 @@ import (
 func buildCmds(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	cmd := exec.Command("go", "build", "-o", dir, "./cmd/dpv", "./cmd/bksat", "./cmd/dratcheck", "./cmd/lratcheck")
+	cmd := exec.Command("go", "build", "-o", dir, "./cmd/dpv", "./cmd/bksat", "./cmd/dratcheck", "./cmd/lratcheck",
+		"./cmd/genaag", "./cmd/aigmiter")
 	cmd.Dir = "."
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("building binaries: %v\n%s", err, out)
@@ -192,6 +193,8 @@ func TestExitCodes(t *testing.T) {
 	satTrailer := writeTmp("trailer.cnf", "p cnf 2 1\n1 2 0\n%\n0\n")
 	satNoTrailer := writeTmp("notrailer.cnf", "p cnf 2 1\n1 2 0\n")
 	emptyProof := writeTmp("empty.trace", "0\n")
+	ripple4 := genAAG(t, bins, tmp, "ripple", 4)
+	ripple5 := genAAG(t, bins, tmp, "ripple", 5)
 
 	cases := []struct {
 		name string
@@ -255,6 +258,7 @@ func TestExitCodes(t *testing.T) {
 		{"lratcheck malformed proof", lratcheck, []string{unsatCNF, garbage}, 3},
 		{"lratcheck timeout", lratcheck, []string{"-timeout", "1ns", unsatCNF, lratProof}, 4},
 		{"lratcheck usage", lratcheck, []string{unsatCNF}, 1},
+		{"aigmiter input counts differ", filepath.Join(bins, "aigmiter"), []string{"-o", filepath.Join(tmp, "miter.cnf"), ripple4, ripple5}, 1},
 	}
 	for _, tc := range cases {
 		tc := tc

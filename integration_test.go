@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/drat"
 	"repro/internal/gen"
-	"repro/internal/interp"
 	"repro/internal/muscore"
 	"repro/internal/proof"
 	"repro/internal/resolution"
@@ -23,7 +22,7 @@ import (
 //
 //	generate → preprocess → solve (recording everything) →
 //	verify (both procedures × both engines, sequential and parallel) →
-//	trim → re-verify → resolution-graph check → interpolate (both systems) →
+//	trim → re-verify → resolution-graph check →
 //	DRUP forward/backward → unsat cores by three methods → proof IO round trips.
 func TestFullPipeline(t *testing.T) {
 	inst := gen.AdderEquiv(10)
@@ -108,18 +107,6 @@ func TestFullPipeline(t *testing.T) {
 	reach := g.Reachable()
 	if st, _, _, _, _ := solver.Solve(f.Restrict(reach.SourceIDs), solver.Options{}); st != solver.Unsat {
 		t.Fatalf("resolution core not UNSAT: %v", st)
-	}
-
-	// Interpolation under both systems over an arbitrary split.
-	sides := interp.SplitBySources(f.NumClauses(), f.NumClauses()/2)
-	for _, sys := range []interp.System{interp.McMillan, interp.Pudlak} {
-		ip, err := interp.ComputeWith(rp, sides, sys)
-		if err != nil {
-			t.Fatalf("%v: %v", sys, err)
-		}
-		if ip.Circuit.NumGates() == 0 {
-			t.Fatalf("%v: empty interpolant circuit", sys)
-		}
 	}
 
 	// DRUP: the recorded deletion-aware proof checks forward and backward;

@@ -173,8 +173,7 @@ func (c *Circuit) Xor(a, b Signal) Signal {
 // Not returns the inversion of a (free).
 func (c *Circuit) Not(a Signal) Signal { return a.Not() }
 
-// Nand, Nor, Xnor are conveniences over the base gates.
-func (c *Circuit) Nand(a, b Signal) Signal { return c.And(a, b).Not() }
+// Nor and Xnor are conveniences over the base gates.
 func (c *Circuit) Nor(a, b Signal) Signal  { return c.Or(a, b).Not() }
 func (c *Circuit) Xnor(a, b Signal) Signal { return c.Xor(a, b).Not() }
 
@@ -191,18 +190,6 @@ func (c *Circuit) Mux(sel, a, b Signal) Signal {
 		return c.Xnor(sel, a)
 	}
 	return c.newGate(OpMux, sel, a, b)
-}
-
-// Implies returns NOT a OR b.
-func (c *Circuit) Implies(a, b Signal) Signal { return c.Or(a.Not(), b) }
-
-// AndN folds AND over the signals (True for the empty list).
-func (c *Circuit) AndN(xs ...Signal) Signal {
-	out := True
-	for _, x := range xs {
-		out = c.And(out, x)
-	}
-	return out
 }
 
 // OrN folds OR over the signals (False for the empty list).

@@ -8,9 +8,8 @@ import "fmt"
 // source signal to the corresponding dst signal. Registered outputs are
 // not copied — translate them explicitly.
 //
-// Stamping is how sequential designs are unrolled: the transition logic is
-// copied once per time step with the previous step's next-state signals
-// substituted for the state inputs (see internal/seq).
+// Stamping is how cmd/aigmiter builds a miter: both circuits are copied
+// into one destination over a shared set of inputs.
 func (c *Circuit) CopyInto(dst *Circuit, inputMap []Signal) (func(Signal) Signal, error) {
 	if len(inputMap) != len(c.inputs) {
 		return nil, fmt.Errorf("circuit: CopyInto got %d substitutions for %d inputs",

@@ -52,34 +52,6 @@ func (c *Circuit) ToCNF(asserts ...Signal) *cnf.Formula {
 	return f
 }
 
-// TseitinClauses returns the number of clauses ToCNF emits for gates with
-// node ID < watermark, including the constant-pin clause. Interpolation
-// over unrolled circuits uses this to split the flat Tseitin clause list
-// into the A-side (gates below a frame watermark) and the B-side, relying
-// on ToCNF's emission order following gate IDs.
-func (c *Circuit) TseitinClauses(watermark int) int {
-	n := 1 // the constant pin
-	if watermark > len(c.gates) {
-		watermark = len(c.gates)
-	}
-	for id := 0; id < watermark; id++ {
-		switch c.gates[id].Op {
-		case OpAnd, OpOr:
-			n += 3
-		case OpXor:
-			n += 4
-		case OpMux:
-			n += 6
-		}
-	}
-	return n
-}
-
-// LitOf exposes the CNF literal corresponding to a signal under ToCNF's
-// node-to-variable mapping (useful for adding extra constraints or reading
-// models back).
-func LitOf(s Signal) cnf.Lit { return cnf.NewLit(cnf.Var(s.node()), s.inverted()) }
-
 // InputVars returns the CNF variables of the primary inputs, in input order.
 func (c *Circuit) InputVars() []cnf.Var {
 	vs := make([]cnf.Var, len(c.inputs))

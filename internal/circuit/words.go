@@ -209,15 +209,6 @@ func (c *Circuit) AndWord(a, b Word) Word {
 	return out
 }
 
-// OrWord returns a OR b bitwise.
-func (c *Circuit) OrWord(a, b Word) Word {
-	out := make(Word, len(a))
-	for i := range a {
-		out[i] = c.Or(a[i], b[i])
-	}
-	return out
-}
-
 // NotWord inverts every bit.
 func (c *Circuit) NotWord(a Word) Word {
 	out := make(Word, len(a))

@@ -17,12 +17,10 @@ type Graph struct {
 	Sink int
 }
 
-// GraphNode is one binary resolution. LeftPos records which parent carries
-// the positive pivot literal (needed by symmetric interpolation systems).
+// GraphNode is one binary resolution of Left and Right on Pivot.
 type GraphNode struct {
 	Left, Right int
 	Pivot       cnf.Var
-	LeftPos     bool
 }
 
 // Expand performs every chain resolution and materializes the binary DAG.
@@ -64,12 +62,7 @@ func (p *Proof) Expand() (*Graph, error) {
 			if !ok || taut {
 				return nil, fmt.Errorf("resolution: chain %d step %d: bad resolvent", k, i)
 			}
-			g.Nodes = append(g.Nodes, GraphNode{
-				Left:    curNode,
-				Right:   nodeOf[ch[i]],
-				Pivot:   v,
-				LeftPos: cur.Has(cnf.PosLit(v)),
-			})
+			g.Nodes = append(g.Nodes, GraphNode{Left: curNode, Right: nodeOf[ch[i]], Pivot: v})
 			curNode = g.NumSources + len(g.Nodes) - 1
 			cur = res
 		}

@@ -73,9 +73,6 @@ func FromSolverRun(f *cnf.Formula, tr *proof.Trace, chains [][]int) (*Proof, err
 // NumSources returns the number of source nodes.
 func (p *Proof) NumSources() int { return len(p.Sources) }
 
-// NumDerived returns the number of derived clauses (chains).
-func (p *Proof) NumDerived() int { return len(p.Chains) }
-
 // InternalNodes returns the number of internal nodes of the expanded
 // resolution graph: one per resolution step, i.e. len(chain)-1 per chain.
 // This is the quantity the paper's Table 2 reports (in thousands).

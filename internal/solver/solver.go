@@ -615,9 +615,6 @@ func (s *Solver) Chains() [][]int { return s.chains }
 // Stats returns a copy of the search statistics.
 func (s *Solver) Stats() Stats { return s.stats }
 
-// NumOriginal returns the number of input clauses (for proof ID mapping).
-func (s *Solver) NumOriginal() int { return s.nOriginal }
-
 // WriteError reports any error that occurred while streaming the proof to
 // Options.ProofWriter.
 func (s *Solver) WriteError() error { return s.writeErr }
