@@ -23,7 +23,8 @@
 //	-all              check every proof clause (Proof_verification1)
 //	-checkpoint-every N  journal interval in proof clauses (default 1000;
 //	                  -1 disables checkpointing even with -store)
-//	-max-upload N     upload body size cap in bytes (default 256 MiB)
+//	-max-upload N     upload body size cap in bytes (default 256 MiB); also
+//	                  caps the parsed uploads queued jobs hold in memory
 //	-retry-after D    backpressure hint on 429/503 responses (default 2s)
 //	-drain-timeout D  how long SIGTERM/SIGINT waits for in-flight jobs to
 //	                  checkpoint and stop before exiting anyway (default 30s)
@@ -82,7 +83,7 @@ func run() int {
 	engine := flag.String("engine", "watched", "BCP engine: watched | counting")
 	all := flag.Bool("all", false, "check every clause (Proof_verification1)")
 	checkpointEvery := flag.Int("checkpoint-every", 1000, "journal interval in proof clauses (-1 disables)")
-	maxUpload := flag.Int64("max-upload", 256<<20, "upload body size cap in bytes")
+	maxUpload := flag.Int64("max-upload", 256<<20, "upload body size cap in bytes; also caps the parsed uploads queued jobs hold in memory")
 	retryAfter := flag.Duration("retry-after", 2*time.Second, "backpressure hint on 429/503")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs on shutdown")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -26,17 +27,39 @@ import (
 // verified, rejected, malformed input, timeout, budget, usage, SAT/UNSAT,
 // and SIGINT/SIGTERM.
 
+// The CLI binaries are built at most once per test binary, into cmdsDir,
+// which TestMain removes after the run.
+var (
+	cmdsOnce sync.Once
+	cmdsDir  string
+	cmdsErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if cmdsDir != "" {
+		os.RemoveAll(cmdsDir)
+	}
+	os.Exit(code)
+}
+
 // buildCmds compiles the CLI binaries once into a shared temp dir.
 func buildCmds(t *testing.T) string {
 	t.Helper()
-	dir := t.TempDir()
-	cmd := exec.Command("go", "build", "-o", dir, "./cmd/dpv", "./cmd/bksat", "./cmd/dratcheck", "./cmd/lratcheck",
-		"./cmd/genaag", "./cmd/aigmiter")
-	cmd.Dir = "."
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building binaries: %v\n%s", err, out)
+	cmdsOnce.Do(func() {
+		if cmdsDir, cmdsErr = os.MkdirTemp("", "repro-cmds-"); cmdsErr != nil {
+			return
+		}
+		cmd := exec.Command("go", "build", "-o", cmdsDir, "./cmd/dpv", "./cmd/bksat", "./cmd/dratcheck", "./cmd/lratcheck",
+			"./cmd/genaag", "./cmd/aigmiter")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			cmdsErr = fmt.Errorf("%v\n%s", err, out)
+		}
+	})
+	if cmdsErr != nil {
+		t.Fatalf("building binaries: %v", cmdsErr)
 	}
-	return dir
+	return cmdsDir
 }
 
 // writeFixtures produces a verified formula/proof pair (in trace and hinted

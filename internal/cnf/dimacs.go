@@ -23,6 +23,13 @@ func ParseDimacs(r io.Reader) (*Formula, error) {
 // violations wrap ErrLimit. A line whose first field starts with 'c' is a
 // comment, one starting with 'p' the header, and one starting with '%' (the
 // SATLIB trailer) ends the formula. Lines may be of any length.
+//
+// The clause list is sized from the header's clause count, which is
+// untrusted: the first allocation holds at most presizeMax clauses, and the
+// list then doubles until it reaches the declared count. So a header that
+// overstates costs at most a constant factor over the clauses actually read
+// (each of which takes at least two input bytes), and an accurate one
+// allocates the list about once instead of through append's 1.25x steps.
 func ParseDimacsLimited(r io.Reader, lim ParseLimits) (*Formula, error) {
 	lim = lim.WithDefaults()
 	t := NewTokenizer(r, lim.MaxBytes)
@@ -71,6 +78,9 @@ scan:
 			if len(f.Clauses) >= lim.MaxClauses {
 				return nil, &LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
 			}
+			if len(f.Clauses) == cap(f.Clauses) && len(f.Clauses) < declaredClauses {
+				f.Clauses = growClauses(f.Clauses, declaredClauses)
+			}
 			f.Clauses = append(f.Clauses, lits.Cut())
 			continue
 		}
@@ -99,6 +109,16 @@ scan:
 			ErrMalformed, declaredClauses, len(f.Clauses))
 	}
 	return f, nil
+}
+
+// presizeMax caps the first clause-list allocation a header can ask for.
+const presizeMax = 1 << 16
+
+// growClauses returns cs with room for at least one more clause and at most
+// declared in all: min(declared, presizeMax) the first time, then double.
+func growClauses(cs []Clause, declared int) []Clause {
+	n := min(declared, max(2*cap(cs), presizeMax))
+	return append(make([]Clause, 0, n), cs...)
 }
 
 // ParseDimacsString parses a DIMACS formula held in a string.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -145,6 +146,73 @@ func TestParseDimacsAllocsBounded(t *testing.T) {
 		})
 		if tokens := 4 * n; allocs > float64(tokens)/1000 {
 			t.Errorf("%d clauses: %.0f allocations for %d tokens", n, allocs, tokens)
+		}
+	}
+}
+
+// totalAlloc returns the bytes fn allocates.
+func totalAlloc(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// The clause list is sized from the header, which is untrusted: a header
+// declaring 2^26 clauses over a one-clause body must cost what the body
+// costs, not the 1.6 GB its declared count would size.
+func TestParseDimacsPresizeCappedByWhatIsRead(t *testing.T) {
+	var err error
+	got := totalAlloc(func() { _, err = ParseDimacsString("p cnf 1 67108864\n1 0\n") })
+	if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "header declares") {
+		t.Fatalf("err = %v, want ErrMalformed for the missing clauses", err)
+	}
+	if got > 2<<20 {
+		t.Fatalf("parse allocated %d bytes for a one-clause body", got)
+	}
+}
+
+// An accurate header sizes the clause list about once: its slice headers
+// cost at most twice their final size, where append's 1.25x growth for
+// large slices allocates about five times it.
+func TestParseDimacsPresizeAllocatesClauseListOnce(t *testing.T) {
+	const n, width = 200_000, 3
+	var b strings.Builder
+	fmt.Fprintf(&b, "p cnf 1000 %d\n", n)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "%d -%d %d 0\n", i%1000+1, (i*7)%1000+1, (i*13)%1000+1)
+	}
+	in := b.String()
+	var f *Formula
+	var err error
+	got := totalAlloc(func() { f, err = ParseDimacsString(in) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.NumClauses() != n {
+		t.Fatalf("parsed %d clauses, want %d", f.NumClauses(), n)
+	}
+	const headers = 24 * n
+	// The literal slabs double up to slabMax literals, so they hold at most
+	// twice the literals read plus one slab; 64 KiB is the tokenizer buffer.
+	const slabs = 2*4*width*n + 4*slabMax + 64<<10
+	if got > 2*headers+slabs {
+		t.Fatalf("parse allocated %d bytes, want at most %d (2 x %d for clause headers + %d for literals)",
+			got, 2*headers+slabs, headers, slabs)
+	}
+}
+
+// An empty clause list stays nil, as it was before presizing: the DIMACS
+// round trip compares formulas with reflect.DeepEqual.
+func TestParseDimacsEmptyKeepsNilClauses(t *testing.T) {
+	for _, in := range []string{"p cnf 0 0\n", "p cnf 5 0\n", "c only a comment\n", ""} {
+		f, err := ParseDimacsString(in)
+		if err != nil {
+			t.Fatalf("ParseDimacsString(%q): %v", in, err)
+		}
+		if f.Clauses != nil {
+			t.Fatalf("ParseDimacsString(%q).Clauses = %#v, want nil", in, f.Clauses)
 		}
 	}
 }

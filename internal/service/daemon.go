@@ -65,7 +65,8 @@ type Options struct {
 	// take cnf.DefaultParseLimits.
 	FormulaLimits cnf.ParseLimits
 	ProofLimits   cnf.ParseLimits
-	// MaxUploadBytes bounds a whole upload body (default 256 MiB).
+	// MaxUploadBytes bounds a whole upload body (default 256 MiB), and
+	// also the parsed artifacts held in memory across queued jobs.
 	MaxUploadBytes int64
 
 	// RetryAfter is the base hint returned with 429/503 responses (default
@@ -139,6 +140,7 @@ type Daemon struct {
 	mu      sync.RWMutex
 	states  map[string]State
 	results map[string]*JobResult // verdict cache; survives SetResult failure
+	held    int64                 // artifactBytes of the queued jobs' in-memory artifacts
 	seq     uint64
 	started bool
 
@@ -252,7 +254,10 @@ func (d *Daemon) Draining() bool {
 
 // Submit admits a parsed job for tenant: it reserves a queue slot under the
 // capacity and quota bounds, makes the job durable in the store, and only
-// then enqueues it. The returned Job is already visible to Status.
+// then enqueues it. The returned Job is already visible to Status. The
+// worker may verify f and tr themselves rather than the store's copy, so
+// the caller must not change them after Submit; jobs sharing them run
+// concurrently without writing to them.
 func (d *Daemon) Submit(tenant string, f *cnf.Formula, tr *proof.Trace) (*Job, error) {
 	return d.SubmitID(tenant, "", f, tr)
 }
@@ -313,9 +318,43 @@ func (d *Daemon) SubmitID(tenant, id string, f *cnf.Formula, tr *proof.Trace) (*
 	d.mu.Lock()
 	d.states[id] = StateQueued
 	d.mu.Unlock()
+	d.holdArtifacts(job, f, tr)
 	d.q.Enqueue(job)
 	d.opt.Obs.Counter("service.jobs_admitted").Inc()
 	return job, nil
+}
+
+// artifactBytes estimates the memory a job's parsed artifacts hold: a
+// 24-byte slice header per clause and 4 bytes per literal.
+func artifactBytes(f *cnf.Formula, tr *proof.Trace) int64 {
+	return 24*int64(f.NumClauses()+tr.Len()) + 4*(int64(f.NumLiterals())+tr.NumLiterals())
+}
+
+// holdArtifacts hands f and tr to job's worker in memory when they fit
+// under MaxUploadBytes next to the other queued jobs' artifacts; a job that
+// does not fit loads from the store, as a recovered one does. A deletion
+// schedule is not part of the store's copy, so a trace with one also loads
+// from the store, and a recovered run stays the same as the first.
+func (d *Daemon) holdArtifacts(job *Job, f *cnf.Formula, tr *proof.Trace) {
+	n := artifactBytes(f, tr)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if tr.Deletions != nil || d.held+n > d.opt.MaxUploadBytes {
+		return
+	}
+	d.held += n
+	job.f, job.tr, job.held = f, tr, n
+}
+
+// takeArtifacts detaches the artifacts held for job, releasing their
+// charge; both are nil when the job has to load them from the store.
+func (d *Daemon) takeArtifacts(job *Job) (*cnf.Formula, *proof.Trace) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	f, tr := job.f, job.tr
+	d.held -= job.held
+	job.f, job.tr, job.held = nil, nil, 0
+	return f, tr
 }
 
 // Status returns a job's current state and, when done, its result. The

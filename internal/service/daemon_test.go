@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -271,16 +272,18 @@ func TestDaemonAdmissionGate(t *testing.T) {
 	}
 }
 
-// gatedStore blocks Artifacts until the gate opens, pinning jobs in the
-// running state so queue-bound tests are deterministic.
+// gatedStore blocks JournalPath until the gate opens, pinning jobs in the
+// running state so queue-bound tests are deterministic. Every verification
+// attempt asks for the journal path after the job is marked running, and a
+// job admitted over HTTP never calls Artifacts.
 type gatedStore struct {
 	Store
 	gate chan struct{}
 }
 
-func (g *gatedStore) Artifacts(id string) (*cnf.Formula, *proof.Trace, error) {
+func (g *gatedStore) JournalPath(id string) string {
 	<-g.gate
-	return g.Store.Artifacts(id)
+	return g.Store.JournalPath(id)
 }
 
 func TestDaemonBackpressure(t *testing.T) {
@@ -495,6 +498,127 @@ func TestDaemonRecoverAcrossRestart(t *testing.T) {
 		t.Fatalf("post-restart Seq = %d, want 4", job.Seq)
 	}
 	waitDone(t, d2, job.ID)
+}
+
+// countingStore counts the runs that load their artifacts from the store.
+type countingStore struct {
+	Store
+	artifacts atomic.Int64
+}
+
+func (s *countingStore) Artifacts(id string) (*cnf.Formula, *proof.Trace, error) {
+	s.artifacts.Add(1)
+	return s.Store.Artifacts(id)
+}
+
+// A run gets its artifacts one of three ways: in memory from admission,
+// from the store after a restart, or from the store when they are over
+// the bound on what queued jobs may hold. All three give the same result,
+// byte for byte.
+func TestDaemonRunsAdmittedArtifactsInMemory(t *testing.T) {
+	f, tr := chainProblem(10)
+	newStore := func(root string) *countingStore {
+		ds, err := NewDiskStore(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &countingStore{Store: ds}
+	}
+	result := func(d *Daemon, id string) []byte {
+		b, err := json.Marshal(waitDone(t, d, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	// Admitted over HTTP: the worker runs what admission parsed.
+	st := newStore(t.TempDir())
+	d := newTestDaemon(t, Options{Store: st})
+	want := result(d, submitProblem(t, d.Handler(false), f, tr, ""))
+	if n := st.artifacts.Load(); n != 0 {
+		t.Fatalf("admitted job: %d Artifacts calls, want 0", n)
+	}
+
+	// Recovered: admitted by a daemon that never ran them, each job loads
+	// from the store once.
+	root := t.TempDir()
+	d1, err := New(Options{Store: newStore(root).Store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 2; i++ {
+		job, err := d1.Submit("default", f, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, job.ID)
+	}
+	st = newStore(root)
+	d = newTestDaemon(t, Options{Store: st})
+	for _, id := range ids {
+		if got := result(d, id); !bytes.Equal(got, want) {
+			t.Fatalf("recovered job %s:\n%s\nwant\n%s", id, got, want)
+		}
+	}
+	if n := st.artifacts.Load(); n != int64(len(ids)) {
+		t.Fatalf("recovered jobs: %d Artifacts calls, want %d", n, len(ids))
+	}
+
+	// Over the bound: the job is queued as usual and loads from the store.
+	st = newStore(t.TempDir())
+	d = newTestDaemon(t, Options{Store: st, MaxUploadBytes: artifactBytes(f, tr) - 1})
+	job, err := d.Submit("default", f, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := result(d, job.ID); !bytes.Equal(got, want) {
+		t.Fatalf("job over the bound:\n%s\nwant\n%s", got, want)
+	}
+	if n := st.artifacts.Load(); n != 1 {
+		t.Fatalf("job over the bound: %d Artifacts calls, want 1", n)
+	}
+}
+
+// The Go API hands the caller's formula and trace to the worker as they
+// are, so concurrent jobs over the same pointers must not write to them
+// (the bcp engines copy clauses into their own arenas). Run with -race.
+func TestDaemonSharedArtifactsConcurrentSubmit(t *testing.T) {
+	ds, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newTestDaemon(t, Options{Store: ds, Workers: 4})
+	f, tr := chainProblem(50)
+	ids := make([]string, 4)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			job, err := d.Submit("default", f, tr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ids[i] = job.ID
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for _, id := range ids {
+		if jr := waitDone(t, d, id); jr.Status != StatusVerified || len(jr.Core) != f.NumClauses() {
+			t.Fatalf("job %s = %+v, want verified with the whole chain as core", id, jr)
+		}
+	}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.held != 0 {
+		t.Fatalf("%d bytes of artifacts still charged after every job ran", d.held)
+	}
 }
 
 func TestHandlerPanicIsolated(t *testing.T) {

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cnf"
 	"repro/internal/core"
+	"repro/internal/proof"
 )
 
 // State is a job's position in its lifecycle. The state machine is strictly
@@ -47,6 +49,16 @@ type Job struct {
 	// Replica records are never run: Recover/Incomplete skip them, and a
 	// half-written one (no result yet) is debris, not recoverable work.
 	Replica bool `json:"replica,omitempty"`
+
+	// f and tr are the artifacts admission parsed, handed to the worker in
+	// memory so the run does not parse the store's copy again; held is
+	// what they are charged against Options.MaxUploadBytes while queued.
+	// JSON leaves unexported fields out, so job.json does not change. They
+	// are nil for recovered jobs and for jobs over the bound, which load
+	// their artifacts from the store.
+	f    *cnf.Formula
+	tr   *proof.Trace
+	held int64
 }
 
 // JobResult is a job's terminal outcome. Exactly one is ever recorded per

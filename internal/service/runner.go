@@ -27,9 +27,10 @@ func (d *Daemon) worker(w int) {
 	}
 }
 
-// runJob drives one job start to finish: load artifacts, verify (with
-// checkpointing, panic isolation and one fallback-engine retry), record the
-// terminal result. The only path that ends without a result is drain — the
+// runJob drives one job start to finish: take the artifacts admission
+// handed over (or load them from the store), verify (with checkpointing,
+// panic isolation and one fallback-engine retry), record the terminal
+// result. The only path that ends without a result is drain — the
 // job then stays incomplete in the store for the next start to recover.
 func (d *Daemon) runJob(w int, job *Job) {
 	defer d.q.Done(job.Tenant)
@@ -50,15 +51,18 @@ func (d *Daemon) runJob(w int, job *Job) {
 	}()
 	d.setState(job.ID, StateRunning)
 
-	f, tr, err := d.opt.Store.Artifacts(job.ID)
-	if err != nil {
-		d.finish(job, &JobResult{
-			Status:   StatusInternal,
-			Code:     StatusInternal.ExitCode(),
-			Error:    fmt.Sprintf("load artifacts: %v", err),
-			Attempts: 1,
-		})
-		return
+	f, tr := d.takeArtifacts(job)
+	if f == nil {
+		var err error
+		if f, tr, err = d.opt.Store.Artifacts(job.ID); err != nil {
+			d.finish(job, &JobResult{
+				Status:   StatusInternal,
+				Code:     StatusInternal.ExitCode(),
+				Error:    fmt.Sprintf("load artifacts: %v", err),
+				Attempts: 1,
+			})
+			return
+		}
 	}
 
 	budget := d.quotaFor(job.Tenant).Budget

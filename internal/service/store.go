@@ -28,12 +28,15 @@ type Store interface {
 	Create(job *Job, f *cnf.Formula, tr *proof.Trace) error
 	// Job returns the admission record, or ErrUnknownJob.
 	Job(id string) (*Job, error)
-	// Artifacts returns the job's formula and trace for verification.
-	// Replica records have no trace and return ErrUnknownJob here.
+	// Artifacts returns the job's formula and trace for verification. A
+	// job admitted by this process runs on the artifacts admission parsed;
+	// only recovered jobs and jobs over the daemon's bound on held
+	// artifacts load them here. Replica records have no trace and return
+	// ErrUnknownJob here.
 	Artifacts(id string) (*cnf.Formula, *proof.Trace, error)
 	// Formula returns just the job's formula. Unlike Artifacts it works
-	// for replica records too — the LRAT recheck path needs the formula
-	// but never the DRUP trace.
+	// for replica records too — the /core and /recheck endpoints need the
+	// formula but never the DRUP trace.
 	Formula(id string) (*cnf.Formula, error)
 	// SetResult records the job's terminal result.
 	SetResult(id string, jr *JobResult) error

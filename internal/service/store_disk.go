@@ -150,6 +150,10 @@ func (s *DiskStore) Job(id string) (*Job, error) {
 	return &job, nil
 }
 
+// Formula parses the job's stored formula.cnf, the durable copy: the /core
+// and /recheck endpoints read it, and Artifacts does for recovered jobs and
+// jobs over the daemon's bound on held artifacts. Other runs verify the
+// formula admission parsed and never read it back.
 func (s *DiskStore) Formula(id string) (*cnf.Formula, error) {
 	if !validID(id) {
 		return nil, ErrUnknownJob
