@@ -38,7 +38,6 @@ race:
 # execute nothing after the first seconds.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/proof/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadBinaryTrace$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/proof/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCNF$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/cnf/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLRAT$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/lrat/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLRATBinary$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/lrat/

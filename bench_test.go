@@ -9,7 +9,6 @@
 package repro
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/muscore"
 	"repro/internal/proof"
 	"repro/internal/resolution"
-	"repro/internal/simplify"
 	"repro/internal/solver"
 )
 
@@ -201,10 +199,7 @@ func BenchmarkTrim(b *testing.B) {
 
 func BenchmarkResolutionCheck(b *testing.B) {
 	inst := gen.AdderEquiv(12)
-	s, err := solver.NewFromFormula(inst.F, solver.Options{RecordChains: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := solver.NewFromFormula(inst.F, solver.Options{RecordChains: true})
 	if s.Run() != solver.Unsat {
 		b.Fatal("not unsat")
 	}
@@ -218,56 +213,6 @@ func BenchmarkResolutionCheck(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- Ablation: clause minimization (post-2003 extension) ---------------------
-
-func BenchmarkMinimizeLearned(b *testing.B) {
-	inst := gen.Control(6, 3)
-	for _, min := range []bool{false, true} {
-		name := "off"
-		if min {
-			name = "on"
-		}
-		b.Run("minimize-"+name, func(b *testing.B) {
-			opts := bench.DefaultSolverOptions()
-			opts.MinimizeLearned = min
-			for i := 0; i < b.N; i++ {
-				tr := mustSolve(b, inst.F, opts)
-				b.ReportMetric(float64(tr.NumLiterals())/float64(tr.Len()), "lits/clause")
-			}
-		})
-	}
-}
-
-// --- Ablation: preprocessing ---------------------------------------------------
-
-func BenchmarkSimplify(b *testing.B) {
-	inst := gen.Counter(8, 40)
-	b.Run("preprocess", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := simplify.Simplify(inst.F, simplify.Default())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.F.NumClauses()), "clauses-after")
-		}
-	})
-	b.Run("solve-raw", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mustSolve(b, inst.F, bench.DefaultSolverOptions())
-		}
-	})
-	b.Run("solve-preprocessed", func(b *testing.B) {
-		res, err := simplify.Simplify(inst.F, simplify.Default())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mustSolve(b, res.F, bench.DefaultSolverOptions())
-		}
-	})
 }
 
 // --- Ablation: unsat-core methods ----------------------------------------------
@@ -291,37 +236,6 @@ func BenchmarkCoreMethods(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(len(ac)), "core-clauses")
-		}
-	})
-}
-
-// --- Micro: binary proof format -------------------------------------------------
-
-func BenchmarkBinaryProofIO(b *testing.B) {
-	inst := gen.Barrel(8, 2)
-	tr := mustSolve(b, inst.F, bench.DefaultSolverOptions())
-	var bin []byte
-	{
-		w := &writeBuffer{}
-		if err := proof.WriteBinary(w, tr); err != nil {
-			b.Fatal(err)
-		}
-		bin = w.data
-	}
-	b.Run("write", func(b *testing.B) {
-		b.ReportMetric(float64(len(bin)), "bytes")
-		for i := 0; i < b.N; i++ {
-			w := &writeBuffer{data: make([]byte, 0, len(bin))}
-			if err := proof.WriteBinary(w, tr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("read", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := proof.ReadBinary(bytes.NewReader(bin)); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }
@@ -359,7 +273,7 @@ func BenchmarkDRUPChecking(b *testing.B) {
 	})
 }
 
-// --- Parallel verification and portfolio ----------------------------------------
+// --- Parallel verification ------------------------------------------------------
 
 func BenchmarkParallelVerify(b *testing.B) {
 	inst := gen.Control(6, 3)
@@ -374,27 +288,6 @@ func BenchmarkParallelVerify(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkPortfolio(b *testing.B) {
-	inst := gen.PHP(7)
-	b.Run("single", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mustSolve(b, inst.F, bench.DefaultSolverOptions())
-		}
-	})
-	b.Run("portfolio-3", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := solver.Portfolio(inst.F, []solver.Options{
-				{Learn: solver.LearnHybrid},
-				{Learn: solver.Learn1UIP},
-				{Learn: solver.LearnHybrid, Heuristic: solver.HeurVSIDS},
-			})
-			if err != nil || res.Status != solver.Unsat {
-				b.Fatalf("%v %+v", err, res)
-			}
-		}
-	})
 }
 
 // --- Baselines: the displaced technologies --------------------------------------

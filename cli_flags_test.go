@@ -19,13 +19,11 @@ var wantFlags = map[string][]string{
 		`learn string = "hybrid"`,
 		"max-conflicts int",
 		"metrics string",
-		"portfolio int",
 		"pprof",
 		"progress",
 		"progress-every int = 10000",
 		"proof string",
 		"seed int",
-		"simp",
 		"stats",
 		"stats-json string",
 		"timeout duration",

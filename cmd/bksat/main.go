@@ -11,6 +11,7 @@
 // Flags:
 //
 //	-proof FILE     write the conflict-clause proof trace (UNSAT only)
+//	-drat FILE      write a deletion-aware DRUP proof (UNSAT only)
 //	-learn SCHEME   1uip | decision | hybrid (default hybrid)
 //	-heur NAME      berkmin | vsids (default berkmin)
 //	-max-conflicts N  give up after N conflicts (0 = unlimited)
@@ -21,6 +22,7 @@
 //	-progress       report search progress (conflicts) on stderr
 //	-progress-every N  progress line every N conflicts (default 10000)
 //	-metrics ADDR   serve live metrics over HTTP (expvar-style JSON)
+//	-pprof          with -metrics: also serve net/http/pprof under /debug/pprof/
 //
 // Exit status: 10 for SAT (model printed as a "v" line), 20 for UNSAT,
 // 0 for unknown — the conventional SAT-competition codes — plus
@@ -43,8 +45,6 @@ import (
 	"repro/internal/drat"
 	"repro/internal/exitcode"
 	"repro/internal/obs"
-	"repro/internal/proof"
-	"repro/internal/simplify"
 	"repro/internal/solver"
 )
 
@@ -69,8 +69,6 @@ func run() int {
 	progressEvery := flag.Int64("progress-every", 10000, "progress line every N conflicts")
 	flag.StringVar(&out.Metrics, "metrics", "", "serve live metrics over HTTP on this address")
 	flag.BoolVar(&out.Pprof, "pprof", false, "with -metrics: also serve net/http/pprof under /debug/pprof/")
-	simp := flag.Bool("simp", false, "preprocess before solving (NOTE: any proof then refers to the simplified formula)")
-	portfolio := flag.Int("portfolio", 0, "race N diversified solver configurations; the winner's proof is written at the end (streaming and -drat are unavailable in this mode)")
 	if code, ok := cli.Parse(1, "usage: bksat [flags] formula.cnf"); !ok {
 		return code
 	}
@@ -87,16 +85,6 @@ func run() int {
 	f, err := r.ReadFormula(flag.Arg(0))
 	if err != nil {
 		return tool.Fail(exitcode.BadInput, err)
-	}
-
-	var pre *simplify.Result
-	if *simp {
-		pre, err = simplify.Simplify(f, simplify.Default())
-		if err != nil {
-			return tool.Fail(exitcode.Internal, err)
-		}
-		fmt.Fprintf(os.Stderr, "c simp: %d -> %d clauses\n", f.NumClauses(), pre.F.NumClauses())
-		f = pre.F
 	}
 
 	opts := solver.Options{MaxConflicts: *maxConflicts, Seed: *seed, Obs: reg, Ctx: ctx}
@@ -134,68 +122,31 @@ func run() int {
 	}
 
 	var proofFile *atomicio.File
-	var rec *drat.Recorder
-	var st solver.Status
-	var tr *proof.Trace
-	var model []bool
-	var sstats solver.Stats
-	if *portfolio > 0 {
-		if *dratPath != "" {
-			return tool.Fail(exitcode.Usage, "-drat is unavailable with -portfolio")
-		}
-		configs := make([]solver.Options, *portfolio)
-		for i := range configs {
-			configs[i] = opts
-			configs[i].Learn = []solver.LearnScheme{
-				solver.LearnHybrid, solver.Learn1UIP, solver.LearnDecision,
-			}[i%3]
-		}
-		solveSpan := reg.StartSpan("solve")
-		res, perr := solver.Portfolio(f, configs)
-		solveSpan.End()
-		if perr != nil {
-			return tool.Fail(exitcode.Internal, perr)
-		}
-		st, tr, model, sstats = res.Status, res.Trace, res.Model, res.Stats
-		fmt.Fprintf(os.Stderr, "c portfolio: configuration %d won\n", res.Winner)
-		if *proofPath != "" && st == solver.Unsat {
-			werr := atomicio.WriteFile(*proofPath, func(out io.Writer) error {
-				w := out
-				if reg != nil {
-					w = obs.CountingWriter(out, reg.Counter("proof.write.bytes"))
-				}
-				return proof.Write(w, tr)
-			})
-			if werr != nil {
-				return tool.Fail(exitcode.Internal, werr)
-			}
-		}
-	} else {
-		if *proofPath != "" {
-			proofFile, err = atomicio.Create(*proofPath)
-			if err != nil {
-				return tool.Fail(exitcode.Internal, err)
-			}
-			// Closed uncommitted (and hence discarded) on every path except a
-			// completed UNSAT run, which commits it below.
-			defer proofFile.Close()
-			if reg != nil {
-				opts.ProofWriter = obs.CountingWriter(proofFile, reg.Counter("proof.write.bytes"))
-			} else {
-				opts.ProofWriter = proofFile
-			}
-		}
-		if *dratPath != "" {
-			rec = drat.NewRecorder()
-			opts.OnLearn = rec.Learn
-			opts.OnDelete = rec.Delete
-		}
-		solveSpan := reg.StartSpan("solve")
-		st, tr, model, sstats, err = solver.Solve(f, opts)
-		solveSpan.End()
+	if *proofPath != "" {
+		proofFile, err = atomicio.Create(*proofPath)
 		if err != nil {
 			return tool.Fail(exitcode.Internal, err)
 		}
+		// Closed uncommitted (and hence discarded) on every path except a
+		// completed UNSAT run, which commits it below.
+		defer proofFile.Close()
+		if reg != nil {
+			opts.ProofWriter = obs.CountingWriter(proofFile, reg.Counter("proof.write.bytes"))
+		} else {
+			opts.ProofWriter = proofFile
+		}
+	}
+	var rec *drat.Recorder
+	if *dratPath != "" {
+		rec = drat.NewRecorder()
+		opts.OnLearn = rec.Learn
+		opts.OnDelete = rec.Delete
+	}
+	solveSpan := reg.StartSpan("solve")
+	st, tr, model, sstats, err := solver.Solve(f, opts)
+	solveSpan.End()
+	if err != nil {
+		return tool.Fail(exitcode.Internal, err)
 	}
 	prog.Finish()
 	if werr := r.WriteStats(); werr != nil {
@@ -210,12 +161,6 @@ func run() int {
 	switch st {
 	case solver.Sat:
 		fmt.Println("s SATISFIABLE")
-		if pre != nil {
-			model, err = pre.ExtendModel(model)
-			if err != nil {
-				return tool.Fail(exitcode.Internal, err)
-			}
-		}
 		fmt.Print("v ")
 		for v, val := range model {
 			l := cnf.PosLit(cnf.Var(v))

@@ -9,9 +9,7 @@
 //     BCP engines;
 //   - the trimmed proof must verify again;
 //   - with chains recorded, the resolution-graph proof must verify;
-//   - small instances are additionally decided by brute force;
-//   - the preprocessor must preserve the status, and its models must
-//     extend to models of the original formula.
+//   - small instances are additionally decided by brute force.
 //
 // Usage:
 //
@@ -30,7 +28,6 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/resolution"
-	"repro/internal/simplify"
 	"repro/internal/solver"
 )
 
@@ -92,10 +89,7 @@ func checkOne(seed int64, maxVars int) error {
 
 	var statuses []solver.Status
 	for _, scheme := range []solver.LearnScheme{solver.Learn1UIP, solver.LearnDecision, solver.LearnHybrid} {
-		s, err := solver.NewFromFormula(f, solver.Options{Learn: scheme, RecordChains: true, Seed: seed})
-		if err != nil {
-			return err
-		}
+		s := solver.NewFromFormula(f, solver.Options{Learn: scheme, RecordChains: true, Seed: seed})
 		st := s.Run()
 		statuses = append(statuses, st)
 		switch st {
@@ -145,31 +139,6 @@ func checkOne(seed int64, maxVars int) error {
 	if want == solver.Sat || want == solver.Unsat {
 		if statuses[0] != want {
 			return fmt.Errorf("brute force says %v, solver says %v", want, statuses[0])
-		}
-	}
-
-	// Preprocessor must preserve the status; SAT models must extend.
-	res, err := simplify.Simplify(f, simplify.Default())
-	if err != nil {
-		return err
-	}
-	st2, _, model, _, err := solver.Solve(res.F, solver.Options{})
-	if err != nil {
-		return err
-	}
-	if res.Unsat {
-		st2 = solver.Unsat
-	}
-	if st2 != statuses[0] {
-		return fmt.Errorf("preprocessing changed status: %v -> %v", statuses[0], st2)
-	}
-	if st2 == solver.Sat {
-		full, err := res.ExtendModel(model)
-		if err != nil {
-			return err
-		}
-		if !f.Eval(full) {
-			return fmt.Errorf("extended model does not satisfy original formula")
 		}
 	}
 

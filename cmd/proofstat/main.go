@@ -1,25 +1,25 @@
 // Command proofstat analyzes a conflict-clause proof trace: sizes, clause
 // length distribution, per-clause resolution counts and the local/global
-// clause split of the paper's §5. It also converts between the text and
-// binary trace formats.
+// clause split of the paper's §5.
 //
 // Hinted (LRAT) proofs get their own report: a power-of-two histogram of
 // hints per addition step, antecedent fan-in (how often each clause is
 // cited as a hint), and the hinted-vs-trimmed size ratio — what carrying
-// the hints costs over the bare trimmed derivation.
+// the hints costs over the bare trimmed derivation. LRAT proofs can also be
+// converted between the text and binary LRAT formats.
 //
 // Usage:
 //
 //	proofstat proof.trace               # print statistics
 //	proofstat -threshold 64 proof.trace # custom local/global threshold
 //	proofstat proof.lrat                # hint statistics for a hinted proof
-//	proofstat -to-binary out.bin proof.trace
-//	proofstat -to-text out.trace proof.bin
+//	proofstat -to-binary out.bin proof.lrat
+//	proofstat -to-text out.lrat proof.bin
 //
-// Input format is auto-detected: binary traces by the CCPF magic, binary
-// LRAT by the CLRT magic, text LRAT by a .lrat filename suffix; everything
-// else parses as a text trace. The conversion flags work for both kinds,
-// emitting the matching trace or LRAT format.
+// Input format is auto-detected: binary LRAT by the CLRT magic, text LRAT
+// by a .lrat filename suffix; everything else parses as a text trace. The
+// conversion flags take LRAT input only; on a trace they are a usage error
+// (exit 1).
 package main
 
 import (
@@ -41,8 +41,8 @@ func main() {
 
 func run() int {
 	threshold := flag.Int64("threshold", 0, "resolution count above which a clause is 'global' (default 32)")
-	toBinary := flag.String("to-binary", "", "convert the input to binary format at this path")
-	toText := flag.String("to-text", "", "convert the input to text format at this path")
+	toBinary := flag.String("to-binary", "", "convert the LRAT input to binary LRAT at this path")
+	toText := flag.String("to-text", "", "convert the LRAT input to text LRAT at this path")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -60,31 +60,14 @@ func run() int {
 		return runLRAT(data, *toBinary, *toText)
 	}
 
-	var tr *proof.Trace
-	if bytes.HasPrefix(data, []byte("CCPF")) {
-		tr, err = proof.ReadBinary(bytes.NewReader(data))
-	} else {
-		tr, err = proof.Read(bytes.NewReader(data))
+	if *toBinary != "" || *toText != "" {
+		fmt.Fprintln(os.Stderr, "proofstat: -to-binary and -to-text convert LRAT proofs only")
+		return 1
 	}
+	tr, err := proof.Read(bytes.NewReader(data))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "proofstat:", err)
 		return 1
-	}
-
-	if *toBinary != "" {
-		if err := writeWith(*toBinary, tr, proof.WriteBinary); err != nil {
-			fmt.Fprintln(os.Stderr, "proofstat:", err)
-			return 1
-		}
-	}
-	if *toText != "" {
-		if err := writeWith(*toText, tr, proof.Write); err != nil {
-			fmt.Fprintln(os.Stderr, "proofstat:", err)
-			return 1
-		}
-	}
-	if *toBinary != "" || *toText != "" {
-		return 0
 	}
 
 	fmt.Printf("termination: %v\n", tr.Terminates())
@@ -225,10 +208,4 @@ func pow2Bucket(n int) int {
 		b++
 	}
 	return b
-}
-
-func writeWith(path string, tr *proof.Trace, w func(io.Writer, *proof.Trace) error) error {
-	return atomicio.WriteFile(path, func(out io.Writer) error {
-		return w(out, tr)
-	})
 }

@@ -8,7 +8,7 @@
 //	tables -table 1     # Table 1: unsatisfiable core extraction
 //	tables -table 2     # Table 2: proof verification, proof sizes
 //	tables -table 3     # Table 3: resolution proof growth (fifo family)
-//	tables -ablation schemes|verify|bcp|trim|core
+//	tables -ablation schemes|verify|bcp|trim|core|cores|baselines
 //	tables -quick       # small instances (smoke test)
 package main
 
@@ -27,7 +27,7 @@ func main() {
 
 func run() int {
 	table := flag.Int("table", 0, "which table to regenerate (1-3; 0 = all)")
-	ablation := flag.String("ablation", "", "ablation to run: schemes | verify | bcp | trim | core | simplify | cores | baselines")
+	ablation := flag.String("ablation", "", "ablation to run: schemes | verify | bcp | trim | core | cores | baselines")
 	quick := flag.Bool("quick", false, "use the quick suite")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned text (tables 1-3 and schemes only)")
 	flag.Parse()
@@ -125,13 +125,6 @@ func run() int {
 				return err
 			}
 			return bench.RenderTrim(os.Stdout, rows)
-		case "simplify":
-			fmt.Println("== Ablation: preprocessing (simplify) before solving ==")
-			rows, err := bench.SimplifyAblation(suite, opts)
-			if err != nil {
-				return err
-			}
-			return bench.RenderSimplify(os.Stdout, rows)
 		case "cores":
 			fmt.Println("== Ablation: unsat-core methods (verification vs assumptions vs resolution vs MUS) ==")
 			coreSuite := bench.SuiteAblation()
@@ -185,7 +178,7 @@ func run() int {
 				return fail(err)
 			}
 		}
-		for _, name := range []string{"schemes", "verify", "bcp", "trim", "simplify", "cores"} {
+		for _, name := range []string{"schemes", "verify", "bcp", "trim", "cores"} {
 			if err := runAblation(name); err != nil {
 				return fail(err)
 			}

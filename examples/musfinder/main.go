@@ -49,10 +49,7 @@ func main() {
 		len(ac), 100*float64(len(ac))/float64(f.NumClauses()))
 
 	// 3. Resolution-graph-reachable core.
-	s, err := solver.NewFromFormula(f, solver.Options{RecordChains: true})
-	if err != nil {
-		log.Fatal(err)
-	}
+	s := solver.NewFromFormula(f, solver.Options{RecordChains: true})
 	if s.Run() != solver.Unsat {
 		log.Fatal("not unsat")
 	}

@@ -23,13 +23,10 @@ func main() {
 		inst.Name, inst.F.NumVars, inst.F.NumClauses())
 
 	for _, scheme := range []solver.LearnScheme{solver.Learn1UIP, solver.LearnDecision} {
-		s, err := solver.NewFromFormula(inst.F, solver.Options{
+		s := solver.NewFromFormula(inst.F, solver.Options{
 			Learn:        scheme,
 			RecordChains: true,
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
 		if st := s.Run(); st != solver.Unsat {
 			log.Fatalf("%v: status %v", scheme, st)
 		}

@@ -13,43 +13,27 @@ import (
 	"repro/internal/muscore"
 	"repro/internal/proof"
 	"repro/internal/resolution"
-	"repro/internal/simplify"
 	"repro/internal/solver"
 )
 
 // TestFullPipeline drives every major subsystem over one realistic
 // equivalence-checking instance, end to end:
 //
-//	generate → preprocess → solve (recording everything) →
+//	generate → solve (recording everything) →
 //	verify (both procedures × both engines, sequential and parallel) →
 //	trim → re-verify → resolution-graph check →
-//	DRUP forward/backward → unsat cores by three methods → proof IO round trips.
+//	DRUP forward/backward → unsat cores by three methods → proof IO round trip.
 func TestFullPipeline(t *testing.T) {
 	inst := gen.AdderEquiv(10)
 	f := inst.F
 
-	// Preprocessing must preserve unsatisfiability.
-	pre, err := simplify.Simplify(f, simplify.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pre.Unsat {
-		st, _, _, _, err := solver.Solve(pre.F, solver.Options{})
-		if err != nil || st != solver.Unsat {
-			t.Fatalf("preprocessed formula: %v %v", st, err)
-		}
-	}
-
-	// Solve the original with chains and DRUP recording.
+	// Solve with chains and DRUP recording.
 	rec := drat.NewRecorder()
-	s, err := solver.NewFromFormula(f, solver.Options{
+	s := solver.NewFromFormula(f, solver.Options{
 		RecordChains: true,
 		OnLearn:      rec.Learn,
 		OnDelete:     rec.Delete,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if st := s.Run(); st != solver.Unsat {
 		t.Fatalf("status %v", st)
 	}
@@ -135,27 +119,18 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatalf("assumption core not UNSAT: %v", st)
 	}
 
-	// Proof IO round trips (text and binary) preserve verification.
-	var text, bin bytes.Buffer
+	// The proof IO round trip preserves verification.
+	var text bytes.Buffer
 	if err := proof.Write(&text, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := proof.WriteBinary(&bin, tr); err != nil {
 		t.Fatal(err)
 	}
 	fromText, err := proof.Read(&text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := proof.ReadBinary(&bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rt := range []*proof.Trace{fromText, fromBin} {
-		res, err := core.Verify(f, rt, core.Options{})
-		if err != nil || !res.OK {
-			t.Fatalf("round-tripped proof rejected: %v %+v", err, res)
-		}
+	res, err := core.Verify(f, fromText, core.Options{})
+	if err != nil || !res.OK {
+		t.Fatalf("round-tripped proof rejected: %v %+v", err, res)
 	}
 }
 

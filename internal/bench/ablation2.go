@@ -2,70 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/muscore"
 	"repro/internal/resolution"
-	"repro/internal/simplify"
 	"repro/internal/solver"
 )
-
-// SimplifyRow compares solving with and without preprocessing.
-type SimplifyRow struct {
-	Name           string
-	ClausesBefore  int
-	ClausesAfter   int
-	PreprocessTime time.Duration
-	SolveRaw       time.Duration
-	ConflictsRaw   int64
-	SolvePre       time.Duration
-	ConflictsPre   int64
-	RefutedByPre   bool
-}
-
-// SimplifyAblation measures the preprocessor's effect on the suite.
-func SimplifyAblation(insts []gen.Instance, sopt solver.Options) ([]SimplifyRow, error) {
-	var rows []SimplifyRow
-	for _, inst := range insts {
-		row := SimplifyRow{Name: inst.Name, ClausesBefore: inst.F.NumClauses()}
-
-		t0 := time.Now()
-		st, _, _, stats, err := solver.Solve(inst.F, sopt)
-		row.SolveRaw = time.Since(t0)
-		row.ConflictsRaw = stats.Conflicts
-		if err != nil {
-			return nil, err
-		}
-		if st != solver.Unsat {
-			return nil, fmt.Errorf("bench: %s: raw solve returned %v", inst.Name, st)
-		}
-
-		t1 := time.Now()
-		pre, err := simplify.Simplify(inst.F, simplify.Default())
-		row.PreprocessTime = time.Since(t1)
-		if err != nil {
-			return nil, err
-		}
-		row.ClausesAfter = pre.F.NumClauses()
-		row.RefutedByPre = pre.Unsat
-		if !pre.Unsat {
-			t2 := time.Now()
-			st2, _, _, stats2, err := solver.Solve(pre.F, sopt)
-			row.SolvePre = time.Since(t2)
-			row.ConflictsPre = stats2.Conflicts
-			if err != nil {
-				return nil, err
-			}
-			if st2 != solver.Unsat {
-				return nil, fmt.Errorf("bench: %s: preprocessing broke unsatisfiability (%v)", inst.Name, st2)
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
 
 // CoreMethodsRow compares the repository's three unsat-core notions:
 // the paper's verification-based core, the assumption-based (selector)
@@ -105,10 +48,7 @@ func CoreMethodsAblation(insts []gen.Instance, sopt solver.Options, musMaxClause
 		// Resolution-graph-reachable core.
 		ropts := sopt
 		ropts.RecordChains = true
-		s, err := solver.NewFromFormula(inst.F, ropts)
-		if err != nil {
-			return nil, err
-		}
+		s := solver.NewFromFormula(inst.F, ropts)
 		if st := s.Run(); st != solver.Unsat {
 			return nil, fmt.Errorf("bench: %s: %v", inst.Name, st)
 		}

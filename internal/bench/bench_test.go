@@ -208,25 +208,6 @@ func TestCoreFixpointQuick(t *testing.T) {
 	}
 }
 
-func TestSimplifyAblationQuick(t *testing.T) {
-	rows, err := SimplifyAblation([]gen.Instance{gen.AdderEquiv(8), gen.PHP(5)}, quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.ClausesAfter > r.ClausesBefore {
-			t.Errorf("%s: preprocessing grew the formula %d -> %d", r.Name, r.ClausesBefore, r.ClausesAfter)
-		}
-	}
-	var buf bytes.Buffer
-	if err := RenderSimplify(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "After simp") {
-		t.Error("render missing header")
-	}
-}
-
 func TestCoreMethodsAblationQuick(t *testing.T) {
 	rows, err := CoreMethodsAblation([]gen.Instance{gen.PHP(4), gen.AdderEquiv(8)}, quickOpts(), 500)
 	if err != nil {

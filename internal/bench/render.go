@@ -96,18 +96,6 @@ func RenderTrim(w io.Writer, rows []TrimRow) error {
 	return tw.Flush()
 }
 
-// RenderSimplify prints the preprocessing ablation.
-func RenderSimplify(w io.Writer, rows []SimplifyRow) error {
-	tw := newTabWriter(w)
-	fmt.Fprintln(tw, "Name\tClauses\tAfter simp\tSimp time\tSolve raw\tConfl raw\tSolve simp\tConfl simp\tRefuted by simp")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%d\t%s\t%d\t%v\n",
-			r.Name, r.ClausesBefore, r.ClausesAfter, fmtDur(r.PreprocessTime),
-			fmtDur(r.SolveRaw), r.ConflictsRaw, fmtDur(r.SolvePre), r.ConflictsPre, r.RefutedByPre)
-	}
-	return tw.Flush()
-}
-
 // RenderCoreMethods prints the core-notion comparison.
 func RenderCoreMethods(w io.Writer, rows []CoreMethodsRow) error {
 	tw := newTabWriter(w)

@@ -15,7 +15,7 @@ import (
 	"repro/internal/proof"
 )
 
-// contractReader is one of the six formula and proof readers, seen through
+// contractReader is one of the five formula and proof readers, seen through
 // the input contract they share.
 type contractReader struct {
 	name string
@@ -39,20 +39,6 @@ func contractReaders(t *testing.T) []contractReader {
 	bigID := def.MaxID + 1
 
 	traceText := "1 -2 3 0\n-1 0\n"
-	tr, err := proof.ReadString(traceText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var traceBin, bigVarTraceBin bytes.Buffer
-	if err := proof.WriteBinary(&traceBin, tr); err != nil {
-		t.Fatal(err)
-	}
-	bigTr := proof.New()
-	bigTr.Resolutions = nil
-	bigTr.Clauses = append(bigTr.Clauses, cnf.Clause{cnf.FromDimacs(-bigVar)})
-	if err := proof.WriteBinary(&bigVarTraceBin, bigTr); err != nil {
-		t.Fatal(err)
-	}
 
 	lratText := "4 1 -2 3 0 1 2 0\n4 d 1 0\n5 -1 0 4 3 0\n"
 	lratBin := func(p *lrat.Proof) []byte {
@@ -98,15 +84,6 @@ func contractReaders(t *testing.T) []contractReader {
 			bounds:      clauseBounds,
 			garbage:     [][]byte{[]byte("1 zz 0\n"), []byte("1 2\n"), []byte("c res x\n1 0\n")},
 			overDefault: map[string][]byte{"variables": []byte(fmt.Sprintf("-%d 0\n", bigVar))},
-		},
-		{
-			name:        "binary trace",
-			read:        func(r io.Reader, l cnf.ParseLimits) (any, error) { return proof.ReadBinaryLimited(r, l) },
-			valid:       traceBin.Bytes(),
-			n:           2,
-			bounds:      clauseBounds,
-			garbage:     [][]byte{[]byte("CCPX\x01\x00"), []byte("CCPF\x01\x00\x02"), []byte("CCPF\x01\x00\x80"), []byte("CCPF\x01\x00\x01\x00")},
-			overDefault: map[string][]byte{"variables": bigVarTraceBin.Bytes()},
 		},
 		{
 			name:        "drup",

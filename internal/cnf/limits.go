@@ -100,8 +100,8 @@ func ReadErr(err error, what string) error {
 	return fmt.Errorf("%w: %s: %w", ErrMalformed, what, err)
 }
 
-// EncodeBinaryLit maps l to the binary DRAT encoding both binary formats
-// use: (|d| << 1) | (d < 0) for DIMACS value d, which is l + 2. It is always
+// EncodeBinaryLit maps l to the binary DRAT encoding the binary LRAT format
+// uses: (|d| << 1) | (d < 0) for DIMACS value d, which is l + 2. It is always
 // >= 2, so a 0 byte can terminate a clause.
 func EncodeBinaryLit(l Lit) uint64 { return uint64(l) + 2 }
 

@@ -175,7 +175,7 @@ func TestFaultMatrix(t *testing.T) {
 }
 
 // TestFaultMatrixSerialized runs the byte-corruption arm: serialize the
-// good trace (text and binary), corrupt one byte, and require the parser to
+// good trace as text, corrupt one byte, and require the parser to
 // either reject with a typed error or produce a trace the verifier handles
 // under the same soundness contract.
 func TestFaultMatrixSerialized(t *testing.T) {
@@ -192,11 +192,6 @@ func TestFaultMatrixSerialized(t *testing.T) {
 			name:  "text",
 			write: func(b *bytes.Buffer) error { return proof.Write(b, tr) },
 			read:  func(d []byte) (*proof.Trace, error) { return proof.Read(bytes.NewReader(d)) },
-		},
-		{
-			name:  "binary",
-			write: func(b *bytes.Buffer) error { return proof.WriteBinary(b, tr) },
-			read:  func(d []byte) (*proof.Trace, error) { return proof.ReadBinary(bytes.NewReader(d)) },
 		},
 	}
 

@@ -8,9 +8,9 @@ import (
 	"repro/internal/cnf"
 )
 
-// Binary LRAT format — the compact counterpart of the text format, following
-// the binary trace idiom (magic + version + flags header, uvarint payloads
-// with a 0 terminator that no mapped value can collide with).
+// Binary LRAT format — the compact counterpart of the text format: a magic +
+// version + flags header, then uvarint payloads with a 0 terminator that no
+// mapped value can collide with.
 //
 // Layout:
 //

@@ -42,10 +42,7 @@ func selector(f *cnf.Formula, i int) cnf.Lit {
 func Extract(f *cnf.Formula, opts solver.Options) ([]int, error) {
 	opts.DisableProof = true
 	inst := instrument(f)
-	s, err := solver.NewFromFormula(inst, opts)
-	if err != nil {
-		return nil, err
-	}
+	s := solver.NewFromFormula(inst, opts)
 
 	current := make([]int, f.NumClauses())
 	for i := range current {
@@ -102,10 +99,7 @@ func subsetFromConflict(f *cnf.Formula, lits []cnf.Lit) []int {
 func Minimize(f *cnf.Formula, coreIdx []int, opts solver.Options) ([]int, error) {
 	opts.DisableProof = true
 	inst := instrument(f)
-	s, err := solver.NewFromFormula(inst, opts)
-	if err != nil {
-		return nil, err
-	}
+	s := solver.NewFromFormula(inst, opts)
 
 	inCore := make(map[int]bool, len(coreIdx))
 	for _, i := range coreIdx {

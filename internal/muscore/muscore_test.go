@@ -132,10 +132,7 @@ func TestIncrementalReuse(t *testing.T) {
 	// UnsatAssumptions query (incrementality smoke test).
 	f := cnf.NewFormula(0).Add(1, 2).Add(-1, 2).Add(1, -2).Add(-1, -2)
 	inst := instrument(f)
-	s, err := solver.NewFromFormula(inst, opts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := solver.NewFromFormula(inst, opts())
 	all := make([]cnf.Lit, f.NumClauses())
 	for i := range all {
 		all[i] = selector(f, i)

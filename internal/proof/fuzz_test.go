@@ -44,46 +44,3 @@ func FuzzReadTrace(f *testing.F) {
 		}
 	})
 }
-
-func FuzzReadBinaryTrace(f *testing.F) {
-	// Seed with well-formed encodings (with and without resolution counts)
-	// so the fuzzer starts past the magic/version gate, plus raw junk.
-	seed := New()
-	seed.Resolutions = nil
-	seed.Clauses = append(seed.Clauses, cl(1, -2), cl(2), cl(-1))
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(bytes.Clone(buf.Bytes()))
-	buf.Reset()
-	withRes := seed.Clone()
-	withRes.Resolutions = []int64{0, 2, 3}
-	if err := WriteBinary(&buf, withRes); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(bytes.Clone(buf.Bytes()))
-	f.Add([]byte("CCPF"))
-	f.Add([]byte("CCPF\x01\x00\xff\xff\xff\xff"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinaryLimited(bytes.NewReader(data),
-			cnf.ParseLimits{MaxClauses: 1 << 12, MaxClauseLen: 1 << 10, MaxVars: 1 << 16, MaxBytes: 1 << 20})
-		if err != nil {
-			if !errors.Is(err, cnf.ErrMalformed) && !errors.Is(err, cnf.ErrLimit) {
-				t.Fatalf("untyped parse error: %v", err)
-			}
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr); err != nil {
-			t.Fatalf("writing parsed trace: %v", err)
-		}
-		back, err := ReadBinary(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-reading own output: %v", err)
-		}
-		if back.Len() != tr.Len() {
-			t.Fatalf("round trip changed clause count: %d != %d", back.Len(), tr.Len())
-		}
-	})
-}

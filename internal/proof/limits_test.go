@@ -54,116 +54,20 @@ func TestReadMalformed(t *testing.T) {
 	}
 }
 
-func TestReadBinaryMalformed(t *testing.T) {
-	valid := func() []byte {
-		var buf bytes.Buffer
-		tr := New()
-		tr.Resolutions = nil
-		tr.Clauses = append(tr.Clauses, cl(1, -2), cl(2))
-		if err := WriteBinary(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}()
-
-	cases := map[string][]byte{
-		"empty":        {},
-		"short header": valid[:3],
-		"bad magic":    append([]byte("XXXX"), valid[4:]...),
-		"bad version":  func() []byte { b := bytes.Clone(valid); b[4] = 99; return b }(),
-		// Drop only the final 0 terminator: the remaining bytes are NOT a
-		// valid prefix, and must not silently parse as one.
-		"truncated clause": valid[:len(valid)-1],
-	}
-	for name, in := range cases {
-		if _, err := ReadBinary(bytes.NewReader(in)); !errors.Is(err, cnf.ErrMalformed) {
-			t.Errorf("%s: err = %v, want cnf.ErrMalformed", name, err)
-		}
-	}
-}
-
-func TestReadBinaryLimits(t *testing.T) {
-	var buf bytes.Buffer
-	tr := New()
-	tr.Resolutions = nil
-	tr.Clauses = append(tr.Clauses, cl(100000, -2), cl(2), cl(-1))
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	if _, err := ReadBinaryLimited(bytes.NewReader(data), cnf.ParseLimits{MaxVars: 65536}); !errors.Is(err, cnf.ErrLimit) {
-		t.Fatalf("variable limit: err = %v", err)
-	}
-	if _, err := ReadBinaryLimited(bytes.NewReader(data), cnf.ParseLimits{MaxClauses: 2}); !errors.Is(err, cnf.ErrLimit) {
-		t.Fatalf("clause-count limit: err = %v", err)
-	}
-	if _, err := ReadBinaryLimited(bytes.NewReader(data), cnf.ParseLimits{MaxClauseLen: 1}); !errors.Is(err, cnf.ErrLimit) {
-		t.Fatalf("clause-length limit: err = %v", err)
-	}
-	if _, err := ReadBinaryLimited(bytes.NewReader(data), cnf.ParseLimits{MaxBytes: 8}); !errors.Is(err, cnf.ErrLimit) {
-		t.Fatalf("byte limit: err = %v", err)
-	}
-
-	// Exactly-at-limit input still parses.
-	got, err := ReadBinaryLimited(bytes.NewReader(data), cnf.ParseLimits{
-		MaxVars: 100000, MaxClauses: 3, MaxClauseLen: 2, MaxBytes: int64(len(data)),
-	})
-	if err != nil || len(got.Clauses) != 3 {
-		t.Fatalf("at-limit parse: err=%v got=%+v", err, got)
-	}
-}
-
 // TestCappedReaderDistinguishesEOF: the byte budget is hard. Input that
 // ends exactly at the budget parses; one byte more is a typed limit error,
 // never a silent truncation that would parse as a well-formed prefix.
 func TestCappedReaderDistinguishesEOF(t *testing.T) {
-	const text = "1 2 0\n-1 0\n"
-	var bin bytes.Buffer
-	tr := New()
-	tr.Resolutions = nil
-	tr.Clauses = append(tr.Clauses, cl(1, 2), cl(-1))
-	if err := WriteBinary(&bin, tr); err != nil {
-		t.Fatal(err)
+	in := []byte("1 2 0\n-1 0\n")
+	read := func(n int64) (*Trace, error) {
+		return ReadLimited(bytes.NewReader(in), cnf.ParseLimits{MaxBytes: n})
 	}
-	for name, read := range map[string]func([]byte, int64) (*Trace, error){
-		"text": func(b []byte, n int64) (*Trace, error) {
-			return ReadLimited(bytes.NewReader(b), cnf.ParseLimits{MaxBytes: n})
-		},
-		"binary": func(b []byte, n int64) (*Trace, error) {
-			return ReadBinaryLimited(bytes.NewReader(b), cnf.ParseLimits{MaxBytes: n})
-		},
-	} {
-		in := []byte(text)
-		if name == "binary" {
-			in = bin.Bytes()
-		}
-		if got, err := read(in, int64(len(in))); err != nil || !reflect.DeepEqual(got.Clauses, tr.Clauses) {
-			t.Errorf("%s at the budget: %v, %v", name, got, err)
-		}
-		var le *cnf.LimitError
-		if _, err := read(in, int64(len(in))-1); !errors.As(err, &le) || le.What != "bytes" {
-			t.Errorf("%s one byte over the budget: err = %v, want the bytes limit", name, err)
-		}
+	if got, err := read(int64(len(in))); err != nil || !reflect.DeepEqual(got.Clauses, []cnf.Clause{cl(1, 2), cl(-1)}) {
+		t.Errorf("at the budget: %v, %v", got, err)
 	}
-}
-
-// TestBinaryBudgetAtResolutionCount: a byte budget that runs out where a
-// resolution count starts is the bytes limit, not a malformed trace.
-func TestBinaryBudgetAtResolutionCount(t *testing.T) {
-	tr := New()
-	tr.Append(cl(1, -2), 3)
-	tr.Append(cl(2), 1)
-	var bin bytes.Buffer
-	if err := WriteBinary(&bin, tr); err != nil {
-		t.Fatal(err)
-	}
-	// Header, then the first clause: its count, two literals and the 0.
-	budget := int64(len(binaryMagic) + 2 + 1 + 2 + 1)
-	_, err := ReadBinaryLimited(bytes.NewReader(bin.Bytes()), cnf.ParseLimits{MaxBytes: budget})
 	var le *cnf.LimitError
-	if !errors.As(err, &le) || *le != (cnf.LimitError{What: "bytes", Limit: budget}) {
-		t.Fatalf("budget ending at the second count: err = %v, want the bytes limit %d", err, budget)
+	if _, err := read(int64(len(in)) - 1); !errors.As(err, &le) || le.What != "bytes" {
+		t.Errorf("one byte over the budget: err = %v, want the bytes limit", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package proof
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/cnf"
@@ -51,6 +52,54 @@ func TestStatsStringDeterministic(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		if got := tr.ComputeStats(0).String(); got != first {
 			t.Fatalf("iteration %d rendered differently:\n%s\nvs\n%s", i, got, first)
+		}
+	}
+}
+
+func TestComputeStats(t *testing.T) {
+	tr := New()
+	tr.Append(cl(1), 1)
+	tr.Append(cl(1, 2), 2)
+	tr.Append(cl(1, 2, 3, 4, 5), 100)
+	st := tr.ComputeStats(32)
+	if st.Clauses != 3 || st.Literals != 8 || st.Resolutions != 103 {
+		t.Errorf("stats = %+v", st)
+	}
+	if st.MinLen != 1 || st.MaxLen != 5 || st.MedianLen != 2 {
+		t.Errorf("lens = %+v", st)
+	}
+	if st.LocalClauses != 2 || st.GlobalClauses != 1 {
+		t.Errorf("local/global = %d/%d", st.LocalClauses, st.GlobalClauses)
+	}
+	if st.LenHistogram[1] != 1 || st.LenHistogram[2] != 1 || st.LenHistogram[8] != 1 {
+		t.Errorf("histogram = %v", st.LenHistogram)
+	}
+	if !strings.Contains(st.String(), "local/global") {
+		t.Error("String() missing report sections")
+	}
+}
+
+func TestComputeStatsEmpty(t *testing.T) {
+	st := New().ComputeStats(0)
+	if st.Clauses != 0 || st.MinLen != 0 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
+func TestComputeStatsDefaultThreshold(t *testing.T) {
+	tr := New()
+	tr.Append(cl(1, 2), DefaultGlobalThreshold+1)
+	st := tr.ComputeStats(0)
+	if st.GlobalThreshold != DefaultGlobalThreshold || st.GlobalClauses != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
+func TestLenBucket(t *testing.T) {
+	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 8: 8, 9: 16, 17: 32}
+	for n, want := range cases {
+		if got := lenBucket(n); got != want {
+			t.Errorf("lenBucket(%d) = %d, want %d", n, got, want)
 		}
 	}
 }

@@ -66,10 +66,7 @@ func TestExpandCopyChain(t *testing.T) {
 // cross-validation of the two core notions in the repository).
 func TestReachableSourcesFormCore(t *testing.T) {
 	inst := php(4)
-	s, err := solver.NewFromFormula(inst, solver.Options{RecordChains: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := solver.NewFromFormula(inst, solver.Options{RecordChains: true})
 	if s.Run() != solver.Unsat {
 		t.Fatal("not unsat")
 	}
@@ -107,10 +104,7 @@ func TestReachableSourcesFormCore(t *testing.T) {
 
 func TestExpandMatchesInternalNodesCount(t *testing.T) {
 	inst := php(3)
-	s, err := solver.NewFromFormula(inst, solver.Options{RecordChains: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := solver.NewFromFormula(inst, solver.Options{RecordChains: true})
 	if s.Run() != solver.Unsat {
 		t.Fatal("not unsat")
 	}

@@ -162,10 +162,7 @@ func TestSolverChainsFormValidResolutionProof(t *testing.T) {
 	for _, scheme := range []solver.LearnScheme{solver.Learn1UIP, solver.LearnDecision, solver.LearnHybrid} {
 		for n := 2; n <= 4; n++ {
 			f := php(n)
-			s, err := solver.NewFromFormula(f, solver.Options{Learn: scheme, RecordChains: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := solver.NewFromFormula(f, solver.Options{Learn: scheme, RecordChains: true})
 			if st := s.Run(); st != solver.Unsat {
 				t.Fatalf("php(%d): status %v", n, st)
 			}
@@ -199,10 +196,7 @@ func TestSolverChainsOnRandomUnsat(t *testing.T) {
 			}
 			f.AddClause(c)
 		}
-		s, err := solver.NewFromFormula(f, solver.Options{RecordChains: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := solver.NewFromFormula(f, solver.Options{RecordChains: true})
 		if s.Run() != solver.Unsat {
 			continue
 		}
@@ -222,7 +216,7 @@ func TestSolverChainsOnRandomUnsat(t *testing.T) {
 
 func TestFromSolverRunRequiresChains(t *testing.T) {
 	f := php(2)
-	s, _ := solver.NewFromFormula(f, solver.Options{})
+	s := solver.NewFromFormula(f, solver.Options{})
 	s.Run()
 	if _, err := FromSolverRun(f, s.Trace(), s.Chains()); err == nil {
 		t.Error("missing chains accepted")
@@ -232,7 +226,7 @@ func TestFromSolverRunRequiresChains(t *testing.T) {
 func TestFromSolverRunEmptyClauseInput(t *testing.T) {
 	f := cnf.NewFormula(1)
 	f.AddClause(cnf.Clause{})
-	s, _ := solver.NewFromFormula(f, solver.Options{RecordChains: true})
+	s := solver.NewFromFormula(f, solver.Options{RecordChains: true})
 	if s.Run() != solver.Unsat {
 		t.Fatal("not unsat")
 	}

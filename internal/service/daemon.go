@@ -268,9 +268,17 @@ func (d *Daemon) Submit(tenant string, f *cnf.Formula, tr *proof.Trace) (*Job, e
 // the existing job is returned with ErrAlreadyAdmitted and nothing is
 // enqueued, which is what makes the router's retry loop safe (a re-POST
 // after a lost response cannot double-run a job). An empty id mints one.
+//
+// A trace with a deletion schedule is refused with an error wrapping
+// core.ErrBadTrace: the store keeps a trace as proof.Write renders it,
+// without the schedule, and an upload cannot carry one, so a recovered run
+// could not verify what the first did.
 func (d *Daemon) SubmitID(tenant, id string, f *cnf.Formula, tr *proof.Trace) (*Job, error) {
 	if id != "" && !ValidJobID(id) {
 		return nil, fmt.Errorf("%w: malformed job id", ErrBadJobID)
+	}
+	if tr.Deletions != nil {
+		return nil, fmt.Errorf("service: admit: %w: the service verifies traces without a deletion schedule", core.ErrBadTrace)
 	}
 	if err := d.q.Admit(tenant); err != nil {
 		switch err {
@@ -332,14 +340,12 @@ func artifactBytes(f *cnf.Formula, tr *proof.Trace) int64 {
 
 // holdArtifacts hands f and tr to job's worker in memory when they fit
 // under MaxUploadBytes next to the other queued jobs' artifacts; a job that
-// does not fit loads from the store, as a recovered one does. A deletion
-// schedule is not part of the store's copy, so a trace with one also loads
-// from the store, and a recovered run stays the same as the first.
+// does not fit loads from the store, as a recovered one does.
 func (d *Daemon) holdArtifacts(job *Job, f *cnf.Formula, tr *proof.Trace) {
 	n := artifactBytes(f, tr)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if tr.Deletions != nil || d.held+n > d.opt.MaxUploadBytes {
+	if d.held+n > d.opt.MaxUploadBytes {
 		return
 	}
 	d.held += n

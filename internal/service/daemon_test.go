@@ -621,6 +621,53 @@ func TestDaemonSharedArtifactsConcurrentSubmit(t *testing.T) {
 	}
 }
 
+// A trace with a deletion schedule is refused at admission, on either
+// store, before it takes a queue slot: the store keeps no schedule, so the
+// job's verdict would depend on which store it ran from.
+func TestSubmitRefusesDeletionSchedule(t *testing.T) {
+	f, tr := chainProblem(5)
+	drup := tr.Clone()
+	drup.Deletions = make([][]int, drup.Len())
+	const id = "0123456789abcdef0123456789abcdef"
+	for _, tc := range []struct {
+		name  string
+		store func(t *testing.T) Store
+	}{
+		{"mem", func(*testing.T) Store { return NewMemStore() }},
+		{"disk", func(t *testing.T) Store {
+			ds, err := NewDiskStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ds
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := tc.store(t)
+			d := newTestDaemon(t, Options{Store: st, QueueCap: 1,
+				Quotas: map[string]TenantQuota{"small": {MaxQueued: 1}}})
+			if job, err := d.SubmitID("small", id, f, drup); !errors.Is(err, core.ErrBadTrace) {
+				t.Fatalf("SubmitID of a trace with deletions = %+v, %v; want ErrBadTrace", job, err)
+			}
+			if _, err := st.Job(id); !errors.Is(err, ErrUnknownJob) {
+				t.Fatalf("refused job in the store: Job(%s) err = %v", id, err)
+			}
+			if inc, err := st.Incomplete(); err != nil || len(inc) != 0 {
+				t.Fatalf("refused job left %d incomplete record(s), err %v", len(inc), err)
+			}
+			// The tenant's one slot is free: the same job without the
+			// schedule is admitted under the same ID.
+			job, err := d.SubmitID("small", id, f, tr)
+			if err != nil {
+				t.Fatalf("plain trace after the refusal: %v", err)
+			}
+			if jr := waitDone(t, d, job.ID); jr.Status != StatusVerified {
+				t.Fatalf("plain trace = %+v, want verified", jr)
+			}
+		})
+	}
+}
+
 func TestHandlerPanicIsolated(t *testing.T) {
 	d := newTestDaemon(t, Options{})
 	// A handler panic must cost one 500, never the process. Easiest panic

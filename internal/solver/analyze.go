@@ -95,12 +95,6 @@ func (s *Solver) analyze1UIP(confl *clause) ([]cnf.Lit, int, int64, []int) {
 	}
 	learnt[0] = p.Neg()
 
-	// Optional recursive minimization (post-BerkMin extension; disabled
-	// when exact chains are required).
-	if s.opts.MinimizeLearned && len(learnt) > 1 {
-		learnt = s.minimize(learnt)
-	}
-
 	// Resolve level-0 literals away so the clause really is the resolvent
 	// of its chain (and so the resolution count matches what a resolution
 	// graph would store).
@@ -239,57 +233,4 @@ func (s *Solver) prepareLearnt(learnt []cnf.Lit) int {
 	}
 	learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
 	return int(s.level[learnt[1].Var()])
-}
-
-// minimize performs recursive learned-clause minimization: a literal is
-// redundant when its reason's literals are all already in the clause or
-// recursively redundant. seen[] flags for learnt literals are still set when
-// this is called.
-func (s *Solver) minimize(learnt []cnf.Lit) []cnf.Lit {
-	out := learnt[:1]
-	for i := 1; i < len(learnt); i++ {
-		if !s.litRedundant(learnt[i]) {
-			out = append(out, learnt[i])
-		}
-	}
-	return out
-}
-
-func (s *Solver) litRedundant(l cnf.Lit) bool {
-	r := s.reason[l.Var()]
-	if r == nil {
-		return false
-	}
-	stack := []*clause{r}
-	var touched []cnf.Var
-	ok := true
-outer:
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, q := range c.lits {
-			v := q.Var()
-			if s.seen[v] || s.level[v] == 0 {
-				continue
-			}
-			qr := s.reason[v]
-			if qr == nil {
-				ok = false
-				break outer
-			}
-			s.seen[v] = true
-			touched = append(touched, v)
-			stack = append(stack, qr)
-		}
-	}
-	if ok {
-		// Keep the markings: other redundancy checks may reuse them; they
-		// are all cleared by clearSeen via seenClear.
-		s.seenClear = append(s.seenClear, touched...)
-	} else {
-		for _, v := range touched {
-			s.seen[v] = false
-		}
-	}
-	return ok
 }

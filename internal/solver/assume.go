@@ -46,8 +46,10 @@ func (s *Solver) RunAssuming(assumps []cnf.Lit) Status {
 	}
 	s.unitsPending = nil
 
+	// Restarts come every RestartInterval conflicts; a negative interval
+	// disables them.
 	conflictsSinceRestart := int64(0)
-	restartBudget := s.restartBudget(s.stats.Restarts)
+	restartInterval := int64(s.opts.RestartInterval)
 	for {
 		confl := s.propagate()
 		if confl != nil {
@@ -68,7 +70,7 @@ func (s *Solver) RunAssuming(assumps []cnf.Lit) Status {
 			}
 			scheme := s.opts.Learn
 			if scheme == LearnHybrid {
-				if s.stats.Conflicts%int64(s.opts.HybridPeriod) == 0 {
+				if s.stats.Conflicts%hybridPeriod == 0 {
 					scheme = LearnDecision
 				} else {
 					scheme = Learn1UIP
@@ -83,17 +85,13 @@ func (s *Solver) RunAssuming(assumps []cnf.Lit) Status {
 			if s.opts.MaxConflicts > 0 && s.stats.Conflicts >= s.opts.MaxConflicts {
 				return Unknown
 			}
-			if s.opts.Stop != nil && s.opts.Stop.Load() {
-				return Unknown
-			}
 			if s.opts.Ctx != nil && s.opts.Ctx.Err() != nil {
 				return Unknown
 			}
-			if restartBudget > 0 && conflictsSinceRestart >= restartBudget {
+			if restartInterval > 0 && conflictsSinceRestart >= restartInterval {
 				conflictsSinceRestart = 0
 				s.stats.Restarts++
 				s.obsRestarts.Inc()
-				restartBudget = s.restartBudget(s.stats.Restarts)
 				s.cancelUntil(0)
 			}
 			// The capacity grows geometrically with every reduction so that

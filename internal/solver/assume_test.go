@@ -9,10 +9,7 @@ import (
 
 func TestRunAssumingSat(t *testing.T) {
 	f := cnf.NewFormula(0).Add(1, 2).Add(-1, 3)
-	s, err := NewFromFormula(f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewFromFormula(f, Options{})
 	st := s.RunAssuming([]cnf.Lit{cnf.FromDimacs(1), cnf.FromDimacs(-2)})
 	if st != Sat {
 		t.Fatalf("status %v", st)
@@ -29,10 +26,7 @@ func TestRunAssumingSat(t *testing.T) {
 func TestRunAssumingUnsatAssumptions(t *testing.T) {
 	// F = (x1 -> x2), assume x1 and ~x2.
 	f := cnf.NewFormula(0).Add(-1, 2)
-	s, err := NewFromFormula(f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewFromFormula(f, Options{})
 	st := s.RunAssuming([]cnf.Lit{cnf.FromDimacs(1), cnf.FromDimacs(-2)})
 	if st != UnsatAssumptions {
 		t.Fatalf("status %v", st)
@@ -45,10 +39,7 @@ func TestRunAssumingUnsatAssumptions(t *testing.T) {
 
 func TestRunAssumingContradictoryAssumptions(t *testing.T) {
 	f := cnf.NewFormula(0).Add(1, 2)
-	s, err := NewFromFormula(f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewFromFormula(f, Options{})
 	st := s.RunAssuming([]cnf.Lit{cnf.FromDimacs(3), cnf.FromDimacs(-3)})
 	if st != UnsatAssumptions {
 		t.Fatalf("status %v", st)
@@ -62,10 +53,7 @@ func TestRunAssumingContradictoryAssumptions(t *testing.T) {
 func TestRunAssumingRealUnsatWins(t *testing.T) {
 	f := cnf.NewFormula(0).
 		Add(1, 2).Add(1, -2).Add(-1, 3).Add(-1, -3)
-	s, err := NewFromFormula(f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewFromFormula(f, Options{})
 	st := s.RunAssuming([]cnf.Lit{cnf.FromDimacs(1)})
 	if st != Unsat {
 		t.Fatalf("status %v, want plain Unsat (formula is unsat regardless)", st)
@@ -77,10 +65,7 @@ func TestRunAssumingRealUnsatWins(t *testing.T) {
 
 func TestRunAssumingRepeatedCalls(t *testing.T) {
 	f := cnf.NewFormula(0).Add(1, 2).Add(-1, 2).Add(1, -2).Add(-1, -2)
-	s, err := NewFromFormula(f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewFromFormula(f, Options{})
 	// Formula is UNSAT; first a query that detects it via assumptions or
 	// outright, then repeated calls must stay Unsat and not corrupt state.
 	first := s.RunAssuming(nil)
@@ -123,10 +108,7 @@ func TestConflictSubsetSound(t *testing.T) {
 			seen[v] = true
 			assumps = append(assumps, cnf.NewLit(v, rng.Intn(2) == 0))
 		}
-		s, err := NewFromFormula(f, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := NewFromFormula(f, Options{})
 		if s.RunAssuming(assumps) != UnsatAssumptions {
 			continue
 		}
@@ -179,10 +161,7 @@ func TestAssumptionsWithRestarts(t *testing.T) {
 		}
 		f.AddClause(c)
 	}
-	s, err := NewFromFormula(f, Options{RestartInterval: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewFromFormula(f, Options{RestartInterval: 5})
 	assumps := []cnf.Lit{cnf.FromDimacs(1), cnf.FromDimacs(-2), cnf.FromDimacs(3)}
 	st := s.RunAssuming(assumps)
 	if st == Sat {

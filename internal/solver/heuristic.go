@@ -145,8 +145,8 @@ func (s *Solver) bumpClause(c *clause) {
 }
 
 func (s *Solver) decayActivities() {
-	s.varInc *= 1 / s.opts.VarDecay
-	s.claInc *= 1 / s.opts.ClauseDecay
+	s.varInc *= 1 / varDecay
+	s.claInc *= 1 / clauseDecay
 }
 
 // --- branching -------------------------------------------------------------

@@ -95,10 +95,7 @@ func TestAnalyze1UIPAsserting(t *testing.T) {
 			}
 			f.AddClause(c)
 		}
-		s, err := NewFromFormula(f, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := NewFromFormula(f, Options{})
 		// Drive the search manually until the first conflict.
 		for _, u := range s.unitsPending {
 			if !s.enqueue(u.lits[0], u) {
@@ -161,10 +158,7 @@ func TestAnalyzeDecisionOnlyDecisions(t *testing.T) {
 			}
 			f.AddClause(c)
 		}
-		s, err := NewFromFormula(f, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := NewFromFormula(f, Options{})
 		for _, u := range s.unitsPending {
 			if !s.enqueue(u.lits[0], u) {
 				break

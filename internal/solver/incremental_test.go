@@ -17,10 +17,7 @@ func lits(dimacs ...int) cnf.Clause {
 
 func TestIncrementalAddClause(t *testing.T) {
 	f := cnf.NewFormula(0).Add(1, 2)
-	s, err := NewFromFormula(f, Options{DisableProof: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewFromFormula(f, Options{DisableProof: true})
 	if st := s.Run(); st != Sat {
 		t.Fatalf("status %v", st)
 	}
@@ -46,10 +43,7 @@ func TestIncrementalAddClauseWithProof(t *testing.T) {
 	// With proof logging, additions are allowed until learning starts; the
 	// eventual proof must verify against the final clause set.
 	f := cnf.NewFormula(3)
-	s, err := NewFromFormula(f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewFromFormula(f, Options{})
 	full := cnf.NewFormula(3)
 	for _, c := range []cnf.Clause{lits(1, 2), lits(1, -2), lits(-1, 3), lits(-1, -3)} {
 		if err := s.AddClause(c); err != nil {
@@ -68,10 +62,7 @@ func TestIncrementalAddClauseWithProof(t *testing.T) {
 
 func TestIncrementalAddClauseAfterLearningRejected(t *testing.T) {
 	inst := php(4)
-	s, err := NewFromFormula(inst, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewFromFormula(inst, Options{})
 	s.Run()
 	if s.Stats().Learned == 0 {
 		t.Skip("no clauses learned")

@@ -4,41 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cnf"
-	"repro/internal/core"
 )
-
-func TestLubySequence(t *testing.T) {
-	want := []int64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8}
-	for i, w := range want {
-		if got := luby(int64(i + 1)); got != w {
-			t.Errorf("luby(%d) = %d, want %d", i+1, got, w)
-		}
-	}
-}
-
-func TestRestartPolicies(t *testing.T) {
-	f := php(6)
-	for _, pol := range []RestartPolicy{RestartFixed, RestartLuby, RestartNone} {
-		opts := Options{Restart: pol, RestartInterval: 30}
-		st, tr, _, stats, err := Solve(f, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st != Unsat {
-			t.Fatalf("%v: status %v", pol, st)
-		}
-		if pol == RestartNone && stats.Restarts != 0 {
-			t.Errorf("none: %d restarts", stats.Restarts)
-		}
-		if pol != RestartNone && stats.Conflicts > 100 && stats.Restarts == 0 {
-			t.Errorf("%v: no restarts over %d conflicts", pol, stats.Conflicts)
-		}
-		res, err := core.Verify(f, tr, core.Options{})
-		if err != nil || !res.OK {
-			t.Fatalf("%v: proof rejected: %v", pol, err)
-		}
-	}
-}
 
 func TestNegativeIntervalDisablesRestarts(t *testing.T) {
 	f := php(5)
@@ -53,10 +19,7 @@ func TestNegativeIntervalDisablesRestarts(t *testing.T) {
 
 func TestGrowVarsViaAssumptions(t *testing.T) {
 	f := cnf.NewFormula(0).Add(1, 2)
-	s, err := NewFromFormula(f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewFromFormula(f, Options{})
 	st := s.RunAssuming([]cnf.Lit{cnf.FromDimacs(50)})
 	if st != Sat {
 		t.Fatalf("status %v", st)

@@ -156,12 +156,9 @@ func (s *Solver) finalize(confl *clause) {
 
 // Solve is a one-shot helper: build a solver for f, run it, and return the
 // status together with the proof trace (for Unsat), the model (for Sat) and
-// the statistics.
+// the statistics. The error reports a failed write to Options.ProofWriter.
 func Solve(f *cnf.Formula, opts Options) (Status, *proof.Trace, []bool, Stats, error) {
-	s, err := NewFromFormula(f, opts)
-	if err != nil {
-		return Unknown, nil, nil, Stats{}, err
-	}
+	s := NewFromFormula(f, opts)
 	st := s.Run()
 	var model []bool
 	if st == Sat {

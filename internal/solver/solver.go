@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync/atomic"
 
 	"repro/internal/cnf"
 	"repro/internal/obs"
@@ -75,8 +74,8 @@ const (
 	// LearnDecision resolves until only decision literals remain (relsat's
 	// scheme; "global" clauses obtained by many resolutions).
 	LearnDecision
-	// LearnHybrid uses 1UIP but derives a decision clause every
-	// HybridPeriod-th conflict (BerkMin's behaviour described in §6).
+	// LearnHybrid uses 1UIP but derives a decision clause every tenth
+	// conflict (BerkMin's behaviour described in §6).
 	LearnHybrid
 )
 
@@ -115,32 +114,14 @@ type Options struct {
 	Learn     LearnScheme
 	Heuristic Heuristic
 
-	// HybridPeriod: with LearnHybrid, every HybridPeriod-th conflict learns
-	// a decision clause instead of the 1UIP clause. Default 10.
-	HybridPeriod int
-
-	// Restart selects the restart policy (fixed-interval by default, as in
-	// BerkMin; Luby and none are available for ablations).
-	Restart RestartPolicy
-
-	// RestartInterval is the number of conflicts between restarts for the
-	// fixed policy (BerkMin used 550) and the Luby unit. Default 550.
-	// Negative disables restarts.
+	// RestartInterval is the number of conflicts between restarts
+	// (BerkMin used 550). Default 550. Negative disables restarts.
 	RestartInterval int
-
-	// VarDecay and ClauseDecay control activity aging. Defaults 0.95, 0.999.
-	VarDecay    float64
-	ClauseDecay float64
 
 	// MaxLearnedFactor bounds the learned-clause database at
 	// MaxLearnedFactor * (number of problem clauses) before reduction.
 	// Default 3.0.
 	MaxLearnedFactor float64
-
-	// MinimizeLearned enables recursive learned-clause minimization (a
-	// post-BerkMin extension kept for ablations). Incompatible with
-	// RecordChains, which needs exact resolution chains.
-	MinimizeLearned bool
 
 	// EmitProof accumulates the conflict-clause trace (default on via New;
 	// set DisableProof to turn off for pure-speed solving).
@@ -167,14 +148,9 @@ type Options struct {
 	// 0 means unlimited.
 	MaxConflicts int64
 
-	// Stop, when non-nil, is polled once per conflict; setting it makes
-	// the search return Unknown promptly. Used for portfolio racing and
-	// external timeouts.
-	Stop *atomic.Bool
-
 	// Ctx, when non-nil, is polled once per conflict; cancellation or an
-	// expired deadline makes the search return Unknown promptly, exactly
-	// like Stop. Nil means no context control.
+	// expired deadline makes the search return Unknown promptly. Nil means
+	// no context control.
 	Ctx context.Context
 
 	// Seed perturbs initial variable activities very slightly so runs with
@@ -193,18 +169,21 @@ type Options struct {
 	Progress *obs.Progress
 }
 
+// Fixed search parameters. The decays are typed so that 1/varDecay and
+// 1/clauseDecay round exactly as a run-time division of the float64 values
+// would; proofs depend on every bit of the activity arithmetic.
+const (
+	// hybridPeriod: with LearnHybrid, every hybridPeriod-th conflict learns
+	// a decision clause instead of the 1UIP clause.
+	hybridPeriod = 10
+	// varDecay and clauseDecay age variable and clause activities.
+	varDecay    float64 = 0.95
+	clauseDecay float64 = 0.999
+)
+
 func (o Options) withDefaults() Options {
-	if o.HybridPeriod == 0 {
-		o.HybridPeriod = 10
-	}
 	if o.RestartInterval == 0 {
 		o.RestartInterval = 550
-	}
-	if o.VarDecay == 0 {
-		o.VarDecay = 0.95
-	}
-	if o.ClauseDecay == 0 {
-		o.ClauseDecay = 0.999
 	}
 	if o.MaxLearnedFactor == 0 {
 		o.MaxLearnedFactor = 3.0
@@ -359,10 +338,7 @@ func New(n int, opts Options) *Solver {
 
 // NewFromFormula creates a solver and loads every clause of f. Clause i of f
 // receives proof ID i.
-func NewFromFormula(f *cnf.Formula, opts Options) (*Solver, error) {
-	if opts.RecordChains && opts.MinimizeLearned {
-		return nil, errors.New("solver: RecordChains is incompatible with MinimizeLearned")
-	}
+func NewFromFormula(f *cnf.Formula, opts Options) *Solver {
 	s := New(f.NumVars, opts)
 	nLits := 0
 	for _, c := range f.Clauses {
@@ -373,7 +349,7 @@ func NewFromFormula(f *cnf.Formula, opts Options) (*Solver, error) {
 		s.addOriginal(c, i)
 	}
 	s.nOriginal = len(f.Clauses)
-	return s, nil
+	return s
 }
 
 // growVars extends the solver's variable range to n variables; used when

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -66,7 +67,6 @@ func allSchemes() []Options {
 		{Learn: Learn1UIP, Heuristic: HeurBerkMin},
 		{Learn: LearnDecision, Heuristic: HeurBerkMin},
 		{Learn: LearnHybrid, Heuristic: HeurBerkMin},
-		{Learn: LearnHybrid, Heuristic: HeurBerkMin, MinimizeLearned: true},
 	}
 }
 
@@ -360,13 +360,6 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
-func TestRecordChainsRejectsMinimize(t *testing.T) {
-	f := php(2)
-	if _, err := NewFromFormula(f, Options{RecordChains: true, MinimizeLearned: true}); err == nil {
-		t.Error("RecordChains+MinimizeLearned accepted")
-	}
-}
-
 func TestTautologyInInputIgnored(t *testing.T) {
 	f := cnf.NewFormula(0).
 		Add(1, -1). // tautology
@@ -427,5 +420,21 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		if !tr1.Clauses[i].Equal(tr2.Clauses[i]) {
 			t.Fatalf("non-deterministic at clause %d", i)
 		}
+	}
+}
+
+func TestCtxCancellation(t *testing.T) {
+	f := php(8) // hard enough not to finish instantly
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	st, _, _, stats, err := Solve(f, Options{Ctx: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != Unknown {
+		t.Fatalf("status %v with pre-cancelled context", st)
+	}
+	if stats.Conflicts > 2 {
+		t.Errorf("ran %d conflicts past the cancelled context", stats.Conflicts)
 	}
 }
