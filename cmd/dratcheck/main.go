@@ -95,7 +95,7 @@ func run() int {
 	if err != nil {
 		return tool.Fail(exitcode.BadInput, err)
 	}
-	p, err := cli.Read(flag.Arg(1), drat.Read)
+	p, err := cli.ReadProof(r, flag.Arg(1), drat.Read)
 	if err != nil {
 		return tool.Fail(exitcode.BadInput, err)
 	}

@@ -186,6 +186,15 @@ func (r *Run) ReadFormula(path string) (*cnf.Formula, error) {
 	return Read(path, cnf.ParseDimacs)
 }
 
+// ReadProof parses the proof at path with parse, as Read does, under the
+// proof-read span, and counts the bytes read in proof.read.bytes.
+func ReadProof[T any](r *Run, path string, parse func(io.Reader) (T, error)) (T, error) {
+	span := r.Reg.StartSpan("proof-read")
+	defer span.End()
+	read := r.Reg.Counter("proof.read.bytes")
+	return Read(path, func(in io.Reader) (T, error) { return parse(obs.CountingReader(in, read)) })
+}
+
 // Read opens the file at path and parses it with parse. Every error names
 // the path: os.Open's already does, and a parse error is prefixed with it,
 // since the readers' messages do not say which input failed.

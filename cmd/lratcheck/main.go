@@ -62,7 +62,7 @@ func run() int {
 	if err != nil {
 		return tool.Fail(exitcode.BadInput, err)
 	}
-	p, err := cli.Read(flag.Arg(1), readProof)
+	p, err := cli.ReadProof(r, flag.Arg(1), readProof)
 	if err != nil {
 		return tool.Fail(exitcode.BadInput, err)
 	}

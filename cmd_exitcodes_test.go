@@ -3,10 +3,12 @@ package repro
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/journal"
 	"repro/internal/lrat"
+	"repro/internal/obs"
 	"repro/internal/proof"
 	"repro/internal/solver"
 )
@@ -216,6 +219,8 @@ func TestExitCodes(t *testing.T) {
 	satTrailer := writeTmp("trailer.cnf", "p cnf 2 1\n1 2 0\n%\n0\n")
 	satNoTrailer := writeTmp("notrailer.cnf", "p cnf 2 1\n1 2 0\n")
 	emptyProof := writeTmp("empty.trace", "0\n")
+	// A binary LRAT step whose id, 4, is encoded in two bytes, not one.
+	paddedLRAT := writeTmp("padded.lratb", "CLRT\x01\x00a\x84\x00\x00\x02\x04\x00")
 	ripple4 := genAAG(t, bins, tmp, "ripple", 4)
 	ripple5 := genAAG(t, bins, tmp, "ripple", 5)
 
@@ -279,6 +284,7 @@ func TestExitCodes(t *testing.T) {
 		{"lratcheck rejected", lratcheck, []string{"-q", weakCNF, lratProof}, 2},
 		{"lratcheck malformed formula", lratcheck, []string{garbage, lratProof}, 3},
 		{"lratcheck malformed proof", lratcheck, []string{unsatCNF, garbage}, 3},
+		{"lratcheck padded binary uvarint", lratcheck, []string{unsatCNF, paddedLRAT}, 3},
 		{"lratcheck timeout", lratcheck, []string{"-timeout", "1ns", unsatCNF, lratProof}, 4},
 		{"lratcheck usage", lratcheck, []string{unsatCNF}, 1},
 		{"aigmiter input counts differ", filepath.Join(bins, "aigmiter"), []string{"-o", filepath.Join(tmp, "miter.cnf"), ripple4, ripple5}, 1},
@@ -306,6 +312,48 @@ func TestExitCodes(t *testing.T) {
 			t.Fatalf("stderr does not name the proof %s:\n%s", garbage, stderr.String())
 		}
 	})
+}
+
+// TestProofReadSpan: every checker reads its proof under a proof-read span
+// with a byte counter, so -stats-json splits parsing the proof from
+// checking it.
+func TestProofReadSpan(t *testing.T) {
+	bins := buildCmds(t)
+	unsatCNF, trace, lratProof, _, _, _ := writeFixtures(t)
+	for _, tc := range []struct{ bin, proof string }{
+		{"lratcheck", lratProof},
+		{"dratcheck", trace},
+		{"dpv", trace},
+	} {
+		stats := filepath.Join(t.TempDir(), "stats.json")
+		if code, out := runCmd(t, filepath.Join(bins, tc.bin), "-q", "-stats-json", stats, unsatCNF, tc.proof); code != 0 {
+			t.Fatalf("%s: exit code %d\n%s", tc.bin, code, out)
+		}
+		data, err := os.ReadFile(stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap obs.Snapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		var spans []string
+		if snap.Spans != nil {
+			for _, c := range snap.Spans.Children {
+				spans = append(spans, c.Name)
+			}
+		}
+		if !slices.Contains(spans, "proof-read") {
+			t.Errorf("%s: top-level spans %q, want proof-read among them", tc.bin, spans)
+		}
+		fi, err := os.Stat(tc.proof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := snap.Counters["proof.read.bytes"]; got != fi.Size() {
+			t.Errorf("%s: proof.read.bytes = %d, want the proof's %d bytes", tc.bin, got, fi.Size())
+		}
+	}
 }
 
 // TestExitCodeInterrupted sends SIGINT to a bksat run on an instance far too

@@ -22,7 +22,8 @@ func ParseDimacs(r io.Reader) (*Formula, error) {
 // for genuinely untrusted input. Syntax problems wrap ErrMalformed and limit
 // violations wrap ErrLimit. A line whose first field starts with 'c' is a
 // comment, one starting with 'p' the header, and one starting with '%' (the
-// SATLIB trailer) ends the formula. Lines may be of any length.
+// SATLIB trailer) ends the formula. Lines may be of any length; a line of
+// plain integers is read by the tokenizer's whole-line path.
 //
 // The clause list is sized from the header's clause count, which is
 // untrusted: the first allocation holds at most presizeMax clauses, and the
@@ -33,12 +34,26 @@ func ParseDimacs(r io.Reader) (*Formula, error) {
 func ParseDimacsLimited(r io.Reader, lim ParseLimits) (*Formula, error) {
 	lim = lim.WithDefaults()
 	t := NewTokenizer(r, lim.MaxBytes)
-	f := &Formula{}
-	declaredClauses := -1
-	var lits Slab[Lit]
+	d := &dimacsReader{lim: lim, f: &Formula{}, declared: -1}
+	f := d.f
+	var buf [256]int64 // LineInts' values, on the stack for most lines
+	vals := buf[:0]
 	trailer := false // the input past a '%' line goes unread
 scan:
-	for tok := t.Next(); tok != nil; tok = t.Next() {
+	for {
+		var ok bool
+		if vals, ok = t.LineInts(vals[:0]); ok {
+			for _, v := range vals {
+				if err := d.value(v); err != nil {
+					return nil, err
+				}
+			}
+			continue
+		}
+		tok := t.Next()
+		if tok == nil {
+			break
+		}
 		if t.FirstOnLine() {
 			switch tok[0] {
 			case 'c':
@@ -66,49 +81,67 @@ scan:
 					return nil, &LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
 				}
 				f.NumVars = nv
-				declaredClauses = nc
+				d.declared = nc
 				continue
 			}
 		}
-		d, ok := ParseInt(tok)
+		v, ok := ParseInt(tok)
 		if !ok {
 			return nil, fmt.Errorf("%w: line %d: unexpected token %q", ErrMalformed, t.Line(), tok)
 		}
-		if d == 0 {
-			if len(f.Clauses) >= lim.MaxClauses {
-				return nil, &LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
-			}
-			if len(f.Clauses) == cap(f.Clauses) && len(f.Clauses) < declaredClauses {
-				f.Clauses = growClauses(f.Clauses, declaredClauses)
-			}
-			f.Clauses = append(f.Clauses, lits.Cut())
-			continue
+		if err := d.value(v); err != nil {
+			return nil, err
 		}
-		// Bound the magnitude before FromDimacs narrows it into the int32
-		// Var encoding.
-		if d > int64(lim.MaxVars) || d < -int64(lim.MaxVars) {
-			return nil, &LimitError{What: "variables", Limit: int64(lim.MaxVars)}
-		}
-		if lits.Len() >= lim.MaxClauseLen {
-			return nil, &LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
-		}
-		l := FromDimacs(int(d))
-		if int(l.Var()) >= f.NumVars {
-			f.NumVars = int(l.Var()) + 1
-		}
-		lits.Append(l)
 	}
 	if err := t.Err(); err != nil && !trailer {
 		return nil, ReadErr(err, "read")
 	}
-	if lits.Len() > 0 {
+	if d.lits.Len() > 0 {
 		return nil, fmt.Errorf("%w: last clause not terminated by 0", ErrMalformed)
 	}
-	if declaredClauses >= 0 && len(f.Clauses) < declaredClauses {
+	if d.declared >= 0 && len(f.Clauses) < d.declared {
 		return nil, fmt.Errorf("%w: header declares %d clauses, found %d",
-			ErrMalformed, declaredClauses, len(f.Clauses))
+			ErrMalformed, d.declared, len(f.Clauses))
 	}
 	return f, nil
+}
+
+// dimacsReader is ParseDimacsLimited's clause state, which both the
+// whole-line path and the field path feed.
+type dimacsReader struct {
+	lim      ParseLimits
+	f        *Formula
+	lits     Slab[Lit]
+	declared int // the header's clause count, or -1
+}
+
+// value takes one integer field: a literal, or the 0 that ends a clause.
+func (d *dimacsReader) value(v int64) error {
+	lim, f := &d.lim, d.f
+	if v == 0 {
+		if len(f.Clauses) >= lim.MaxClauses {
+			return &LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
+		}
+		if len(f.Clauses) == cap(f.Clauses) && len(f.Clauses) < d.declared {
+			f.Clauses = growClauses(f.Clauses, d.declared)
+		}
+		f.Clauses = append(f.Clauses, d.lits.Cut())
+		return nil
+	}
+	// Bound the magnitude before FromDimacs narrows it into the int32
+	// Var encoding.
+	if v > int64(lim.MaxVars) || v < -int64(lim.MaxVars) {
+		return &LimitError{What: "variables", Limit: int64(lim.MaxVars)}
+	}
+	if d.lits.Len() >= lim.MaxClauseLen {
+		return &LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
+	}
+	l := FromDimacs(int(v))
+	if int(l.Var()) >= f.NumVars {
+		f.NumVars = int(l.Var()) + 1
+	}
+	d.lits.Append(l)
+	return nil
 }
 
 // presizeMax caps the first clause-list allocation a header can ask for.

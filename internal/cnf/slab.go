@@ -20,9 +20,17 @@ const (
 // Append adds x to the run in progress.
 func (s *Slab[T]) Append(x T) {
 	if len(s.buf) == cap(s.buf) {
-		s.grow()
+		s.grow(1)
 	}
 	s.buf = append(s.buf, x)
+}
+
+// Extend adds xs to the run in progress.
+func (s *Slab[T]) Extend(xs []T) {
+	if len(s.buf)+len(xs) > cap(s.buf) {
+		s.grow(len(xs))
+	}
+	s.buf = append(s.buf, xs...)
 }
 
 // Len is the length of the run in progress.
@@ -39,12 +47,12 @@ func (s *Slab[T]) Cut() []T {
 	return run
 }
 
-// grow starts a new slab and moves the run in progress into it; the runs
-// already cut keep the old one alive.
-func (s *Slab[T]) grow() {
+// grow starts a new slab with room for need more items and moves the run
+// in progress into it; the runs already cut keep the old one alive.
+func (s *Slab[T]) grow(need int) {
 	n := s.Len()
 	size := min(max(2*cap(s.buf), slabMin), slabMax)
-	buf := make([]T, n, max(size, 2*n))
+	buf := make([]T, n, max(size, 2*n, n+need))
 	copy(buf, s.buf[s.start:])
 	s.buf, s.start = buf, 0
 }

@@ -4,20 +4,24 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math/bits"
 	"unicode"
 	"unicode/utf8"
 )
 
 // Tokenizer is the input layer every proof and formula reader shares: a
 // refilling byte buffer over an io.Reader that enforces a byte budget and
-// hands out either white-space separated fields (the text formats) or raw
-// bytes and uvarints (the binary formats).
+// hands out either white-space separated fields (the text formats) or the
+// buffered bytes themselves (the binary format, decoded in place).
 //
 // A field is a maximal run of runes that unicode.IsSpace rejects, as
 // strings.Fields would split; a field is never split at a buffer refill,
 // and lines may be of any length. Which fields are comments is for each
 // format to say: the tokenizer only reports a field's line and whether it
 // began that line, and can skip or return the rest of a line.
+//
+// LineInts is the text readers' fast path: it scans a whole line of plain
+// integers in one loop and leaves every other line to the field path.
 //
 // The byte budget is hard: once more than the budget has been read, the
 // input ends with the budget's *LimitError, never with a silent
@@ -33,9 +37,11 @@ type Tokenizer struct {
 	pos, end int   // buf[pos:end] is buffered and not yet handed out
 	err      error // why the input ended (io.EOF when cleanly); sticky
 
-	line  int  // 1-based line of the next unread byte
-	bol   bool // the next field would be the first on its line
-	first bool // the field Next last returned began its line
+	line   int  // 1-based line of the next unread byte
+	lineAt int  // where the line LineInts last consumed began in buf
+	slow   int  // the line LineInts last declined
+	bol    bool // the next field would be the first on its line
+	first  bool // the field Next last returned began its line
 }
 
 // tokenizerBuf is the initial buffer size; the buffer grows only to hold a
@@ -267,15 +273,129 @@ func (t *Tokenizer) RestOfLine() []byte {
 	}
 }
 
-// ReadByte returns the next byte; at the end of input the error is io.EOF,
-// the budget error or the reader's error.
-func (t *Tokenizer) ReadByte() (byte, error) {
-	if t.pos == t.end && !t.fill() {
-		return 0, t.err
+// maxLineDigits is the most digits a field may have on the whole-line path:
+// eighteen digits fit an int64 with either sign, so the tight loop needs no
+// overflow check. A longer field goes to Next and ParseInt.
+const maxLineDigits = 18
+
+// LineInts is the whole-line fast path of the text readers. When the rest
+// of the current line holds only plain integers — an optional '-' and 1 to
+// maxLineDigits ASCII digits — separated by ASCII blanks, it appends their
+// values to dst and moves past the line, its '\n' included. Those are
+// exactly the fields Next would return there, and the values ParseInt
+// gives for them. Otherwise it reports false and consumes nothing, and
+// keeps declining until the line ends: a comment or keyword, a '+' sign, a
+// longer field, a non-ASCII rune, or a line longer than the buffer goes
+// through Next. It refills the buffer to see a line's end, but never grows
+// it for a line, so lines may still be of any length.
+func (t *Tokenizer) LineInts(dst []int64) ([]int64, bool) {
+	n := len(dst)
+	// buf[:i] has been scanned, and dst holds the values of its fields; a
+	// refill moves the buffered bytes but keeps i's place among them.
+	i := 0
+	for t.line != t.slow {
+		buf := t.buf[t.pos:t.end]
+		for {
+			// The common field, an optional '-' and one to seven digits
+			// followed by a space or the '\n', is read with no branch per
+			// byte; any other goes the long way below.
+			for len(buf)-i > 8 {
+				neg := int(minus[buf[i]])
+				x := binary.LittleEndian.Uint64(buf[i+neg:])
+				k, v := digits8(x)
+				if k == 0 || k == 8 {
+					break
+				}
+				sep := byte(x >> (8 * k))
+				if sep != ' ' && sep != '\n' {
+					break
+				}
+				dst = append(dst, v^-int64(neg)+int64(neg))
+				i += neg + k + 1
+				if sep == '\n' {
+					t.lineAt, t.pos = t.pos, t.pos+i
+					t.line++
+					t.bol = true
+					return dst, true
+				}
+			}
+			for i < len(buf) && byteClass[buf[i]] == spaceByte && buf[i] != '\n' {
+				i++
+			}
+			if i == len(buf) {
+				break
+			}
+			if buf[i] == '\n' {
+				t.lineAt, t.pos = t.pos, t.pos+i+1
+				t.line++
+				t.bol = true
+				return dst, true
+			}
+			start := i
+			neg := buf[i] == '-'
+			if neg {
+				i++
+			}
+			j := i
+			var v int64
+			for ; i < len(buf) && buf[i]-'0' <= 9; i++ {
+				v = v*10 + int64(buf[i]-'0')
+			}
+			if i == len(buf) && t.err == nil {
+				i = start // the field may go on past the buffer
+				break
+			}
+			if i == j || i-j > maxLineDigits || i < len(buf) && byteClass[buf[i]] != spaceByte {
+				t.slow = t.line
+				return dst[:n], false
+			}
+			if neg {
+				v = -v
+			}
+			dst = append(dst, v)
+		}
+		// The line runs to the end of the buffer.
+		switch {
+		case t.err != nil && i > 0: // the input's last line, with no '\n'
+			t.lineAt, t.pos = t.pos, t.end
+			return dst, true
+		case t.err != nil: // the end of input
+			return dst, false
+		case t.pos == 0 && t.end == len(t.buf): // a line longer than the buffer
+			t.slow = t.line
+			return dst[:n], false
+		}
+		t.fill()
 	}
-	c := t.buf[t.pos]
-	t.pos++
-	return c, nil
+	return dst[:n], false
+}
+
+// minus is 1 for '-' and 0 for every other byte.
+var minus = [256]uint8{'-': 1}
+
+// digits8 reads the run of ASCII digits that begins x, eight input bytes
+// loaded little-endian, without a branch per digit: it returns the run's
+// length and, when that is 1 to 8, its value.
+func digits8(x uint64) (int, int64) {
+	const ones, high = 0x0101010101010101, 0xF0F0F0F0F0F0F0F0
+	// A byte of notDigit is zero just when the byte of x is '0'..'9': its
+	// high nibble is 3, and stays 3 when 6 is added. A carry out of a byte
+	// of 0xFA or more only reaches the bytes after it.
+	notDigit := (x&high ^ 0x30*ones) | ((x+6*ones)&high ^ 0x30*ones)
+	n := bits.TrailingZeros64(notDigit) >> 3
+	// Move the digits to the top bytes, the first the most significant,
+	// with zero bytes above them, then combine pairs, quads and halves.
+	x = x << ((64 - 8*n) & 63) & (0x0F * ones)
+	x = x * (10<<8 + 1) >> 8 & 0x00FF00FF00FF00FF
+	x = x * (100<<16 + 1) >> 16 & 0x0000FFFF0000FFFF
+	x = x * (10000<<32 + 1) >> 32
+	return n, int64(x)
+}
+
+// LineField returns field k of the line LineInts last consumed, for an
+// error message that quotes it. It is valid only until the next call on t.
+func (t *Tokenizer) LineField(k int) []byte {
+	return bytes.Fields(t.buf[t.lineAt:t.pos])[k]
 }
 
 // Read copies buffered bytes into p, so that io.ReadFull works on t.
@@ -288,18 +408,22 @@ func (t *Tokenizer) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Uvarint decodes an unsigned varint with binary.ReadUvarint's results and
-// errors, straight from the buffer when a whole varint is in it.
-func (t *Tokenizer) Uvarint() (uint64, error) {
-	if t.end-t.pos >= binary.MaxVarintLen64 {
-		if u, n := binary.Uvarint(t.buf[t.pos:t.end]); n > 0 {
-			t.pos += n
-			return u, nil
-		}
+// Buffered returns the bytes read but not yet handed out, for a binary
+// reader that decodes in place. They are valid until the next call on t
+// other than Discard.
+func (t *Tokenizer) Buffered() []byte { return t.buf[t.pos:t.end] }
+
+// Discard hands out the first n bytes of Buffered.
+func (t *Tokenizer) Discard(n int) { t.pos += n }
+
+// Refill reads until more than n bytes are buffered or the input has ended
+// (see Err), and reports whether more than n bytes are buffered. The buffer
+// grows to hold them.
+func (t *Tokenizer) Refill(n int) bool {
+	for t.end-t.pos <= n && t.err == nil {
+		t.fill()
 	}
-	// Near the end of the buffer, or an overflow: let the standard decoder
-	// read byte by byte and report its own error.
-	return binary.ReadUvarint(t)
+	return t.end-t.pos > n
 }
 
 // ParseInt parses a field as a decimal integer, accepting exactly what

@@ -2,8 +2,10 @@ package cnf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"reflect"
 	"strconv"
 	"strings"
@@ -118,39 +120,144 @@ func TestTokenizerBudget(t *testing.T) {
 	}
 }
 
-func TestTokenizerUvarint(t *testing.T) {
-	var in []byte
-	vals := []uint64{0, 1, 127, 128, 1 << 20, 1<<64 - 1}
-	for i := 0; i < 3000; i++ { // enough to cross a refill
-		in = appendUvarint(in, vals[i%len(vals)])
+// TestTokenizerRefill: Buffered, Discard and Refill hand out the input
+// exactly once, across refills and past the initial buffer size, and
+// Refill reports the end of input.
+func TestTokenizerRefill(t *testing.T) {
+	in := make([]byte, 3*tokenizerBuf+17)
+	for i := range in {
+		in[i] = byte(i * 7)
 	}
-	tz := NewTokenizer(bytes.NewReader(in), 1<<20)
-	for i := 0; i < 3000; i++ {
-		if u, err := tz.Uvarint(); err != nil || u != vals[i%len(vals)] {
-			t.Fatalf("varint %d = %d, %v", i, u, err)
+	for name, r := range map[string]io.Reader{
+		"whole":    bytes.NewReader(in),
+		"one byte": iotest.OneByteReader(bytes.NewReader(in)),
+	} {
+		tz := NewTokenizer(r, 1<<30)
+		var got []byte
+		for want := 1; tz.Refill(0); want = want*3 + 1 {
+			tz.Refill(want) // more than the buffer holds at first
+			b := tz.Buffered()
+			k := min(len(b), want)
+			got = append(got, b[:k]...)
+			tz.Discard(k)
+		}
+		if !bytes.Equal(got, in) || tz.Err() != nil {
+			t.Fatalf("%s: got %d bytes, err %v; want %d", name, len(got), tz.Err(), len(in))
 		}
 	}
-	if _, err := tz.Uvarint(); err != io.EOF {
-		t.Fatalf("at the end: %v", err)
+	tz := NewTokenizer(strings.NewReader("abc"), 2)
+	if tz.Refill(2) || string(tz.Buffered()) != "ab" {
+		t.Fatalf("over the budget: buffered %q", tz.Buffered())
 	}
-	for in, want := range map[string]error{
-		"\x80": io.ErrUnexpectedEOF,
-		"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02":         errors.New("binary: varint overflows a 64-bit integer"),
-		"\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01": errors.New("binary: varint overflows a 64-bit integer"),
+	if le, ok := tz.Err().(*LimitError); !ok || le.What != "bytes" {
+		t.Fatalf("over the budget: %v", tz.Err())
+	}
+}
+
+// lineValues drains a tokenizer as the text readers do: through LineInts
+// where it accepts a line, else through Next, recording each field's line
+// and value (or text, when ParseInt refuses it) and, in fast, whether
+// LineInts read it.
+func lineValues(t *Tokenizer) (out []string, fast int) {
+	var vals []int64
+	for {
+		line := t.Line()
+		var ok bool
+		if vals, ok = t.LineInts(vals[:0]); ok {
+			for k, v := range vals {
+				if got, _ := ParseInt(t.LineField(k)); got != v {
+					panic("LineField disagrees with LineInts")
+				}
+				out = append(out, strconv.Itoa(line)+":"+strconv.FormatInt(v, 10))
+			}
+			fast += len(vals)
+			continue
+		}
+		f := t.Next()
+		if f == nil {
+			return out, fast
+		}
+		s := string(f)
+		if v, ok := ParseInt(f); ok {
+			s = strconv.FormatInt(v, 10)
+		}
+		out = append(out, strconv.Itoa(t.Line())+":"+s)
+	}
+}
+
+// TestTokenizerLineInts: the whole-line path gives the fields, lines and
+// values the field path gives, however the input is chunked, and takes
+// only lines of plain integers.
+func TestTokenizerLineInts(t *testing.T) {
+	long := strings.Repeat("12 ", tokenizerBuf)
+	for _, tc := range []struct {
+		in   string
+		fast int // values LineInts reads in a whole read
+	}{
+		{"1 2 0\n-3 0\n", 5},
+		{"1 2", 2},
+		{"-0 007 1\t-2\v0\f\r\n\n  \n3", 6},
+		// The field path reads a declined line and the first field after
+		// it, which may begin the next line.
+		{"+3 4\n5 6\n", 1},
+		{"1234567890123456789 1\n5 6\n", 1},
+		{"123456789012345678 1\n", 2},
+		{"1\u00a02\n3 4\n", 1},
+		{"c 1 2\n1 c 2\n4 5\n", 1},
+		{"1 - 2\n1-2\n--1\n-\n", 0},
+		// A line that ends with the first buffer, and one that does not fit.
+		{strings.Repeat(" ", tokenizerBuf-4) + "1 2\n3 4\n", 4},
+		{strings.Repeat(" ", tokenizerBuf-3) + "1 2\n3 4\n", 1},
+		{long + "0\n1 2\n", 1},
+		{"", 0},
 	} {
-		_, err := NewTokenizer(strings.NewReader(in), 1<<20).Uvarint()
-		if err == nil || err.Error() != want.Error() {
-			t.Errorf("Uvarint(%q) err = %v, want %v", in, err, want)
+		for name, r := range map[string]io.Reader{
+			"whole":    strings.NewReader(tc.in),
+			"one byte": iotest.OneByteReader(strings.NewReader(tc.in)),
+		} {
+			var want []string
+			for _, f := range fields(NewTokenizer(strings.NewReader(tc.in), 1<<30)) {
+				f = strings.TrimPrefix(f, "^")
+				line, text, _ := strings.Cut(f, ":")
+				if v, ok := ParseInt([]byte(text)); ok {
+					text = strconv.FormatInt(v, 10)
+				}
+				want = append(want, line+":"+text)
+			}
+			tz := NewTokenizer(r, 1<<30)
+			got, fast := lineValues(tz)
+			if !reflect.DeepEqual(got, want) || tz.Err() != nil {
+				t.Errorf("%s %.40q: got %.200q, err %v; want %.200q", name, tc.in, got, tz.Err(), want)
+			}
+			if name == "whole" && fast != tc.fast {
+				t.Errorf("%.40q: LineInts read %d values, want %d", tc.in, fast, tc.fast)
+			}
 		}
 	}
 }
 
-func appendUvarint(b []byte, u uint64) []byte {
-	for u >= 0x80 {
-		b = append(b, byte(u)|0x80)
-		u >>= 7
+// TestDigits8: the branch-free digit reader agrees with strconv on every
+// run length, whatever bytes follow the run.
+func TestDigits8(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	after := []byte{' ', '\n', '/', ':', '-', 0, 0x7f, 0x80, 0xfa, 0xff}
+	for i := 0; i < 20000; i++ {
+		n := rng.Intn(10)
+		b := make([]byte, 0, 16)
+		for len(b) < n {
+			b = append(b, byte('0'+rng.Intn(10)))
+		}
+		for len(b) < 16 {
+			b = append(b, after[rng.Intn(len(after))])
+		}
+		k, v := digits8(binary.LittleEndian.Uint64(b))
+		if k != min(n, 8) {
+			t.Fatalf("digits8(%q): run of %d, want %d", b, k, min(n, 8))
+		}
+		if want, _ := strconv.ParseInt(string(b[:n]), 10, 64); n > 0 && n <= 8 && v != want {
+			t.Fatalf("digits8(%q) = %d, want %d", b, v, want)
+		}
 	}
-	return append(b, byte(u))
 }
 
 // TestParseIntMatchesStrconv: ParseInt accepts exactly what

@@ -100,7 +100,9 @@ func Write(w io.Writer, p *Proof) error {
 // Read parses DRUP text under cnf.DefaultParseLimits. Each line is one
 // step: a line whose first field starts with 'c' is a comment, a first
 // field "d" starts a deletion, and the step's clause runs to the first 0 on
-// its line; whatever follows that 0 is ignored. Lines may be of any length.
+// its line; whatever follows that 0 is ignored. Lines may be of any length;
+// an addition line of plain integers is read by the tokenizer's whole-line
+// path.
 func Read(r io.Reader) (*Proof, error) { return ReadLimited(r, cnf.DefaultParseLimits()) }
 
 // ReadLimited is Read with explicit limits — the entry point for genuinely
@@ -111,14 +113,66 @@ func ReadLimited(r io.Reader, lim cnf.ParseLimits) (*Proof, error) {
 	lim = lim.WithDefaults()
 	t := cnf.NewTokenizer(r, lim.MaxBytes)
 	p := &Proof{}
-	var lits cnf.Slab[cnf.Lit]
-	// Every step ends its line, so each field read here begins one.
-	for tok := t.Next(); tok != nil; tok = t.Next() {
+	var (
+		lits cnf.Slab[cnf.Lit]
+		buf  [256]int64 // LineInts' values, on the stack for most lines
+	)
+	vals := buf[:0]
+	// lit takes one literal of the step in progress.
+	lit := func(d int64) error {
+		if d > int64(lim.MaxVars) || d < -int64(lim.MaxVars) {
+			return &cnf.LimitError{What: "variables", Limit: int64(lim.MaxVars)}
+		}
+		if lits.Len() >= lim.MaxClauseLen {
+			return &cnf.LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
+		}
+		lits.Append(cnf.FromDimacs(int(d)))
+		return nil
+	}
+	// step ends the step in progress, begun on line lineNo, once its 0 is
+	// read or its line has ended without one.
+	step := func(del, terminated bool, lineNo int) error {
+		if !terminated {
+			return fmt.Errorf("%w: line %d: clause not terminated by 0", cnf.ErrMalformed, lineNo)
+		}
+		if len(p.Steps) >= lim.MaxClauses {
+			return &cnf.LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
+		}
+		p.Steps = append(p.Steps, Step{Del: del, C: lits.Cut()})
+		return nil
+	}
+	// Every step ends its line, so each line read here begins one.
+	for {
+		lineNo := t.Line()
+		var ok bool
+		if vals, ok = t.LineInts(vals[:0]); ok {
+			if len(vals) == 0 {
+				continue // a blank line
+			}
+			terminated := false
+			for _, d := range vals {
+				if d == 0 {
+					terminated = true
+					break
+				}
+				if err := lit(d); err != nil {
+					return nil, err
+				}
+			}
+			if err := step(false, terminated, lineNo); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		tok := t.Next()
+		if tok == nil {
+			break
+		}
 		if tok[0] == 'c' {
 			t.SkipLine()
 			continue
 		}
-		lineNo := t.Line()
+		lineNo = t.Line()
 		del := string(tok) == "d"
 		if del {
 			tok = t.NextInLine()
@@ -133,22 +187,14 @@ func ReadLimited(r io.Reader, lim cnf.ParseLimits) (*Proof, error) {
 				terminated = true
 				break
 			}
-			if d > int64(lim.MaxVars) || d < -int64(lim.MaxVars) {
-				return nil, &cnf.LimitError{What: "variables", Limit: int64(lim.MaxVars)}
+			if err := lit(d); err != nil {
+				return nil, err
 			}
-			if lits.Len() >= lim.MaxClauseLen {
-				return nil, &cnf.LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
-			}
-			lits.Append(cnf.FromDimacs(int(d)))
-		}
-		if !terminated {
-			return nil, fmt.Errorf("%w: line %d: clause not terminated by 0", cnf.ErrMalformed, lineNo)
 		}
 		t.SkipLine()
-		if len(p.Steps) >= lim.MaxClauses {
-			return nil, &cnf.LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
+		if err := step(del, terminated, lineNo); err != nil {
+			return nil, err
 		}
-		p.Steps = append(p.Steps, Step{Del: del, C: lits.Cut()})
 	}
 	if err := t.Err(); err != nil {
 		return nil, cnf.ReadErr(err, "read")

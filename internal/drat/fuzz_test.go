@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/cnf"
 )
@@ -42,8 +43,24 @@ func FuzzReadDRUP(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// The whole-line path's edges: a line whose '\n' is the last byte of
+	// the first buffer, a line longer than the buffer, a 19-digit field,
+	// -0, 007 and +3, tab, CR and U+00A0, a clause that runs past its
+	// line, a mid-line comment.
+	f.Add(append(bytes.Repeat([]byte(" "), 1<<16-len("1 -2 0\n")), "1 -2 0\n3 0\n"...))
+	f.Add([]byte("1" + strings.Repeat(" ", 70000) + "-2 0\n3 0\n"))
+	f.Add([]byte("1234567890123456789 0\n123456789012345678 0\n"))
+	f.Add([]byte("-0 007 0\n+3 1 0\n"))
+	f.Add([]byte("1\t-2\r\n3\u00a04 0\n5 0\n"))
+	f.Add([]byte("1 -2\n0\n"))
+	f.Add([]byte("1 2 0 c x\n1 c 2 0\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadLimited(bytes.NewReader(data), fuzzLimits)
+		// The result may not depend on how the input is chunked.
+		p1, err1 := ReadLimited(iotest.OneByteReader(bytes.NewReader(data)), fuzzLimits)
+		if !reflect.DeepEqual(p1, p) || fmt.Sprint(err1) != fmt.Sprint(err) {
+			t.Fatalf("read one byte at a time: %v, %v; read whole: %v, %v", p1, err1, p, err)
+		}
 		if err != nil {
 			if !errors.Is(err, cnf.ErrMalformed) && !errors.Is(err, cnf.ErrLimit) {
 				t.Fatalf("untyped parse error: %v", err)

@@ -2,6 +2,11 @@ package faults
 
 import (
 	"bytes"
+	"fmt"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/cnf"
@@ -131,6 +136,104 @@ func TestLRATHintFaultMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLRATSparseIDsMatchDense: the hinted checker resolves clause IDs
+// through a dense table while a proof's addition IDs lie close together,
+// as recorded ones do, and through a map when they are spread out. A
+// recorded proof renumbered with gaps wide enough to force the map must get
+// every verdict the original gets — OK, the failing step, the hints scanned
+// and the reason, its IDs renamed — when valid and when its hints dangle,
+// point forward, name a deleted clause or lie in the other ways the
+// injector knows.
+func TestLRATSparseIDsMatchDense(t *testing.T) {
+	f, _, p := recordedProof(t, 5)
+	nf := int64(f.NumClauses())
+	const gap = 1 << 20 // far past the dense table's 4·additions + 1024
+	rename := func(id int64) int64 {
+		if id <= nf {
+			return id
+		}
+		return nf + (id-nf)*gap
+	}
+	renameAll := func(ids []int64) []int64 {
+		out := make([]int64, len(ids))
+		for i, id := range ids {
+			out[i] = rename(id)
+		}
+		return out
+	}
+	sparse := func(p *lrat.Proof) *lrat.Proof {
+		out := &lrat.Proof{Steps: make([]lrat.Step, len(p.Steps))}
+		for i, s := range p.Steps {
+			out.Steps[i] = lrat.Step{ID: rename(s.ID), Del: s.Del, C: s.C,
+				Hints: renameAll(s.Hints), Deleted: renameAll(s.Deleted)}
+		}
+		return out
+	}
+	idRef := regexp.MustCompile(`id (\d+)`)
+	renameReason := func(reason string) string {
+		return idRef.ReplaceAllStringFunc(reason, func(m string) string {
+			id, _ := strconv.ParseInt(m[len("id "):], 10, 64)
+			return "id " + strconv.FormatInt(rename(id), 10)
+		})
+	}
+
+	proofs := map[string]*lrat.Proof{"valid": p}
+	for _, kind := range HintKinds {
+		for seed := int64(0); seed < 4; seed++ {
+			if mp, ok := New(seed).ApplyHints(kind, p); ok {
+				proofs[fmt.Sprintf("%v/%d", kind, seed)] = mp
+			}
+		}
+	}
+	// A hint naming a later addition (IDs resolve as their steps are
+	// reached, so it dangles), and a hint whose clause a deletion just
+	// before its step removed.
+	k := len(p.Steps) / 2
+	for p.Steps[k].Del || len(p.Steps[k].Hints) == 0 {
+		k++
+	}
+	forward := cloneProof(p)
+	forward.Steps[k].Hints[0] = p.Steps[len(p.Steps)-1].ID
+	proofs["forward-reference"] = forward
+	deleted := cloneProof(p)
+	del := lrat.Step{ID: p.Steps[k-1].ID, Del: true, Deleted: []int64{p.Steps[k].Hints[0]}}
+	deleted.Steps = slices.Insert(deleted.Steps, k, del)
+	proofs["deleted-hint"] = deleted
+
+	for name, dp := range proofs {
+		for _, opt := range []lrat.Options{{}, {Workers: 4, Strategy: sched.StrategyDAG}} {
+			want, err := lrat.Check(f, dp, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := lrat.Check(f, sparse(dp), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// How far DAG workers get past a failure varies from run to run,
+			// so only the sequential check's hint count is exact.
+			sameHints := got.HintsScanned == want.HintsScanned || opt.Workers > 0
+			if got.OK != want.OK || got.FailedStep != want.FailedStep || !sameHints ||
+				got.Reason != renameReason(want.Reason) {
+				t.Errorf("%s (workers %d): sparse ok=%v step %d hints %d %q; dense ok=%v step %d hints %d %q",
+					name, opt.Workers, got.OK, got.FailedStep, got.HintsScanned, got.Reason,
+					want.OK, want.FailedStep, want.HintsScanned, want.Reason)
+			}
+		}
+	}
+	for name, wantReason := range map[string]string{
+		"valid":              "",
+		"forward-reference":  "dangling hint id",
+		"deleted-hint":       "already deleted",
+		"dangling-hint-id/0": "dangling hint id",
+	} {
+		res, _ := lrat.Check(f, proofs[name], lrat.Options{})
+		if wantReason == "" && !res.OK || !strings.Contains(res.Reason, wantReason) {
+			t.Errorf("%s: dense check gives ok=%v %q, want %q", name, res.OK, res.Reason, wantReason)
+		}
 	}
 }
 

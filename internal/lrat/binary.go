@@ -118,108 +118,65 @@ func ReadBinary(r io.Reader) (*Proof, error) {
 }
 
 // ReadBinaryLimited is ReadBinary with explicit limits; it honours the same
-// fields as ReadLimited. Truncation and encoding garbage wrap
-// cnf.ErrMalformed; limit violations wrap cnf.ErrLimit.
+// fields as ReadLimited. Truncation and encoding garbage, a uvarint that is
+// not minimally encoded included, wrap cnf.ErrMalformed; limit violations
+// wrap cnf.ErrLimit.
+//
+// Each step is decoded in place from the tokenizer's buffer by decodeStep,
+// the decoder the recorder's walker uses. A step cut off at the end of the
+// buffer is decoded again once at least twice its bytes so far are
+// buffered (or the input has ended), so a long step costs linear time
+// however the input arrives.
 func ReadBinaryLimited(r io.Reader, lim cnf.ParseLimits) (*Proof, error) {
 	lim = lim.WithDefaults()
-	br := cnf.NewTokenizer(r, lim.MaxBytes)
+	t := cnf.NewTokenizer(r, lim.MaxBytes)
 	head := make([]byte, binaryHeaderLen)
-	if _, err := io.ReadFull(br, head); err != nil {
+	if _, err := io.ReadFull(t, head); err != nil {
 		return nil, cnf.ReadErr(err, "binary header")
 	}
 	if err := checkBinaryHeader(head); err != nil {
 		return nil, err
 	}
 
-	p := &Proof{}
 	var (
-		lits cnf.Slab[cnf.Lit]
-		ids  cnf.Slab[int64] // hints and deleted IDs
+		steps stepList
+		s     Step // decodeStep's scratch
+		lits  cnf.Slab[cnf.Lit]
+		ids   cnf.Slab[int64] // hints and deleted IDs
 	)
-	for {
-		tag, err := br.ReadByte()
-		if err == io.EOF {
-			return p, nil
-		}
-		if err != nil {
-			return nil, cnf.ReadErr(err, "step tag")
-		}
-		if tag != 'a' && tag != 'd' {
-			return nil, fmt.Errorf("%w: bad step tag %#x", cnf.ErrMalformed, tag)
-		}
-		if len(p.Steps) >= lim.MaxClauses {
-			return nil, &cnf.LimitError{What: "steps", Limit: int64(lim.MaxClauses)}
-		}
-		id, err := br.Uvarint()
-		if err != nil {
-			return nil, cnf.ReadErr(err, "step id")
-		}
-		if id == 0 || id > uint64(lim.MaxID) {
-			if id == 0 {
-				return nil, fmt.Errorf("%w: step %d: id 0", cnf.ErrMalformed, len(p.Steps))
+	for t.Refill(0) {
+		b := t.Buffered()
+		n, err := decodeStep(b, &s, &lim, steps.n)
+		if cut, ok := err.(*truncatedError); ok {
+			if t.Refill(2*len(b)) || len(t.Buffered()) > len(b) {
+				continue
 			}
-			return nil, &cnf.LimitError{What: "id", Limit: lim.MaxID}
+			end := t.Err()
+			if end == nil {
+				end = io.EOF
+			}
+			return nil, cnf.ReadErr(end, cut.what)
 		}
-		s := Step{ID: int64(id), Del: tag == 'd'}
+		if err != nil {
+			return nil, err
+		}
+		t.Discard(n)
+		st := Step{ID: s.ID, Del: s.Del}
 		if s.Del {
-			for {
-				u, err := br.Uvarint()
-				if err != nil {
-					return nil, cnf.ReadErr(err, "deletion")
-				}
-				if u == 0 {
-					break
-				}
-				if u > uint64(lim.MaxID) {
-					return nil, &cnf.LimitError{What: "id", Limit: lim.MaxID}
-				}
-				if ids.Len() >= lim.MaxHints {
-					return nil, &cnf.LimitError{What: "hints", Limit: int64(lim.MaxHints)}
-				}
-				ids.Append(int64(u))
-			}
-			s.Deleted = ids.Cut()
-			p.addStep(s)
-			continue
+			ids.Extend(s.Deleted)
+			st.Deleted = ids.Cut()
+		} else {
+			lits.Extend(s.C)
+			st.C = lits.Cut()
+			ids.Extend(s.Hints)
+			st.Hints = ids.Cut()
 		}
-		for {
-			u, err := br.Uvarint()
-			if err != nil {
-				return nil, cnf.ReadErr(err, "clause")
-			}
-			if u == 0 {
-				break
-			}
-			if lits.Len() >= lim.MaxClauseLen {
-				return nil, &cnf.LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
-			}
-			l, err := cnf.DecodeBinaryLit(u, lim.MaxVars)
-			if err != nil {
-				return nil, err
-			}
-			lits.Append(l)
-		}
-		s.C = lits.Cut()
-		for {
-			u, err := br.Uvarint()
-			if err != nil {
-				return nil, cnf.ReadErr(err, "hints")
-			}
-			if u == 0 {
-				break
-			}
-			if ids.Len() >= lim.MaxHints {
-				return nil, &cnf.LimitError{What: "hints", Limit: int64(lim.MaxHints)}
-			}
-			h, err := unmapHint(u, lim.MaxID)
-			if err != nil {
-				return nil, err
-			}
-			ids.Append(h)
-		}
-		s.Hints = ids.Cut()
-		p.addStep(s)
+		steps.add(st)
 	}
+	if err := t.Err(); err != nil {
+		return nil, cnf.ReadErr(err, "step tag")
+	}
+	return steps.proof(), nil
 }
 
 // walkSteps decodes the steps of body, a binary encoding after its header,
@@ -228,16 +185,12 @@ func ReadBinaryLimited(r io.Reader, lim cnf.ParseLimits) (*Proof, error) {
 // reuses. seen is how many steps came before body, which lim.MaxClauses
 // also counts; walkSteps returns the count after body.
 //
-// It is ReadBinaryLimited for bytes already in memory, building no Proof,
-// and one step stricter: every uvarint must be minimally encoded, so that
-// the bytes of an accepted step are exactly what appendBinaryStep writes
-// for it.
+// It is ReadBinaryLimited for bytes already in memory, building no Proof.
+// Because every uvarint must be minimally encoded, the bytes of an
+// accepted step are exactly what appendBinaryStep writes for it.
 func walkSteps(body []byte, lim *cnf.ParseLimits, seen int, s *Step, visit func(off int)) (int, error) {
 	for off := 0; off < len(body); seen++ {
-		if seen >= lim.MaxClauses {
-			return seen, &cnf.LimitError{What: "steps", Limit: int64(lim.MaxClauses)}
-		}
-		n, err := decodeStep(body[off:], s, lim)
+		n, err := decodeStep(body[off:], s, lim, seen)
 		if err != nil {
 			return seen, err
 		}
@@ -250,33 +203,37 @@ func walkSteps(body []byte, lim *cnf.ParseLimits, seen int, s *Step, visit func(
 }
 
 // decodeStep decodes the step at the start of b, which must not be empty,
-// into s under lim and returns how many bytes it spans.
-func decodeStep(b []byte, s *Step, lim *cnf.ParseLimits) (int, error) {
+// into s under lim and returns how many bytes it spans. step is the
+// step's index, which lim.MaxClauses bounds. When b ends inside the step
+// the error is a *truncatedError.
+func decodeStep(b []byte, s *Step, lim *cnf.ParseLimits, step int) (int, error) {
 	tag := b[0]
 	if tag != 'a' && tag != 'd' {
 		return 0, fmt.Errorf("%w: bad step tag %#x", cnf.ErrMalformed, tag)
 	}
-	u := uvarints{b: b, n: 1}
-	id, err := u.next("step id")
-	if err != nil {
-		return 0, err
+	if step >= lim.MaxClauses {
+		return 0, &cnf.LimitError{What: "steps", Limit: int64(lim.MaxClauses)}
+	}
+	id, n := uvarint(b, 1)
+	if n <= 0 {
+		return 0, uvarintErr(n, "step id")
 	}
 	if id == 0 {
-		return 0, fmt.Errorf("%w: step id 0", cnf.ErrMalformed)
+		return 0, fmt.Errorf("%w: step %d: id 0", cnf.ErrMalformed, step)
 	}
 	if id > uint64(lim.MaxID) {
 		return 0, &cnf.LimitError{What: "id", Limit: lim.MaxID}
 	}
 	s.ID, s.Del = int64(id), tag == 'd'
 	s.C, s.Hints, s.Deleted = s.C[:0], s.Hints[:0], s.Deleted[:0]
+	var v uint64
 	if s.Del {
 		for {
-			v, err := u.next("deletion")
-			if err != nil {
-				return 0, err
+			if v, n = uvarint(b, n); n <= 0 {
+				return 0, uvarintErr(n, "deletion")
 			}
 			if v == 0 {
-				return u.n, nil
+				return n, nil
 			}
 			if v > uint64(lim.MaxID) {
 				return 0, &cnf.LimitError{What: "id", Limit: lim.MaxID}
@@ -287,10 +244,14 @@ func decodeStep(b []byte, s *Step, lim *cnf.ParseLimits) (int, error) {
 			s.Deleted = append(s.Deleted, int64(v))
 		}
 	}
+	// The loops below read one-byte uvarints, and decode in-range literals
+	// and hints, inline (uvarint is too large for the compiler to inline);
+	// the calls are for the rest and for the errors.
 	for {
-		v, err := u.next("clause")
-		if err != nil {
-			return 0, err
+		if n < len(b) && b[n] < 0x80 {
+			v, n = uint64(b[n]), n+1
+		} else if v, n = uvarint(b, n); n <= 0 {
+			return 0, uvarintErr(n, "clause")
 		}
 		if v == 0 {
 			break
@@ -298,49 +259,84 @@ func decodeStep(b []byte, s *Step, lim *cnf.ParseLimits) (int, error) {
 		if len(s.C) >= lim.MaxClauseLen {
 			return 0, &cnf.LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
 		}
-		l, err := cnf.DecodeBinaryLit(v, lim.MaxVars)
-		if err != nil {
+		if mag := v >> 1; mag == 0 || mag > uint64(lim.MaxVars) {
+			_, err := cnf.DecodeBinaryLit(v, lim.MaxVars)
 			return 0, err
 		}
-		s.C = append(s.C, l)
+		s.C = append(s.C, cnf.Lit(v-2))
 	}
 	for {
-		v, err := u.next("hints")
-		if err != nil {
-			return 0, err
+		if n < len(b) && b[n] < 0x80 {
+			v, n = uint64(b[n]), n+1
+		} else if v, n = uvarint(b, n); n <= 0 {
+			return 0, uvarintErr(n, "hints")
 		}
 		if v == 0 {
-			return u.n, nil
+			return n, nil
 		}
 		if len(s.Hints) >= lim.MaxHints {
 			return 0, &cnf.LimitError{What: "hints", Limit: int64(lim.MaxHints)}
 		}
-		h, err := unmapHint(v, lim.MaxID)
-		if err != nil {
+		mag := v >> 1
+		if mag == 0 || mag > uint64(lim.MaxID) {
+			_, err := unmapHint(v, lim.MaxID)
 			return 0, err
+		}
+		h := int64(mag)
+		if v&1 == 1 {
+			h = -h
 		}
 		s.Hints = append(s.Hints, h)
 	}
 }
 
-// uvarints reads the uvarints of b from offset n on.
-type uvarints struct {
-	b []byte
-	n int
-}
+// truncatedError is decodeStep's error when its bytes end inside the step;
+// what names the field cut off. ReadBinaryLimited reads on and decodes
+// again; on bytes already whole it is the malformed-input error
+// cnf.ReadErr gives for a truncation.
+type truncatedError struct{ what string }
 
-// next reads one uvarint; what names the field for errors.
-func (u *uvarints) next(what string) (uint64, error) {
-	v, k := binary.Uvarint(u.b[u.n:])
+func (e *truncatedError) Error() string { return cnf.ReadErr(io.EOF, e.what).Error() }
+
+func (e *truncatedError) Unwrap() error { return cnf.ErrMalformed }
+
+// uvarint decodes the uvarint at b[n:] and returns it with the offset
+// just past it. An offset of 0 means b ends inside the uvarint, -1 that it
+// overflows 64 bits, and -2 that it is not minimally encoded. One- and
+// two-byte uvarints, which hold most literals and hints (up to 16383),
+// skip the general loop.
+func uvarint(b []byte, n int) (uint64, int) {
+	if n < len(b) && b[n] < 0x80 {
+		return uint64(b[n]), n + 1
+	}
+	// b[n], if any, has its high bit set: a second byte without it, and
+	// not 0, ends a minimal two-byte uvarint.
+	if n+1 < len(b) {
+		if c := b[n+1]; c-1 < 0x7f {
+			return uint64(b[n]&0x7f) | uint64(c)<<7, n + 2
+		}
+	}
+	v, k := binary.Uvarint(b[n:])
 	switch {
 	case k == 0:
-		return 0, fmt.Errorf("%w: truncated %s", cnf.ErrMalformed, what)
+		return 0, 0
 	case k < 0:
-		return 0, fmt.Errorf("%w: %s: uvarint overflows 64 bits", cnf.ErrMalformed, what)
-	case k > 1 && u.b[u.n+k-1] == 0:
+		return 0, -1
+	case b[n+k-1] == 0:
 		// A last byte of 0 adds no bits: a longer encoding than needed.
-		return 0, fmt.Errorf("%w: %s: uvarint not minimally encoded", cnf.ErrMalformed, what)
+		return 0, -2
 	}
-	u.n += k
-	return v, nil
+	return v, n + k
+}
+
+// uvarintErr is the error for uvarint's offset n <= 0 in the field what.
+func uvarintErr(n int, what string) error {
+	switch n {
+	case 0:
+		return &truncatedError{what}
+	case -1:
+		// encoding/binary's ReadUvarint error, which the reader once gave.
+		return fmt.Errorf("%w: %s: binary: varint overflows a 64-bit integer", cnf.ErrMalformed, what)
+	}
+	return fmt.Errorf("%w: %s: uvarint not minimally encoded", cnf.ErrMalformed, what)
 }

@@ -164,6 +164,55 @@ func Check(f *cnf.Formula, p *Proof, opt Options) (*Result, error) {
 	return res, nil
 }
 
+// idTable resolves clause IDs to slots. Formula clauses are 1..nf, slots
+// 0..nf-1, and the recorder numbers additions densely (engine clause ID +
+// 1), so the table is a slice indexed by id - 1, holding -1 where no clause
+// has the ID. Foreign proofs may skip IDs: when the largest addition ID
+// lies more than 4·additions + 1024 past nf, the slice covers the formula
+// only and additions go into a map, so memory stays bounded by the proof's
+// length and not by its largest ID.
+type idTable struct {
+	slots []int32
+	more  map[int64]int32 // additions past slots
+}
+
+func newIDTable(nf int, maxID int64, adds int) *idTable {
+	t := &idTable{}
+	n := maxID
+	if maxID-int64(nf) > 4*int64(adds)+1024 {
+		n = int64(nf)
+		t.more = make(map[int64]int32, adds)
+	}
+	t.slots = make([]int32, n)
+	for i := range t.slots {
+		t.slots[i] = -1
+		if i < nf {
+			t.slots[i] = int32(i)
+		}
+	}
+	return t
+}
+
+// put records the slot of the addition with the given ID, which is above
+// nf and at most the largest addition ID newIDTable was given.
+func (t *idTable) put(id int64, slot int32) {
+	if i := id - 1; i < int64(len(t.slots)) {
+		t.slots[i] = slot
+		return
+	}
+	t.more[id] = slot
+}
+
+// get returns the slot of the clause with the given ID, if it has one.
+func (t *idTable) get(id int64) (int32, bool) {
+	if i := uint64(id - 1); i < uint64(len(t.slots)) {
+		s := t.slots[i]
+		return s, s >= 0
+	}
+	s, ok := t.more[id]
+	return s, ok
+}
+
 // rejection attributes a structural problem to a step.
 type rejection struct {
 	step   int
@@ -181,10 +230,12 @@ type rejection struct {
 func buildChecker(f *cnf.Formula, p *Proof) (*checker, *rejection) {
 	nf := f.NumClauses()
 	adds, hints := 0, 0
+	maxID := int64(nf) // the largest ID a clause may have
 	for k := range p.Steps {
-		if !p.Steps[k].Del {
+		if s := &p.Steps[k]; !s.Del {
 			adds++
-			hints += len(p.Steps[k].Hints)
+			hints += len(s.Hints)
+			maxID = max(maxID, s.ID)
 		}
 	}
 	ck := &checker{
@@ -200,24 +251,13 @@ func buildChecker(f *cnf.Formula, p *Proof) (*checker, *rejection) {
 			ck.nVars = int(mv) + 1
 		}
 	}
-	// Formula clauses are implicitly 1..nf; additions are dense enough in
-	// practice (engine ID + 1) that a sorted lookup is wasted work — but
-	// foreign proofs may skip IDs, so additions resolve through a map built
-	// exactly once here.
-	idSlot := make(map[int64]int32, adds)
-	resolve := func(id int64) (int32, bool) {
-		if id >= 1 && id <= int64(nf) {
-			return int32(id - 1), true
-		}
-		s, ok := idSlot[id]
-		return s, ok
-	}
+	ids := newIDTable(nf, maxID, adds)
 	lastID := int64(nf)
 	for k := range p.Steps {
 		s := &p.Steps[k]
 		if s.Del {
 			for _, id := range s.Deleted {
-				slot, ok := resolve(id)
+				slot, ok := ids.get(id)
 				if !ok {
 					return nil, &rejection{k, fmt.Sprintf("deletion of unknown id %d", id)}
 				}
@@ -237,7 +277,7 @@ func buildChecker(f *cnf.Formula, p *Proof) (*checker, *rejection) {
 			if h < 0 {
 				return nil, &rejection{k, fmt.Sprintf("RAT hint %d unsupported", h)}
 			}
-			slot, ok := resolve(h)
+			slot, ok := ids.get(h)
 			if !ok {
 				return nil, &rejection{k, fmt.Sprintf("dangling hint id %d", h)}
 			}
@@ -253,7 +293,7 @@ func buildChecker(f *cnf.Formula, p *Proof) (*checker, *rejection) {
 		slot := int32(len(ck.clauses))
 		ck.clauses = append(ck.clauses, s.C)
 		ck.refs = append(ck.refs, slotRef{addAt: int32(k), delAt: math.MaxInt32})
-		idSlot[s.ID] = slot
+		ids.put(s.ID, slot)
 		ck.hintOff = append(ck.hintOff, int32(len(ck.hintSlots)))
 		if mv := s.C.MaxVar(); int(mv) >= ck.nVars {
 			ck.nVars = int(mv) + 1

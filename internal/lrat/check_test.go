@@ -3,6 +3,7 @@ package lrat
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -240,5 +241,43 @@ func BenchmarkCheckChain(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestIDTable: formula IDs resolve to their slots, addition IDs to what was
+// put, everything else to nothing; the table stays dense up to the largest
+// addition ID 4·additions + 1024 past the formula and is a map beyond.
+func TestIDTable(t *testing.T) {
+	const nf, adds = 10, 3
+	for _, tc := range []struct {
+		maxID int64
+		dense bool
+	}{
+		{nf + 4*adds + 1024, true},
+		{nf + 4*adds + 1025, false},
+	} {
+		ids := newIDTable(nf, tc.maxID, adds)
+		if dense := ids.more == nil; dense != tc.dense || len(ids.slots) < nf {
+			t.Fatalf("maxID %d: dense %v with %d slots, want dense %v", tc.maxID, dense, len(ids.slots), tc.dense)
+		}
+		added := map[int64]int32{nf + 1: 10, nf + 7: 11, tc.maxID: 12}
+		for id, slot := range added {
+			ids.put(id, slot)
+		}
+		for id := int64(-2); id <= tc.maxID+2; id++ {
+			slot, ok := ids.get(id)
+			want, wantOK := added[id]
+			if id >= 1 && id <= nf {
+				want, wantOK = int32(id-1), true
+			}
+			if ok != wantOK || ok && slot != want {
+				t.Fatalf("maxID %d: get(%d) = %d, %v; want %d, %v", tc.maxID, id, slot, ok, want, wantOK)
+			}
+		}
+		for _, id := range []int64{math.MinInt64, math.MaxInt64} {
+			if _, ok := ids.get(id); ok {
+				t.Fatalf("maxID %d: get(%d) found a slot", tc.maxID, id)
+			}
+		}
 	}
 }

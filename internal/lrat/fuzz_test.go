@@ -3,8 +3,11 @@ package lrat
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/cnf"
 )
@@ -40,8 +43,25 @@ func FuzzParseLRAT(f *testing.F) {
 	f.Add([]byte("4 1 0 1 2 0 c trailing\nc comment at EOF"))
 	f.Add([]byte("4 +3 -0 +1 0\n"))
 	f.Add([]byte("4 -9223372036854775808 0 1 0\n"))
+	// The whole-line path's edges: a line whose '\n' is the last byte of
+	// the first buffer, a line longer than the buffer, a 19-digit field,
+	// -0, 007 and +3 (and an id of -0, quoted in its error), tab, CR and
+	// U+00A0, a step over three lines, a deletion over two, mid-line
+	// comments.
+	f.Add(append(bytes.Repeat([]byte(" "), 1<<16-len("4 1 0 1 2 0\n")), "4 1 0 1 2 0\n5 0 4 0\n"...))
+	f.Add([]byte("4 1" + strings.Repeat(" ", 70000) + "0 1 2 0\n5 0 4 0\n"))
+	f.Add([]byte("4 1234567890123456789 0 1 0\n5 123456789012345678 0 1 0\n"))
+	f.Add([]byte("007 -0 0 1 0\n5 +3 0 4 0\n-0 0 1 0\n"))
+	f.Add([]byte("4\t-1\r\n0 1\u00a02 0\n5 0 4 0\n"))
+	f.Add([]byte("4 1\n0 1\n2 0\n5 d\n4 0\n6 d 1 -2 0\n"))
+	f.Add([]byte("4 1 c 0\n0 1 2 0 c x\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadLimited(bytes.NewReader(data), fuzzLimits)
+		// The result may not depend on how the input is chunked.
+		p1, err1 := ReadLimited(iotest.OneByteReader(bytes.NewReader(data)), fuzzLimits)
+		if !reflect.DeepEqual(p1, p) || fmt.Sprint(err1) != fmt.Sprint(err) {
+			t.Fatalf("read one byte at a time: %v, %v; read whole: %v, %v", p1, err1, p, err)
+		}
 		if err != nil {
 			if !errors.Is(err, cnf.ErrMalformed) && !errors.Is(err, cnf.ErrLimit) {
 				t.Fatalf("untyped parse error: %v", err)
@@ -80,8 +100,22 @@ func FuzzParseLRATBinary(f *testing.F) {
 	f.Add([]byte("CLRT\x02\x00"))
 	f.Add(straddlingBinary())
 	f.Add(append(bytes.Clone(buf.Bytes()[:buf.Len()-1]), 0x85)) // a last varint cut short
+	// A step ending where the first buffer does, a step over the buffer's
+	// end, uvarints padded with a 0 byte (refused), one that overflows, a
+	// step past the hints limit.
+	f.Add(binaryEndingAt(1 << 16))
+	f.Add(binaryEndingAt(1<<16 + 3))
+	f.Add([]byte("CLRT\x01\x00a\x84\x00\x02\x00\x02\x00"))
+	f.Add([]byte("CLRT\x01\x00d\x04\x81\x80\x00\x00"))
+	f.Add([]byte("CLRT\x01\x00a\x04\x00" + strings.Repeat("\xff", 9) + "\x02\x00"))
+	f.Add([]byte("CLRT\x01\x00a\x04\x00" + strings.Repeat("\x02", 1<<12+1) + "\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadBinaryLimited(bytes.NewReader(data), fuzzLimits)
+		// The result may not depend on how the input is chunked.
+		p1, err1 := ReadBinaryLimited(iotest.OneByteReader(bytes.NewReader(data)), fuzzLimits)
+		if !reflect.DeepEqual(p1, p) || fmt.Sprint(err1) != fmt.Sprint(err) {
+			t.Fatalf("read one byte at a time: %v, %v; read whole: %v, %v", p1, err1, p, err)
+		}
 		if err != nil {
 			if !errors.Is(err, cnf.ErrMalformed) && !errors.Is(err, cnf.ErrLimit) {
 				t.Fatalf("untyped parse error: %v", err)
@@ -100,6 +134,22 @@ func FuzzParseLRATBinary(f *testing.F) {
 			t.Fatalf("round trip changed the proof: %+v, %+v before", back.Steps, p.Steps)
 		}
 	})
+}
+
+// binaryEndingAt is a binary proof of deletion steps, within fuzzLimits,
+// whose last step ends at byte end.
+func binaryEndingAt(end int) []byte {
+	b := []byte("CLRT\x01\x00")
+	for len(b) < end {
+		k := min(end-len(b)-3, 2048) // a step of k one-byte IDs takes k+3 bytes
+		if rest := end - len(b) - (k + 3); rest > 0 && rest < 3 {
+			k -= 3
+		}
+		b = append(b, 'd', 4)
+		b = append(b, bytes.Repeat([]byte{1}, k)...)
+		b = append(b, 0)
+	}
+	return b
 }
 
 // straddlingBinary is a binary proof, within fuzzLimits, in which a

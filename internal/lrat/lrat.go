@@ -22,8 +22,6 @@
 package lrat
 
 import (
-	"slices"
-
 	"repro/internal/cnf"
 )
 
@@ -49,14 +47,39 @@ type Proof struct {
 	Steps []Step
 }
 
-// addStep appends a parsed step, doubling the slice when it is full: a Step
-// is large, and append's gentler growth for big slices would copy each one
-// several times over.
-func (p *Proof) addStep(s Step) {
-	if len(p.Steps) == cap(p.Steps) {
-		p.Steps = slices.Grow(p.Steps, len(p.Steps)+1)
+// stepList collects a reader's steps in chunks and hands them over as one
+// slice of exactly their number. A Step is large: a slice doubled as it
+// fills allocates two to four times the steps' final size and copies most
+// of them more than once, where the chunks and the final slice take twice
+// the final size and one copy.
+type stepList struct {
+	done  [][]Step
+	chunk []Step
+	n     int // steps added
+}
+
+func (l *stepList) add(s Step) {
+	if len(l.chunk) == cap(l.chunk) {
+		if l.chunk != nil {
+			l.done = append(l.done, l.chunk)
+		}
+		l.chunk = make([]Step, 0, min(max(2*cap(l.chunk), 16), 4096))
 	}
-	p.Steps = append(p.Steps, s)
+	l.chunk = append(l.chunk, s)
+	l.n++
+}
+
+// proof returns the steps added, in order, as a proof; with none, its Steps
+// are nil.
+func (l *stepList) proof() *Proof {
+	if l.n == 0 {
+		return &Proof{}
+	}
+	steps := make([]Step, 0, l.n)
+	for _, c := range l.done {
+		steps = append(steps, c...)
+	}
+	return &Proof{Steps: append(steps, l.chunk...)}
 }
 
 // Additions counts addition steps.

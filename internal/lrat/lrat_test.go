@@ -175,6 +175,40 @@ func TestBinaryMalformed(t *testing.T) {
 	}
 }
 
+// TestBinaryRejectsPaddedUvarint: binary LRAT has one step decoder, so a
+// uvarint with a needless 0 byte on the end is malformed wherever the bytes
+// are read — by the reader, by Validate (at its parse stage) and by the
+// recorder — in every field of a step.
+func TestBinaryRejectsPaddedUvarint(t *testing.T) {
+	f := chainFormula()
+	for field, step := range map[string]string{
+		"step id":  "a\x84\x00\x00\x02\x04\x00",
+		"clause":   "a\x04\x82\x00\x00\x02\x04\x00",
+		"hints":    "a\x04\x00\x82\x00\x04\x00",
+		"deletion": "d\x04\x81\x00\x00",
+	} {
+		in := "CLRT\x01\x00" + step
+		want := "malformed input: " + field + ": uvarint not minimally encoded"
+		_, err := ReadBinary(strings.NewReader(in))
+		if !errors.Is(err, cnf.ErrMalformed) || err.Error() != want {
+			t.Errorf("%s: ReadBinary: %v, want %q", field, err, want)
+		}
+		var ve *ValidationError
+		if _, err := Validate(f, []byte(in), cnf.ParseLimits{}, Options{}); !errors.As(err, &ve) ||
+			ve.Stage != "parse" || ve.Reason != want {
+			t.Errorf("%s: Validate: %v, want a parse-stage rejection", field, err)
+		}
+		if _, err := DecodeRecorder([]byte(in)); !errors.Is(err, cnf.ErrMalformed) || err.Error() != want {
+			t.Errorf("%s: DecodeRecorder: %v, want %q", field, err, want)
+		}
+		// The same step minimally encoded is read.
+		canon := strings.NewReplacer("\x84\x00", "\x04", "\x82\x00", "\x02", "\x81\x00", "\x01").Replace(in)
+		if _, err := ReadBinary(strings.NewReader(canon)); err != nil {
+			t.Errorf("%s: minimal encoding %q: %v", field, canon, err)
+		}
+	}
+}
+
 func TestBinaryLimits(t *testing.T) {
 	big := &Proof{Steps: []Step{
 		{ID: 4, C: mkClause(1, 2, 3), Hints: []int64{1}},

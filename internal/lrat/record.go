@@ -185,7 +185,7 @@ func (r *Recorder) each(refs []stepRef, fn func(enc []byte, s *Step) error) erro
 		k, _ := slices.BinarySearch(ends, ref.at+1)
 		enc := r.enc[k][ref.at-(ends[k]-int64(len(r.enc[k]))):]
 		// ascending decoded these bytes already, so this cannot fail.
-		n, _ := decodeStep(enc, &s, &recordedLimits)
+		n, _ := decodeStep(enc, &s, &recordedLimits, 0)
 		if err := fn(enc[:n], &s); err != nil {
 			return err
 		}

@@ -49,33 +49,43 @@ func Read(r io.Reader) (*Trace, error) { return ReadLimited(r, cnf.DefaultParseL
 // and limit violations wrap cnf.ErrLimit, so callers can map the two
 // failure classes to distinct outcomes. A line whose first field starts
 // with 'c' is a comment; every other field is a DIMACS literal or the 0
-// that ends a clause. Lines may be of any length.
+// that ends a clause. Lines may be of any length; a line of plain integers
+// is read by the tokenizer's whole-line path.
 func ReadLimited(r io.Reader, lim cnf.ParseLimits) (*Trace, error) {
 	lim = lim.WithDefaults()
 	tz := cnf.NewTokenizer(r, lim.MaxBytes)
-	t := New()
-	t.Resolutions = nil
-	var (
-		lits       cnf.Slab[cnf.Lit]
-		pendingRes int64
-		sawRes     bool
-		res        []int64 // per-clause counts, kept once a "c res" was seen
-	)
-	for f := tz.Next(); f != nil; f = tz.Next() {
+	rd := &traceReader{lim: lim, t: New()}
+	rd.t.Resolutions = nil
+	var buf [256]int64 // LineInts' values, on the stack for most lines
+	vals := buf[:0]
+	for {
+		var ok bool
+		if vals, ok = tz.LineInts(vals[:0]); ok {
+			for _, d := range vals {
+				if err := rd.value(d); err != nil {
+					return nil, err
+				}
+			}
+			continue
+		}
+		f := tz.Next()
+		if f == nil {
+			break
+		}
 		if tz.FirstOnLine() && f[0] == 'c' {
 			n, ok, err := resComment(tz)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				if !sawRes {
+				if !rd.sawRes {
 					// Earlier clauses get 0, as the package comment promises.
-					sawRes = true
-					if n := len(t.Clauses); n > 0 {
-						res = make([]int64, n, n+1)
+					rd.sawRes = true
+					if n := len(rd.t.Clauses); n > 0 {
+						rd.res = make([]int64, n, n+1)
 					}
 				}
-				pendingRes = n
+				rd.pendingRes = n
 			}
 			continue
 		}
@@ -83,35 +93,55 @@ func ReadLimited(r io.Reader, lim cnf.ParseLimits) (*Trace, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: line %d: unexpected token %q", cnf.ErrMalformed, tz.Line(), f)
 		}
-		if d == 0 {
-			if len(t.Clauses) >= lim.MaxClauses {
-				return nil, &cnf.LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
-			}
-			t.Clauses = append(t.Clauses, lits.Cut())
-			if sawRes {
-				res = append(res, pendingRes)
-			}
-			pendingRes = 0
-			continue
+		if err := rd.value(d); err != nil {
+			return nil, err
 		}
-		if d > int64(lim.MaxVars) || d < -int64(lim.MaxVars) {
-			return nil, &cnf.LimitError{What: "variables", Limit: int64(lim.MaxVars)}
-		}
-		if lits.Len() >= lim.MaxClauseLen {
-			return nil, &cnf.LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
-		}
-		lits.Append(cnf.FromDimacs(int(d)))
 	}
 	if err := tz.Err(); err != nil {
 		return nil, cnf.ReadErr(err, "read")
 	}
-	if lits.Len() > 0 {
+	if rd.lits.Len() > 0 {
 		return nil, fmt.Errorf("%w: last clause not terminated by 0", cnf.ErrMalformed)
 	}
-	if sawRes {
-		t.Resolutions = res
+	if rd.sawRes {
+		rd.t.Resolutions = rd.res
 	}
-	return t, nil
+	return rd.t, nil
+}
+
+// traceReader is ReadLimited's clause state, which both the tokenizer's
+// whole-line path and its field path feed.
+type traceReader struct {
+	lim        cnf.ParseLimits
+	t          *Trace
+	lits       cnf.Slab[cnf.Lit]
+	pendingRes int64
+	sawRes     bool
+	res        []int64 // per-clause counts, kept once a "c res" was seen
+}
+
+// value takes one integer field: a literal, or the 0 that ends a clause.
+func (rd *traceReader) value(d int64) error {
+	lim, t := &rd.lim, rd.t
+	if d == 0 {
+		if len(t.Clauses) >= lim.MaxClauses {
+			return &cnf.LimitError{What: "clauses", Limit: int64(lim.MaxClauses)}
+		}
+		t.Clauses = append(t.Clauses, rd.lits.Cut())
+		if rd.sawRes {
+			rd.res = append(rd.res, rd.pendingRes)
+		}
+		rd.pendingRes = 0
+		return nil
+	}
+	if d > int64(lim.MaxVars) || d < -int64(lim.MaxVars) {
+		return &cnf.LimitError{What: "variables", Limit: int64(lim.MaxVars)}
+	}
+	if rd.lits.Len() >= lim.MaxClauseLen {
+		return &cnf.LimitError{What: "clause length", Limit: int64(lim.MaxClauseLen)}
+	}
+	rd.lits.Append(cnf.FromDimacs(int(d)))
+	return nil
 }
 
 // resComment reads the rest of a comment line. A comment of exactly three
